@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of generated weight rays",
     )
     scan_p.add_argument("--weights-file", default=None, help="CSV of weight rays")
-    scan_p.add_argument("--threads", type=int, default=1)
 
     self_p = sub.add_parser("selftest", help="run embedded verification suites")
     self_p.add_argument("--filter", default="", help="substring row filter")
@@ -287,7 +286,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         lambda: make_task(config.task, **config.task_params),
         rays,
         config,
-        threads=args.threads,
         true_front=truth,
     )
     wallclock_ms = (time.perf_counter() - start) * 1e3

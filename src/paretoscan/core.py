@@ -241,15 +241,15 @@ class ParetoArchive:
             raise DimensionMismatchError(
                 f"archive holds {self.m}-objective entries, got {entry.objectives.size}"
             )
-        for inc in self.entries:
-            rel = dominates(inc.objectives, entry.objectives)
-            if rel is not Dominance.INCOMPARABLE:
+        if self.entries:
+            incumbents = np.stack([inc.objectives for inc in self.entries])
+            if np.any(np.all(incumbents <= entry.objectives, axis=1)):
                 return False
-        self.entries = [
-            inc
-            for inc in self.entries
-            if dominates(entry.objectives, inc.objectives) is not Dominance.STRICT
-        ]
+            # No incumbent equals the entry here, so <= everywhere is strict.
+            evicted = np.all(entry.objectives <= incumbents, axis=1)
+            self.entries = [
+                inc for inc, out in zip(self.entries, evicted) if not out
+            ]
         self.entries.append(entry)
         return True
 

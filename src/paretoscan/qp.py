@@ -37,8 +37,6 @@ __all__ = [
     "anchor_direction",
     "project_simplex",
     "solve_qp",
-    "non_dominating_direction",
-    "ls_direction",
 ]
 
 #: Default threshold on the non-uniformity below which the weighted loss
@@ -79,16 +77,43 @@ def normalized_weighted_losses(losses, weights) -> np.ndarray:
     return prod / total
 
 
+def _profile(
+    losses: np.ndarray, weights: np.ndarray, epsilon: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Non-uniformity, anchor and active set from one pass over the profile.
+
+    The inputs must already be validated and paired: non-negative finite
+    losses and strictly positive finite weights of one length.
+
+    Raises:
+        DegenerateLossError: If every weighted loss is zero.
+    """
+    prod = losses * weights
+    total = float(prod.sum())
+    if total <= 0.0:
+        raise DegenerateLossError("all weighted losses are zero")
+    h = prod / total
+    m = h.size
+    pos = h > 0.0
+    log_ratio = np.log(h[pos] * m)
+    mu = float(np.sum(h[pos] * log_ratio))
+    if mu <= epsilon:
+        top = float(prod.max())
+        active = np.flatnonzero(prod >= top - 1e-12 * max(top, 1.0))
+        return mu, prod, active
+    anchor = np.zeros(m)
+    anchor[pos] = weights[pos] * (log_ratio - mu)
+    return mu, anchor, np.arange(m)
+
+
 def nonuniformity(losses, weights) -> float:
     """KL divergence of the normalized weighted losses from the uniform profile.
 
     Zero exactly when every weighted loss is equal; grows as the profile
     concentrates.  Zero entries contribute nothing (0 log 0 = 0).
     """
-    h = normalized_weighted_losses(losses, weights)
-    m = h.size
-    pos = h > 0.0
-    return float(np.sum(h[pos] * np.log(h[pos] * m)))
+    lv, wv = _paired(losses, weights)
+    return _profile(lv, wv, EPSILON_DEFAULT)[0]
 
 
 def active_index_set(losses, weights, epsilon: float = EPSILON_DEFAULT) -> list[int]:
@@ -99,12 +124,7 @@ def active_index_set(losses, weights, epsilon: float = EPSILON_DEFAULT) -> list[
     balancing step cannot regress any objective.
     """
     lv, wv = _paired(losses, weights)
-    mu = nonuniformity(lv, wv)
-    if mu <= epsilon:
-        prod = lv * wv
-        top = float(prod.max())
-        return [int(j) for j in np.flatnonzero(prod >= top - 1e-12 * max(top, 1.0))]
-    return list(range(lv.size))
+    return [int(j) for j in _profile(lv, wv, epsilon)[2]]
 
 
 def anchor_direction(losses, weights, epsilon: float = EPSILON_DEFAULT) -> np.ndarray:
@@ -118,15 +138,7 @@ def anchor_direction(losses, weights, epsilon: float = EPSILON_DEFAULT) -> np.nd
     h_j = 0 are left at zero.
     """
     lv, wv = _paired(losses, weights)
-    mu = nonuniformity(lv, wv)
-    if mu <= epsilon:
-        return wv * lv
-    h = normalized_weighted_losses(lv, wv)
-    m = h.size
-    a = np.zeros(m)
-    pos = h > 0.0
-    a[pos] = wv[pos] * (np.log(h[pos] * m) - mu)
-    return a
+    return _profile(lv, wv, epsilon)[1]
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -155,21 +167,6 @@ class QPSolution:
     beta: np.ndarray
     infeasible: bool = False
     degenerate: bool = False
-
-    def diagnostics(self, gram: np.ndarray, anchor: np.ndarray, active) -> dict:
-        """JSON-serializable dump of the solve for verbose tooling."""
-        slack = gram @ self.beta
-        act = list(active)
-        return {
-            "gram": gram.tolist(),
-            "anchor": anchor.tolist(),
-            "active": act,
-            "beta": self.beta.tolist(),
-            "slacks": [float(slack[j]) for j in act],
-            "objective": float(np.sum((gram @ self.beta - anchor) ** 2)),
-            "infeasible": self.infeasible,
-            "degenerate": self.degenerate,
-        }
 
 
 def _objective(M: np.ndarray, a: np.ndarray, beta: np.ndarray) -> float:
@@ -299,13 +296,20 @@ def solve_qp(gradients, anchor, active) -> QPSolution:
         raise ValueError(f"gradients must be 2-D (n, m), got shape {G.shape}")
     if not np.all(np.isfinite(G)):
         raise ValueError("gradients contain non-finite entries")
-    n, m = G.shape
+    m = G.shape[1]
     a = np.asarray(anchor, dtype=np.float64)
     if a.shape != (m,):
         raise DimensionMismatchError(f"anchor has shape {a.shape}, expected ({m},)")
     act = np.array(sorted(set(int(j) for j in active)), dtype=int)
     if act.size and (act[0] < 0 or act[-1] >= m):
         raise ValueError("active index out of range")
+    return _solve(G, a, act)
+
+
+def _solve(G: np.ndarray, a: np.ndarray, act: np.ndarray) -> QPSolution:
+    """:func:`solve_qp` on validated inputs: finite (n, m) gradients, a
+    length-m anchor and sorted, distinct, in-range active indices."""
+    m = G.shape[1]
     if m == 1:
         return QPSolution(beta=np.ones(1))
     M = G.T @ G
@@ -321,25 +325,3 @@ def solve_qp(gradients, anchor, active) -> QPSolution:
     if fallback is None:  # cannot happen: the unconstrained pattern always solves
         fallback = np.full(m, 1.0 / m)
     return QPSolution(beta=fallback, infeasible=True)
-
-
-def non_dominating_direction(gradients, beta) -> np.ndarray:
-    """Step direction d = G beta in parameter space."""
-    G = np.asarray(gradients, dtype=np.float64)
-    b = np.asarray(beta, dtype=np.float64)
-    if G.ndim != 2 or G.shape[1] != b.size:
-        raise DimensionMismatchError(
-            f"gradients of shape {G.shape} incompatible with beta of length {b.size}"
-        )
-    return G @ b
-
-
-def ls_direction(gradients, weights) -> np.ndarray:
-    """Fixed linear-scalarization direction d = G lam (baseline)."""
-    G = np.asarray(gradients, dtype=np.float64)
-    wv = as_weights(weights)
-    if G.ndim != 2 or G.shape[1] != wv.size:
-        raise DimensionMismatchError(
-            f"gradients of shape {G.shape} incompatible with weights of length {wv.size}"
-        )
-    return G @ wv

@@ -17,12 +17,12 @@ from __future__ import annotations
 import abc
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qp
-from .core import as_objectives, as_weights, relative_max
+from .core import DimensionMismatchError, as_objectives, as_weights
 
 __all__ = [
     "Box",
@@ -183,15 +183,6 @@ class InnerResult:
     point: RelaxedPoint
     trace: list[RoundTrace]
     converged: bool
-    qp_diagnostics: list[dict] = field(default_factory=list)
-
-
-def _guarded_mu(losses: np.ndarray, weights: np.ndarray) -> float:
-    """Non-uniformity with the all-zero-losses case mapped to 0 (ideal point)."""
-    try:
-        return qp.nonuniformity(losses, weights)
-    except qp.DegenerateLossError:
-        return 0.0
 
 
 def inner_descent(
@@ -203,7 +194,6 @@ def inner_descent(
     rounds: int,
     mode: str = "epo",
     epsilon: float = qp.EPSILON_DEFAULT,
-    collect_qp_diagnostics: bool = False,
 ) -> InnerResult:
     """Gradient descent on the relaxation driven by the chosen direction rule.
 
@@ -215,7 +205,6 @@ def inner_descent(
         rounds: Number of descent rounds (K).
         mode: "epo" for the non-dominating QP direction, "ls" for d = G lam.
         epsilon: Balance threshold for the QP mode.
-        collect_qp_diagnostics: Record per-round QP dumps (epo mode only).
 
     Returns:
         InnerResult with the final point, a per-round trace of
@@ -225,13 +214,14 @@ def inner_descent(
     Raises:
         NumericalFailureError: On non-finite losses, gradients or direction,
             carrying the offending round index.
+        ValueError: When the task returns negative losses, or a loss
+            vector whose length differs from the weights'.
     """
     if mode not in ("epo", "ls"):
         raise ValueError(f"unknown descent mode {mode!r}")
     wv = as_weights(weights)
     x = task.clamp(point)
     trace: list[RoundTrace] = []
-    diags: list[dict] = []
     max_norm = 0.0
     for k in range(rounds):
         losses = np.asarray(task.relaxed_losses(x), dtype=np.float64)
@@ -240,34 +230,33 @@ def inner_descent(
         grads = np.asarray(task.gradients(x), dtype=np.float64)
         if not np.all(np.isfinite(grads)):
             raise NumericalFailureError("non-finite gradients", k)
-        mu = _guarded_mu(losses, wv)
-        r_check = relative_max(np.maximum(losses, 0.0), wv)
+        if np.any(losses < 0.0):
+            raise ValueError("objective vector contains negative entries")
+        if losses.shape != wv.shape:
+            raise DimensionMismatchError(
+                f"losses have length {losses.size} but weights have length {wv.size}"
+            )
+        try:
+            mu, anchor, active = qp._profile(losses, wv, epsilon)
+        except qp.DegenerateLossError:  # every loss is zero: the ideal point
+            mu, anchor, active = 0.0, None, None
+        r_check = float(np.max(losses * wv))
         trace.append(RoundTrace(k, losses.copy(), mu, r_check, mode))
-        degenerate_losses = float(np.sum(losses * wv)) <= 0.0
         if mode == "ls":
-            direction = qp.ls_direction(grads, wv)
-        elif degenerate_losses:
+            direction = grads @ wv
+        elif anchor is None:
             direction = np.zeros(x.params.size)
         else:
-            anchor = qp.anchor_direction(losses, wv, epsilon)
-            active = qp.active_index_set(losses, wv, epsilon)
-            solution = qp.solve_qp(grads, anchor, active)
-            if collect_qp_diagnostics:
-                diags.append(solution.diagnostics(grads.T @ grads, anchor, active))
+            solution = qp._solve(grads, anchor, active)
             if solution.degenerate:
                 direction = np.zeros(x.params.size)
             else:
-                direction = qp.non_dominating_direction(grads, solution.beta)
+                direction = grads @ solution.beta
         if not np.all(np.isfinite(direction)):
             raise NumericalFailureError("non-finite step direction", k)
         max_norm = max(max_norm, float(np.linalg.norm(direction)))
         x = task.clamp(RelaxedPoint(x.params - eta * direction, x.region))
-    return InnerResult(
-        point=x,
-        trace=trace,
-        converged=max_norm < CONVERGENCE_NORM,
-        qp_diagnostics=diags,
-    )
+    return InnerResult(point=x, trace=trace, converged=max_norm < CONVERGENCE_NORM)
 
 
 @dataclass
@@ -308,9 +297,10 @@ def discretize_select(
     best: tuple[object, np.ndarray] | None = None
     for idx, cand in enumerate(candidates):
         objectives = task.eval_discrete(cand)
-        r_check = relative_max(objectives, wv)
+        weighted = objectives * wv
+        r_check = float(np.max(weighted))
         evaluations.append((cand, objectives, r_check))
-        key = (r_check, float(np.sum(objectives * wv)), idx)
+        key = (r_check, float(np.sum(weighted)), idx)
         if best_key is None or key < best_key:
             best_key = key
             best = (cand, objectives)

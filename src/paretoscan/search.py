@@ -2,9 +2,10 @@
 
 A run repeats relax -> inner descent -> discretize/select for one weight
 ray, logging one trajectory record per outer iteration.  A scan runs one
-ray per weight vector from a deterministic per-ray seed, merges every
-evaluated candidate into a shared Pareto archive, and summarizes front
-quality.  Diagnostics check the run's loss path against the descent
+ray per weight vector from a deterministic per-ray seed, merges the
+rays' archives (each holds the ray's start point and the candidate
+selected in each outer round) into one Pareto archive, and summarizes
+front quality.  Diagnostics check the run's loss path against the descent
 theory: each step should stay inside the previous admissible box
 (componentwise l_j <= r_check / lambda_j), the weighted relative max
 should fall monotonically, and the final point should satisfy the
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,6 +56,13 @@ __all__ = [
 _THEORY_TOL = 1e-9
 
 
+def _finite_non_negative(value) -> bool:
+    try:
+        return bool(np.isfinite(value)) and value >= 0
+    except TypeError:
+        return False
+
+
 @dataclass
 class RunConfig:
     """Settings for one optimization run.
@@ -84,10 +91,20 @@ class RunConfig:
             raise ValueError(f"mode must be 'epo' or 'ls', got {self.mode!r}")
         if self.T < 1 or self.K < 1 or self.C < 1:
             raise ValueError("T, K and C must all be at least 1")
-        if self.eta is not None and self.eta < 0:
-            raise ValueError("eta must be non-negative")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if self.eta is not None and not _finite_non_negative(self.eta):
+            raise ValueError(f"eta must be a finite, non-negative number, got {self.eta!r}")
+        if not _finite_non_negative(self.epsilon):
+            raise ValueError(
+                f"epsilon must be a finite, non-negative number, got {self.epsilon!r}"
+            )
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=np.float64)
+            if w.ndim != 1:
+                raise ValueError("lambda (weights) must be a flat list of numbers")
+            try:
+                lift_positive(w)
+            except ValueError as exc:
+                raise ValueError(f"lambda (weights): {exc}") from None
         if self.oracle_budget < 0:
             raise ValueError("oracle_budget must be non-negative (0 = unlimited)")
 
@@ -394,7 +411,6 @@ def front_scan(
     weight_list: list,
     config: RunConfig,
     *,
-    threads: int = 1,
     reference=None,
     true_front=None,
     coverage_radius: float = 0.05,
@@ -404,11 +420,10 @@ def front_scan(
 
     Args:
       task_factory: Zero-argument callable building a fresh task per ray, or
-        a single TaskContract instance (single-thread only).
+        a single TaskContract instance shared by every ray.
       weight_list: Non-empty list of weight vectors.
       config: Per-ray settings; ray i runs with seed ``config.seed + i`` and
         an even share of ``config.oracle_budget``.
-      threads: Worker threads; rays are independent, merge order is fixed.
       reference: Hypervolume reference point (defaults to the unit corner).
       true_front: Optional reference front for coverage.
       coverage_radius: Capture distance for coverage.
@@ -427,8 +442,6 @@ def front_scan(
     if callable(task_factory):
         factory = task_factory
     elif isinstance(task_factory, TaskContract):
-        if threads > 1:
-            raise ValueError("a shared task instance cannot run multi-threaded scans")
         factory = lambda: task_factory  # noqa: E731 - deliberate shared instance
     else:
         raise TypeError("task_factory must be callable or a TaskContract")
@@ -465,16 +478,10 @@ def front_scan(
         )
         return outcome, result.archive
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one_ray, i, w) for i, w in enumerate(weight_list)]
-            pairs = [f.result() for f in futures]
-    else:
-        pairs = [one_ray(i, w) for i, w in enumerate(weight_list)]
-
     merged = ParetoArchive()
     rays = []
-    for outcome, archive in pairs:
+    for i, w in enumerate(weight_list):
+        outcome, archive = one_ray(i, w)
         rays.append(outcome)
         if archive is not None:
             merged.merge(archive)

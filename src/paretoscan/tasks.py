@@ -42,7 +42,16 @@ __all__ = [
     "TASK_NAMES",
 ]
 
-TASK_NAMES = ("synthetic", "ngram-uni", "ngram-bi", "surrogate")
+#: Parameters each task accepts through :func:`make_task`, besides
+#: ``per_property_oracle``, which every task accepts.
+_TASK_PARAMS = {
+    "synthetic": ("n", "grid_step", "init_bound"),
+    "ngram-uni": ("l_max",),
+    "ngram-bi": ("l_max",),
+    "surrogate": ("n_b", "m", "oracle_seed", "train_seed", "epochs"),
+}
+
+TASK_NAMES = tuple(_TASK_PARAMS)
 
 #: Fallback step size; tasks override via ``default_eta``.
 GLOBAL_ETA_DEFAULT = 1e-3
@@ -462,22 +471,22 @@ class SurrogateTask(TaskContract):
 def make_task(name: str, **params) -> TaskContract:
     """Build a task by name: synthetic, ngram-uni, ngram-bi, or surrogate.
 
-    Recognized params: n, grid_step (synthetic); l_max (n-gram); n_b,
-    oracle_seed (surrogate); per_property_oracle (all).
+    Recognized params: n, grid_step, init_bound (synthetic); l_max (n-gram);
+    n_b, m, oracle_seed, train_seed, epochs (surrogate); per_property_oracle
+    (all).
+
+    Raises:
+        ValueError: For an unknown task name or a parameter the task does
+            not take, naming it.
     """
-    accounting = {"per_property_oracle": params.pop("per_property_oracle", True)}
+    if name not in _TASK_PARAMS:
+        raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
+    unknown = sorted(set(params) - set(_TASK_PARAMS[name]) - {"per_property_oracle"})
+    if unknown:
+        raise ValueError(f"task {name!r} does not take parameter(s): {', '.join(unknown)}")
     if name == "synthetic":
-        allowed = {k: params[k] for k in ("n", "grid_step", "init_bound") if k in params}
-        return SyntheticTask(**allowed, **accounting)
-    if name in ("ngram-uni", "ngram-bi"):
-        mode = "unigram" if name == "ngram-uni" else "bigram"
-        allowed = {k: params[k] for k in ("l_max",) if k in params}
-        return NGramTask(mode=mode, **allowed, **accounting)
+        return SyntheticTask(**params)
     if name == "surrogate":
-        allowed = {
-            k: params[k]
-            for k in ("n_b", "m", "oracle_seed", "train_seed", "epochs")
-            if k in params
-        }
-        return SurrogateTask(**allowed, **accounting)
-    raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
+        return SurrogateTask(**params)
+    mode = "unigram" if name == "ngram-uni" else "bigram"
+    return NGramTask(mode=mode, **params)

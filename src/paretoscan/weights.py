@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from scipy.stats import qmc
-
 __all__ = [
     "weights_2d",
     "weights_3d",
@@ -101,6 +99,9 @@ def weight_grid(m: int, count: int, seed: int = 0) -> list[np.ndarray]:
             return [weights_2d(0.5)]
         return [weights_2d(i / (count - 1)) for i in range(count)]
     if m in (3, 4):
+        # Imported here: scipy.stats takes most of the package's import time.
+        from scipy.stats import qmc
+
         maker = weights_3d if m == 3 else weights_4d
         sampler = qmc.Halton(d=m - 1, seed=seed)
         out: list[np.ndarray] = []
@@ -126,11 +127,12 @@ def lift_positive(weights, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
     most the floor while restoring strict positivity.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
-    if np.any(w < 0.0):
-        raise ValueError("weights must be non-negative before lifting")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("weights must be finite and non-negative")
     w[w < floor] = floor
     w = w / np.linalg.norm(w)
-    assert np.all(w > 0.0)
+    if not np.all(w > 0.0):
+        raise ValueError("weights must have a finite Euclidean norm")
     return w
 
 

@@ -1,12 +1,21 @@
 """Command-line interface: artifacts, precedence, exit codes (in-process)."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paretoscan.cli import main
 from paretoscan.weights import save_weights_csv, weight_grid
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -97,25 +106,41 @@ def test_malformed_weight_flag(tmp_path, capsys):
 
 
 def test_bad_task_parameter_is_a_config_error(tmp_path, capsys):
-    rc = main(
-        [
-            "run",
-            "--task",
-            "synthetic",
-            "--grid-step",
-            "-1",
-            "-T",
-            "2",
-            "-K",
-            "2",
-            "-C",
-            "2",
-            "-o",
-            str(tmp_path / "x"),
-        ]
-    )
-    assert rc == 1
+    base = ["run", "--task", "synthetic", "-T", "2", "-K", "2", "-C", "2", "-o", str(tmp_path / "x")]
+    assert main(base + ["--grid-step", "-1"]) == 1
     assert "config error: task" in capsys.readouterr().err
+    # a parameter the task does not take is rejected, not dropped
+    assert main(base + ["--l-max", "5"]) == 1
+    assert "config error: task: task 'synthetic' does not take parameter(s): l_max" in (
+        capsys.readouterr().err
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task_params": {"n": 4, "bogus": 1}}))
+    assert main(base + ["--config", str(cfg)]) == 1
+    assert "config error: task: task 'synthetic' does not take parameter(s): bogus" in (
+        capsys.readouterr().err
+    )
+
+
+_BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+    max_value=-1e-300, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    command=st.sampled_from(["run", "scan"]),
+    key=st.sampled_from(["eta", "epsilon", "lambda"]),
+    bad=_BAD_NUMBERS,
+    good=st.floats(0.0, 10.0),
+)
+def test_non_finite_or_negative_numbers_are_config_errors(command, key, bad, good):
+    value = f"{good!r},{bad!r}" if key == "lambda" else repr(bad)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        rc = main([command, "--task", "synthetic", f"--{key}={value}", "-o", tmp])
+    assert rc == 1
+    assert f"config error: {key}" in err.getvalue()
 
 
 def test_unknown_task_is_rejected_by_the_parser(tmp_path):
@@ -266,3 +291,38 @@ def test_selftest_filter(capsys):
     assert "qp" in out and "hv" not in out
     assert main(["selftest", "--filter", "zzz"]) == 1
     assert "no selftest rows match" in capsys.readouterr().err
+
+
+# acceptance test 10's argument lists
+_GOLDEN_ARGS = {
+    "run": [
+        "run", "--task", "synthetic", "--n", "6", "-T", "5", "-K", "5",
+        "-C", "4", "--eta", "0.05", "--seed", "17",
+    ],
+    "scan": [
+        "scan", "--task", "synthetic", "--n", "6", "-T", "4", "-K", "5",
+        "-C", "4", "--eta", "0.05", "--seed", "17", "--weights", "6",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [("run", ("trajectory.csv", "theory.json")), ("scan", ("archive.csv",))],
+)
+def test_artifacts_match_golden_bytes(tmp_path, command, names):
+    """Artifacts equal, byte for byte, those in ``tests/data/golden``.
+
+    The golden files were written by commit 403d519, before the inner loop
+    stopped re-validating its vectors, with numpy 2.4.6 on Python 3.11
+    (x86-64); ``metrics.json`` is kept without its ``wallclock_ms``.  Another
+    numpy or BLAS build may change the last digits.
+    """
+    out = tmp_path / command
+    assert main(_GOLDEN_ARGS[command] + ["-o", str(out)]) == 0
+    for name in names:
+        assert (out / name).read_bytes() == (GOLDEN / command / name).read_bytes(), name
+    metrics = json.loads((out / "metrics.json").read_text())
+    del metrics["wallclock_ms"]
+    text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / command / "metrics.json").read_text()

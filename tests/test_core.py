@@ -196,33 +196,52 @@ def test_archive_empty_accessors_raise():
         ParetoArchive.from_csv("")
 
 
+def _reference_front(points):
+    """Ids of the offered points that no offered point strictly dominates,
+    keeping only the first copy of each duplicate, in the order offered."""
+    kept = []
+    for i, p in enumerate(points):
+        if any(np.all(q <= p) and np.any(q < p) for q in points):
+            continue
+        if any(np.array_equal(q, p) for q in points[:i]):
+            continue
+        kept.append(str(i))
+    return kept
+
+
 @settings(deadline=None, max_examples=150)
 @given(
-    st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        min_size=1,
-        max_size=20,
-    )
+    st.integers(2, 3).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(0, 4), min_size=m, max_size=m), min_size=1, max_size=20
+        )
+    ),
+    st.integers(0, 20),
 )
-def test_archive_invariants(points):
+def test_archive_invariants(rows, split):
+    points = [np.array(r) / 2.0 for r in rows]
     archive = ParetoArchive()
-    inserted = []
-    for i, (a, b) in enumerate(points):
-        vec = np.array([a / 2.0, b / 2.0])
-        if archive.insert(ArchiveEntry(str(i), vec)):
-            inserted.append(vec)
+    for i, vec in enumerate(points):
+        archive.insert(ArchiveEntry(str(i), vec))
+    assert [e.candidate_id for e in archive] == _reference_front(points)
     # entries are mutually incomparable
     for i, e in enumerate(archive.entries):
         for f in archive.entries[i + 1 :]:
             assert dominates(e.objectives, f.objectives) is Dominance.INCOMPARABLE
     # every point ever offered is weakly dominated by some survivor
-    for a, b in points:
-        vec = np.array([a / 2.0, b / 2.0])
+    for vec in points:
         assert any(
             dominates(e.objectives, vec) is not Dominance.INCOMPARABLE
-            or np.all(e.objectives == vec)
             for e in archive.entries
         )
+    # merging the archives of a prefix and a suffix equals inserting one by one
+    left, right = ParetoArchive(), ParetoArchive()
+    for i, vec in enumerate(points):
+        (left if i < split else right).insert(ArchiveEntry(str(i), vec))
+    left.merge(right)
+    assert [(e.candidate_id, e.objectives.tolist()) for e in left] == [
+        (e.candidate_id, e.objectives.tolist()) for e in archive
+    ]
 
 
 def test_archive_csv_round_trip():

@@ -192,37 +192,3 @@ def test_solve_qp_realistic_balance_instances():
         if not sol.infeasible:
             slack = (G.T @ G) @ sol.beta
             assert float(np.min(slack[active])) >= -1e-8
-
-
-def test_qp_solution_diagnostics_payload():
-    G = np.eye(2)
-    sol = qp.solve_qp(G, np.array([0.6, 0.1]), [0])
-    dump = sol.diagnostics(G.T @ G, np.array([0.6, 0.1]), [0])
-    assert set(dump) == {
-        "gram", "anchor", "active", "beta", "slacks", "objective",
-        "infeasible", "degenerate",
-    }
-    assert dump["active"] == [0]
-    assert len(dump["slacks"]) == 1
-    assert dump["objective"] >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# directions
-# ---------------------------------------------------------------------------
-
-
-def test_non_dominating_direction_combines_columns():
-    G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    d = qp.non_dominating_direction(G, [0.25, 0.75])
-    assert d == pytest.approx([0.25, 0.75, 1.0])
-    with pytest.raises(DimensionMismatchError):
-        qp.non_dominating_direction(G, [0.5, 0.25, 0.25])
-
-
-def test_ls_direction_is_weighted_gradient_sum():
-    G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    d = qp.ls_direction(G, [2.0, 1.0])
-    assert d == pytest.approx([2.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        qp.ls_direction(G, [1.0, 0.0])  # weights must be strictly positive

@@ -209,19 +209,20 @@ def test_inner_descent_failure_on_losses_at_first_round():
     assert exc.value.round_index == 0
 
 
-def test_inner_descent_collects_qp_diagnostics():
-    task = SyntheticTask(n=4)
-    x0 = np.zeros(4, dtype=np.int64) + 20
-    out = inner_descent(
-        task,
-        task.relax(x0),
-        [1.0, 1.0],
-        eta=0.05,
-        rounds=3,
-        collect_qp_diagnostics=True,
-    )
-    assert len(out.qp_diagnostics) == 3
-    assert all("beta" in d and "slacks" in d for d in out.qp_diagnostics)
+@pytest.mark.parametrize(
+    "losses, message", [([-0.1, 1.0], "negative"), ([0.5, 0.5, 0.5], "length 3")]
+)
+def test_inner_descent_rejects_malformed_task_losses(losses, message):
+    task = _StubTask()
+    task.relaxed_losses = lambda point: np.array(losses)
+    with pytest.raises(ValueError, match=message):
+        inner_descent(
+            task,
+            RelaxedPoint(np.zeros(2), Unconstrained()),
+            [1.0, 1.0],
+            eta=0.1,
+            rounds=2,
+        )
 
 
 # ---------------------------------------------------------------------------

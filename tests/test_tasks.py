@@ -366,6 +366,8 @@ def test_make_task_dispatch():
     assert isinstance(sur, SurrogateTask)
     with pytest.raises(ValueError):
         make_task("quantum")
+    with pytest.raises(ValueError, match="does not take parameter.*bogus"):
+        make_task("synthetic", n=5, bogus=1)
 
 
 def test_make_task_per_property_passthrough():

@@ -1,12 +1,17 @@
 """Weight-ray generators: sphere geometry, grids, positivity lift, CSV I/O."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paretoscan
 from paretoscan.weights import (
     POSITIVITY_FLOOR,
     lift_positive,
@@ -119,6 +124,14 @@ def test_weight_grid_rejects_bad_arguments():
         weight_grid(2, 0)
 
 
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy.stats is imported only by the m >= 3 grids
+    code = "import sys, paretoscan; assert 'scipy' not in sys.modules"
+    src = Path(paretoscan.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_lift_positive_floors_zeros():
     lifted = lift_positive([1.0, 0.0])
     assert np.all(lifted > 0.0)
@@ -129,6 +142,9 @@ def test_lift_positive_floors_zeros():
     assert lift_positive([0.6, 0.8]).tolist() == [0.6, 0.8]
     with pytest.raises(ValueError):
         lift_positive([0.5, -0.5])
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308]):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            lift_positive(bad)
 
 
 def test_weights_csv_round_trip_is_byte_identical(tmp_path):
