@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,13 +71,11 @@ def as_objectives(values) -> np.ndarray:
     return arr.copy()
 
 
-def as_weights(values, *, check_norm: bool = False) -> np.ndarray:
+def as_weights(values) -> np.ndarray:
     """Validate a preference weight vector (strictly positive, finite).
 
     Args:
         values: Sequence of m >= 1 weights.
-        check_norm: When True additionally require unit Euclidean norm
-            within 1e-9 (the contract for generated weight vectors).
 
     Returns:
         A float64 copy of ``values``.
@@ -91,8 +89,6 @@ def as_weights(values, *, check_norm: bool = False) -> np.ndarray:
         raise ValueError("weight vector contains non-finite entries")
     if np.any(arr <= 0.0):
         raise ValueError("weight vector entries must be strictly positive")
-    if check_norm and abs(float(np.linalg.norm(arr)) - 1.0) > 1e-9:
-        raise ValueError("weight vector must have unit Euclidean norm")
     return arr.copy()
 
 
@@ -120,13 +116,17 @@ def dominates(a, b) -> Dominance:
     return Dominance.INCOMPARABLE
 
 
+def _pareto_mask(points: np.ndarray) -> np.ndarray:
+    """Rows of a validated (k, m) array that no other row strictly dominates."""
+    weak = np.all(points[:, None, :] <= points[None, :, :], axis=2)
+    return ~np.any(weak & ~weak.T, axis=0)
+
+
 def pareto_filter(points) -> list[int]:
     """Indices of points not strictly dominated by any other point.
 
     Exact duplicates of a retained point are all retained (equal vectors never
-    strictly dominate each other).  Runs a sum-ordered sweep: a point can only
-    be strictly dominated by a point with strictly smaller coordinate sum, so
-    each point is checked against previously retained points only.
+    strictly dominate each other).
 
     Args:
         points: Iterable of equal-length objective vectors.
@@ -140,29 +140,9 @@ def pareto_filter(points) -> list[int]:
     vecs = [as_objectives(p) for p in points]
     if not vecs:
         raise EmptyInputError("pareto_filter requires at least one point")
-    m = vecs[0].size
-    for v in vecs[1:]:
-        if v.size != m:
-            raise DimensionMismatchError("points must share a common length")
-    sums = np.array([float(v.sum()) for v in vecs])
-    order = np.argsort(sums, kind="stable")
-    kept: list[int] = []
-    for idx in order:
-        v = vecs[idx]
-        s = sums[idx]
-        dominated = False
-        for j in kept:
-            if sums[j] >= s:
-                # Strict dominance forces a strictly smaller sum; sums are
-                # emitted in non-decreasing order, so nothing later can apply.
-                break
-            w = vecs[j]
-            if np.all(w <= v) and np.any(w < v):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(int(idx))
-    return sorted(kept)
+    if any(v.size != vecs[0].size for v in vecs):
+        raise DimensionMismatchError("points must share a common length")
+    return np.flatnonzero(_pareto_mask(np.stack(vecs))).tolist()
 
 
 def relative_max(losses, weights) -> float:
@@ -294,33 +274,3 @@ class ParetoArchive:
                 + [str(e.oracle_calls_at_insert)]
             )
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ParetoArchive":
-        """Rebuild an archive from :meth:`to_csv` output (entries kept as-is)."""
-        reader = csv.reader(io.StringIO(text))
-        rows = list(reader)
-        if not rows:
-            raise EmptyInputError("archive CSV is empty")
-        header = rows[0]
-        m = sum(1 for h in header if h.startswith("l_"))
-        if m == 0 or header[0] != "candidate_id" or header[-1] != "oracle_calls":
-            raise ValueError("unrecognized archive CSV header")
-        archive = cls()
-        for row in rows[1:]:
-            if not row:
-                continue
-            objectives = np.array([float(x) for x in row[1 : 1 + m]])
-            lam_cells = row[1 + m : 1 + 2 * m]
-            weight = (
-                np.array([float(x) for x in lam_cells]) if all(lam_cells) else None
-            )
-            archive.entries.append(
-                ArchiveEntry(
-                    candidate_id=row[0],
-                    objectives=objectives,
-                    weight_used=weight,
-                    oracle_calls_at_insert=int(row[-1]),
-                )
-            )
-        return archive

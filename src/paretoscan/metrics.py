@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EmptyInputError, as_objectives, pareto_filter
+from .core import EmptyInputError, _pareto_mask, as_objectives, pareto_filter
 from .qp import DegenerateLossError, nonuniformity
 
 __all__ = [
@@ -55,8 +55,7 @@ def _hv_slice(points: np.ndarray, reference: np.ndarray) -> float:
     """
     m = reference.size
     if m == 2:
-        pts = points[pareto_filter(points)]
-        return _hv2(pts, reference)
+        return _hv2(points[_pareto_mask(points)], reference)
     order = np.argsort(points[:, -1], kind="stable")
     pts = points[order]
     total = 0.0

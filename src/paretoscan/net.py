@@ -12,8 +12,6 @@ gradients stay finite for any parameter scale.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 __all__ = ["DualPathNet", "DivergenceError", "FrozenNetError"]
@@ -48,18 +46,12 @@ class DualPathNet:
         if min(n_inputs, n_hidden, n_heads) < 1:
             raise ValueError("layer sizes must be positive")
         rng = np.random.default_rng(seed)
-        self.seed = seed
         self.w1 = rng.standard_normal((n_hidden, n_inputs)) / np.sqrt(n_inputs)
         self.b1 = np.zeros(n_hidden)
         self.w2 = rng.standard_normal((n_heads, n_hidden)) / np.sqrt(n_hidden)
         self.b2 = np.zeros(n_heads)
         self.frozen = False
-        self.loss_curve: list[float] = []
         self.final_loss: float | None = None
-
-    @property
-    def layer_sizes(self) -> tuple[int, int, int]:
-        return (self.w1.shape[1], self.w1.shape[0], self.w2.shape[0])
 
     def _forward_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         H = np.tanh(X @ self.w1.T + self.b1)
@@ -139,49 +131,18 @@ class DualPathNet:
         if not np.isfinite(final):
             raise DivergenceError("training loss is non-finite; use a smaller rate")
         self.frozen = True
-        self.loss_curve = curve
         self.final_loss = final
         return curve
 
-    def input_gradients(self, x, targets=None) -> np.ndarray:
+    def input_gradients(self, x) -> np.ndarray:
         """Per-head cross-entropy gradients with respect to the input.
 
-        Column i is d BCE(yhat_i, target_i) / dx.  Targets default to all
-        ones (push every head up).  Pure: never mutates parameters.
+        Column i is d BCE(yhat_i, 1) / dx: every head is pushed up.  Pure:
+        never mutates parameters.
         """
         x = np.asarray(x, dtype=np.float64).ravel()
-        heads = self.w2.shape[0]
-        t = np.ones(heads) if targets is None else np.asarray(targets, np.float64)
-        if t.shape != (heads,):
-            raise ValueError(f"targets must have shape ({heads},)")
         h = np.tanh(self.w1 @ x + self.b1)
         yhat = _sigmoid(self.w2 @ h + self.b2)
-        # d bce_i / dz_i = yhat_i - t_i;  dz_i/dx = W1^T (w2[i] * (1 - h^2))
+        # d bce_i / dz_i = yhat_i - 1;  dz_i/dx = W1^T (w2[i] * (1 - h^2))
         back = (self.w2 * (1.0 - h * h)) @ self.w1  # (heads, n_inputs)
-        return ((yhat - t)[:, None] * back).T
-
-    def to_json(self) -> str:
-        """Checkpoint with layer sizes, row-major parameters, seed, final loss."""
-        payload = {
-            "layer_sizes": list(self.layer_sizes),
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2.tolist(),
-            "seed": self.seed,
-            "final_loss": self.final_loss,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "DualPathNet":
-        payload = json.loads(text)
-        n, h, m = payload["layer_sizes"]
-        net = cls(n, h, m, seed=payload.get("seed", 0))
-        net.w1 = np.asarray(payload["w1"], dtype=np.float64)
-        net.b1 = np.asarray(payload["b1"], dtype=np.float64)
-        net.w2 = np.asarray(payload["w2"], dtype=np.float64)
-        net.b2 = np.asarray(payload["b2"], dtype=np.float64)
-        net.final_loss = payload.get("final_loss")
-        net.frozen = net.final_loss is not None
-        return net
+        return ((yhat - 1.0)[:, None] * back).T

@@ -31,7 +31,6 @@ from .core import DimensionMismatchError, as_objectives, as_weights
 __all__ = [
     "DegenerateLossError",
     "QPSolution",
-    "normalized_weighted_losses",
     "nonuniformity",
     "active_index_set",
     "anchor_direction",
@@ -61,20 +60,6 @@ def _paired(losses, weights) -> tuple[np.ndarray, np.ndarray]:
             f"losses have length {lv.size} but weights have length {wv.size}"
         )
     return lv, wv
-
-
-def normalized_weighted_losses(losses, weights) -> np.ndarray:
-    """Weighted losses normalized to sum to one.
-
-    Raises:
-        DegenerateLossError: If every weighted loss is zero.
-    """
-    lv, wv = _paired(losses, weights)
-    prod = lv * wv
-    total = float(prod.sum())
-    if total <= 0.0:
-        raise DegenerateLossError("all weighted losses are zero")
-    return prod / total
 
 
 def _profile(
@@ -142,12 +127,16 @@ def anchor_direction(losses, weights, epsilon: float = EPSILON_DEFAULT) -> np.nd
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    rho = int(ks[u - css / ks > 0][-1])
-    theta = css[rho - 1] / rho
+    """Euclidean projection onto the probability simplex (sort-based).
+
+    A 2-D input is projected row by row.
+    """
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    ks = np.arange(1, v.shape[-1] + 1)
+    # rho is the last k with u_k > css_k / k; k = 1 always qualifies.
+    rho = v.shape[-1] - np.argmax((u - css / ks > 0)[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, rho[..., None] - 1, axis=-1) / rho[..., None]
     return np.maximum(v - theta, 0.0)
 
 

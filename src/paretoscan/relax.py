@@ -7,9 +7,7 @@ relaxation along non-dominating (or fixed linear-scalarization) directions;
 discretization then evaluates a small batch of nearby candidates with the
 oracle and keeps the one with the smallest weighted relative max.
 
-Oracle accounting: one discrete evaluation costs m calls by default (one per
-objective); construct tasks with ``per_property_oracle=False`` to count one
-call per candidate instead.
+Oracle accounting: one discrete evaluation costs m calls (one per objective).
 """
 
 from __future__ import annotations
@@ -84,8 +82,7 @@ class SimplexRows:
     cols: int
 
     def project(self, params: np.ndarray) -> np.ndarray:
-        mat = params.reshape(self.rows, self.cols)
-        return np.stack([qp.project_simplex(row) for row in mat]).ravel()
+        return qp.project_simplex(params.reshape(self.rows, self.cols)).ravel()
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,7 @@ class TaskContract(abc.ABC):
     #: Number of objectives; set by subclasses.
     m: int = 0
 
-    def __init__(self, per_property_oracle: bool = True) -> None:
-        self.per_property_oracle = per_property_oracle
+    def __init__(self) -> None:
         self._oracle_calls = 0
 
     @property
@@ -129,7 +125,7 @@ class TaskContract(abc.ABC):
 
     def eval_discrete(self, candidate) -> np.ndarray:
         """Evaluate a discrete candidate with the oracle (counted)."""
-        self._oracle_calls += self.m if self.per_property_oracle else 1
+        self._oracle_calls += self.m
         return as_objectives(self._discrete_losses(candidate))
 
     def clamp(self, point: RelaxedPoint) -> RelaxedPoint:

@@ -57,6 +57,8 @@ _THEORY_TOL = 1e-9
 
 
 def _finite_non_negative(value) -> bool:
+    if isinstance(value, bool):
+        return False
     try:
         return bool(np.isfinite(value)) and value >= 0
     except TypeError:
@@ -89,6 +91,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in ("epo", "ls"):
             raise ValueError(f"mode must be 'epo' or 'ls', got {self.mode!r}")
+        for name in ("T", "K", "C", "oracle_budget", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.T < 1 or self.K < 1 or self.C < 1:
             raise ValueError("T, K and C must all be at least 1")
         if self.eta is not None and not _finite_non_negative(self.eta):
@@ -98,15 +104,17 @@ class RunConfig:
                 f"epsilon must be a finite, non-negative number, got {self.epsilon!r}"
             )
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.ndim != 1:
-                raise ValueError("lambda (weights) must be a flat list of numbers")
             try:
+                w = np.asarray(self.weights, dtype=np.float64)
+                if w.ndim != 1:
+                    raise ValueError("must be a flat list of numbers")
                 lift_positive(w)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"lambda (weights): {exc}") from None
         if self.oracle_budget < 0:
             raise ValueError("oracle_budget must be non-negative (0 = unlimited)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -118,10 +126,10 @@ class RunConfig:
             if name not in fields or name.startswith("_"):
                 raise ValueError(f"unknown config key {key!r}")
             kwargs[name] = value
-        if kwargs.get("weights") is not None:
-            kwargs["weights"] = np.asarray(kwargs["weights"], dtype=np.float64)
         cfg = cls(**kwargs)
         cfg.validate()
+        if cfg.weights is not None:
+            cfg.weights = np.asarray(cfg.weights, dtype=np.float64)
         return cfg
 
 
@@ -303,14 +311,14 @@ def run_ls(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunR
     return _run(replace(config, mode="ls"), x0, task)
 
 
-def theory_diagnostics(result: RunResult, weights, n_neighborhood: int | None = None) -> TheoryReport:
+def theory_diagnostics(result: RunResult, weights) -> TheoryReport:
     """Check a finished trajectory against the descent theory.
 
     Args:
-      result: A run with at least two trajectory records.
+      result: A run with at least two trajectory records; its
+        discretization count C is the neighborhood-size bound N of the
+        decay bound.
       weights: The ray the run targeted.
-      n_neighborhood: Neighborhood-size bound N for the decay bound;
-        defaults to the run's discretization count C.
 
     Returns:
       TheoryReport.  The decay ratio ``alpha_hat`` is the median of
@@ -342,7 +350,7 @@ def theory_diagnostics(result: RunResult, weights, n_neighborhood: int | None = 
     ]
     alpha_hat = float(np.median(ratios)) if ratios else None
 
-    N = n_neighborhood if n_neighborhood is not None else result.config.C
+    N = result.config.C
     if N < 1:
         raise ValueError("neighborhood bound must be at least 1")
     gamma: float | None
@@ -411,27 +419,22 @@ def front_scan(
     weight_list: list,
     config: RunConfig,
     *,
-    reference=None,
     true_front=None,
-    coverage_radius: float = 0.05,
-    nu_top_k: int = 5,
 ) -> ScanResult:
     """Scan a weight grid: one seeded run per ray, merged into one archive.
 
     Args:
-      task_factory: Zero-argument callable building a fresh task per ray, or
-        a single TaskContract instance shared by every ray.
+      task_factory: Zero-argument callable building a fresh task per ray.
       weight_list: Non-empty list of weight vectors.
       config: Per-ray settings; ray i runs with seed ``config.seed + i`` and
         an even share of ``config.oracle_budget``.
-      reference: Hypervolume reference point (defaults to the unit corner).
       true_front: Optional reference front for coverage.
-      coverage_radius: Capture distance for coverage.
-      nu_top_k: How many best rays feed the non-uniformity summary.
 
     Returns:
-      ScanResult; ``metrics`` holds hv, coverage (None without a reference
-      front), nu_per_ray, nu_topk and oracle_calls_total.  hv and coverage
+      ScanResult; ``metrics`` holds hv against the unit corner, coverage
+      within distance 0.05 of the reference front (None without one),
+      nu_per_ray, nu_topk (mean of the 5 best rays' non-uniformity) and
+      oracle_calls_total.  hv and coverage
       summarize the per-ray final solutions — the points the scan actually
       returns, one per weight — while the merged archive additionally keeps
       every per-iteration selection as a trace.  Per-ray failures are
@@ -439,12 +442,8 @@ def front_scan(
     """
     if not weight_list:
         raise ValueError("weight_list must be non-empty")
-    if callable(task_factory):
-        factory = task_factory
-    elif isinstance(task_factory, TaskContract):
-        factory = lambda: task_factory  # noqa: E731 - deliberate shared instance
-    else:
-        raise TypeError("task_factory must be callable or a TaskContract")
+    if not callable(task_factory):
+        raise TypeError("task_factory must be a zero-argument callable")
 
     per_ray_budget = (
         config.oracle_budget // len(weight_list) if config.oracle_budget else 0
@@ -458,7 +457,7 @@ def front_scan(
             oracle_budget=per_ray_budget,
         )
         try:
-            task = factory()
+            task = task_factory()
             result = _run(cfg, task=task)
         except Exception as exc:  # per-ray isolation: record and continue
             return (
@@ -492,13 +491,12 @@ def front_scan(
     if finals.size == 0:
         hv = 0.0
     else:
-        ref = np.ones(finals.shape[1]) if reference is None else reference
         try:
-            hv = hypervolume(finals, ref)
+            hv = hypervolume(finals, np.ones(finals.shape[1]))
         except UnsupportedDimensionError:
             hv = float("nan")
     coverage = (
-        front_coverage(finals, true_front, coverage_radius)
+        front_coverage(finals, true_front)
         if true_front is not None and finals.size
         else None
     )
@@ -508,7 +506,7 @@ def front_scan(
         "hv": float(hv),
         "coverage": coverage,
         "nu_per_ray": nu_per_ray,
-        "nu_topk": nonuniformity_report(finite_mu, nu_top_k) if finite_mu else None,
+        "nu_topk": nonuniformity_report(finite_mu) if finite_mu else None,
         "oracle_calls_total": int(sum(r.oracle_calls for r in rays)),
     }
     return ScanResult(archive=merged, rays=rays, metrics=metrics)

@@ -20,6 +20,7 @@ Three task families exercise the relax-descend-discretize loop:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -36,19 +37,17 @@ __all__ = [
     "synthetic_true_front",
     "ngram_losses",
     "ngram_gradients",
-    "surrogate_ground_truth",
     "make_task",
     "default_eta",
     "TASK_NAMES",
 ]
 
-#: Parameters each task accepts through :func:`make_task`, besides
-#: ``per_property_oracle``, which every task accepts.
+#: Parameters each task accepts through :func:`make_task`, with their types.
 _TASK_PARAMS = {
-    "synthetic": ("n", "grid_step", "init_bound"),
-    "ngram-uni": ("l_max",),
-    "ngram-bi": ("l_max",),
-    "surrogate": ("n_b", "m", "oracle_seed", "train_seed", "epochs"),
+    "synthetic": {"n": int, "grid_step": float, "init_bound": float},
+    "ngram-uni": {"l_max": int},
+    "ngram-bi": {"l_max": int},
+    "surrogate": {"n_b": int, "m": int, "oracle_seed": int, "train_seed": int, "epochs": int},
 }
 
 TASK_NAMES = tuple(_TASK_PARAMS)
@@ -130,9 +129,8 @@ class SyntheticTask(TaskContract):
         grid_step: float = 0.01,
         bound: float = 2.0,
         init_bound: float = 0.5,
-        per_property_oracle: bool = True,
     ) -> None:
-        super().__init__(per_property_oracle)
+        super().__init__()
         if n < 1:
             raise ValueError("n must be positive")
         if grid_step <= 0 or bound <= 0:
@@ -262,10 +260,8 @@ class NGramTask(TaskContract):
 
     m = 3
 
-    def __init__(
-        self, mode: str = "unigram", l_max: int = 8, per_property_oracle: bool = True
-    ) -> None:
-        super().__init__(per_property_oracle)
+    def __init__(self, mode: str = "unigram", l_max: int = 8) -> None:
+        super().__init__()
         if mode not in ("unigram", "bigram"):
             raise ValueError(f"unknown n-gram mode {mode!r}")
         if l_max < 2:
@@ -349,13 +345,6 @@ class SigmoidOracle:
         )
         self.b = -0.5 * self.w.sum(axis=1)
 
-    @classmethod
-    def from_parameters(cls, w, b) -> "SigmoidOracle":
-        self = cls.__new__(cls)
-        self.w = np.atleast_2d(np.asarray(w, dtype=np.float64))
-        self.b = np.asarray(b, dtype=np.float64).ravel()
-        return self
-
     @property
     def m(self) -> int:
         return self.w.shape[0]
@@ -367,13 +356,6 @@ class SigmoidOracle:
 
     def losses(self, x) -> np.ndarray:
         return 1.0 - self.scores(x)
-
-
-def surrogate_ground_truth(x, oracle: SigmoidOracle | None = None) -> np.ndarray:
-    """Oracle losses 1 - O_i(x) under the default published-seed oracle."""
-    if oracle is None:
-        oracle = SigmoidOracle()
-    return oracle.losses(x)
 
 
 _NET_CACHE: dict[tuple, DualPathNet] = {}
@@ -421,16 +403,15 @@ class SurrogateTask(TaskContract):
         train_size: int = 1024,
         epochs: int = 5000,
         rate: float = 5e-2,
-        per_property_oracle: bool = True,
     ) -> None:
-        super().__init__(per_property_oracle)
+        super().__init__()
         self.m = m
         self.n_b = n_b
         self.oracle = SigmoidOracle(n_b=n_b, m=m, seed=oracle_seed)
         self.net = _trained_net(
             self.oracle, n_b, hidden, oracle_seed, train_seed, train_size, epochs, rate
         )
-        self.pretrain_oracle_calls = train_size * (m if per_property_oracle else 1)
+        self.pretrain_oracle_calls = train_size * m
 
     def _discrete_losses(self, candidate) -> np.ndarray:
         return self.oracle.losses(np.asarray(candidate, dtype=np.float64))
@@ -472,18 +453,22 @@ def make_task(name: str, **params) -> TaskContract:
     """Build a task by name: synthetic, ngram-uni, ngram-bi, or surrogate.
 
     Recognized params: n, grid_step, init_bound (synthetic); l_max (n-gram);
-    n_b, m, oracle_seed, train_seed, epochs (surrogate); per_property_oracle
-    (all).
+    n_b, m, oracle_seed, train_seed, epochs (surrogate).
 
     Raises:
-        ValueError: For an unknown task name or a parameter the task does
-            not take, naming it.
+        ValueError: For an unknown task name, or a parameter the task does
+            not take or whose value has the wrong type, naming it.
     """
     if name not in _TASK_PARAMS:
         raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
-    unknown = sorted(set(params) - set(_TASK_PARAMS[name]) - {"per_property_oracle"})
+    allowed = _TASK_PARAMS[name]
+    unknown = sorted(set(params) - set(allowed))
     if unknown:
         raise ValueError(f"task {name!r} does not take parameter(s): {', '.join(unknown)}")
+    for key, value in params.items():
+        kind = numbers.Real if allowed[key] is float else numbers.Integral
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{key} must be {allowed[key].__name__}, got {value!r}")
     if name == "synthetic":
         return SyntheticTask(**params)
     if name == "surrogate":

@@ -20,7 +20,6 @@ __all__ = [
     "weights_4d",
     "weight_grid",
     "lift_positive",
-    "save_weights_csv",
     "load_weights_csv",
 ]
 
@@ -136,23 +135,8 @@ def lift_positive(weights, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
     return w
 
 
-def save_weights_csv(path, weights: list) -> None:
-    """Write one ray per row with full float precision."""
-    rows = [np.asarray(w, dtype=np.float64) for w in weights]
-    if not rows:
-        raise ValueError("no weight vectors to save")
-    m = rows[0].size
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"lambda_{j + 1}" for j in range(m)])
-        for w in rows:
-            if w.size != m:
-                raise ValueError("weight vectors must share one dimension")
-            writer.writerow([repr(float(x)) for x in w])
-
-
 def load_weights_csv(path) -> list[np.ndarray]:
-    """Read rays written by :func:`save_weights_csv`, validating each row."""
+    """Read rays from a CSV with a header row and one ray per row, validating each row."""
     out: list[np.ndarray] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretoscan.cli import main
-from paretoscan.weights import save_weights_csv, weight_grid
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -120,6 +119,14 @@ def test_bad_task_parameter_is_a_config_error(tmp_path, capsys):
     assert "config error: task: task 'synthetic' does not take parameter(s): bogus" in (
         capsys.readouterr().err
     )
+    cfg.write_text(json.dumps({"task_params": {"per_property_oracle": False}}))
+    assert main(base + ["--config", str(cfg)]) == 1
+    assert "does not take parameter(s): per_property_oracle" in capsys.readouterr().err
+    # a parameter of the wrong type is named
+    for bad in ("6", True, 6.0):
+        cfg.write_text(json.dumps({"task_params": {"n": bad}}))
+        assert main(base + ["--config", str(cfg)]) == 1
+        assert f"config error: task: n must be int, got {bad!r}" in capsys.readouterr().err
 
 
 _BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
@@ -190,6 +197,25 @@ def test_config_file_errors(tmp_path, capsys):
     unknown.write_text(json.dumps({"task": "synthetic", "rounds": 5}))
     assert main(["run", "--config", str(unknown), "-o", str(tmp_path / "o")]) == 1
     assert "unknown config key" in capsys.readouterr().err
+    # a value of the wrong type is named, never a traceback
+    wrong = [
+        ({"T": 1.5}, "T"),
+        ({"K": 2.5}, "K"),
+        ({"T": "5"}, "T"),
+        ({"C": True}, "C"),
+        ({"seed": "1"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"oracle_budget": "x"}, "oracle_budget"),
+        ({"oracle_budget": 2.5}, "oracle_budget"),
+        ({"eta": True}, "eta"),
+        ({"lambda": "abc"}, "lambda"),
+        ({"lambda": [1, "x"]}, "lambda"),
+    ]
+    for data, key in wrong:
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad), "-o", str(tmp_path / "o")]) == 1, data
+        assert f"config error: {key}" in capsys.readouterr().err, data
 
 
 def _scan_args(out, *extra):
@@ -245,9 +271,8 @@ def test_scan_archive_is_deterministic(tmp_path):
 
 
 def test_scan_accepts_a_weights_file(tmp_path):
-    rays = weight_grid(2, 3)
     path = tmp_path / "rays.csv"
-    save_weights_csv(path, rays)
+    path.write_text("lambda_1,lambda_2\n1.0,0.0\n0.6,0.8\n0.0,1.0\n")
     out = tmp_path / "out"
     assert main(_scan_args(out, "--weights-file", str(path))) == 0
     metrics = json.loads((out / "metrics.json").read_text())
@@ -256,7 +281,7 @@ def test_scan_accepts_a_weights_file(tmp_path):
 
 def test_scan_weights_file_dimension_mismatch(tmp_path, capsys):
     path = tmp_path / "rays.csv"
-    save_weights_csv(path, weight_grid(3, 2, seed=0))
+    path.write_text("lambda_1,lambda_2,lambda_3\n0.6,0.0,0.8\n0.0,0.6,0.8\n")
     rc = main(_scan_args(tmp_path / "out", "--weights-file", str(path)))
     assert rc == 1
     err = capsys.readouterr().err

@@ -54,13 +54,6 @@ def test_as_weights_requires_strict_positivity():
         as_weights([])
 
 
-def test_as_weights_norm_check():
-    w = np.array([3.0, 4.0]) / 5.0
-    assert as_weights(w, check_norm=True) == pytest.approx([0.6, 0.8])
-    with pytest.raises(ValueError):
-        as_weights([0.6, 0.9], check_norm=True)
-
-
 # ---------------------------------------------------------------------------
 # dominance
 # ---------------------------------------------------------------------------
@@ -192,8 +185,6 @@ def test_archive_empty_accessors_raise():
         archive.objectives_array()
     with pytest.raises(EmptyInputError):
         archive.to_csv()
-    with pytest.raises(EmptyInputError):
-        ParetoArchive.from_csv("")
 
 
 def _reference_front(points):
@@ -254,15 +245,8 @@ def test_archive_csv_round_trip():
     archive.insert(ArchiveEntry("x:3,4", [0.5, 0.1], None, 20))
     text = archive.to_csv()
     assert text.endswith("\n")
-    lines = text.splitlines()
-    assert lines[0] == "candidate_id,l_1,l_2,lambda_1,lambda_2,oracle_calls"
-    back = ParetoArchive.from_csv(text)
-    assert back.to_csv() == text
-    assert back.entries[0].objectives[0] == 0.123456789012345
-    assert back.entries[1].weight_used is None
-    assert back.entries[1].oracle_calls_at_insert == 20
-
-
-def test_archive_from_csv_rejects_foreign_header():
-    with pytest.raises(ValueError):
-        ParetoArchive.from_csv("foo,bar\n1,2\n")
+    assert text.splitlines() == [
+        "candidate_id,l_1,l_2,lambda_1,lambda_2,oracle_calls",
+        '"x:1,2",0.123456789012345,0.5,0.6,0.8,14',
+        '"x:3,4",0.5,0.1,,,20',
+    ]

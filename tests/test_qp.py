@@ -17,18 +17,6 @@ from paretoscan.selftest import qp_grid_oracle
 # ---------------------------------------------------------------------------
 
 
-def test_normalized_weighted_losses():
-    h = qp.normalized_weighted_losses([0.2, 0.6], [1.0, 1.0])
-    assert h == pytest.approx([0.25, 0.75])
-    h = qp.normalized_weighted_losses([0.4, 0.2], [1.0, 2.0])
-    assert h == pytest.approx([0.5, 0.5])
-
-
-def test_normalized_weighted_losses_degenerate():
-    with pytest.raises(qp.DegenerateLossError):
-        qp.normalized_weighted_losses([0.0, 0.0], [1.0, 1.0])
-
-
 def test_nonuniformity_against_hand_kl():
     # h = (0.25, 0.75): KL(h || uniform) = sum h log(2 h)
     expected = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -42,6 +30,9 @@ def test_nonuniformity_against_hand_kl():
 def test_nonuniformity_handles_zero_component():
     # h = (1, 0): 0 log 0 treated as 0, KL = log m
     assert qp.nonuniformity([0.5, 0.0], [1.0, 1.0]) == pytest.approx(math.log(2.0))
+    # every weighted loss zero: no profile exists
+    with pytest.raises(qp.DegenerateLossError):
+        qp.nonuniformity([0.0, 0.0], [1.0, 1.0])
 
 
 def test_active_index_set_regimes():
@@ -63,8 +54,8 @@ def test_anchor_direction_unbalanced_log_ratio():
     assert a == pytest.approx([math.log(0.5) - mu, math.log(1.5) - mu], abs=1e-12)
     # weights scale the anchor componentwise
     a2 = qp.anchor_direction([0.2, 0.6], [2.0, 2.0])
-    h = qp.normalized_weighted_losses([0.2, 0.6], [2.0, 2.0])
-    assert h == pytest.approx([0.25, 0.75])
+    weighted = np.array([0.2, 0.6]) * 2.0
+    assert weighted / weighted.sum() == pytest.approx([0.25, 0.75])
     assert a2 == pytest.approx(2.0 * a, abs=1e-12)
 
 
@@ -100,6 +91,12 @@ def test_project_simplex_properties(seed, m):
     # projection optimality: p is no farther from v than random simplex points
     q = rng.dirichlet(np.ones(m))
     assert np.sum((p - v) ** 2) <= np.sum((q - v) ** 2) + 1e-9
+    # a 2-D input is projected row by row, with the same bits
+    rows = rng.normal(scale=3.0, size=(4, m))
+    rows[1] = v
+    rows[2, :] = rows[2, 0]  # all components tied
+    expected = np.stack([qp.project_simplex(row) for row in rows])
+    assert np.array_equal(qp.project_simplex(rows), expected)
 
 
 # ---------------------------------------------------------------------------

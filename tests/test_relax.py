@@ -290,12 +290,7 @@ def test_discretize_select_counts_oracle_calls():
     task = _StubTask()
     point = RelaxedPoint(np.array([0.2, 0.2]), Unconstrained())
     discretize_select(task, point, [1.0, 1.0], 4, np.random.default_rng(0))
-    assert task.oracle_calls == 8  # per-property accounting: 4 candidates x m=2
-
-    flat = _StubTask()
-    flat.per_property_oracle = False
-    discretize_select(flat, point, [1.0, 1.0], 4, np.random.default_rng(0))
-    assert flat.oracle_calls == 4
+    assert task.oracle_calls == 8  # 4 candidates x m=2
 
 
 def test_discretize_select_empty_neighborhood_raises():

@@ -250,8 +250,8 @@ def test_theory_geometric_decay_fit():
 
 
 def test_theory_single_step_gamma_is_exact():
-    res = _fabricate([1.0, 0.9], [1.0, 1.0])
-    rep = theory_diagnostics(res, [1.0, 1.0], n_neighborhood=1)
+    res = _fabricate([1.0, 0.9], [1.0, 1.0], C=1)
+    rep = theory_diagnostics(res, [1.0, 1.0])
     bc = rep.bound_check
     assert bc["alpha_hat"] is None  # one drop, no consecutive pair
     assert bc["gamma"] == 1.0  # the ratio cancels exactly at one step
@@ -260,8 +260,8 @@ def test_theory_single_step_gamma_is_exact():
 
 
 def test_theory_fitted_ratio_off_the_grid():
-    res = _fabricate([1.0, 0.6, 0.44], [1.0, 1.0])
-    rep = theory_diagnostics(res, [1.0, 1.0], n_neighborhood=2)
+    res = _fabricate([1.0, 0.6, 0.44], [1.0, 1.0], C=2)
+    rep = theory_diagnostics(res, [1.0, 1.0])
     bc = rep.bound_check
     assert bc["alpha_hat"] == pytest.approx(0.4)
     assert bc["gamma"] == pytest.approx(0.7)  # (1 - 0.16) / (0.6 * 2)
@@ -299,8 +299,8 @@ def test_theory_violation_is_componentwise():
 
 
 def test_theory_unit_ratio_limit():
-    res = _fabricate([1.0, 0.8, 0.6, 0.4], [1.0, 1.0])
-    rep = theory_diagnostics(res, [1.0, 1.0], n_neighborhood=3)
+    res = _fabricate([1.0, 0.8, 0.6, 0.4], [1.0, 1.0], C=3)
+    rep = theory_diagnostics(res, [1.0, 1.0])
     bc = rep.bound_check
     assert bc["alpha_hat"] == pytest.approx(1.0)
     assert bc["gamma"] == 1.0  # steps / N at the alpha -> 1 limit
@@ -311,9 +311,9 @@ def test_theory_input_validation():
     res = _fabricate([1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         theory_diagnostics(res, [1.0, 1.0])
-    res2 = _fabricate([1.0, 0.9], [1.0, 1.0])
+    res2 = _fabricate([1.0, 0.9], [1.0, 1.0], C=0)
     with pytest.raises(ValueError):
-        theory_diagnostics(res2, [1.0, 1.0], n_neighborhood=0)
+        theory_diagnostics(res2, [1.0, 1.0])
 
 
 def test_theory_report_round_trips_to_dict():
@@ -356,9 +356,9 @@ def test_front_scan_factory_contract():
         front_scan(42, [DIAG], _small_cfg())
     with pytest.raises(ValueError, match="non-empty"):
         front_scan(lambda: SyntheticTask(n=6), [], _small_cfg())
-    # one task instance may be shared by every ray
-    scan = front_scan(SyntheticTask(n=6), [DIAG], _small_cfg())
-    assert not scan.rays[0].failed
+    # a task instance is not a factory
+    with pytest.raises(TypeError):
+        front_scan(SyntheticTask(n=6), [DIAG], _small_cfg())
 
 
 def test_front_scan_splits_the_budget_evenly():

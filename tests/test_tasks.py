@@ -19,7 +19,6 @@ from paretoscan.tasks import (
     make_task,
     ngram_gradients,
     ngram_losses,
-    surrogate_ground_truth,
     synthetic_gradients,
     synthetic_losses,
     synthetic_true_front,
@@ -127,9 +126,6 @@ def test_synthetic_task_oracle_accounting_and_ids():
     task = SyntheticTask(n=3)
     task.eval_discrete(np.array([1, 2, 3], dtype=np.int64))
     assert task.oracle_calls == 2
-    flat = SyntheticTask(n=3, per_property_oracle=False)
-    flat.eval_discrete(np.array([1, 2, 3], dtype=np.int64))
-    assert flat.oracle_calls == 1
     assert task.candidate_id(np.array([1, -2, 0])) == "x:1,-2,0"
 
 
@@ -272,20 +268,6 @@ def test_sigmoid_oracle_geometry():
     assert oracle.scores(np.full(8, 0.5)) == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
-def test_sigmoid_oracle_from_parameters():
-    oracle = SigmoidOracle.from_parameters([[1.0, -1.0]], [0.5])
-    x = np.array([1.0, 0.0])
-    z = 1.0 * 1.0 + 0.5
-    assert oracle.scores(x) == pytest.approx([1.0 / (1.0 + math.exp(-z))])
-    assert oracle.losses(x) == pytest.approx([1.0 - 1.0 / (1.0 + math.exp(-z))])
-    assert oracle.m == 1
-
-
-def test_surrogate_ground_truth_uses_published_oracle():
-    x = np.array([1, 0] * 8)
-    assert surrogate_ground_truth(x) == pytest.approx(SigmoidOracle().losses(x))
-
-
 @pytest.fixture(scope="module")
 def small_surrogate():
     return SurrogateTask(n_b=8, m=2, train_seed=3, train_size=128, epochs=400)
@@ -368,12 +350,6 @@ def test_make_task_dispatch():
         make_task("quantum")
     with pytest.raises(ValueError, match="does not take parameter.*bogus"):
         make_task("synthetic", n=5, bogus=1)
-
-
-def test_make_task_per_property_passthrough():
-    task = make_task("synthetic", n=4, per_property_oracle=False)
-    task.eval_discrete(np.zeros(4, dtype=np.int64))
-    assert task.oracle_calls == 1
 
 
 def test_default_eta_table():
