@@ -50,7 +50,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("epo", "ls"), default=None)
     parser.add_argument(
         "--lambda", dest="weights", default=None, metavar="W1,W2,...",
-        help="comma-separated weight vector",
+        help="comma-separated weight vector (run only; scan takes --weights)",
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("-T", type=int, default=None, help="outer iterations")
@@ -258,6 +258,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _scan_weights(args: argparse.Namespace, m: int) -> list[np.ndarray]:
     if args.weights_file:
+        if args.weight_count is not None:
+            raise _ConfigError(["weights: give a ray count or a weights file, not both"])
         try:
             rays = load_weights_csv(args.weights_file)
         except (OSError, ValueError) as exc:
@@ -268,14 +270,16 @@ def _scan_weights(args: argparse.Namespace, m: int) -> list[np.ndarray]:
                     [f"weights-file: row {i + 2} has {w.size} components, task needs {m}"]
                 )
         return rays
-    count = args.weight_count if args.weight_count is not None else 50
-    if count < 1:
-        raise _ConfigError(["weights: count must be positive"])
-    return weight_grid(m, count)
+    try:
+        return weight_grid(m, args.weight_count if args.weight_count is not None else 50)
+    except ValueError as exc:
+        raise _ConfigError([f"weights: {exc}"])
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     config = _assemble_config(args)
+    if config.weights is not None:
+        raise _ConfigError(["lambda: scan takes its rays from --weights or --weights-file"])
     out = _require_out(args)
     probe = _make_task_checked(config)
     rays = _scan_weights(args, probe.m)
@@ -321,6 +325,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise _ConfigError([f"seed: must be non-negative, got {args.seed}"])
     rows = run_selftest(args.filter, seed=args.seed)
     if not rows:
         print(f"no selftest rows match filter {args.filter!r}", file=sys.stderr)

@@ -15,12 +15,16 @@ weighted losses in the uniform regime so the step may trade off the rest.
 
 m is tiny (2..4 in practice), so the solver enumerates active sets exactly:
 a closed-form interval argmin for m = 2 and equality-constrained KKT solves
-over all small constraint subsets otherwise.  Solutions are exact to machine
-precision, which the downstream descent loop leans on heavily.
+over all small constraint subsets otherwise, one stacked solve per subset
+size.  A subset whose KKT matrix is exactly singular is skipped: when G^T G
+has full rank the optimum solves a subset of independent rows, whose KKT
+matrix is regular.  Solutions are exact to machine precision, which the
+downstream descent loop leans on heavily.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,9 +46,7 @@ __all__ = [
 #: profile counts as balanced and the solver switches to pure descent.
 EPSILON_DEFAULT = 1e-3
 
-# Inequalities are considered satisfied down to this slack; candidate
-# generation uses half of it so returned slacks clear the bound.
-_SLACK_TOL = 1e-8
+# Slack inequalities count as met down to -_RELIEF.
 _RELIEF = 5e-9
 
 
@@ -158,11 +160,6 @@ class QPSolution:
     degenerate: bool = False
 
 
-def _objective(M: np.ndarray, a: np.ndarray, beta: np.ndarray) -> float:
-    r = M @ beta - a
-    return float(r @ r)
-
-
 def _solve_m2(M: np.ndarray, a: np.ndarray, act: np.ndarray) -> tuple[np.ndarray, bool]:
     """Exact solve for m = 2 via interval arithmetic on beta = (b, 1 - b)."""
     m00, m01 = float(M[0, 0]), float(M[0, 1])
@@ -209,62 +206,68 @@ def _solve_m2(M: np.ndarray, a: np.ndarray, act: np.ndarray) -> tuple[np.ndarray
     return np.array([b, 1.0 - b]), False
 
 
-def _kkt_candidates(M: np.ndarray, a: np.ndarray, act: np.ndarray):
-    """Equality-constrained minimizers over every small active-set pattern.
+@functools.lru_cache(maxsize=None)
+def _patterns(m: int, nrows: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Subsets of size 0..m-1 of the constraint rows, one (count, size) array
+    per size in ``itertools.combinations`` order, and the mask over all of
+    them of the subsets that use bound rows only."""
+    by_size = [
+        np.array(list(itertools.combinations(range(nrows), size)), dtype=np.intp)
+        for size in range(m)
+    ]
+    return by_size, np.concatenate([np.all(c < m, axis=1) for c in by_size])
 
-    Constraints considered as equalities: any subset of the m nonnegativity
-    bounds and the |J| slack inequalities, of size at most m - 1, always
-    together with the simplex sum constraint.  Each subset yields a KKT
-    system; singular or inconsistent subsets are skipped (a spanning,
-    nonsingular subset for the true active set always appears elsewhere in
-    the enumeration).
+
+def _solve_enumerated(M: np.ndarray, a: np.ndarray, act: np.ndarray) -> QPSolution:
+    """Best simplex point over the small active-set patterns, for m >= 3.
+
+    A pattern takes as equalities the simplex sum and at most m - 1 of the m
+    bound and |J| slack constraints.  The first feasible point that no later
+    one beats by more than 1e-15 wins; when none meets the slacks, the same
+    rule picks among the bound-only patterns, flagged infeasible.  Rounding
+    fails even the vertices only when 2 M^T M dwarfs the unit rows (|G| from
+    about 1e12); beta is then uniform.
     """
     m = M.shape[0]
     Q2 = 2.0 * (M.T @ M)
     c2 = 2.0 * (M.T @ a)
-    # Rows of inequality constraints as (coef, offset 0) pairs: bounds e_i, slacks M[j].
-    rows = [np.eye(m)[i] for i in range(m)] + [M[j] for j in act]
-    ones = np.ones(m)
-    for size in range(m):
-        for combo in itertools.combinations(range(len(rows)), size):
-            E = np.vstack([ones] + [rows[i] for i in combo])
-            e = np.zeros(1 + size)
-            e[0] = 1.0
-            k = E.shape[0]
-            kkt = np.zeros((m + k, m + k))
-            kkt[:m, :m] = Q2
-            kkt[:m, m:] = E.T
-            kkt[m:, :m] = E
-            rhs = np.concatenate([c2, e])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            beta = sol[:m]
-            if not np.all(np.isfinite(beta)):
-                continue
-            if np.max(np.abs(E @ beta - e)) > 1e-8:
-                continue
-            yield beta
-
-
-def _best_feasible(M: np.ndarray, a: np.ndarray, act: np.ndarray) -> np.ndarray | None:
+    # Rows of inequality constraints: bounds e_i, then slacks M[j].
+    rows = np.vstack([np.eye(m), M[act]])
+    by_size, bounds_only = _patterns(m, rows.shape[0])
+    betas = []
+    # Singular and failed patterns stay NaN, which fails every test below.
+    with np.errstate(all="ignore"):
+        for combos in by_size:
+            count, size = combos.shape
+            E = np.concatenate([np.ones((count, 1, m)), rows[combos]], axis=1)
+            kkt = np.zeros((count, m + 1 + size, m + 1 + size))
+            kkt[:, :m, :m] = Q2
+            kkt[:, :m, m:] = E.transpose(0, 2, 1)
+            kkt[:, m:, :m] = E
+            rhs = np.concatenate([c2, [1.0], np.zeros(size)])[:, None]
+            beta = np.full((count, m), np.nan)
+            regular = np.linalg.slogdet(kkt)[0] != 0.0
+            beta[regular] = np.linalg.solve(kkt[regular], rhs)[:, :m, 0]
+            residual = np.abs(E @ beta[:, :, None] - rhs[m:]).max(axis=(1, 2))
+            beta[~(residual <= 1e-8)] = np.nan
+            betas.append(beta)
+    beta = np.concatenate(betas)
+    ok = beta.min(axis=1) >= -1e-10
+    beta = np.maximum(beta, 0.0)
+    total = beta.sum(axis=1)
+    ok &= (0.999999 < total) & (total < 1.000001)
+    beta = beta[ok] / total[ok, None]
+    fit = beta @ M.T
+    obj = np.einsum("ij,ij->i", fit - a, fit - a)
+    feasible = np.all(fit[:, act] >= -_RELIEF, axis=1)
+    infeasible = not feasible.any()
     best = None
-    best_obj = np.inf
-    for beta in _kkt_candidates(M, a, act):
-        if float(beta.min()) < -1e-10:
-            continue
-        beta = np.maximum(beta, 0.0)
-        total = float(beta.sum())
-        if not (0.999999 < total < 1.000001):
-            continue
-        beta = beta / total
-        if act.size and float(np.min((M @ beta)[act])) < -_RELIEF:
-            continue
-        obj = _objective(M, a, beta)
-        if obj < best_obj - 1e-15 or best is None:
-            best, best_obj = beta, obj
-    return best
+    for i in np.flatnonzero(bounds_only[ok] if infeasible else feasible):
+        if best is None or obj[i] < obj[best] - 1e-15:
+            best = i
+    if best is None:
+        return QPSolution(beta=np.full(m, 1.0 / m), infeasible=True)
+    return QPSolution(beta=beta[best], infeasible=infeasible)
 
 
 def solve_qp(gradients, anchor, active) -> QPSolution:
@@ -307,10 +310,4 @@ def _solve(G: np.ndarray, a: np.ndarray, act: np.ndarray) -> QPSolution:
     if m == 2:
         beta, infeasible = _solve_m2(M, a, act)
         return QPSolution(beta=beta, infeasible=infeasible)
-    beta = _best_feasible(M, a, act)
-    if beta is not None:
-        return QPSolution(beta=beta)
-    fallback = _best_feasible(M, a, np.array([], dtype=int))
-    if fallback is None:  # cannot happen: the unconstrained pattern always solves
-        fallback = np.full(m, 1.0 / m)
-    return QPSolution(beta=fallback, infeasible=True)
+    return _solve_enumerated(M, a, act)

@@ -437,8 +437,11 @@ def front_scan(
       oracle_calls_total.  hv and coverage
       summarize the per-ray final solutions — the points the scan actually
       returns, one per weight — while the merged archive additionally keeps
-      every per-iteration selection as a trace.  Per-ray failures are
-      recorded and skipped in the merge.
+      every per-iteration selection as a trace.  A ray whose task factory
+      or run raises is recorded as failed, with no final point, and left
+      out of the merge.  A ray stopped by a NumericalFailureError is
+      recorded as failed too, but keeps its partial result: its archive is
+      merged and its last point counts in hv.
     """
     if not weight_list:
         raise ValueError("weight_list must be non-empty")

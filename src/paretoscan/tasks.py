@@ -42,12 +42,32 @@ __all__ = [
     "TASK_NAMES",
 ]
 
-#: Parameters each task accepts through :func:`make_task`, with their types.
+_POSITIVE = (int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = (int, lambda v: v >= 0, ">= 0")
+_L_MAX = (int, lambda v: v >= 2, ">= 2")
+
+#: Parameters each task accepts through :func:`make_task`: type, range check
+#: and the range in words.  The synthetic grid spans [-2, 2], so 2 / grid_step
+#: must fit an int64 grid index.
 _TASK_PARAMS = {
-    "synthetic": {"n": int, "grid_step": float, "init_bound": float},
-    "ngram-uni": {"l_max": int},
-    "ngram-bi": {"l_max": int},
-    "surrogate": {"n_b": int, "m": int, "oracle_seed": int, "train_seed": int, "epochs": int},
+    "synthetic": {
+        "n": _POSITIVE,
+        "grid_step": (
+            float,
+            lambda v: 2.0**-62 < v < math.inf,  # 2 / v < 2**63
+            "finite and > 0 with 2 / grid_step within int64",
+        ),
+        "init_bound": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    },
+    "ngram-uni": {"l_max": _L_MAX},
+    "ngram-bi": {"l_max": _L_MAX},
+    "surrogate": {
+        "n_b": _POSITIVE,
+        "m": _POSITIVE,
+        "oracle_seed": _NON_NEGATIVE,
+        "train_seed": _NON_NEGATIVE,
+        "epochs": _NON_NEGATIVE,
+    },
 }
 
 TASK_NAMES = tuple(_TASK_PARAMS)
@@ -457,7 +477,8 @@ def make_task(name: str, **params) -> TaskContract:
 
     Raises:
         ValueError: For an unknown task name, or a parameter the task does
-            not take or whose value has the wrong type, naming it.
+            not take or whose value has the wrong type or is out of range,
+            naming it.
     """
     if name not in _TASK_PARAMS:
         raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
@@ -466,9 +487,12 @@ def make_task(name: str, **params) -> TaskContract:
     if unknown:
         raise ValueError(f"task {name!r} does not take parameter(s): {', '.join(unknown)}")
     for key, value in params.items():
-        kind = numbers.Real if allowed[key] is float else numbers.Integral
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{key} must be {allowed[key].__name__}, got {value!r}")
+        kind, in_range, rule = allowed[key]
+        number = numbers.Real if kind is float else numbers.Integral
+        if isinstance(value, bool) or not isinstance(value, number):
+            raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+        if not in_range(value):
+            raise ValueError(f"{key} must be {rule}, got {value!r}")
     if name == "synthetic":
         return SyntheticTask(**params)
     if name == "surrogate":

@@ -129,6 +129,35 @@ def test_bad_task_parameter_is_a_config_error(tmp_path, capsys):
         assert f"config error: task: n must be int, got {bad!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "task, flags, params, message",
+    [
+        ("synthetic", ["--grid-step", "inf"], {}, "grid_step must be finite and > 0"),
+        ("synthetic", ["--grid-step", "nan"], {}, "grid_step must be finite and > 0"),
+        ("synthetic", ["--grid-step", "1e-300"], {}, "grid_step must be finite and > 0 with 2 / grid_step within int64"),
+        ("synthetic", ["--n", "0"], {}, "n must be >= 1, got 0"),
+        ("synthetic", [], {"init_bound": -1.0}, "init_bound must be finite and >= 0"),
+        ("ngram-uni", ["--l-max", "1"], {}, "l_max must be >= 2, got 1"),
+        ("surrogate", ["--n-b", "0"], {}, "n_b must be >= 1, got 0"),
+        ("surrogate", ["--oracle-seed", "-1"], {}, "oracle_seed must be >= 0, got -1"),
+        ("surrogate", [], {"m": 0}, "m must be >= 1, got 0"),
+        ("surrogate", [], {"train_seed": -2}, "train_seed must be >= 0, got -2"),
+        ("surrogate", [], {"epochs": -1}, "epochs must be >= 0, got -1"),
+    ],
+    ids=[
+        "grid_step=inf", "grid_step=nan", "grid_step=1e-300", "n=0", "init_bound=-1",
+        "l_max=1", "n_b=0", "oracle_seed=-1", "m=0", "train_seed=-2", "epochs=-1",
+    ],
+)
+def test_task_parameter_out_of_range_is_a_config_error(tmp_path, capsys, task, flags, params, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task_params": params}))
+    args = ["run", "--task", task, "-T", "1", "-K", "1", "-C", "1", "--config", str(cfg)]
+    assert main(args + flags + ["-o", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: task: {message}" in err and "Traceback" not in err
+
+
 _BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
     max_value=-1e-300, allow_nan=False, allow_infinity=False
 )
@@ -241,6 +270,13 @@ def _scan_args(out, *extra):
     ]
 
 
+def _file_scan_args(out, path):
+    """Scan arguments taking the rays from a weights file instead of a count."""
+    args = _scan_args(out, "--weights-file", str(path))
+    del args[args.index("--weights") : args.index("--weights") + 2]
+    return args
+
+
 def test_scan_writes_archive_metrics_and_plot(tmp_path):
     out = tmp_path / "scan"
     assert main(_scan_args(out, "--seed", "2")) == 0
@@ -274,7 +310,7 @@ def test_scan_accepts_a_weights_file(tmp_path):
     path = tmp_path / "rays.csv"
     path.write_text("lambda_1,lambda_2\n1.0,0.0\n0.6,0.8\n0.0,1.0\n")
     out = tmp_path / "out"
-    assert main(_scan_args(out, "--weights-file", str(path))) == 0
+    assert main(_file_scan_args(out, path)) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert len(metrics["nu_per_ray"]) == 3
 
@@ -282,7 +318,7 @@ def test_scan_accepts_a_weights_file(tmp_path):
 def test_scan_weights_file_dimension_mismatch(tmp_path, capsys):
     path = tmp_path / "rays.csv"
     path.write_text("lambda_1,lambda_2,lambda_3\n0.6,0.0,0.8\n0.0,0.6,0.8\n")
-    rc = main(_scan_args(tmp_path / "out", "--weights-file", str(path)))
+    rc = main(_file_scan_args(tmp_path / "out", path))
     assert rc == 1
     err = capsys.readouterr().err
     assert "row 2 has 3 components, task needs 2" in err
@@ -291,7 +327,7 @@ def test_scan_weights_file_dimension_mismatch(tmp_path, capsys):
 def test_scan_weights_file_parse_errors(tmp_path, capsys):
     path = tmp_path / "rays.csv"
     path.write_text("lambda_1,lambda_2\n0.5,oops\n")
-    assert main(_scan_args(tmp_path / "out", "--weights-file", str(path))) == 1
+    assert main(_file_scan_args(tmp_path / "out", path)) == 1
     assert "config error: weights-file" in capsys.readouterr().err
 
 
@@ -300,6 +336,40 @@ def test_scan_rejects_nonpositive_ray_count(tmp_path, capsys):
     args[args.index("--weights") + 1] = "0"
     assert main(args) == 1
     assert "count must be positive" in capsys.readouterr().err
+
+
+def test_scan_rejects_lambda_it_would_ignore(tmp_path, capsys):
+    # front_scan sets the weights of every ray, so a single lambda is never used
+    assert main(_scan_args(tmp_path / "out", "--lambda", "5,1")) == 1
+    assert "config error: lambda" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": [5, 1]}))
+    assert main(_scan_args(tmp_path / "out", "--config", str(cfg))) == 1
+    assert "config error: lambda" in capsys.readouterr().err
+
+
+def test_scan_rejects_a_ray_count_with_a_weights_file(tmp_path, capsys):
+    path = tmp_path / "rays.csv"
+    path.write_text("lambda_1,lambda_2\n1.0,0.0\n0.0,1.0\n")
+    args = _scan_args(tmp_path / "out", "--weights-file", str(path))
+    args[args.index("--weights") + 1] = "7"
+    assert main(args) == 1
+    assert "config error: weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_scan_without_a_weight_grid_is_a_config_error(tmp_path, capsys, m):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "surrogate", "task_params": {"m": m, "epochs": 0}}))
+    rc = main(["scan", "-T", "1", "-K", "1", "-C", "1", "--config", str(cfg), "-o", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config error: weights: weight grids support m in {{2, 3, 4}}, got {m}" in err
+
+
+def test_selftest_rejects_a_negative_seed(capsys):
+    assert main(["selftest", "--seed", "-1"]) == 1
+    assert "config error: seed" in capsys.readouterr().err
 
 
 def test_selftest_reports_every_suite(capsys):

@@ -152,26 +152,54 @@ def test_solve_qp_always_returns_simplex_point(seed, m):
         assert float(np.min(slack[active])) >= -1e-8
 
 
-@pytest.mark.parametrize("m,resolution", [(2, 200), (3, 120), (4, 40)])
-def test_solve_qp_matches_grid_oracle(m, resolution):
-    rng = np.random.default_rng(1234 + m)
+def _oracle_comparisons(rng, m, resolution, draw_gradients):
+    """Solve five random instances and check each solution against the grid
+    oracle; returns how many the grid could certify."""
     compared = 0
     for _ in range(5):
-        n = int(rng.integers(m, 9))
-        G = rng.normal(size=(n, m))
+        G = draw_gradients()
         M = G.T @ G
         a = rng.normal(size=m)
         active = sorted(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False))
         sol = qp.solve_qp(G, a, active)
         if sol.infeasible:
             continue
+        if active:
+            assert float(np.min((M @ sol.beta)[active])) >= -1e-8
         arg, oracle_obj = qp_grid_oracle(M, a, active, resolution)
         if active and float(np.min((M @ arg)[active])) < -1e-8:
             continue  # grid too coarse to certify a feasible minimizer here
         compared += 1
         ours = float(np.sum((M @ sol.beta - a) ** 2))
         assert ours <= oracle_obj + 1e-4
-    assert compared >= 3
+    return compared
+
+
+@pytest.mark.parametrize("m,resolution", [(2, 200), (3, 120), (4, 40)])
+def test_solve_qp_matches_grid_oracle(m, resolution):
+    rng = np.random.default_rng(1234 + m)
+
+    def draw():
+        return rng.normal(size=(int(rng.integers(m, 9)), m))
+
+    assert _oracle_comparisons(rng, m, resolution, draw) >= 3
+
+
+@pytest.mark.parametrize("m,resolution", [(3, 120), (4, 40)])
+@pytest.mark.parametrize("kind", ["duplicate column", "zero column", "n < m"])
+def test_solve_qp_rank_deficient_matches_grid_oracle(m, resolution, kind):
+    # singular KKT patterns are skipped; another pattern must reach the optimum
+    rng = np.random.default_rng(4321 + m)
+
+    def draw():
+        if kind == "n < m":
+            return rng.normal(size=(int(rng.integers(1, m)), m))
+        G = rng.normal(size=(int(rng.integers(m, 9)), m))
+        i, j = rng.choice(m, size=2, replace=False)
+        G[:, j] = G[:, i] if kind == "duplicate column" else 0.0
+        return G
+
+    assert _oracle_comparisons(rng, m, resolution, draw) >= 3
 
 
 def test_solve_qp_realistic_balance_instances():

@@ -388,6 +388,25 @@ def test_front_scan_isolates_factory_failures():
     assert len(scan.archive) >= 1
 
 
+def test_front_scan_keeps_the_partial_result_of_a_numerical_failure():
+    tasks = []
+
+    def failing():
+        tasks.append(_GradFailTask(fail_after=0, n=6))
+        return tasks[-1]
+
+    cfg = _small_cfg()
+    scan = front_scan(failing, [DIAG], cfg)
+    ray = scan.rays[0]
+    assert ray.failed and ray.error.startswith("round 1")
+    # the evaluated start is the ray's final point, in hv and in the merge
+    start = tasks[0].random_candidate(np.random.default_rng(cfg.seed))
+    start_objectives = tasks[0].eval_discrete(start)
+    assert np.array_equal(ray.final_objectives, start_objectives)
+    assert scan.metrics["hv"] == pytest.approx(float(np.prod(1.0 - start_objectives)))
+    assert tasks[0].candidate_id(start) in [e.candidate_id for e in scan.archive]
+
+
 def test_front_scan_reports_coverage_against_a_reference_front():
     truth = synthetic_true_front(2001)
     scan = front_scan(
