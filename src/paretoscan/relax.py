@@ -13,8 +13,6 @@ Oracle accounting: one discrete evaluation costs m calls (one per objective).
 from __future__ import annotations
 
 import abc
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +34,6 @@ __all__ = [
     "SelectionResult",
     "inner_descent",
     "discretize_select",
-    "trace_to_csv",
 ]
 
 #: Step directions with norm below this count as converged.
@@ -304,19 +301,3 @@ def discretize_select(
     return SelectionResult(
         candidate=best[0], objectives=best[1], evaluations=evaluations
     )
-
-
-def trace_to_csv(trace: list[RoundTrace], m: int) -> str:
-    """Serialize an inner trace: round, l_1..l_m, mu, r_check, mode."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["round"] + [f"l_{i + 1}" for i in range(m)] + ["mu", "r_check", "mode"]
-    )
-    for row in trace:
-        writer.writerow(
-            [str(row.round_index)]
-            + [repr(float(x)) for x in row.losses]
-            + [repr(float(row.mu)), repr(float(row.r_check)), row.mode]
-        )
-    return buf.getvalue()

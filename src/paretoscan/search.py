@@ -35,7 +35,7 @@ from .relax import (
     discretize_select,
     inner_descent,
 )
-from .tasks import default_eta, make_task
+from .tasks import TASK_NAMES, default_eta, make_task
 from .weights import lift_positive
 
 __all__ = [
@@ -89,6 +89,8 @@ class RunConfig:
     _ALIASES = {"lambda": "weights", "t": "T", "k": "K", "c": "C", "budget": "oracle_budget"}
 
     def validate(self) -> None:
+        if self.task not in TASK_NAMES:
+            raise ValueError(f"task must be one of {', '.join(TASK_NAMES)}, got {self.task!r}")
         if self.mode not in ("epo", "ls"):
             raise ValueError(f"mode must be 'epo' or 'ls', got {self.mode!r}")
         for name in ("T", "K", "C", "oracle_budget", "seed"):
@@ -222,7 +224,7 @@ def _record(
 
 
 def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunResult:
-    config.validate()
+    """The loop of one run; ``config`` has been validated by the caller."""
     if task is None:
         task = make_task(config.task, **config.task_params)
     weights = _resolve_weights(config, task.m)
@@ -303,12 +305,16 @@ def run_inversion(config: RunConfig, x0=None, task: TaskContract | None = None) 
       Pareto archive and theory diagnostics.  Numerical failures abort the
       loop and return the partial result with ``failed`` set.
     """
-    return _run(replace(config, mode="epo"), x0, task)
+    config = replace(config, mode="epo")
+    config.validate()
+    return _run(config, x0, task)
 
 
 def run_ls(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunResult:
     """Baseline run using the linearly weighted direction d = G lambda."""
-    return _run(replace(config, mode="ls"), x0, task)
+    config = replace(config, mode="ls")
+    config.validate()
+    return _run(config, x0, task)
 
 
 def theory_diagnostics(result: RunResult, weights) -> TheoryReport:
@@ -447,6 +453,7 @@ def front_scan(
         raise ValueError("weight_list must be non-empty")
     if not callable(task_factory):
         raise TypeError("task_factory must be a zero-argument callable")
+    config.validate()
 
     per_ray_budget = (
         config.oracle_budget // len(weight_list) if config.oracle_budget else 0

@@ -72,9 +72,6 @@ _TASK_PARAMS = {
 
 TASK_NAMES = tuple(_TASK_PARAMS)
 
-#: Fallback step size; tasks override via ``default_eta``.
-GLOBAL_ETA_DEFAULT = 1e-3
-
 _ETA_DEFAULTS = {
     "synthetic": 0.05,
     "ngram-uni": 0.2,
@@ -85,7 +82,7 @@ _ETA_DEFAULTS = {
 
 def default_eta(task_name: str) -> float:
     """Per-task default descent step size."""
-    return _ETA_DEFAULTS.get(task_name, GLOBAL_ETA_DEFAULT)
+    return _ETA_DEFAULTS[task_name]
 
 
 # ---------------------------------------------------------------------------

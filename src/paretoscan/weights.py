@@ -84,11 +84,45 @@ def weights_4d(u: float, v: float, z: float) -> np.ndarray:
     )
 
 
-def weight_grid(m: int, count: int, seed: int = 0) -> list[np.ndarray]:
+#: Prime base of each Halton coordinate; grids use at most three coordinates.
+_HALTON_BASES = (2, 3, 5)
+
+
+def _halton_permutations(d: int) -> list[np.ndarray]:
+    """Owen's digit permutations for the first ``d`` Halton bases.
+
+    Base b gets one shuffled ``arange(b)`` per digit a double resolves
+    (b**-k > 2**-54), drawn row by row and base after base from
+    ``default_rng(0)`` (Owen 2017, arXiv:1706.02808, Algorithm 1).
+    """
+    rng = np.random.default_rng(0)
+    perms = []
+    for base in _HALTON_BASES[:d]:
+        rows = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for row in rows:
+            rng.shuffle(row)
+        perms.append(rows)
+    return perms
+
+
+def _halton_points(perms: list[np.ndarray], start: int, n: int) -> np.ndarray:
+    """Points ``start .. start + n - 1`` of the scrambled Halton sequence, shape (n, d)."""
+    out = np.zeros((n, len(perms)))
+    for col, (base, rows) in enumerate(zip(_HALTON_BASES, perms)):
+        index = np.arange(start, start + n)
+        scale = 1.0 / base
+        for row in rows:
+            out[:, col] += row[index % base] * scale
+            scale /= base
+            index //= base
+    return out
+
+
+def weight_grid(m: int, count: int) -> list[np.ndarray]:
     """Deterministic list of ``count`` rays for m in {2, 3, 4}.
 
     Two objectives get evenly spaced angles (a single ray sits at the
-    diagonal); three and four use seeded low-discrepancy coordinates,
+    diagonal); three and four use scrambled Halton coordinates,
     deduplicated after snapping.
     """
     if count < 1:
@@ -98,15 +132,13 @@ def weight_grid(m: int, count: int, seed: int = 0) -> list[np.ndarray]:
             return [weights_2d(0.5)]
         return [weights_2d(i / (count - 1)) for i in range(count)]
     if m in (3, 4):
-        # Imported here: scipy.stats takes most of the package's import time.
-        from scipy.stats import qmc
-
         maker = weights_3d if m == 3 else weights_4d
-        sampler = qmc.Halton(d=m - 1, seed=seed)
+        perms = _halton_permutations(m - 1)
         out: list[np.ndarray] = []
         seen: set[tuple] = set()
+        start, block = 0, max(count, 8)
         while len(out) < count:
-            for row in sampler.random(max(count, 8)):
+            for row in _halton_points(perms, start, block):
                 w = maker(*row)
                 key = tuple(np.round(w, 12))
                 if key not in seen:
@@ -114,6 +146,7 @@ def weight_grid(m: int, count: int, seed: int = 0) -> list[np.ndarray]:
                     out.append(w)
                     if len(out) == count:
                         break
+            start += block
         return out
     raise ValueError(f"weight grids support m in {{2, 3, 4}}, got {m}")
 

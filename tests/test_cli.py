@@ -240,6 +240,7 @@ def test_config_file_errors(tmp_path, capsys):
         ({"eta": True}, "eta"),
         ({"lambda": "abc"}, "lambda"),
         ({"lambda": [1, "x"]}, "lambda"),
+        ({"task": "bogus"}, "task"),
     ]
     for data, key in wrong:
         bad.write_text(json.dumps(data))

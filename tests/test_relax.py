@@ -14,7 +14,6 @@ from paretoscan.relax import (
     Unconstrained,
     discretize_select,
     inner_descent,
-    trace_to_csv,
 )
 from paretoscan.tasks import SyntheticTask
 
@@ -300,27 +299,3 @@ def test_discretize_select_empty_neighborhood_raises():
             task, RelaxedPoint(np.zeros(2), Unconstrained()), [1.0, 1.0], 2,
             np.random.default_rng(0),
         )
-
-
-# ---------------------------------------------------------------------------
-# trace serialization
-# ---------------------------------------------------------------------------
-
-
-def test_trace_to_csv_round_trip():
-    task = _StubTask()
-    out = inner_descent(
-        task,
-        RelaxedPoint(np.array([0.4, 0.7]), Unconstrained()),
-        [1.0, 1.0],
-        eta=0.05,
-        rounds=3,
-    )
-    text = trace_to_csv(out.trace, 2)
-    lines = text.splitlines()
-    assert lines[0] == "round,l_1,l_2,mu,r_check,mode"
-    assert len(lines) == 4
-    assert text.endswith("\n")
-    first = lines[1].split(",")
-    assert float(first[1]) == out.trace[0].losses[0]
-    assert first[5] == "epo"

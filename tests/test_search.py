@@ -43,7 +43,15 @@ def test_config_validation():
         RunConfig(epsilon=-1.0).validate()
     with pytest.raises(ValueError):
         RunConfig(oracle_budget=-1).validate()
+    with pytest.raises(ValueError, match="^task must be one of"):
+        RunConfig(task="bogus").validate()
     RunConfig(eta=0.0).validate()  # zero step is a legal control
+
+
+def test_run_with_a_prebuilt_task_still_checks_the_task_name():
+    # the name picks the default step size even when the task is passed in
+    with pytest.raises(ValueError, match="^task must be one of"):
+        run_inversion(RunConfig(task="bogus", T=1, K=1, C=1), task=SyntheticTask(n=6))
 
 
 def test_config_from_dict_aliases():
@@ -359,6 +367,19 @@ def test_front_scan_factory_contract():
     # a task instance is not a factory
     with pytest.raises(TypeError):
         front_scan(SyntheticTask(n=6), [DIAG], _small_cfg())
+
+
+@pytest.mark.parametrize("over", [{"T": 0}, {"eta": math.nan}, {"task": "bogus"}])
+def test_front_scan_validates_its_config_before_any_ray(over):
+    built = []
+
+    def factory():
+        built.append(SyntheticTask(n=6))
+        return built[-1]
+
+    with pytest.raises(ValueError):
+        front_scan(factory, [[1.0, 1.0]], _small_cfg(**over))
+    assert built == []
 
 
 def test_front_scan_splits_the_budget_evenly():

@@ -357,4 +357,3 @@ def test_default_eta_table():
     assert default_eta("ngram-uni") == 0.2
     assert default_eta("ngram-bi") == 0.2
     assert default_eta("surrogate") == 0.1
-    assert default_eta("anything-else") == 1e-3
