@@ -12,6 +12,9 @@ gradients stay finite for any parameter scale.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 __all__ = ["DualPathNet", "DivergenceError", "FrozenNetError"]
@@ -25,18 +28,41 @@ class FrozenNetError(RuntimeError):
     """The net was already trained and is immutable."""
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _sigmoid_into(z: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the logistic of ``z`` into ``out``, given ``e = exp(-|z|)``.
+
+    1/(1+e) where z >= 0 and e/(1+e) elsewhere: neither branch overflows.
+    """
+    np.copyto(out, e)
+    np.copyto(out, 1.0, where=z >= 0)
+    out /= 1.0 + e
     return out
 
 
-def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # softplus(z) - y*z = -[y log s(z) + (1-y) log(1 - s(z))], stable for all z
-    return np.logaddexp(0.0, z) - y * z
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return _sigmoid_into(z, np.exp(-np.abs(z)), np.empty_like(z))
+
+
+class _Workspace:
+    """Work arrays for full-batch loss-and-gradient evaluations of a net.
+
+    ``train`` allocates them once and reuses them every epoch: (B, hidden)
+    temporaries are large enough that the allocator maps and unmaps fresh
+    pages for each one, which made the training time depend on whatever
+    else the process had loaded.
+    """
+
+    def __init__(self, net: DualPathNet, batch: int) -> None:
+        hidden, heads = net.b1.size, net.b2.size
+        self.H = np.empty((batch, hidden))  # tanh activations
+        self.F = np.empty((batch, hidden))  # 1 - H*H
+        self.dH = np.empty((batch, hidden))
+        self.Z = np.empty((batch, heads))  # logits
+        self.E = np.empty((batch, heads))  # exp(-|Z|)
+        self.L = np.empty((batch, heads))  # per-element cross-entropy
+        self.T = np.empty((batch, heads))
+        self.dZ = np.empty((batch, heads))
+        self.grads = tuple(np.empty_like(p) for p in (net.w1, net.b1, net.w2, net.b2))
 
 
 class DualPathNet:
@@ -70,65 +96,112 @@ class DualPathNet:
         _, Z = self._forward_batch(x[None, :])
         return Z[0]
 
-    def _loss_and_grads(self, X: np.ndarray, Y: np.ndarray):
+    def _check_batch(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=np.float64)
+        Y = np.asarray(Y, dtype=np.float64)
+        n_inputs, n_heads = self.w1.shape[1], self.w2.shape[0]
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != n_inputs:
+            raise ValueError(
+                f"X must have shape (B, {n_inputs}) with B >= 1, got {X.shape}"
+            )
+        if Y.shape != (X.shape[0], n_heads):
+            raise ValueError(
+                f"Y must have shape ({X.shape[0]}, {n_heads}), got {Y.shape}"
+            )
+        return X, Y
+
+    def _loss_and_grads(self, X: np.ndarray, Y: np.ndarray, work: _Workspace) -> float:
+        """Training loss at the current parameters; gradients land in ``work.grads``."""
         B = X.shape[0]
-        H, Z = self._forward_batch(X)
-        loss = float(np.mean(np.sum(_bce_from_logits(Z, Y), axis=1)))
-        dZ = (_sigmoid(Z) - Y) / B  # (B, heads)
-        gw2 = dZ.T @ H
-        gb2 = dZ.sum(axis=0)
-        dH = (dZ @ self.w2) * (1.0 - H * H)
-        gw1 = dH.T @ X
-        gb1 = dH.sum(axis=0)
-        return loss, (gw1, gb1, gw2, gb2)
+        H, F, dH, Z, E, L, T, dZ = (
+            work.H, work.F, work.dH, work.Z, work.E, work.L, work.T, work.dZ
+        )
+        gw1, gb1, gw2, gb2 = work.grads
+        np.matmul(X, self.w1.T, out=H)
+        H += self.b1
+        np.tanh(H, out=H)
+        np.matmul(H, self.w2.T, out=Z)
+        Z += self.b2
+        # softplus(z) - y*z = max(z, 0) + log1p(exp(-|z|)) - y*z, stable for all z
+        np.abs(Z, out=E)
+        np.negative(E, out=E)
+        np.exp(E, out=E)
+        np.maximum(Z, 0.0, out=L)
+        L += np.log1p(E, out=T)
+        L -= np.multiply(Y, Z, out=T)
+        loss = float(L.sum()) / B
+        _sigmoid_into(Z, E, dZ)
+        dZ -= Y
+        dZ /= B
+        np.matmul(dZ.T, H, out=gw2)
+        np.sum(dZ, axis=0, out=gb2)
+        np.matmul(dZ, self.w2, out=dH)
+        np.multiply(H, H, out=F)
+        np.subtract(1.0, F, out=F)
+        dH *= F
+        np.matmul(dH.T, X, out=gw1)
+        np.sum(dH, axis=0, out=gb1)
+        return loss
 
     def training_loss(self, X, Y) -> float:
         """Mean over the batch of the per-head cross-entropies, summed over heads."""
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        _, Z = self._forward_batch(X)
-        return float(np.mean(np.sum(_bce_from_logits(Z, Y), axis=1)))
+        X, Y = self._check_batch(X, Y)
+        return self._loss_and_grads(X, Y, _Workspace(self, X.shape[0]))
 
     def parameter_gradients(self, X, Y):
         """Analytic gradients of :meth:`training_loss` w.r.t. (w1, b1, w2, b2)."""
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        return self._loss_and_grads(X, Y)[1]
+        X, Y = self._check_batch(X, Y)
+        work = _Workspace(self, X.shape[0])
+        self._loss_and_grads(X, Y, work)
+        return work.grads
 
     def train(self, X, Y, epochs: int, rate: float = 1e-2) -> list[float]:
         """Full-batch gradient descent; freezes the net afterwards.
 
         Args:
-            X: (B, n_inputs) training inputs.
+            X: (B, n_inputs) training inputs, B >= 1.
             Y: (B, n_heads) targets in [0, 1].
-            epochs: Gradient steps; zero leaves parameters untouched.
-            rate: Step size.
+            epochs: Gradient steps, a non-negative int; zero leaves
+                parameters untouched.
+            rate: Step size, finite and positive.
 
         Returns:
             Per-epoch training losses (values before each step).
 
         Raises:
             FrozenNetError: If the net was trained already.
+            ValueError: If an argument has the wrong shape, type or range.
             DivergenceError: If the loss turns non-finite.
         """
         if self.frozen:
             raise FrozenNetError("net is immutable after training")
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
+        X, Y = self._check_batch(X, Y)
+        if (
+            isinstance(epochs, bool)
+            or not isinstance(epochs, numbers.Integral)
+            or epochs < 0
+        ):
+            raise ValueError(f"epochs must be a non-negative int, got {epochs!r}")
+        if (
+            isinstance(rate, bool)
+            or not isinstance(rate, numbers.Real)
+            or not (math.isfinite(rate) and rate > 0)
+        ):
+            raise ValueError(f"rate must be finite and positive, got {rate!r}")
+        work = _Workspace(self, X.shape[0])
         curve: list[float] = []
         for _ in range(epochs):
-            loss, (gw1, gb1, gw2, gb2) = self._loss_and_grads(X, Y)
-            if not np.isfinite(loss):
+            loss = self._loss_and_grads(X, Y, work)
+            if not math.isfinite(loss):
                 raise DivergenceError(
                     "training loss is non-finite; use a smaller rate"
                 )
             curve.append(loss)
-            self.w1 -= rate * gw1
-            self.b1 -= rate * gb1
-            self.w2 -= rate * gw2
-            self.b2 -= rate * gb2
-        final = self.training_loss(X, Y)
-        if not np.isfinite(final):
+            for param, grad in zip((self.w1, self.b1, self.w2, self.b2), work.grads):
+                grad *= rate
+                param -= grad
+        final = self._loss_and_grads(X, Y, work)
+        if not math.isfinite(final):
             raise DivergenceError("training loss is non-finite; use a smaller rate")
         self.frozen = True
         self.final_loss = final

@@ -1,11 +1,13 @@
 """Two-layer surrogate net: forward values, gradients, training, checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from paretoscan.net import DivergenceError, DualPathNet, FrozenNetError
+from paretoscan.net import DivergenceError, DualPathNet, FrozenNetError, _sigmoid
+from paretoscan.tasks import make_task
 
 
 def _zeroed(n, h, m):
@@ -99,6 +101,104 @@ def test_train_reduces_loss_and_freezes():
     assert net.final_loss < curve[-1] + 1e-12
     with pytest.raises(FrozenNetError):
         net.train(X, Y, epochs=1)
+
+
+def _parameter_digest(net):
+    h = hashlib.sha256()
+    for param in (net.w1, net.b1, net.w2, net.b2):
+        h.update(param.tobytes())
+    return h.hexdigest()
+
+
+def test_trained_parameters_are_pinned():
+    # sha256 of the bytes of (w1, b1, w2, b2), recorded with the per-epoch
+    # allocating trainer on OpenBLAS 0.3.31 (Haswell kernels), one or two
+    # BLAS threads.  Training in work arrays must reproduce them bit for bit.
+    surrogate = make_task("surrogate", m=4).net
+    assert _parameter_digest(surrogate) == (
+        "7a2a8b7182dd31763a52d046563375d4ca447a09be31b41aba9a6abefa4c5c37"
+    )
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 2, size=(32, 4)).astype(float)
+    Y = np.stack([X[:, 0], 1.0 - X[:, 1]], axis=1)
+    net = DualPathNet(4, 8, 2, seed=5)
+    net.train(X, Y, epochs=200, rate=0.5)
+    assert _parameter_digest(net) == (
+        "d5f94c75b8ce08f2f7b1f8f3c69aa1e06ec07f7c9d7b7258b81f519cd22579f3"
+    )
+
+
+def _masked_sigmoid(z):
+    # The boolean-mask formula the net used before `_sigmoid` shared exp(-|z|).
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_formula():
+    edges = [0.0, 1e-300, 20.0, 709.0, 745.0, 1e308, np.inf]
+    z = np.concatenate(
+        [
+            edges,
+            np.negative(edges),
+            [np.nan],
+            30.0 * np.random.default_rng(0).standard_normal(100_000),
+        ]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        old, new = _masked_sigmoid(z), _sigmoid(z)
+    nan = np.isnan(old)
+    assert nan.sum() == 1
+    assert np.array_equal(np.isnan(new), nan)
+    assert np.array_equal(old[~nan].view(np.uint64), new[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "X, Y, name",
+    [
+        (np.ones((5, 3)), np.ones((5, 1)), "Y"),
+        (np.ones((2, 3)), np.ones(2), "Y"),
+        (np.ones((5, 3)), np.ones((4, 2)), "Y"),
+        (np.ones((5, 2)), np.ones((5, 2)), "X"),
+        (np.ones(3), np.ones((1, 2)), "X"),
+        (np.ones((0, 3)), np.ones((0, 2)), "X"),
+    ],
+)
+def test_batch_shapes_are_checked(X, Y, name):
+    for call in (
+        lambda net: net.train(X, Y, epochs=1),
+        lambda net: net.training_loss(X, Y),
+        lambda net: net.parameter_gradients(X, Y),
+    ):
+        net = DualPathNet(3, 4, 2)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(net)
+        assert not net.frozen
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"epochs": -4}, "epochs"),
+        ({"epochs": True}, "epochs"),
+        ({"epochs": 2.0}, "epochs"),
+        ({"epochs": 1, "rate": 0.0}, "rate"),
+        ({"epochs": 1, "rate": -0.1}, "rate"),
+        ({"epochs": 1, "rate": float("nan")}, "rate"),
+        ({"epochs": 1, "rate": float("inf")}, "rate"),
+        ({"epochs": 1, "rate": "0.1"}, "rate"),
+    ],
+)
+def test_train_checks_epochs_and_rate(kwargs, name):
+    net = DualPathNet(3, 4, 2)
+    w1_before = net.w1.copy()
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        net.train(np.ones((5, 3)), np.ones((5, 2)), **kwargs)
+    assert not net.frozen
+    assert np.array_equal(net.w1, w1_before)
 
 
 def test_train_zero_epochs_freezes_without_stepping():
