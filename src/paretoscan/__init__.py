@@ -48,7 +48,6 @@ from .search import (
     TheoryReport,
     front_scan,
     run_inversion,
-    run_ls,
     theory_diagnostics,
 )
 from .tasks import NGramTask, SigmoidOracle, SurrogateTask, SyntheticTask, make_task
@@ -93,7 +92,6 @@ __all__ = [
     "pareto_filter",
     "relative_max",
     "run_inversion",
-    "run_ls",
     "solve_qp",
     "theory_diagnostics",
     "weight_grid",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .search import RunConfig, front_scan, run_inversion, run_ls, trajectory_to_csv
+from .search import RunConfig, front_scan, run_inversion, trajectory_to_csv
 from .selftest import run_selftest
 from .svgplot import render_front
 from .tasks import TASK_NAMES, make_task
@@ -218,9 +218,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"but task {config.task!r} has {task.m} objectives"
             ]
         )
-    driver = run_inversion if config.mode == "epo" else run_ls
     start = time.perf_counter()
-    result = driver(config, task=task)
+    result = run_inversion(config, task=task)
     wallclock_ms = (time.perf_counter() - start) * 1e3
     if args.verbose:
         print(
@@ -286,12 +285,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     truth = probe.true_front(400) if hasattr(probe, "true_front") else None
 
     start = time.perf_counter()
-    scan = front_scan(
-        lambda: make_task(config.task, **config.task_params),
-        rays,
-        config,
-        true_front=truth,
-    )
+    try:
+        scan = front_scan(
+            lambda: make_task(config.task, **config.task_params),
+            rays,
+            config,
+            true_front=truth,
+        )
+    except ValueError as exc:
+        # The config is valid and carries no weights, so what is left for
+        # front_scan to refuse, before any ray runs, is a budget below the
+        # ray count.
+        raise _ConfigError([f"budget: {exc}"])
     wallclock_ms = (time.perf_counter() - start) * 1e3
     if args.verbose:
         for ray in scan.rays:

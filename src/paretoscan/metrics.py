@@ -142,8 +142,8 @@ def hypervolume_monte_carlo(
     return est, float(se)
 
 
-def nonuniformity_report(fronts_mu: list[float], top_k: int = 5) -> float:
-    """Mean of the k smallest non-uniformity values across runs.
+def nonuniformity_report(fronts_mu: list[float]) -> float:
+    """Mean of the 5 smallest non-uniformity values across runs.
 
     Summarizes how well the best runs hit their target rays; degenerate
     entries (NaN) are dropped before ranking.
@@ -151,8 +151,7 @@ def nonuniformity_report(fronts_mu: list[float], top_k: int = 5) -> float:
     vals = np.asarray([v for v in fronts_mu if np.isfinite(v)], dtype=np.float64)
     if vals.size == 0:
         raise EmptyInputError("no finite non-uniformity values to summarize")
-    k = min(top_k, vals.size)
-    return float(np.sort(vals)[:k].mean())
+    return float(np.sort(vals)[:5].mean())
 
 
 def ray_nonuniformity(losses, weights) -> float:
@@ -163,13 +162,12 @@ def ray_nonuniformity(losses, weights) -> float:
         return float("nan")
 
 
-def front_coverage(archive_points, true_front, radius: float = 0.05) -> float:
-    """Fraction of reference-front points within ``radius`` of the archive.
+def front_coverage(archive_points, true_front) -> float:
+    """Fraction of reference-front points within Euclidean distance 0.05 of the archive.
 
     Args:
       archive_points: (k, m) attained objective vectors.
       true_front: (r, m) reference front samples.
-      radius: Euclidean capture distance.
 
     Returns:
       Covered fraction in [0, 1]; an empty archive covers nothing.
@@ -183,4 +181,4 @@ def front_coverage(archive_points, true_front, radius: float = 0.05) -> float:
     if pts.shape[1] != ref.shape[1]:
         raise ValueError("archive/front dimension mismatch")
     d2 = ((ref[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return float((d2.min(axis=1) <= radius * radius).mean())
+    return float((d2.min(axis=1) <= 0.05 * 0.05).mean())

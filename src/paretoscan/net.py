@@ -79,39 +79,18 @@ class DualPathNet:
         self.frozen = False
         self.final_loss: float | None = None
 
-    def _forward_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        H = np.tanh(X @ self.w1.T + self.b1)
-        Z = H @ self.w2.T + self.b2
-        return H, Z
-
-    def forward(self, x) -> np.ndarray:
-        """Per-head sigmoid outputs for a single input vector."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        _, Z = self._forward_batch(x[None, :])
-        return _sigmoid(Z[0])
-
     def logits(self, x) -> np.ndarray:
         """Pre-sigmoid head activations for a single input vector."""
         x = np.asarray(x, dtype=np.float64).ravel()
-        _, Z = self._forward_batch(x[None, :])
-        return Z[0]
-
-    def _check_batch(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        n_inputs, n_heads = self.w1.shape[1], self.w2.shape[0]
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != n_inputs:
-            raise ValueError(
-                f"X must have shape (B, {n_inputs}) with B >= 1, got {X.shape}"
-            )
-        if Y.shape != (X.shape[0], n_heads):
-            raise ValueError(
-                f"Y must have shape ({X.shape[0]}, {n_heads}), got {Y.shape}"
-            )
-        return X, Y
+        H = np.tanh(x[None, :] @ self.w1.T + self.b1)
+        return (H @ self.w2.T + self.b2)[0]
 
     def _loss_and_grads(self, X: np.ndarray, Y: np.ndarray, work: _Workspace) -> float:
-        """Training loss at the current parameters; gradients land in ``work.grads``."""
+        """Training loss at the current parameters; gradients land in ``work.grads``.
+
+        The loss is the mean over the batch of the per-head cross-entropies,
+        summed over heads; the gradients are with respect to (w1, b1, w2, b2).
+        """
         B = X.shape[0]
         H, F, dH, Z, E, L, T, dZ = (
             work.H, work.F, work.dH, work.Z, work.E, work.L, work.T, work.dZ
@@ -143,18 +122,6 @@ class DualPathNet:
         np.sum(dH, axis=0, out=gb1)
         return loss
 
-    def training_loss(self, X, Y) -> float:
-        """Mean over the batch of the per-head cross-entropies, summed over heads."""
-        X, Y = self._check_batch(X, Y)
-        return self._loss_and_grads(X, Y, _Workspace(self, X.shape[0]))
-
-    def parameter_gradients(self, X, Y):
-        """Analytic gradients of :meth:`training_loss` w.r.t. (w1, b1, w2, b2)."""
-        X, Y = self._check_batch(X, Y)
-        work = _Workspace(self, X.shape[0])
-        self._loss_and_grads(X, Y, work)
-        return work.grads
-
     def train(self, X, Y, epochs: int, rate: float = 1e-2) -> list[float]:
         """Full-batch gradient descent; freezes the net afterwards.
 
@@ -175,7 +142,17 @@ class DualPathNet:
         """
         if self.frozen:
             raise FrozenNetError("net is immutable after training")
-        X, Y = self._check_batch(X, Y)
+        X = np.asarray(X, dtype=np.float64)
+        Y = np.asarray(Y, dtype=np.float64)
+        n_inputs, n_heads = self.w1.shape[1], self.w2.shape[0]
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != n_inputs:
+            raise ValueError(
+                f"X must have shape (B, {n_inputs}) with B >= 1, got {X.shape}"
+            )
+        if Y.shape != (X.shape[0], n_heads):
+            raise ValueError(
+                f"Y must have shape ({X.shape[0]}, {n_heads}), got {Y.shape}"
+            )
         if (
             isinstance(epochs, bool)
             or not isinstance(epochs, numbers.Integral)

@@ -254,15 +254,10 @@ def inner_descent(
 
 @dataclass
 class SelectionResult:
-    """Outcome of :func:`discretize_select`.
-
-    ``evaluations`` logs every candidate batch entry as
-    (candidate, objectives, r_check) in draw order.
-    """
+    """Outcome of :func:`discretize_select`: the kept candidate and its losses."""
 
     candidate: object
     objectives: np.ndarray
-    evaluations: list[tuple[object, np.ndarray, float]]
 
 
 def discretize_select(
@@ -285,19 +280,15 @@ def discretize_select(
     candidates = task.neighborhood_discretize(point, count, rng)
     if not candidates:
         raise ExhaustedNeighborhoodError("discretization produced no candidates")
-    evaluations: list[tuple[object, np.ndarray, float]] = []
     best_key: tuple[float, float, int] | None = None
     best: tuple[object, np.ndarray] | None = None
     for idx, cand in enumerate(candidates):
         objectives = task.eval_discrete(cand)
         weighted = objectives * wv
         r_check = float(np.max(weighted))
-        evaluations.append((cand, objectives, r_check))
         key = (r_check, float(np.sum(weighted)), idx)
         if best_key is None or key < best_key:
             best_key = key
             best = (cand, objectives)
     assert best is not None
-    return SelectionResult(
-        candidate=best[0], objectives=best[1], evaluations=evaluations
-    )
+    return SelectionResult(candidate=best[0], objectives=best[1])

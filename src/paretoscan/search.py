@@ -46,7 +46,6 @@ __all__ = [
     "RayOutcome",
     "ScanResult",
     "run_inversion",
-    "run_ls",
     "front_scan",
     "theory_diagnostics",
     "trajectory_to_csv",
@@ -293,10 +292,12 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
 
 
 def run_inversion(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunResult:
-    """Run the relax-descend-discretize loop with the QP descent direction.
+    """Run the relax-descend-discretize loop along one weight ray.
 
     Args:
-      config: Run settings; ``config.mode`` is forced to "epo".
+      config: Run settings; ``config.mode`` picks the descent direction:
+        "epo" for the non-dominating QP direction, "ls" for the linearly
+        weighted baseline d = G lambda.
       x0: Optional starting candidate; drawn from the seeded stream if omitted.
       task: Optional pre-built task instance (otherwise built from config).
 
@@ -305,14 +306,6 @@ def run_inversion(config: RunConfig, x0=None, task: TaskContract | None = None) 
       Pareto archive and theory diagnostics.  Numerical failures abort the
       loop and return the partial result with ``failed`` set.
     """
-    config = replace(config, mode="epo")
-    config.validate()
-    return _run(config, x0, task)
-
-
-def run_ls(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunResult:
-    """Baseline run using the linearly weighted direction d = G lambda."""
-    config = replace(config, mode="ls")
     config.validate()
     return _run(config, x0, task)
 
@@ -433,7 +426,8 @@ def front_scan(
       task_factory: Zero-argument callable building a fresh task per ray.
       weight_list: Non-empty list of weight vectors.
       config: Per-ray settings; ray i runs with seed ``config.seed + i`` and
-        an even share of ``config.oracle_budget``.
+        an even share of ``config.oracle_budget``.  ``config.weights`` must
+        be None, and a non-zero budget must allow one call per ray.
       true_front: Optional reference front for coverage.
 
     Returns:
@@ -448,16 +442,26 @@ def front_scan(
       out of the merge.  A ray stopped by a NumericalFailureError is
       recorded as failed too, but keeps its partial result: its archive is
       merged and its last point counts in hv.
+
+    Raises:
+      ValueError: Before any ray runs, for an empty ``weight_list``, an
+        invalid ``config``, ``config.weights`` set, or an ``oracle_budget``
+        below the ray count.
     """
     if not weight_list:
         raise ValueError("weight_list must be non-empty")
     if not callable(task_factory):
         raise TypeError("task_factory must be a zero-argument callable")
     config.validate()
+    if config.weights is not None:
+        raise ValueError("weights must be None for a scan: each ray sets its own")
+    if 0 < config.oracle_budget < len(weight_list):
+        raise ValueError(
+            f"oracle_budget {config.oracle_budget} is below one oracle call per ray "
+            f"({len(weight_list)} rays); use at least {len(weight_list)} or 0 for unlimited"
+        )
 
-    per_ray_budget = (
-        config.oracle_budget // len(weight_list) if config.oracle_budget else 0
-    )
+    per_ray_budget = config.oracle_budget // len(weight_list)
 
     def one_ray(index: int, w) -> tuple[RayOutcome, ParetoArchive | None]:
         cfg = replace(

@@ -40,7 +40,6 @@ def render_front(
     points,
     truth=None,
     weight_rays=None,
-    axis_labels: tuple[str, str] = ("l_1", "l_2"),
     title: str = "",
 ) -> str:
     """Render an objective-space scatter as an SVG document string.
@@ -50,7 +49,6 @@ def render_front(
       truth: Optional (r, m) reference front, drawn as a polyline.
       weight_rays: Optional weight vectors; each is drawn as the dashed ray
         through the origin with direction (1/w_1, 1/w_2).
-      axis_labels: Axis captions.
       title: Optional title line.
 
     Returns:
@@ -111,12 +109,12 @@ def render_front(
         )
     parts.append(
         f'<text x="{(x0 + x1) / 2:.1f}" y="{y0 + 44:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{axis_labels[0]}</text>'
+        f'font-family="sans-serif" font-size="14">l_1</text>'
     )
     parts.append(
         f'<text x="{x0 - 40:.1f}" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 {x0 - 40:.1f} {(y0 + y1) / 2:.1f})">{axis_labels[1]}</text>'
+        f'transform="rotate(-90 {x0 - 40:.1f} {(y0 + y1) / 2:.1f})">l_2</text>'
     )
 
     if weight_rays is not None:

@@ -46,6 +46,9 @@ _POSITIVE = (int, lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = (int, lambda v: v >= 0, ">= 0")
 _L_MAX = (int, lambda v: v >= 2, ">= 2")
 
+#: Half-width of the synthetic task's box [-2, 2]^n.
+_SYNTHETIC_BOUND = 2.0
+
 #: Parameters each task accepts through :func:`make_task`: type, range check
 #: and the range in words.  The synthetic grid spans [-2, 2], so 2 / grid_step
 #: must fit an int64 grid index.
@@ -140,24 +143,16 @@ class SyntheticTask(TaskContract):
 
     m = 2
 
-    def __init__(
-        self,
-        n: int = 20,
-        grid_step: float = 0.01,
-        bound: float = 2.0,
-        init_bound: float = 0.5,
-    ) -> None:
+    def __init__(self, n: int = 20, grid_step: float = 0.01, init_bound: float = 0.5) -> None:
         super().__init__()
         if n < 1:
             raise ValueError("n must be positive")
-        if grid_step <= 0 or bound <= 0:
-            raise ValueError("grid_step and bound must be positive")
+        if grid_step <= 0:
+            raise ValueError("grid_step must be positive")
         self.n = n
         self.grid_step = float(grid_step)
-        self.bound = float(bound)
-        self.init_bound = float(min(init_bound, bound))
-        self.center = np.full(n, 1.0 / math.sqrt(n))
-        self._max_index = int(round(self.bound / self.grid_step))
+        self.init_bound = float(min(init_bound, _SYNTHETIC_BOUND))
+        self._max_index = int(round(_SYNTHETIC_BOUND / self.grid_step))
 
     def _coords(self, candidate: np.ndarray) -> np.ndarray:
         return np.asarray(candidate, dtype=np.float64) * self.grid_step
@@ -166,7 +161,7 @@ class SyntheticTask(TaskContract):
         return synthetic_losses(self._coords(candidate))
 
     def relax(self, candidate) -> RelaxedPoint:
-        return RelaxedPoint(self._coords(candidate), Box(-self.bound, self.bound))
+        return RelaxedPoint(self._coords(candidate), Box(-_SYNTHETIC_BOUND, _SYNTHETIC_BOUND))
 
     def relaxed_losses(self, point: RelaxedPoint) -> np.ndarray:
         return synthetic_losses(point.params)
@@ -333,20 +328,13 @@ DEFAULT_ORACLE_SEED = 7
 class SigmoidOracle:
     """Hidden ground-truth properties O_i(x) = sigmoid(w_i . x + b_i).
 
-    Property directions live in a fixed plane with controlled pairwise
-    angles (the default 120 degrees makes two heads conflict), and each bias
-    centers the property at the half-on bit vector, so scores spread over a
-    useful sigmoid range on {0, 1}^n.
+    Property directions of norm 4 live in a fixed plane, spread evenly over
+    120 degrees (so two heads conflict), and each bias centers the property
+    at the half-on bit vector, so scores spread over a useful sigmoid range
+    on {0, 1}^n.
     """
 
-    def __init__(
-        self,
-        n_b: int = 16,
-        m: int = 2,
-        seed: int = DEFAULT_ORACLE_SEED,
-        scale: float = 4.0,
-        conflict_angle_deg: float = 120.0,
-    ) -> None:
+    def __init__(self, n_b: int = 16, m: int = 2, seed: int = DEFAULT_ORACLE_SEED) -> None:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(n_b)
         u /= np.linalg.norm(u)
@@ -356,8 +344,8 @@ class SigmoidOracle:
         if m == 1:
             angles = np.array([0.0])
         else:
-            angles = np.linspace(0.0, math.radians(conflict_angle_deg), m)
-        self.w = scale * np.stack(
+            angles = np.linspace(0.0, math.radians(120.0), m)
+        self.w = 4.0 * np.stack(
             [math.cos(t) * u + math.sin(t) * v for t in angles]
         )
         self.b = -0.5 * self.w.sum(axis=1)
@@ -375,27 +363,25 @@ class SigmoidOracle:
         return 1.0 - self.scores(x)
 
 
+#: The surrogate net: hidden units, oracle-labeled training rows, step size.
+_NET_HIDDEN = 32
+_TRAIN_SIZE = 1024
+_TRAIN_RATE = 5e-2
+
 _NET_CACHE: dict[tuple, DualPathNet] = {}
 
 
 def _trained_net(
-    oracle: SigmoidOracle,
-    n_b: int,
-    hidden: int,
-    oracle_seed: int,
-    train_seed: int,
-    train_size: int,
-    epochs: int,
-    rate: float,
+    oracle: SigmoidOracle, n_b: int, oracle_seed: int, train_seed: int, epochs: int
 ) -> DualPathNet:
-    key = (n_b, hidden, oracle.m, oracle_seed, train_seed, train_size, epochs, rate)
+    key = (n_b, oracle.m, oracle_seed, train_seed, epochs)
     if key in _NET_CACHE:
         return _NET_CACHE[key]
     rng = np.random.default_rng(train_seed)
-    X = rng.integers(0, 2, size=(train_size, n_b)).astype(np.float64)
+    X = rng.integers(0, 2, size=(_TRAIN_SIZE, n_b)).astype(np.float64)
     Y = np.stack([oracle.scores(x) for x in X])
-    net = DualPathNet(n_b, hidden, oracle.m, seed=train_seed)
-    net.train(X, Y, epochs=epochs, rate=rate)
+    net = DualPathNet(n_b, _NET_HIDDEN, oracle.m, seed=train_seed)
+    net.train(X, Y, epochs=epochs, rate=_TRAIN_RATE)
     _NET_CACHE[key] = net
     return net
 
@@ -406,8 +392,8 @@ class SurrogateTask(TaskContract):
     Discrete evaluations query the ground-truth oracle and count against the
     oracle budget.  The relaxation is the unit cube; its losses and
     gradients are the per-head cross-entropies (target 1) of the pretrained
-    net, so the descent path never touches the oracle.  Pretraining labels
-    are tallied separately in ``pretrain_oracle_calls``.
+    net, so the descent path never touches the oracle.  The net's 1024
+    oracle-labeled training rows are not counted as oracle calls.
     """
 
     def __init__(
@@ -416,19 +402,13 @@ class SurrogateTask(TaskContract):
         m: int = 2,
         oracle_seed: int = DEFAULT_ORACLE_SEED,
         train_seed: int = 101,
-        hidden: int = 32,
-        train_size: int = 1024,
         epochs: int = 5000,
-        rate: float = 5e-2,
     ) -> None:
         super().__init__()
         self.m = m
         self.n_b = n_b
         self.oracle = SigmoidOracle(n_b=n_b, m=m, seed=oracle_seed)
-        self.net = _trained_net(
-            self.oracle, n_b, hidden, oracle_seed, train_seed, train_size, epochs, rate
-        )
-        self.pretrain_oracle_calls = train_size * m
+        self.net = _trained_net(self.oracle, n_b, oracle_seed, train_seed, epochs)
 
     def _discrete_losses(self, candidate) -> np.ndarray:
         return self.oracle.losses(np.asarray(candidate, dtype=np.float64))

@@ -151,17 +151,17 @@ def weight_grid(m: int, count: int) -> list[np.ndarray]:
     raise ValueError(f"weight grids support m in {{2, 3, 4}}, got {m}")
 
 
-def lift_positive(weights, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
+def lift_positive(weights) -> np.ndarray:
     """Floor zero components and re-normalize to the unit sphere.
 
     Boundary rays carry exact zeros, which the non-uniformity measure and
     the inverse-weight ray cannot accept; the lift perturbs the ray by at
-    most the floor while restoring strict positivity.
+    most ``POSITIVITY_FLOOR`` while restoring strict positivity.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ValueError("weights must be finite and non-negative")
-    w[w < floor] = floor
+    w[w < POSITIVITY_FLOOR] = POSITIVITY_FLOOR
     w = w / np.linalg.norm(w)
     if not np.all(w > 0.0):
         raise ValueError("weights must have a finite Euclidean norm")

@@ -25,7 +25,7 @@ import pytest
 from paretoscan.cli import main
 from paretoscan.core import pareto_filter
 from paretoscan.metrics import hypervolume, hypervolume_monte_carlo, ray_nonuniformity
-from paretoscan.net import DualPathNet
+from paretoscan.net import DualPathNet, _Workspace
 from paretoscan.qp import anchor_direction, solve_qp
 from paretoscan.search import RunConfig, front_scan, run_inversion
 from paretoscan.selftest import qp_grid_oracle
@@ -407,17 +407,18 @@ def test_08_analytic_gradients_match_finite_differences(capsys):
         net = DualPathNet(3, 4, 2, seed=50 + k)
         X = rng.uniform(0.0, 1.0, size=(5, 3))
         Y = rng.uniform(0.0, 1.0, size=(5, 2))
-        grads = net.parameter_gradients(X, Y)
-        for param, grad in zip((net.w1, net.b1, net.w2, net.b2), grads):
+        work, probe = _Workspace(net, 5), _Workspace(net, 5)
+        net._loss_and_grads(X, Y, work)
+        for param, grad in zip((net.w1, net.b1, net.w2, net.b2), work.grads):
             fd = np.zeros_like(param)
             it = np.nditer(param, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 keep = param[idx]
                 param[idx] = keep + eps
-                up = net.training_loss(X, Y)
+                up = net._loss_and_grads(X, Y, probe)
                 param[idx] = keep - eps
-                dn = net.training_loss(X, Y)
+                dn = net._loss_and_grads(X, Y, probe)
                 param[idx] = keep
                 fd[idx] = (up - dn) / (2 * eps)
             err = max(err, _rel_err(grad, fd))

@@ -349,6 +349,18 @@ def test_scan_rejects_lambda_it_would_ignore(tmp_path, capsys):
     assert "config error: lambda" in capsys.readouterr().err
 
 
+def test_scan_rejects_a_budget_below_one_call_per_ray(tmp_path, capsys):
+    # 4 rays: a budget of 3 gives each ray a share of 0 calls, which a run
+    # reads as unlimited
+    out = tmp_path / "out"
+    assert main(_scan_args(out, "--budget", "3")) == 1
+    assert "config error: budget: oracle_budget 3" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+    assert main(_scan_args(out, "--budget", "4")) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["oracle_calls_total"] == 4 * 2  # each ray evaluates its start
+
+
 def test_scan_rejects_a_ray_count_with_a_weights_file(tmp_path, capsys):
     path = tmp_path / "rays.csv"
     path.write_text("lambda_1,lambda_2\n1.0,0.0\n0.0,1.0\n")

@@ -105,9 +105,10 @@ def test_monte_carlo_empty_front():
 
 
 def test_nonuniformity_report_ranks_best_runs():
-    vals = [0.5, 0.1, 0.3, float("nan")]
-    assert nonuniformity_report(vals, top_k=2) == pytest.approx(0.2)
-    assert nonuniformity_report([0.4], top_k=5) == pytest.approx(0.4)
+    # the five smallest finite values: 0.1, 0.2, 0.3, 0.4, 0.5 (mean 0.3)
+    vals = [0.9, 0.5, 0.1, float("nan"), 0.3, 0.7, 0.2, 0.4]
+    assert nonuniformity_report(vals) == pytest.approx(0.3)
+    assert nonuniformity_report([0.4, 0.2]) == pytest.approx(0.3)
     with pytest.raises(EmptyInputError):
         nonuniformity_report([float("nan"), float("nan")])
 
@@ -121,9 +122,11 @@ def test_ray_nonuniformity_values():
 
 def test_front_coverage_counts_captured_reference_points():
     truth = [[0.0, 0.0], [1.0, 1.0]]
-    assert front_coverage([[0.01, 0.01]], truth, radius=0.05) == pytest.approx(0.5)
-    assert front_coverage([[0.01, 0.01], [1.0, 1.01]], truth, radius=0.05) == 1.0
-    assert front_coverage([[0.2, 0.2]], truth, radius=0.05) == 0.0
+    # capture distance 0.05
+    assert front_coverage([[0.01, 0.01]], truth) == pytest.approx(0.5)
+    assert front_coverage([[0.01, 0.01], [1.0, 1.01]], truth) == 1.0
+    assert front_coverage([[0.04, 0.0], [1.0, 1.06]], truth) == pytest.approx(0.5)
+    assert front_coverage([[0.2, 0.2]], truth) == 0.0
 
 
 def test_front_coverage_edge_cases():

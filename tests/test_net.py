@@ -1,4 +1,4 @@
-"""Two-layer surrogate net: forward values, gradients, training, checkpoints."""
+"""Two-layer surrogate net: logits, gradients, training, checkpoints."""
 
 import hashlib
 import math
@@ -6,8 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from paretoscan.net import DivergenceError, DualPathNet, FrozenNetError, _sigmoid
+from paretoscan.net import DivergenceError, DualPathNet, FrozenNetError, _sigmoid, _Workspace
 from paretoscan.tasks import make_task
+
+
+def _loss(net, X, Y):
+    """Training loss of ``net`` on (X, Y) from the trainer's own kernel."""
+    return net._loss_and_grads(X, Y, _Workspace(net, X.shape[0]))
 
 
 def _zeroed(n, h, m):
@@ -19,7 +24,6 @@ def _zeroed(n, h, m):
 
 def test_zero_parameters_give_indifferent_heads():
     net = _zeroed(4, 3, 2)
-    assert net.forward([1.0, -1.0, 0.5, 0.0]) == pytest.approx([0.5, 0.5])
     assert net.logits([1.0, -1.0, 0.5, 0.0]) == pytest.approx([0.0, 0.0])
     grads = net.input_gradients([1.0, -1.0, 0.5, 0.0])
     assert grads.shape == (4, 2)
@@ -35,29 +39,30 @@ def test_single_unit_hand_computation():
     h = math.tanh(2.0 * 0.4 + 0.5)
     z = 1.5 * h - 0.3
     assert net.logits([0.4])[0] == pytest.approx(z, abs=1e-15)
-    assert net.forward([0.4])[0] == pytest.approx(1.0 / (1.0 + math.exp(-z)))
     # default target 1: d/dx of -log sigmoid(z(x))
     want = (1.0 / (1.0 + math.exp(-z)) - 1.0) * 1.5 * (1.0 - h * h) * 2.0
     assert net.input_gradients([0.4])[0, 0] == pytest.approx(want, abs=1e-14)
 
 
-def test_training_loss_matches_manual_cross_entropy():
+def test_loss_kernel_matches_manual_cross_entropy():
     net = DualPathNet(2, 3, 2, seed=1)
     X = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     total = 0.0
     for x, y in zip(X, Y):
-        p = net.forward(x)
+        p = 1.0 / (1.0 + np.exp(-net.logits(x)))
         total += float(np.sum(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
-    assert net.training_loss(X, Y) == pytest.approx(total / 3, abs=1e-10)
+    assert _loss(net, X, Y) == pytest.approx(total / 3, abs=1e-10)
 
 
-def test_parameter_gradients_match_finite_differences():
+def test_loss_kernel_gradients_match_finite_differences():
     net = DualPathNet(3, 4, 2, seed=7)
     rng = np.random.default_rng(0)
     X = rng.uniform(0, 1, size=(6, 3))
     Y = rng.uniform(0, 1, size=(6, 2))
-    grads = net.parameter_gradients(X, Y)
+    work = _Workspace(net, X.shape[0])
+    net._loss_and_grads(X, Y, work)
+    grads = work.grads
     eps = 1e-6
     for param, grad in zip((net.w1, net.b1, net.w2, net.b2), grads):
         assert grad.shape == param.shape
@@ -66,9 +71,9 @@ def test_parameter_gradients_match_finite_differences():
             idx = it.multi_index
             keep = param[idx]
             param[idx] = keep + eps
-            up = net.training_loss(X, Y)
+            up = _loss(net, X, Y)
             param[idx] = keep - eps
-            dn = net.training_loss(X, Y)
+            dn = _loss(net, X, Y)
             param[idx] = keep
             assert grad[idx] == pytest.approx((up - dn) / (2 * eps), abs=1e-7)
 
@@ -97,7 +102,7 @@ def test_train_reduces_loss_and_freezes():
     assert len(curve) == 200
     assert curve[-1] < curve[0]
     assert net.frozen
-    assert net.final_loss == pytest.approx(net.training_loss(X, Y))
+    assert net.final_loss == pytest.approx(_loss(net, X, Y))
     assert net.final_loss < curve[-1] + 1e-12
     with pytest.raises(FrozenNetError):
         net.train(X, Y, epochs=1)
@@ -168,15 +173,10 @@ def test_sigmoid_is_bit_identical_to_the_masked_formula():
     ],
 )
 def test_batch_shapes_are_checked(X, Y, name):
-    for call in (
-        lambda net: net.train(X, Y, epochs=1),
-        lambda net: net.training_loss(X, Y),
-        lambda net: net.parameter_gradients(X, Y),
-    ):
-        net = DualPathNet(3, 4, 2)
-        with pytest.raises(ValueError, match=f"^{name} must"):
-            call(net)
-        assert not net.frozen
+    net = DualPathNet(3, 4, 2)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        net.train(X, Y, epochs=1)
+    assert not net.frozen
 
 
 @pytest.mark.parametrize(
@@ -210,7 +210,7 @@ def test_train_zero_epochs_freezes_without_stepping():
     assert curve == []
     assert np.array_equal(net.w1, w1_before)
     assert net.frozen
-    assert net.final_loss == pytest.approx(net.training_loss(X, Y))
+    assert net.final_loss == pytest.approx(_loss(net, X, Y))
 
 
 def test_train_raises_on_non_finite_loss():

@@ -1,6 +1,7 @@
 """Outer loop: runs, scans, theory diagnostics, trajectory serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from paretoscan.search import (
     TrajectoryPoint,
     front_scan,
     run_inversion,
-    run_ls,
     theory_diagnostics,
     trajectory_to_csv,
 )
@@ -171,7 +171,7 @@ def test_single_objective_reduces_to_weighted_sum():
         seed=2,
     )
     a = run_inversion(cfg)
-    b = run_ls(cfg)
+    b = run_inversion(replace(cfg, mode="ls"))
     assert trajectory_to_csv(a.trajectory, 1) == trajectory_to_csv(b.trajectory, 1)
 
 
@@ -202,10 +202,18 @@ def test_numerical_failure_returns_partial_result():
     assert res.diagnostics is None
 
 
-def test_mode_is_forced_by_the_entry_point():
-    cfg = RunConfig(task="synthetic", task_params={"n": 4}, mode="ls", T=2, K=2, eta=0.05, C=2)
-    assert run_inversion(cfg).config.mode == "epo"
-    assert run_ls(cfg).config.mode == "ls"
+def test_run_inversion_follows_config_mode():
+    # off the diagonal the weighted-sum step d = G lambda differs from the
+    # QP's non-dominating step, so the two modes part ways
+    cfg = RunConfig(
+        task="synthetic", task_params={"n": 4}, weights=np.array([0.9, 0.1]),
+        T=3, K=5, eta=0.05, C=2, seed=3,
+    )
+    epo = run_inversion(cfg)
+    ls = run_inversion(replace(cfg, mode="ls"))
+    assert epo.config.mode == "epo"
+    assert ls.config.mode == "ls"
+    assert trajectory_to_csv(ls.trajectory, 2) != trajectory_to_csv(epo.trajectory, 2)
 
 
 def test_weight_dimension_mismatch_raises():
@@ -369,7 +377,9 @@ def test_front_scan_factory_contract():
         front_scan(SyntheticTask(n=6), [DIAG], _small_cfg())
 
 
-@pytest.mark.parametrize("over", [{"T": 0}, {"eta": math.nan}, {"task": "bogus"}])
+@pytest.mark.parametrize(
+    "over", [{"T": 0}, {"eta": math.nan}, {"task": "bogus"}, {"weights": np.array([0.6, 0.8])}]
+)
 def test_front_scan_validates_its_config_before_any_ray(over):
     built = []
 
@@ -380,6 +390,23 @@ def test_front_scan_validates_its_config_before_any_ray(over):
     with pytest.raises(ValueError):
         front_scan(factory, [[1.0, 1.0]], _small_cfg(**over))
     assert built == []
+
+
+def test_front_scan_rejects_a_budget_below_one_call_per_ray():
+    built = []
+
+    def factory():
+        built.append(SyntheticTask(n=6))
+        return built[-1]
+
+    rays = weight_grid(2, 8)
+    with pytest.raises(ValueError, match="oracle_budget"):
+        front_scan(factory, rays, _small_cfg(oracle_budget=7))
+    assert built == []
+    # one call per ray is the smallest budget a scan takes
+    scan = front_scan(factory, rays, _small_cfg(oracle_budget=8))
+    assert len(built) == 8
+    assert all(ray.oracle_calls == 2 for ray in scan.rays)  # the start point only
 
 
 def test_front_scan_splits_the_budget_evenly():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretoscan import tasks
+from paretoscan.net import _sigmoid
 from paretoscan.relax import Box, InvalidRelaxationError, SimplexRows
 from paretoscan.tasks import (
     ALPHABET,
@@ -92,7 +93,7 @@ def test_synthetic_true_front_endpoints():
 
 
 def test_synthetic_task_snap_and_bounds():
-    task = SyntheticTask(n=3, grid_step=0.01, bound=2.0)
+    task = SyntheticTask(n=3, grid_step=0.01)
     point = task.relax(np.array([1, -2, 0], dtype=np.int64))
     assert isinstance(point.region, Box)
     assert point.params == pytest.approx([0.01, -0.02, 0.0])
@@ -270,7 +271,7 @@ def test_sigmoid_oracle_geometry():
 
 @pytest.fixture(scope="module")
 def small_surrogate():
-    return SurrogateTask(n_b=8, m=2, train_seed=3, train_size=128, epochs=400)
+    return SurrogateTask(n_b=8, m=2, train_seed=3, epochs=400)
 
 
 def test_surrogate_discrete_eval_is_the_oracle(small_surrogate):
@@ -287,7 +288,7 @@ def test_surrogate_relaxed_losses_are_head_cross_entropies(small_surrogate):
     point = task.relax(np.array([1, 0, 1, 0, 1, 0, 1, 0]))
     assert isinstance(point.region, Box)
     rel = task.relaxed_losses(point)
-    assert rel == pytest.approx(-np.log(task.net.forward(point.params)), abs=1e-9)
+    assert rel == pytest.approx(-np.log(_sigmoid(task.net.logits(point.params))), abs=1e-9)
     assert np.all(rel >= 0.0)
 
 
@@ -312,7 +313,6 @@ def test_surrogate_descent_consumes_no_oracle_budget(small_surrogate):
     task.relaxed_losses(point)
     task.gradients(point)
     assert task.oracle_calls == before
-    assert task.pretrain_oracle_calls == 128 * 2
 
 
 def test_surrogate_neighborhood_threshold_first(small_surrogate):
@@ -326,10 +326,10 @@ def test_surrogate_neighborhood_threshold_first(small_surrogate):
 
 
 def test_surrogate_net_cache_reuses_training():
-    a = SurrogateTask(n_b=8, m=2, train_seed=3, train_size=128, epochs=400)
-    b = SurrogateTask(n_b=8, m=2, train_seed=3, train_size=128, epochs=400)
+    a = SurrogateTask(n_b=8, m=2, train_seed=3, epochs=400)
+    b = SurrogateTask(n_b=8, m=2, train_seed=3, epochs=400)
     assert a.net is b.net
-    c = SurrogateTask(n_b=8, m=2, train_seed=4, train_size=128, epochs=400)
+    c = SurrogateTask(n_b=8, m=2, train_seed=4, epochs=400)
     assert c.net is not a.net
 
 
