@@ -6,7 +6,9 @@ JSON config file (``--config``), then explicit flags, then the
 written inside the ``-o`` directory; nothing else is touched.
 
 Exit codes: 0 success, 1 configuration error (offending keys are listed on
-stderr), 2 numerical failure during optimization.
+stderr), 2 numerical failure during optimization or a command line the
+parser rejects.  Flags must be spelled in full: a prefix such as ``--budg``
+is an unknown argument, not ``--budget``.
 """
 
 from __future__ import annotations
@@ -72,13 +74,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paretoscan",
         description="Discrete multi-objective optimization by Pareto inversion.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="optimize along a single weight ray")
+    run_p = sub.add_parser(
+        "run", help="optimize along a single weight ray", allow_abbrev=False
+    )
     _add_common(run_p)
 
-    scan_p = sub.add_parser("scan", help="scan a weight grid and merge the front")
+    scan_p = sub.add_parser(
+        "scan", help="scan a weight grid and merge the front", allow_abbrev=False
+    )
     _add_common(scan_p)
     scan_p.add_argument(
         "--weights", dest="weight_count", type=int, default=None,
@@ -86,7 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scan_p.add_argument("--weights-file", default=None, help="CSV of weight rays")
 
-    self_p = sub.add_parser("selftest", help="run embedded verification suites")
+    self_p = sub.add_parser(
+        "selftest", help="run embedded verification suites", allow_abbrev=False
+    )
     self_p.add_argument("--filter", default="", help="substring row filter")
     self_p.add_argument("--seed", type=int, default=0)
     return parser

@@ -216,6 +216,7 @@ def inner_descent(
     x = task.clamp(point)
     trace: list[RoundTrace] = []
     max_norm = 0.0
+    hint = None  # the last m >= 3 QP's winning pattern, tried first next round
     for k in range(rounds):
         losses = np.asarray(task.relaxed_losses(x), dtype=np.float64)
         if not np.all(np.isfinite(losses)):
@@ -240,7 +241,7 @@ def inner_descent(
         elif anchor is None:
             direction = np.zeros(x.params.size)
         else:
-            solution = qp._solve(grads, anchor, active)
+            solution, hint = qp._solve(grads, anchor, active, hint)
             if solution.degenerate:
                 direction = np.zeros(x.params.size)
             else:

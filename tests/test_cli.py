@@ -185,6 +185,25 @@ def test_unknown_task_is_rejected_by_the_parser(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # there is no --m flag: read as --mode, this ran the baseline
+        ["run", "--task", "surrogate", "--m", "ls", "-T", "2", "-K", "2", "-C", "2"],
+        ["run", "--task", "synthetic", "--budg", "8"],
+        ["scan", "--task", "synthetic", "--weights-f", "w.csv"],
+        ["selftest", "--filt", "qp"],
+    ],
+)
+def test_abbreviated_flags_are_rejected_by_the_parser(tmp_path, capsys, argv):
+    out = [] if argv[0] == "selftest" else ["-o", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_output_directory_is_a_config_error(capsys):
     assert main(["run", "--task", "synthetic", "-T", "2", "-K", "2", "-C", "2"]) == 1
     assert "output directory" in capsys.readouterr().err
@@ -411,20 +430,35 @@ _GOLDEN_ARGS = {
         "scan", "--task", "synthetic", "--n", "6", "-T", "4", "-K", "5",
         "-C", "4", "--eta", "0.05", "--seed", "17", "--weights", "6",
     ],
+    # the m >= 3 QP path: m = 3 and m = 4
+    "scan-ngram-uni": [
+        "scan", "--task", "ngram-uni", "-T", "4", "-K", "5", "-C", "4",
+        "--seed", "17", "--weights", "6",
+    ],
+    "scan-surrogate-m4": [
+        "scan", "--config", str(GOLDEN / "scan-surrogate-m4" / "config.json"),
+        "--weights", "4",
+    ],
 }
 
 
 @pytest.mark.parametrize(
     "command, names",
-    [("run", ("trajectory.csv", "theory.json")), ("scan", ("archive.csv",))],
+    [
+        ("run", ("trajectory.csv", "theory.json")),
+        ("scan", ("archive.csv",)),
+        ("scan-ngram-uni", ("archive.csv",)),
+        ("scan-surrogate-m4", ("archive.csv",)),
+    ],
 )
 def test_artifacts_match_golden_bytes(tmp_path, command, names):
     """Artifacts equal, byte for byte, those in ``tests/data/golden``.
 
-    The golden files were written by commit 403d519, before the inner loop
-    stopped re-validating its vectors, with numpy 2.4.6 on Python 3.11
-    (x86-64); ``metrics.json`` is kept without its ``wallclock_ms``.  Another
-    numpy or BLAS build may change the last digits.
+    The ``run`` and ``scan`` files were written by commit 403d519, before the
+    inner loop stopped re-validating its vectors, and the two m >= 3 scans by
+    commit 994d378, before the m >= 3 QP was warm-started; all with numpy
+    2.4.6 on Python 3.11 (x86-64).  ``metrics.json`` is kept without its
+    ``wallclock_ms``.  Another numpy or BLAS build may change the last digits.
     """
     out = tmp_path / command
     assert main(_GOLDEN_ARGS[command] + ["-o", str(out)]) == 0

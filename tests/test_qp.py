@@ -217,3 +217,103 @@ def test_solve_qp_realistic_balance_instances():
         if not sol.infeasible:
             slack = (G.T @ G) @ sol.beta
             assert float(np.min(slack[active])) >= -1e-8
+
+
+# ---------------------------------------------------------------------------
+# warm start: one certified pattern in place of the enumeration (m >= 3)
+# ---------------------------------------------------------------------------
+
+
+def _instance(seed, m):
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(int(rng.integers(m, 9)), m))
+    act = np.flatnonzero(rng.random(m) < 0.6)
+    return G, rng.normal(size=m), act
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 10**9), st.integers(3, 4))
+def test_winning_pattern_certifies_the_enumerated_beta(seed, m):
+    G, a, act = _instance(seed, m)
+    M = G.T @ G
+    sol, pattern = qp._solve_enumerated(M, a, act)
+    if pattern is None:
+        assert sol.infeasible
+        return
+    certified = qp._solve_certified(M, a, act, pattern)
+    assert certified is not None
+    assert np.array_equal(certified.beta, sol.beta)
+    hinted, hint = qp._solve(G, a, act, (act, pattern))
+    assert np.array_equal(hinted.beta, sol.beta)
+    assert not hinted.infeasible and not hinted.degenerate
+    assert hint[1] is pattern
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_wrong_patterns_fall_back_to_the_enumeration(m):
+    for seed in range(40):
+        G, a, act = _instance(seed, m)
+        M = G.T @ G
+        sol, pattern = qp._solve_enumerated(M, a, act)
+        assert pattern is not None
+        for other in qp._patterns(m, m + act.size)[1]:
+            if np.array_equal(other, pattern):
+                continue
+            assert qp._solve_certified(M, a, act, other) is None
+            hinted, hint = qp._solve(G, a, act, (act, other))
+            assert np.array_equal(hinted.beta, sol.beta)
+            assert np.array_equal(hint[1], pattern)
+
+
+def test_pattern_from_another_active_set_is_not_tried(monkeypatch):
+    G, a, act = _instance(3, 4)
+    sol, pattern = qp._solve_enumerated(G.T @ G, a, act)
+    tried = []
+    monkeypatch.setattr(qp, "_solve_certified", lambda *args: tried.append(args))
+    other_act = np.setdiff1d(np.arange(4), act)
+    hinted, hint = qp._solve(G, a, act, (other_act, pattern))
+    assert tried == []
+    assert np.array_equal(hinted.beta, sol.beta)
+    assert hint[0] is act and np.array_equal(hint[1], pattern)
+
+
+def test_wrong_multiplier_sign_falls_back():
+    # M = I and a on the simplex: the optimum is a itself, inside the simplex.
+    # Holding beta_0 = 0 gives a feasible point whose bound multiplier has
+    # the wrong sign (the objective would rather raise beta_0).
+    G, a, act = np.eye(3), np.array([0.5, 0.3, 0.2]), np.arange(3)
+    M = G.T @ G
+    sol, pattern = qp._solve_enumerated(M, a, act)
+    assert pattern.size == 0 and sol.beta == pytest.approx(a, abs=1e-15)
+    bound = np.array([0])
+    Q2, c2, rows = qp._qp_data(M, a, act)
+    beta, nu = qp._kkt_points(Q2, c2, rows, bound[None])
+    assert beta[0] == pytest.approx([0.0, 0.55, 0.45], abs=1e-12)
+    assert nu[0, 1] > 0.0
+    assert qp._solve_certified(M, a, act, bound) is None
+    hinted, hint = qp._solve(G, a, act, (act, bound))
+    assert np.array_equal(hinted.beta, sol.beta)
+    assert hint[1] is pattern
+
+
+def test_infeasible_enumeration_gives_no_hint():
+    # At |G| ~ 1e6 the slack rows can fail the absolute KKT residual
+    # tolerance, so no pattern meets the J constraints and the bound-only
+    # fallback wins.
+    rng = np.random.default_rng(0)
+    G, a, act = rng.normal(size=(4, 3)) * 1e6, rng.normal(size=3) * 1e12, np.arange(3)
+    sol, pattern = qp._solve_enumerated(G.T @ G, a, act)
+    assert sol.infeasible and pattern is None
+    some = qp._patterns(3, 6)[1][1]
+    hinted, hint = qp._solve(G, a, act, (act, some))
+    assert hint is None
+    assert hinted.infeasible and np.array_equal(hinted.beta, sol.beta)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_small_m_never_hints(m):
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        G = rng.normal(size=(4, m))
+        assert qp._solve(G, rng.normal(size=m), np.arange(m))[1] is None
+    assert qp._solve(np.zeros((4, 3)), np.zeros(3), np.arange(3))[1] is None
