@@ -2,9 +2,9 @@
 
 One hidden tanh layer, per-head sigmoid outputs.  The net is trained once on
 oracle-labeled bit vectors via full-batch gradient descent and then frozen;
-afterwards it serves a single purpose: supplying input-space gradients of the
-per-head binary cross-entropy so the descent loop can move through the
-relaxed space without touching the oracle.
+afterwards it serves a single purpose: supplying the per-head binary
+cross-entropies and their input-space gradients so the descent loop can move
+through the relaxed space without touching the oracle.
 
 Cross-entropy is computed from logits (softplus form), so losses and
 gradients stay finite for any parameter scale.
@@ -77,13 +77,6 @@ class DualPathNet:
         self.w2 = rng.standard_normal((n_heads, n_hidden)) / np.sqrt(n_hidden)
         self.b2 = np.zeros(n_heads)
         self.frozen = False
-        self.final_loss: float | None = None
-
-    def logits(self, x) -> np.ndarray:
-        """Pre-sigmoid head activations for a single input vector."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        H = np.tanh(x[None, :] @ self.w1.T + self.b1)
-        return (H @ self.w2.T + self.b2)[0]
 
     def _loss_and_grads(self, X: np.ndarray, Y: np.ndarray, work: _Workspace) -> float:
         """Training loss at the current parameters; gradients land in ``work.grads``.
@@ -122,23 +115,21 @@ class DualPathNet:
         np.sum(dH, axis=0, out=gb1)
         return loss
 
-    def train(self, X, Y, epochs: int, rate: float = 1e-2) -> list[float]:
+    def train(self, X, Y, epochs: int, rate: float = 1e-2) -> None:
         """Full-batch gradient descent; freezes the net afterwards.
 
         Args:
-            X: (B, n_inputs) training inputs, B >= 1.
-            Y: (B, n_heads) targets in [0, 1].
+            X: (B, n_inputs) finite training inputs, B >= 1.
+            Y: (B, n_heads) finite targets in [0, 1].
             epochs: Gradient steps, a non-negative int; zero leaves
                 parameters untouched.
             rate: Step size, finite and positive.
 
-        Returns:
-            Per-epoch training losses (values before each step).
-
         Raises:
             FrozenNetError: If the net was trained already.
-            ValueError: If an argument has the wrong shape, type or range.
-            DivergenceError: If the loss turns non-finite.
+            ValueError: If an argument has the wrong shape, type or range,
+                or ``X`` or ``Y`` holds a non-finite value.
+            DivergenceError: If the loss or a parameter turns non-finite.
         """
         if self.frozen:
             raise FrozenNetError("net is immutable after training")
@@ -149,10 +140,14 @@ class DualPathNet:
             raise ValueError(
                 f"X must have shape (B, {n_inputs}) with B >= 1, got {X.shape}"
             )
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X must be finite")
         if Y.shape != (X.shape[0], n_heads):
             raise ValueError(
                 f"Y must have shape ({X.shape[0]}, {n_heads}), got {Y.shape}"
             )
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("Y must be finite")
         if (
             isinstance(epochs, bool)
             or not isinstance(epochs, numbers.Integral)
@@ -166,33 +161,32 @@ class DualPathNet:
         ):
             raise ValueError(f"rate must be finite and positive, got {rate!r}")
         work = _Workspace(self, X.shape[0])
-        curve: list[float] = []
+        params = (self.w1, self.b1, self.w2, self.b2)
         for _ in range(epochs):
             loss = self._loss_and_grads(X, Y, work)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     "training loss is non-finite; use a smaller rate"
                 )
-            curve.append(loss)
-            for param, grad in zip((self.w1, self.b1, self.w2, self.b2), work.grads):
+            for param, grad in zip(params, work.grads):
                 grad *= rate
                 param -= grad
-        final = self._loss_and_grads(X, Y, work)
-        if not math.isfinite(final):
-            raise DivergenceError("training loss is non-finite; use a smaller rate")
+        if not all(np.all(np.isfinite(param)) for param in params):
+            raise DivergenceError("a trained parameter is non-finite; use a smaller rate")
         self.frozen = True
-        self.final_loss = final
-        return curve
 
-    def input_gradients(self, x) -> np.ndarray:
-        """Per-head cross-entropy gradients with respect to the input.
+    def losses_and_gradients(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Per-head cross-entropies (target 1) and their input gradients.
 
-        Column i is d BCE(yhat_i, 1) / dx: every head is pushed up.  Pure:
-        never mutates parameters.
+        One forward pass gives both: the losses softplus(-z) = -log
+        sigmoid(z) of the head logits z, and the (n_inputs, n_heads) matrix
+        whose column i is d BCE(yhat_i, 1) / dx, so every head is pushed up.
+        Pure: never mutates parameters.
         """
         x = np.asarray(x, dtype=np.float64).ravel()
         h = np.tanh(self.w1 @ x + self.b1)
-        yhat = _sigmoid(self.w2 @ h + self.b2)
+        z = self.w2 @ h + self.b2
+        yhat = _sigmoid(z)
         # d bce_i / dz_i = yhat_i - 1;  dz_i/dx = W1^T (w2[i] * (1 - h^2))
         back = (self.w2 * (1.0 - h * h)) @ self.w1  # (heads, n_inputs)
-        return ((yhat - 1.0)[:, None] * back).T
+        return np.logaddexp(0.0, -z), ((yhat - 1.0)[:, None] * back).T

@@ -7,6 +7,11 @@ relaxation along non-dominating (or fixed linear-scalarization) directions;
 discretization then evaluates a small batch of nearby candidates with the
 oracle and keeps the one with the smallest weighted relative max.
 
+The inner loop asks the task for its losses and gradients in one
+``losses_and_gradients`` call per round, always on a point that the task's
+own ``clamp`` made.  The task may therefore trust the point's shape and
+feasibility and skip re-validating it; the loop checks what comes back.
+
 Oracle accounting: one discrete evaluation costs m calls (one per objective).
 """
 
@@ -23,7 +28,6 @@ from .core import DimensionMismatchError, as_objectives, as_weights
 __all__ = [
     "Box",
     "SimplexRows",
-    "Unconstrained",
     "RelaxedPoint",
     "TaskContract",
     "InvalidRelaxationError",
@@ -82,20 +86,12 @@ class SimplexRows:
         return qp.project_simplex(params.reshape(self.rows, self.cols)).ravel()
 
 
-@dataclass(frozen=True)
-class Unconstrained:
-    """No feasible-region restriction."""
-
-    def project(self, params: np.ndarray) -> np.ndarray:
-        return params
-
-
 @dataclass
 class RelaxedPoint:
     """Continuous parameters plus the feasible region they live in."""
 
     params: np.ndarray
-    region: Box | SimplexRows | Unconstrained
+    region: Box | SimplexRows
 
     def __post_init__(self) -> None:
         self.params = np.asarray(self.params, dtype=np.float64).ravel()
@@ -138,12 +134,11 @@ class TaskContract(abc.ABC):
         """Embed a discrete candidate into the continuous search space."""
 
     @abc.abstractmethod
-    def relaxed_losses(self, point: RelaxedPoint) -> np.ndarray:
-        """Differentiable losses at a relaxed point."""
+    def losses_and_gradients(self, point: RelaxedPoint) -> tuple[np.ndarray, np.ndarray]:
+        """Differentiable losses and their (n, m) gradient matrix at ``point``.
 
-    @abc.abstractmethod
-    def gradients(self, point: RelaxedPoint) -> np.ndarray:
-        """(n, m) matrix of per-objective gradients at a relaxed point."""
+        ``point`` comes from :meth:`clamp`, so it lies in the feasible region.
+        """
 
     @abc.abstractmethod
     def neighborhood_discretize(self, point: RelaxedPoint, count: int, rng) -> list:
@@ -218,10 +213,11 @@ def inner_descent(
     max_norm = 0.0
     hint = None  # the last m >= 3 QP's winning pattern, tried first next round
     for k in range(rounds):
-        losses = np.asarray(task.relaxed_losses(x), dtype=np.float64)
+        losses, grads = task.losses_and_gradients(x)
+        losses = np.asarray(losses, dtype=np.float64)
         if not np.all(np.isfinite(losses)):
             raise NumericalFailureError("non-finite relaxed losses", k)
-        grads = np.asarray(task.gradients(x), dtype=np.float64)
+        grads = np.asarray(grads, dtype=np.float64)
         if not np.all(np.isfinite(grads)):
             raise NumericalFailureError("non-finite gradients", k)
         if np.any(losses < 0.0):

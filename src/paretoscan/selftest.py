@@ -24,7 +24,7 @@ import numpy as np
 from . import qp
 from .metrics import hypervolume, hypervolume_monte_carlo
 from .net import DualPathNet
-from .tasks import ngram_gradients, synthetic_gradients, synthetic_losses
+from .tasks import ngram_gradients, synthetic_losses, synthetic_losses_and_gradients
 from .weights import weight_grid, weights_2d, weights_3d, weights_4d
 
 __all__ = [
@@ -192,7 +192,7 @@ def _check_grad(rng: np.random.Generator) -> SelfTestRow:
 
     for _ in range(3):
         x = rng.uniform(-0.4, 0.4, 8)
-        analytic = synthetic_gradients(x)
+        analytic = synthetic_losses_and_gradients(x)[1]
         fd = _fd_columns(synthetic_losses, x, 2, 1e-6)
         worst = max(worst, float(np.abs(analytic - fd).max() / np.abs(fd).max()))
 
@@ -220,12 +220,8 @@ def _check_grad(rng: np.random.Generator) -> SelfTestRow:
     net.train(X, Y, epochs=40, rate=0.1)
     for _ in range(3):
         x = rng.random(6)
-        analytic = net.input_gradients(x)
-
-        def bce(xx: np.ndarray) -> np.ndarray:
-            return np.logaddexp(0.0, -net.logits(xx))
-
-        fd = _fd_columns(bce, x, 2, 1e-6)
+        analytic = net.losses_and_gradients(x)[1]
+        fd = _fd_columns(lambda xx: net.losses_and_gradients(xx)[0], x, 2, 1e-6)
         worst = max(worst, float(np.abs(analytic - fd).max() / np.abs(fd).max()))
 
     passed = worst <= 1e-5

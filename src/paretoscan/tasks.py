@@ -33,7 +33,7 @@ __all__ = [
     "SurrogateTask",
     "SigmoidOracle",
     "synthetic_losses",
-    "synthetic_gradients",
+    "synthetic_losses_and_gradients",
     "synthetic_true_front",
     "ngram_losses",
     "ngram_gradients",
@@ -93,29 +93,24 @@ def default_eta(task_name: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _wells(x) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[float, ...]]:
+    """Losses of the two wells, with the offsets x -+ c and their exponentials."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    c = np.full(x.size, 1.0 / math.sqrt(x.size))
+    offsets = (x - c, x + c)
+    factors = tuple(math.exp(-float(d @ d)) for d in offsets)
+    return np.array([1.0 - e for e in factors]), offsets, factors
+
+
 def synthetic_losses(x) -> np.ndarray:
     """Two-objective losses 1 - exp(-||x -+ c||^2) with c = ones/sqrt(n)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    c = np.full(x.size, 1.0 / math.sqrt(x.size))
-    d_plus = x - c
-    d_minus = x + c
-    return np.array(
-        [
-            1.0 - math.exp(-float(d_plus @ d_plus)),
-            1.0 - math.exp(-float(d_minus @ d_minus)),
-        ]
-    )
+    return _wells(x)[0]
 
 
-def synthetic_gradients(x) -> np.ndarray:
-    """(n, 2) gradient matrix of :func:`synthetic_losses`."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    c = np.full(x.size, 1.0 / math.sqrt(x.size))
-    d_plus = x - c
-    d_minus = x + c
-    g1 = 2.0 * d_plus * math.exp(-float(d_plus @ d_plus))
-    g2 = 2.0 * d_minus * math.exp(-float(d_minus @ d_minus))
-    return np.stack([g1, g2], axis=1)
+def synthetic_losses_and_gradients(x) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`synthetic_losses` and their (n, 2) gradient matrix."""
+    losses, offsets, factors = _wells(x)
+    return losses, np.stack([2.0 * d * e for d, e in zip(offsets, factors)], axis=1)
 
 
 def synthetic_true_front(samples: int = 200) -> np.ndarray:
@@ -163,11 +158,8 @@ class SyntheticTask(TaskContract):
     def relax(self, candidate) -> RelaxedPoint:
         return RelaxedPoint(self._coords(candidate), Box(-_SYNTHETIC_BOUND, _SYNTHETIC_BOUND))
 
-    def relaxed_losses(self, point: RelaxedPoint) -> np.ndarray:
-        return synthetic_losses(point.params)
-
-    def gradients(self, point: RelaxedPoint) -> np.ndarray:
-        return synthetic_gradients(point.params)
+    def losses_and_gradients(self, point: RelaxedPoint) -> tuple[np.ndarray, np.ndarray]:
+        return synthetic_losses_and_gradients(point.params)
 
     def _snap(self, params: np.ndarray) -> np.ndarray:
         idx = np.rint(params / self.grid_step).astype(np.int64)
@@ -233,7 +225,11 @@ def ngram_losses(sequence_or_matrix, mode: str = "unigram", l_max: int = 8) -> n
     pair count).  For a relaxed matrix the counts are expectations, with
     bigram expectations factorized across adjacent rows.
     """
-    P = _as_matrix(sequence_or_matrix, l_max)
+    return _ngram_losses(_as_matrix(sequence_or_matrix, l_max), mode, l_max)
+
+
+def _ngram_losses(P: np.ndarray, mode: str, l_max: int) -> np.ndarray:
+    """:func:`ngram_losses` of a matrix already known to be valid."""
     if mode == "unigram":
         counts = P.sum(axis=0)
         return 1.0 - counts / l_max
@@ -253,17 +249,28 @@ def ngram_losses(sequence_or_matrix, mode: str = "unigram", l_max: int = 8) -> n
 def ngram_gradients(P, mode: str = "unigram", l_max: int = 8) -> np.ndarray:
     """(3 * l_max, 3) gradient matrix of :func:`ngram_losses` w.r.t. flat P."""
     P = _as_matrix(P, l_max)
-    grads = np.zeros((l_max, 3, 3))  # position, symbol, objective
     if mode == "unigram":
-        for a, sym in enumerate(_UNIGRAM_TARGETS):
-            grads[:, _CHAR_INDEX[sym], a] = -1.0 / l_max
-    elif mode == "bigram":
-        for k, (a, b) in enumerate(_BIGRAM_TARGETS):
-            ia, ib = _CHAR_INDEX[a], _CHAR_INDEX[b]
-            grads[:-1, ia, k] -= P[1:, ib] / (l_max - 1)
-            grads[1:, ib, k] -= P[:-1, ia] / (l_max - 1)
-    else:
-        raise ValueError(f"unknown n-gram mode {mode!r}")
+        return _unigram_gradients(l_max)
+    if mode == "bigram":
+        return _bigram_gradients(P, l_max)
+    raise ValueError(f"unknown n-gram mode {mode!r}")
+
+
+def _unigram_gradients(l_max: int) -> np.ndarray:
+    """The unigram gradient matrix, which does not depend on P."""
+    grads = np.zeros((l_max, 3, 3))  # position, symbol, objective
+    for a, sym in enumerate(_UNIGRAM_TARGETS):
+        grads[:, _CHAR_INDEX[sym], a] = -1.0 / l_max
+    return grads.reshape(3 * l_max, 3)
+
+
+def _bigram_gradients(P: np.ndarray, l_max: int) -> np.ndarray:
+    """The bigram gradient matrix at a matrix already known to be valid."""
+    grads = np.zeros((l_max, 3, 3))  # position, symbol, objective
+    for k, (a, b) in enumerate(_BIGRAM_TARGETS):
+        ia, ib = _CHAR_INDEX[a], _CHAR_INDEX[b]
+        grads[:-1, ia, k] -= P[1:, ib] / (l_max - 1)
+        grads[1:, ib, k] -= P[:-1, ia] / (l_max - 1)
     return grads.reshape(3 * l_max, 3)
 
 
@@ -280,6 +287,10 @@ class NGramTask(TaskContract):
             raise ValueError("l_max must be at least 2")
         self.mode = mode
         self.l_max = l_max
+        # the unigram gradient is the same at every point: build it once
+        self._unigram_grads = _unigram_gradients(l_max) if mode == "unigram" else None
+        if self._unigram_grads is not None:
+            self._unigram_grads.flags.writeable = False
 
     def _discrete_losses(self, candidate) -> np.ndarray:
         return ngram_losses(candidate, self.mode, self.l_max)
@@ -291,11 +302,12 @@ class NGramTask(TaskContract):
     def _matrix(self, point: RelaxedPoint) -> np.ndarray:
         return point.params.reshape(self.l_max, 3)
 
-    def relaxed_losses(self, point: RelaxedPoint) -> np.ndarray:
-        return ngram_losses(self._matrix(point), self.mode, self.l_max)
-
-    def gradients(self, point: RelaxedPoint) -> np.ndarray:
-        return ngram_gradients(self._matrix(point), self.mode, self.l_max)
+    def losses_and_gradients(self, point: RelaxedPoint) -> tuple[np.ndarray, np.ndarray]:
+        P = self._matrix(point)
+        losses = _ngram_losses(P, self.mode, self.l_max)
+        if self._unigram_grads is not None:
+            return losses, self._unigram_grads
+        return losses, _bigram_gradients(P, self.l_max)
 
     def neighborhood_discretize(self, point: RelaxedPoint, count: int, rng) -> list:
         if count < 1:
@@ -418,12 +430,8 @@ class SurrogateTask(TaskContract):
             np.asarray(candidate, dtype=np.float64), Box(0.0, 1.0)
         )
 
-    def relaxed_losses(self, point: RelaxedPoint) -> np.ndarray:
-        z = self.net.logits(point.params)
-        return np.logaddexp(0.0, -z)  # -log sigmoid(z), per head
-
-    def gradients(self, point: RelaxedPoint) -> np.ndarray:
-        return self.net.input_gradients(point.params)
+    def losses_and_gradients(self, point: RelaxedPoint) -> tuple[np.ndarray, np.ndarray]:
+        return self.net.losses_and_gradients(point.params)
 
     def neighborhood_discretize(self, point: RelaxedPoint, count: int, rng) -> list:
         if count < 1:

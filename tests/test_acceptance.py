@@ -33,8 +33,8 @@ from paretoscan.tasks import (
     SyntheticTask,
     make_task,
     ngram_gradients,
-    synthetic_gradients,
     synthetic_losses,
+    synthetic_losses_and_gradients,
     synthetic_true_front,
 )
 from paretoscan.weights import weight_grid, weights_2d
@@ -368,7 +368,8 @@ def test_08_analytic_gradients_match_finite_differences(capsys):
     err = 0.0
     for _ in range(20):
         x = rng.uniform(-0.4, 0.4, size=8)
-        err = max(err, _rel_err(synthetic_gradients(x), _fd_columns(synthetic_losses, x, 2)))
+        G = synthetic_losses_and_gradients(x)[1]
+        err = max(err, _rel_err(G, _fd_columns(synthetic_losses, x, 2)))
     worst["synthetic"] = err
 
     def raw_ngram(mode, l_max):
@@ -397,8 +398,8 @@ def test_08_analytic_gradients_match_finite_differences(capsys):
     for k in range(20):
         net = DualPathNet(5, 6, 2, seed=k)
         x = rng.uniform(0.0, 1.0, size=5)
-        fd = _fd_columns(lambda v: np.logaddexp(0.0, -net.logits(v)), x, 2)
-        err = max(err, _rel_err(net.input_gradients(x), fd))
+        fd = _fd_columns(lambda v: net.losses_and_gradients(v)[0], x, 2)
+        err = max(err, _rel_err(net.losses_and_gradients(x)[1], fd))
     worst["net-input"] = err
 
     err = 0.0

@@ -439,6 +439,14 @@ _GOLDEN_ARGS = {
         "scan", "--config", str(GOLDEN / "scan-surrogate-m4" / "config.json"),
         "--weights", "4",
     ],
+    # the bigram relaxation, whose gradient depends on the point; seed 17's
+    # trajectory keeps its start, seed 1's moves
+    "run-ngram-bi": [
+        "run", "--task", "ngram-bi", "-T", "5", "-K", "5", "-C", "4", "--seed", "17",
+    ],
+    "run-ngram-bi-1": [
+        "run", "--task", "ngram-bi", "-T", "5", "-K", "5", "-C", "4", "--seed", "1",
+    ],
 }
 
 
@@ -449,15 +457,19 @@ _GOLDEN_ARGS = {
         ("scan", ("archive.csv",)),
         ("scan-ngram-uni", ("archive.csv",)),
         ("scan-surrogate-m4", ("archive.csv",)),
+        ("run-ngram-bi", ("trajectory.csv", "theory.json")),
+        ("run-ngram-bi-1", ("trajectory.csv", "theory.json")),
     ],
 )
 def test_artifacts_match_golden_bytes(tmp_path, command, names):
     """Artifacts equal, byte for byte, those in ``tests/data/golden``.
 
     The ``run`` and ``scan`` files were written by commit 403d519, before the
-    inner loop stopped re-validating its vectors, and the two m >= 3 scans by
-    commit 994d378, before the m >= 3 QP was warm-started; all with numpy
-    2.4.6 on Python 3.11 (x86-64).  ``metrics.json`` is kept without its
+    inner loop stopped re-validating its vectors, the two m >= 3 scans by
+    commit 994d378, before the m >= 3 QP was warm-started, and the
+    two ``run-ngram-bi`` runs by commit f843aa2, before the tasks' losses and
+    gradients became one call per round; all with numpy 2.4.6 on Python 3.11
+    (x86-64).  ``metrics.json`` is kept without its
     ``wallclock_ms``.  Another numpy or BLAS build may change the last digits.
     """
     out = tmp_path / command

@@ -1,4 +1,4 @@
-"""Two-layer surrogate net: logits, gradients, training, checkpoints."""
+"""Two-layer surrogate net: head losses, gradients, training, checkpoints."""
 
 import hashlib
 import math
@@ -24,8 +24,8 @@ def _zeroed(n, h, m):
 
 def test_zero_parameters_give_indifferent_heads():
     net = _zeroed(4, 3, 2)
-    assert net.logits([1.0, -1.0, 0.5, 0.0]) == pytest.approx([0.0, 0.0])
-    grads = net.input_gradients([1.0, -1.0, 0.5, 0.0])
+    losses, grads = net.losses_and_gradients([1.0, -1.0, 0.5, 0.0])
+    assert losses == pytest.approx([math.log(2.0)] * 2)  # zero logits
     assert grads.shape == (4, 2)
     assert np.all(grads == 0.0)
 
@@ -38,10 +38,11 @@ def test_single_unit_hand_computation():
     net.b2 = np.array([-0.3])
     h = math.tanh(2.0 * 0.4 + 0.5)
     z = 1.5 * h - 0.3
-    assert net.logits([0.4])[0] == pytest.approx(z, abs=1e-15)
-    # default target 1: d/dx of -log sigmoid(z(x))
+    losses, grads = net.losses_and_gradients([0.4])
+    # default target 1: -log sigmoid(z(x)) and its derivative in x
+    assert losses[0] == pytest.approx(math.log1p(math.exp(-z)), abs=1e-15)
     want = (1.0 / (1.0 + math.exp(-z)) - 1.0) * 1.5 * (1.0 - h * h) * 2.0
-    assert net.input_gradients([0.4])[0, 0] == pytest.approx(want, abs=1e-14)
+    assert grads[0, 0] == pytest.approx(want, abs=1e-14)
 
 
 def test_loss_kernel_matches_manual_cross_entropy():
@@ -50,7 +51,8 @@ def test_loss_kernel_matches_manual_cross_entropy():
     Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     total = 0.0
     for x, y in zip(X, Y):
-        p = 1.0 / (1.0 + np.exp(-net.logits(x)))
+        z = net.w2 @ np.tanh(net.w1 @ x + net.b1) + net.b2
+        p = 1.0 / (1.0 + np.exp(-z))
         total += float(np.sum(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
     assert _loss(net, X, Y) == pytest.approx(total / 3, abs=1e-10)
 
@@ -81,15 +83,13 @@ def test_loss_kernel_gradients_match_finite_differences():
 def test_input_gradients_match_finite_differences():
     net = DualPathNet(5, 6, 3, seed=3)
     x = np.random.default_rng(4).uniform(0, 1, size=5)
-    grads = net.input_gradients(x)  # every head targets 1: bce = softplus(-z)
+    grads = net.losses_and_gradients(x)[1]  # every head targets 1: bce = softplus(-z)
     eps = 1e-6
     for i in range(5):
         up, dn = x.copy(), x.copy()
         up[i] += eps
         dn[i] -= eps
-        fd = (np.logaddexp(0.0, -net.logits(up)) - np.logaddexp(0.0, -net.logits(dn))) / (
-            2 * eps
-        )
+        fd = (net.losses_and_gradients(up)[0] - net.losses_and_gradients(dn)[0]) / (2 * eps)
         assert grads[i] == pytest.approx(fd, abs=1e-8)
 
 
@@ -98,12 +98,10 @@ def test_train_reduces_loss_and_freezes():
     X = rng.integers(0, 2, size=(32, 4)).astype(float)
     Y = np.stack([X[:, 0], 1.0 - X[:, 1]], axis=1)
     net = DualPathNet(4, 8, 2, seed=5)
-    curve = net.train(X, Y, epochs=200, rate=0.5)
-    assert len(curve) == 200
-    assert curve[-1] < curve[0]
+    before = _loss(net, X, Y)
+    assert net.train(X, Y, epochs=200, rate=0.5) is None
+    assert _loss(net, X, Y) < before
     assert net.frozen
-    assert net.final_loss == pytest.approx(_loss(net, X, Y))
-    assert net.final_loss < curve[-1] + 1e-12
     with pytest.raises(FrozenNetError):
         net.train(X, Y, epochs=1)
 
@@ -206,25 +204,44 @@ def test_train_zero_epochs_freezes_without_stepping():
     w1_before = net.w1.copy()
     X = np.ones((4, 3))
     Y = np.ones((4, 1))
-    curve = net.train(X, Y, epochs=0)
-    assert curve == []
+    net.train(X, Y, epochs=0)
     assert np.array_equal(net.w1, w1_before)
     assert net.frozen
-    assert net.final_loss == pytest.approx(_loss(net, X, Y))
 
 
 def test_train_raises_on_non_finite_loss():
+    # finite data, but a step so large that the third epoch's loss overflows
     net = DualPathNet(2, 2, 1, seed=0)
-    X = np.ones((2, 2))
-    Y = np.array([[np.nan], [1.0]])
-    with pytest.raises(DivergenceError):
-        net.train(X, Y, epochs=3)
+    X = np.eye(2)
+    Y = np.array([[0.0], [1.0]])
+    with pytest.raises(DivergenceError, match="loss"), np.errstate(all="ignore"):
+        net.train(X, Y, epochs=3, rate=1e308)
+    assert not net.frozen
+
+
+def test_train_raises_on_non_finite_parameters_after_the_last_step():
+    # the loss before the only step is finite; the step overflows w1
+    net = DualPathNet(2, 2, 1, seed=0)
+    net.w1[:] = 0.0
+    with pytest.raises(DivergenceError, match="parameter"), np.errstate(all="ignore"):
+        net.train(np.full((1, 2), 1e3), np.zeros((1, 1)), epochs=1, rate=1e308)
+    assert not net.frozen
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["X", "Y"])
+def test_train_rejects_non_finite_data_even_without_epochs(name, bad):
+    net = DualPathNet(2, 2, 1, seed=0)
+    data = {"X": np.ones((2, 2)), "Y": np.ones((2, 1))}
+    data[name][1, 0] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        net.train(data["X"], data["Y"], epochs=0)
+    assert not net.frozen
 
 
 def test_checkpoint_of_untrained_net_stays_mutable():
     net = DualPathNet(2, 2, 2, seed=1)
     assert not net.frozen
-    assert net.final_loss is None
     net.train(np.ones((2, 2)), np.ones((2, 2)), epochs=1)  # does not raise
 
 

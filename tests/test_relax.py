@@ -11,11 +11,13 @@ from paretoscan.relax import (
     RelaxedPoint,
     SimplexRows,
     TaskContract,
-    Unconstrained,
     discretize_select,
     inner_descent,
 )
 from paretoscan.tasks import SyntheticTask
+
+#: The stub tasks' feasible region: the whole space.
+_FREE = Box(-np.inf, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -37,13 +39,8 @@ def test_simplex_rows_projection():
     assert out[1] == pytest.approx([1.0, 0.0, 0.0])
 
 
-def test_unconstrained_is_identity():
-    v = np.array([-9.0, 9.0])
-    assert Unconstrained().project(v) is v
-
-
 def test_relaxed_point_ravels_and_casts():
-    p = RelaxedPoint(np.array([[1, 2], [3, 4]]), Unconstrained())
+    p = RelaxedPoint(np.array([[1, 2], [3, 4]]), _FREE)
     assert p.params.shape == (4,)
     assert p.params.dtype == np.float64
 
@@ -63,29 +60,26 @@ class _StubTask(TaskContract):
         self.fail_grad_round = fail_grad_round
         self.fail_loss_round = fail_loss_round
         self.scripted = candidates
-        self.loss_calls = 0
-        self.grad_calls = 0
+        self.calls = 0
 
     def _discrete_losses(self, candidate):
         x = np.asarray(candidate, dtype=np.float64)
         return np.array([float(x @ x), float((x - 1.0) @ (x - 1.0))])
 
     def relax(self, candidate):
-        return RelaxedPoint(np.asarray(candidate, dtype=np.float64), Unconstrained())
+        return RelaxedPoint(np.asarray(candidate, dtype=np.float64), _FREE)
 
-    def relaxed_losses(self, point):
-        self.loss_calls += 1
-        if self.fail_loss_round is not None and self.loss_calls - 1 == self.fail_loss_round:
-            return np.array([np.nan, 1.0])
+    def losses_and_gradients(self, point):
+        k = self.calls
+        self.calls += 1
         x = point.params
-        return np.array([float(x @ x), float((x - 1.0) @ (x - 1.0))])
-
-    def gradients(self, point):
-        self.grad_calls += 1
-        if self.fail_grad_round is not None and self.grad_calls - 1 == self.fail_grad_round:
-            return np.full((point.params.size, 2), np.nan)
-        x = point.params
-        return np.stack([2.0 * x, 2.0 * (x - 1.0)], axis=1)
+        losses = np.array([float(x @ x), float((x - 1.0) @ (x - 1.0))])
+        grads = np.stack([2.0 * x, 2.0 * (x - 1.0)], axis=1)
+        if k == self.fail_loss_round:
+            losses = np.array([np.nan, 1.0])
+        if k == self.fail_grad_round:
+            grads = np.full((x.size, 2), np.nan)
+        return losses, grads
 
     def neighborhood_discretize(self, point, count, rng):
         if self.scripted is not None:
@@ -100,8 +94,9 @@ class _StubTask(TaskContract):
 
 
 class _ZeroGradTask(_StubTask):
-    def gradients(self, point):
-        return np.zeros((point.params.size, 2))
+    def losses_and_gradients(self, point):
+        losses, _ = super().losses_and_gradients(point)
+        return losses, np.zeros((point.params.size, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ def test_inner_descent_ls_mode_moves_too():
 
 def test_inner_descent_eta_zero_is_constant():
     task = _StubTask()
-    start = RelaxedPoint(np.array([0.4, 0.7]), Unconstrained())
+    start = RelaxedPoint(np.array([0.4, 0.7]), _FREE)
     out = inner_descent(task, start, [1.0, 1.0], eta=0.0, rounds=5)
     assert out.point.params == pytest.approx([0.4, 0.7])
     assert len(out.trace) == 5
@@ -162,10 +157,40 @@ def test_inner_descent_eta_zero_is_constant():
 
 def test_inner_descent_converged_on_zero_gradients():
     task = _ZeroGradTask()
-    start = RelaxedPoint(np.array([0.4, 0.7]), Unconstrained())
+    start = RelaxedPoint(np.array([0.4, 0.7]), _FREE)
     out = inner_descent(task, start, [1.0, 1.0], eta=0.5, rounds=3)
     assert out.converged
     assert out.point.params == pytest.approx([0.4, 0.7])
+
+
+class _ClampWatch(_StubTask):
+    """Stub that records the points its clamp makes and the points it is asked about."""
+
+    def __init__(self):
+        super().__init__()
+        self.clamped = []
+        self.asked = []
+
+    def clamp(self, point):
+        out = super().clamp(point)
+        self.clamped.append(out)
+        return out
+
+    def losses_and_gradients(self, point):
+        self.asked.append(point)
+        return super().losses_and_gradients(point)
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+def test_inner_descent_asks_the_task_once_per_round_at_a_clamped_point(mode):
+    task = _ClampWatch()
+    inner_descent(
+        task, RelaxedPoint(np.array([0.4, 0.7]), _FREE), [1.0, 1.0],
+        eta=0.1, rounds=6, mode=mode,
+    )
+    assert task.calls == 6
+    # round k is asked about the point the k-th clamp made, not a copy
+    assert all(a is c for a, c in zip(task.asked, task.clamped))
 
 
 def test_inner_descent_rejects_unknown_mode():
@@ -173,7 +198,7 @@ def test_inner_descent_rejects_unknown_mode():
     with pytest.raises(ValueError):
         inner_descent(
             task,
-            RelaxedPoint(np.zeros(2), Unconstrained()),
+            RelaxedPoint(np.zeros(2), _FREE),
             [1.0, 1.0],
             eta=0.1,
             rounds=1,
@@ -186,7 +211,7 @@ def test_inner_descent_failure_carries_round_index():
     with pytest.raises(NumericalFailureError) as exc:
         inner_descent(
             task,
-            RelaxedPoint(np.array([0.4, 0.7]), Unconstrained()),
+            RelaxedPoint(np.array([0.4, 0.7]), _FREE),
             [1.0, 1.0],
             eta=0.1,
             rounds=10,
@@ -200,7 +225,7 @@ def test_inner_descent_failure_on_losses_at_first_round():
     with pytest.raises(NumericalFailureError) as exc:
         inner_descent(
             task,
-            RelaxedPoint(np.zeros(2), Unconstrained()),
+            RelaxedPoint(np.zeros(2), _FREE),
             [1.0, 1.0],
             eta=0.1,
             rounds=3,
@@ -213,11 +238,11 @@ def test_inner_descent_failure_on_losses_at_first_round():
 )
 def test_inner_descent_rejects_malformed_task_losses(losses, message):
     task = _StubTask()
-    task.relaxed_losses = lambda point: np.array(losses)
+    task.losses_and_gradients = lambda point: (np.array(losses), np.zeros((2, 2)))
     with pytest.raises(ValueError, match=message):
         inner_descent(
             task,
-            RelaxedPoint(np.zeros(2), Unconstrained()),
+            RelaxedPoint(np.zeros(2), _FREE),
             [1.0, 1.0],
             eta=0.1,
             rounds=2,
@@ -235,7 +260,7 @@ def test_discretize_select_minimizes_relative_max():
     # r_check: 0.5 -> 0.5, 0.1 -> 1.62, 0.9 -> 1.62
     task = _StubTask(candidates=cands)
     sel = discretize_select(
-        task, RelaxedPoint(np.zeros(2), Unconstrained()), [1.0, 1.0], 3,
+        task, RelaxedPoint(np.zeros(2), _FREE), [1.0, 1.0], 3,
         np.random.default_rng(0),
     )
     assert sel.candidate == pytest.approx([0.5, 0.5])
@@ -257,10 +282,7 @@ def test_discretize_select_tie_break_weighted_sum_then_order():
         def relax(self, candidate):
             raise NotImplementedError
 
-        def relaxed_losses(self, point):
-            raise NotImplementedError
-
-        def gradients(self, point):
+        def losses_and_gradients(self, point):
             raise NotImplementedError
 
         def neighborhood_discretize(self, point, count, rng):
@@ -279,7 +301,7 @@ def test_discretize_select_tie_break_weighted_sum_then_order():
     }
     task = _Scripted(table)
     sel = discretize_select(
-        task, RelaxedPoint(np.zeros(1), Unconstrained()), [1.0, 1.0], 3,
+        task, RelaxedPoint(np.zeros(1), _FREE), [1.0, 1.0], 3,
         np.random.default_rng(0),
     )
     assert sel.candidate == "b"
@@ -287,7 +309,7 @@ def test_discretize_select_tie_break_weighted_sum_then_order():
 
 def test_discretize_select_counts_oracle_calls():
     task = _StubTask()
-    point = RelaxedPoint(np.array([0.2, 0.2]), Unconstrained())
+    point = RelaxedPoint(np.array([0.2, 0.2]), _FREE)
     discretize_select(task, point, [1.0, 1.0], 4, np.random.default_rng(0))
     assert task.oracle_calls == 8  # 4 candidates x m=2
 
@@ -296,6 +318,6 @@ def test_discretize_select_empty_neighborhood_raises():
     task = _StubTask(candidates=[])
     with pytest.raises(ExhaustedNeighborhoodError):
         discretize_select(
-            task, RelaxedPoint(np.zeros(2), Unconstrained()), [1.0, 1.0], 2,
+            task, RelaxedPoint(np.zeros(2), _FREE), [1.0, 1.0], 2,
             np.random.default_rng(0),
         )

@@ -183,12 +183,12 @@ class _GradFailTask(SyntheticTask):
         self.fail_after = fail_after
         self.grad_calls = 0
 
-    def gradients(self, point):
+    def losses_and_gradients(self, point):
         self.grad_calls += 1
-        G = super().gradients(point)
+        losses, G = super().losses_and_gradients(point)
         if self.grad_calls > self.fail_after:
-            return G * np.nan
-        return G
+            return losses, G * np.nan
+        return losses, G
 
 
 def test_numerical_failure_returns_partial_result():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from paretoscan import tasks
 from paretoscan.net import _sigmoid
-from paretoscan.relax import Box, InvalidRelaxationError, SimplexRows
+from paretoscan.relax import Box, InvalidRelaxationError, RelaxedPoint, SimplexRows
 from paretoscan.tasks import (
     ALPHABET,
     NGramTask,
@@ -20,8 +20,8 @@ from paretoscan.tasks import (
     make_task,
     ngram_gradients,
     ngram_losses,
-    synthetic_gradients,
     synthetic_losses,
+    synthetic_losses_and_gradients,
     synthetic_true_front,
 )
 
@@ -64,7 +64,7 @@ def test_synthetic_losses_at_centers():
 def test_synthetic_gradients_closed_form_at_origin():
     n = 5
     c = np.full(n, 1.0 / math.sqrt(n))
-    G = synthetic_gradients(np.zeros(n))
+    G = synthetic_losses_and_gradients(np.zeros(n))[1]
     assert G.shape == (n, 2)
     assert G[:, 0] == pytest.approx(-2.0 * c * math.exp(-1.0))
     assert G[:, 1] == pytest.approx(2.0 * c * math.exp(-1.0))
@@ -75,7 +75,7 @@ def test_synthetic_gradients_closed_form_at_origin():
 def test_synthetic_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.4, 0.4, size=8)
-    G = synthetic_gradients(x)
+    G = synthetic_losses_and_gradients(x)[1]
     fd = _fd_columns(synthetic_losses, x, 2)
     assert np.max(np.abs(G - fd)) < 1e-8
 
@@ -169,7 +169,7 @@ def test_ngram_relaxation_is_lattice_exact(s, mode):
     task = NGramTask(mode=mode, l_max=6)
     point = task.relax(s)
     assert isinstance(point.region, SimplexRows)
-    assert task.relaxed_losses(point) == pytest.approx(
+    assert task.losses_and_gradients(point)[0] == pytest.approx(
         ngram_losses(s, mode, 6), abs=1e-15
     )
 
@@ -287,8 +287,10 @@ def test_surrogate_relaxed_losses_are_head_cross_entropies(small_surrogate):
     task = small_surrogate
     point = task.relax(np.array([1, 0, 1, 0, 1, 0, 1, 0]))
     assert isinstance(point.region, Box)
-    rel = task.relaxed_losses(point)
-    assert rel == pytest.approx(-np.log(_sigmoid(task.net.logits(point.params))), abs=1e-9)
+    rel = task.losses_and_gradients(point)[0]
+    net = task.net
+    z = net.w2 @ np.tanh(net.w1 @ point.params + net.b1) + net.b2
+    assert rel == pytest.approx(-np.log(_sigmoid(z)), abs=1e-9)
     assert np.all(rel >= 0.0)
 
 
@@ -299,10 +301,8 @@ def test_surrogate_gradients_match_finite_differences(small_surrogate):
         x = rng.uniform(0.2, 0.8, size=8)
         point = task.relax(x)
         point.params = x
-        G = task.gradients(point)
-        fd = _fd_columns(
-            lambda v: np.logaddexp(0.0, -task.net.logits(v)), x, 2
-        )
+        G = task.losses_and_gradients(point)[1]
+        fd = _fd_columns(lambda v: task.net.losses_and_gradients(v)[0], x, 2)
         assert np.max(np.abs(G - fd)) < 1e-7
 
 
@@ -310,8 +310,7 @@ def test_surrogate_descent_consumes_no_oracle_budget(small_surrogate):
     task = small_surrogate
     before = task.oracle_calls
     point = task.relax(np.array([1, 1, 0, 0, 1, 1, 0, 0]))
-    task.relaxed_losses(point)
-    task.gradients(point)
+    task.losses_and_gradients(point)
     assert task.oracle_calls == before
 
 
@@ -331,6 +330,63 @@ def test_surrogate_net_cache_reuses_training():
     assert a.net is b.net
     c = SurrogateTask(n_b=8, m=2, train_seed=4, epochs=400)
     assert c.net is not a.net
+
+
+# ---------------------------------------------------------------------------
+# one task call per round: the numbers of the public functions, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _clamped_points(task, rng, count=25):
+    """Seeded points as the inner loop meets them: a relaxed draw, moved, clamped."""
+    start = task.relax(task.random_candidate(rng))
+    return [
+        task.clamp(
+            RelaxedPoint(start.params + rng.normal(0.0, 0.5, start.params.size), start.region)
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", ["synthetic", "ngram-uni", "ngram-bi"])
+def test_closed_form_losses_and_gradients_equal_the_public_functions(name):
+    task = make_task(name)
+    for point in _clamped_points(task, np.random.default_rng(31)):
+        losses, grads = task.losses_and_gradients(point)
+        if name == "synthetic":
+            assert np.array_equal(losses, synthetic_losses(point.params))
+            want = synthetic_losses_and_gradients(point.params)
+        else:
+            P = point.params.reshape(task.l_max, 3)
+            want = (
+                ngram_losses(P, task.mode, task.l_max),
+                ngram_gradients(P, task.mode, task.l_max),
+            )
+        assert np.array_equal(losses, want[0])
+        assert np.array_equal(grads, want[1])
+        if name == "ngram-uni":  # the constant unigram gradient is shared
+            assert not grads.flags.writeable
+
+
+def _two_forward_passes(net, x):
+    """Head losses from a batched forward pass and input gradients from a
+    matrix-vector one, the way the net computed them in two separate calls."""
+    H = np.tanh(x[None, :] @ net.w1.T + net.b1)
+    z = (H @ net.w2.T + net.b2)[0]
+    h = np.tanh(net.w1 @ x + net.b1)
+    yhat = _sigmoid(net.w2 @ h + net.b2)
+    back = (net.w2 * (1.0 - h * h)) @ net.w1
+    return np.logaddexp(0.0, -z), ((yhat - 1.0)[:, None] * back).T
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_surrogate_losses_and_gradients_equal_two_forward_passes(m):
+    task = make_task("surrogate", m=m)
+    for point in _clamped_points(task, np.random.default_rng(32)):
+        losses, grads = task.losses_and_gradients(point)
+        want = _two_forward_passes(task.net, point.params)
+        assert np.array_equal(losses, want[0])
+        assert np.array_equal(grads, want[1])
 
 
 # ---------------------------------------------------------------------------
