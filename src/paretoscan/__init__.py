@@ -36,7 +36,6 @@ from .qp import (
 from .relax import (
     InvalidRelaxationError,
     NumericalFailureError,
-    RelaxedPoint,
     TaskContract,
     discretize_select,
     inner_descent,
@@ -66,7 +65,6 @@ __all__ = [
     "NGramTask",
     "NumericalFailureError",
     "ParetoArchive",
-    "RelaxedPoint",
     "RunConfig",
     "RunResult",
     "ScanResult",

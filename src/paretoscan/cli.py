@@ -111,10 +111,14 @@ def _parse_weights_flag(text: str) -> np.ndarray:
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise _ConfigError([f"config: file not found: {path}"])
+    except OSError as exc:
+        raise _ConfigError([f"config: cannot read {path}: {exc.strerror}"])
+    except UnicodeDecodeError:
+        raise _ConfigError([f"config: not UTF-8 text: {path}"])
     except json.JSONDecodeError as exc:
         raise _ConfigError([f"config: invalid JSON: {exc}"])
     if not isinstance(data, dict):
@@ -145,11 +149,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     if args.budget is not None:
         merged["oracle_budget"] = args.budget
     if args.weights is not None:
-        merged["weights"] = (
-            _parse_weights_flag(args.weights)
-            if isinstance(args.weights, str)
-            else args.weights
-        )
+        merged["weights"] = _parse_weights_flag(args.weights)
 
     params = dict(merged.get("task_params", {}))
     for name in _TASK_PARAM_FLAGS:
@@ -178,7 +178,10 @@ def _require_out(args: argparse.Namespace) -> Path:
     if not args.out:
         raise _ConfigError(["out: output directory (-o) is required"])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _ConfigError([f"out: cannot create directory {out}: {exc.strerror}"])
     return out
 
 

@@ -7,9 +7,13 @@ relaxation along non-dominating (or fixed linear-scalarization) directions;
 discretization then evaluates a small batch of nearby candidates with the
 oracle and keeps the one with the smallest weighted relative max.
 
+A relaxed point is a plain 1-D float64 vector.  Its feasible region is fixed
+per task, so it lives on the task (``TaskContract.region``: a ``Box`` or
+``SimplexRows``), not on the point; ``clamp`` projects a vector onto it.
+
 The inner loop asks the task for its losses and gradients in one
-``losses_and_gradients`` call per round, always on a point that the task's
-own ``clamp`` made.  The task may therefore trust the point's shape and
+``losses_and_gradients`` call per round, always on a vector that the task's
+own ``clamp`` made.  The task may therefore trust the vector's shape and
 feasibility and skip re-validating it; the loop checks what comes back.
 
 Oracle accounting: one discrete evaluation costs m calls (one per objective).
@@ -28,7 +32,6 @@ from .core import DimensionMismatchError, as_objectives, as_weights
 __all__ = [
     "Box",
     "SimplexRows",
-    "RelaxedPoint",
     "TaskContract",
     "InvalidRelaxationError",
     "ExhaustedNeighborhoodError",
@@ -71,8 +74,8 @@ class Box:
     lo: float
     hi: float
 
-    def project(self, params: np.ndarray) -> np.ndarray:
-        return np.clip(params, self.lo, self.hi)
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -82,19 +85,8 @@ class SimplexRows:
     rows: int
     cols: int
 
-    def project(self, params: np.ndarray) -> np.ndarray:
-        return qp.project_simplex(params.reshape(self.rows, self.cols)).ravel()
-
-
-@dataclass
-class RelaxedPoint:
-    """Continuous parameters plus the feasible region they live in."""
-
-    params: np.ndarray
-    region: Box | SimplexRows
-
-    def __post_init__(self) -> None:
-        self.params = np.asarray(self.params, dtype=np.float64).ravel()
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return qp.project_simplex(x.reshape(self.rows, self.cols)).ravel()
 
 
 class TaskContract(abc.ABC):
@@ -107,6 +99,8 @@ class TaskContract(abc.ABC):
 
     #: Number of objectives; set by subclasses.
     m: int = 0
+    #: Feasible region of the relaxed vectors; set by subclasses.
+    region: Box | SimplexRows
 
     def __init__(self) -> None:
         self._oracle_calls = 0
@@ -121,28 +115,28 @@ class TaskContract(abc.ABC):
         self._oracle_calls += self.m
         return as_objectives(self._discrete_losses(candidate))
 
-    def clamp(self, point: RelaxedPoint) -> RelaxedPoint:
-        """Project a relaxed point back onto the task's feasible region."""
-        return RelaxedPoint(point.region.project(point.params), point.region)
+    def clamp(self, x: np.ndarray) -> np.ndarray:
+        """Project a relaxed vector onto the task's feasible region."""
+        return self.region.project(x)
 
     @abc.abstractmethod
     def _discrete_losses(self, candidate) -> np.ndarray:
         """Oracle losses of a discrete candidate (uncounted internal hook)."""
 
     @abc.abstractmethod
-    def relax(self, candidate) -> RelaxedPoint:
-        """Embed a discrete candidate into the continuous search space."""
+    def relax(self, candidate) -> np.ndarray:
+        """Embed a discrete candidate as a 1-D float64 vector in ``region``."""
 
     @abc.abstractmethod
-    def losses_and_gradients(self, point: RelaxedPoint) -> tuple[np.ndarray, np.ndarray]:
-        """Differentiable losses and their (n, m) gradient matrix at ``point``.
+    def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Differentiable losses and their (n, m) gradient matrix at ``x``.
 
-        ``point`` comes from :meth:`clamp`, so it lies in the feasible region.
+        ``x`` comes from :meth:`clamp`, so it lies in the feasible region.
         """
 
     @abc.abstractmethod
-    def neighborhood_discretize(self, point: RelaxedPoint, count: int, rng) -> list:
-        """Discrete candidates near ``point``; first entry is deterministic."""
+    def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
+        """Discrete candidates near ``x``; first entry is deterministic."""
 
     @abc.abstractmethod
     def candidate_id(self, candidate) -> str:
@@ -168,14 +162,14 @@ class RoundTrace:
 class InnerResult:
     """Outcome of :func:`inner_descent`."""
 
-    point: RelaxedPoint
+    point: np.ndarray
     trace: list[RoundTrace]
     converged: bool
 
 
 def inner_descent(
     task: TaskContract,
-    point: RelaxedPoint,
+    x: np.ndarray,
     weights,
     *,
     eta: float,
@@ -187,7 +181,7 @@ def inner_descent(
 
     Args:
         task: The task providing relaxed losses/gradients.
-        point: Starting relaxed point (clamped before use).
+        x: Starting relaxed vector (clamped before use).
         weights: Preference weight vector lam.
         eta: Step size.
         rounds: Number of descent rounds (K).
@@ -195,7 +189,7 @@ def inner_descent(
         epsilon: Balance threshold for the QP mode.
 
     Returns:
-        InnerResult with the final point, a per-round trace of
+        InnerResult with the final vector, a per-round trace of
         (losses, mu, r_check), and a converged flag set when every round's
         direction norm fell below 1e-9.
 
@@ -208,7 +202,7 @@ def inner_descent(
     if mode not in ("epo", "ls"):
         raise ValueError(f"unknown descent mode {mode!r}")
     wv = as_weights(weights)
-    x = task.clamp(point)
+    x = task.clamp(x)
     trace: list[RoundTrace] = []
     max_norm = 0.0
     hint = None  # the last m >= 3 QP's winning pattern, tried first next round
@@ -235,17 +229,17 @@ def inner_descent(
         if mode == "ls":
             direction = grads @ wv
         elif anchor is None:
-            direction = np.zeros(x.params.size)
+            direction = np.zeros(x.size)
         else:
             solution, hint = qp._solve(grads, anchor, active, hint)
             if solution.degenerate:
-                direction = np.zeros(x.params.size)
+                direction = np.zeros(x.size)
             else:
                 direction = grads @ solution.beta
         if not np.all(np.isfinite(direction)):
             raise NumericalFailureError("non-finite step direction", k)
         max_norm = max(max_norm, float(np.linalg.norm(direction)))
-        x = task.clamp(RelaxedPoint(x.params - eta * direction, x.region))
+        x = task.clamp(x - eta * direction)
     return InnerResult(point=x, trace=trace, converged=max_norm < CONVERGENCE_NORM)
 
 
@@ -259,12 +253,12 @@ class SelectionResult:
 
 def discretize_select(
     task: TaskContract,
-    point: RelaxedPoint,
+    x: np.ndarray,
     weights,
     count: int,
     rng,
 ) -> SelectionResult:
-    """Sample candidates near a relaxed point and keep the best by r_check.
+    """Sample candidates near a relaxed vector and keep the best by r_check.
 
     Evaluates ``count`` discrete candidates with the oracle and returns the
     one minimizing the weighted relative max; ties break by lower weighted
@@ -274,7 +268,7 @@ def discretize_select(
         ExhaustedNeighborhoodError: If the task yields no candidates.
     """
     wv = as_weights(weights)
-    candidates = task.neighborhood_discretize(point, count, rng)
+    candidates = task.neighborhood_discretize(x, count, rng)
     if not candidates:
         raise ExhaustedNeighborhoodError("discretization produced no candidates")
     best_key: tuple[float, float, int] | None = None

@@ -148,7 +148,11 @@ class TrajectoryPoint:
 
 @dataclass
 class RunResult:
-    """Everything produced by one run, including the partial state on failure."""
+    """Everything produced by one run, including the partial state on failure.
+
+    ``diagnostics`` is set by :func:`run_inversion` once the trajectory has
+    two records; the runs inside :func:`front_scan` leave it None.
+    """
 
     config: RunConfig
     weights: np.ndarray
@@ -223,7 +227,7 @@ def _record(
 
 
 def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunResult:
-    """The loop of one run; ``config`` has been validated by the caller."""
+    """One run's loop, without diagnostics; the caller validated ``config``."""
     if task is None:
         task = make_task(config.task, **config.task_params)
     weights = _resolve_weights(config, task.m)
@@ -276,7 +280,7 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
             converged = True
             break
 
-    result = RunResult(
+    return RunResult(
         config=config,
         weights=weights,
         trajectory=trajectory,
@@ -286,9 +290,6 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
         failed=failed,
         error=error,
     )
-    if len(trajectory) >= 2:
-        result.diagnostics = theory_diagnostics(result, weights)
-    return result
 
 
 def run_inversion(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunResult:
@@ -307,7 +308,10 @@ def run_inversion(config: RunConfig, x0=None, task: TaskContract | None = None) 
       loop and return the partial result with ``failed`` set.
     """
     config.validate()
-    return _run(config, x0, task)
+    result = _run(config, x0, task)
+    if len(result.trajectory) >= 2:
+        result.diagnostics = theory_diagnostics(result, result.weights)
+    return result
 
 
 def theory_diagnostics(result: RunResult, weights) -> TheoryReport:

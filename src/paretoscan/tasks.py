@@ -25,7 +25,7 @@ import numbers
 import numpy as np
 
 from .net import DualPathNet
-from .relax import Box, RelaxedPoint, SimplexRows, TaskContract, InvalidRelaxationError
+from .relax import Box, SimplexRows, TaskContract, InvalidRelaxationError
 
 __all__ = [
     "SyntheticTask",
@@ -137,6 +137,7 @@ class SyntheticTask(TaskContract):
     """
 
     m = 2
+    region = Box(-_SYNTHETIC_BOUND, _SYNTHETIC_BOUND)
 
     def __init__(self, n: int = 20, grid_step: float = 0.01, init_bound: float = 0.5) -> None:
         super().__init__()
@@ -155,23 +156,23 @@ class SyntheticTask(TaskContract):
     def _discrete_losses(self, candidate) -> np.ndarray:
         return synthetic_losses(self._coords(candidate))
 
-    def relax(self, candidate) -> RelaxedPoint:
-        return RelaxedPoint(self._coords(candidate), Box(-_SYNTHETIC_BOUND, _SYNTHETIC_BOUND))
+    def relax(self, candidate) -> np.ndarray:
+        return self._coords(candidate)
 
-    def losses_and_gradients(self, point: RelaxedPoint) -> tuple[np.ndarray, np.ndarray]:
-        return synthetic_losses_and_gradients(point.params)
+    def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return synthetic_losses_and_gradients(x)
 
     def _snap(self, params: np.ndarray) -> np.ndarray:
         idx = np.rint(params / self.grid_step).astype(np.int64)
         return np.clip(idx, -self._max_index, self._max_index)
 
-    def neighborhood_discretize(self, point: RelaxedPoint, count: int, rng) -> list:
+    def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
         if count < 1:
             raise ValueError("count must be positive")
-        out = [self._snap(point.params)]
+        out = [self._snap(x)]
         for _ in range(count - 1):
             noise = rng.uniform(-self.grid_step, self.grid_step, self.n)
-            out.append(self._snap(point.params + noise))
+            out.append(self._snap(x + noise))
         return out
 
     def candidate_id(self, candidate) -> str:
@@ -287,6 +288,7 @@ class NGramTask(TaskContract):
             raise ValueError("l_max must be at least 2")
         self.mode = mode
         self.l_max = l_max
+        self.region = SimplexRows(l_max, 3)
         # the unigram gradient is the same at every point: build it once
         self._unigram_grads = _unigram_gradients(l_max) if mode == "unigram" else None
         if self._unigram_grads is not None:
@@ -295,24 +297,20 @@ class NGramTask(TaskContract):
     def _discrete_losses(self, candidate) -> np.ndarray:
         return ngram_losses(candidate, self.mode, self.l_max)
 
-    def relax(self, candidate) -> RelaxedPoint:
-        P = _as_matrix(candidate, self.l_max)
-        return RelaxedPoint(P.ravel(), SimplexRows(self.l_max, 3))
+    def relax(self, candidate) -> np.ndarray:
+        return _as_matrix(candidate, self.l_max).ravel()
 
-    def _matrix(self, point: RelaxedPoint) -> np.ndarray:
-        return point.params.reshape(self.l_max, 3)
-
-    def losses_and_gradients(self, point: RelaxedPoint) -> tuple[np.ndarray, np.ndarray]:
-        P = self._matrix(point)
+    def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        P = x.reshape(self.l_max, 3)
         losses = _ngram_losses(P, self.mode, self.l_max)
         if self._unigram_grads is not None:
             return losses, self._unigram_grads
         return losses, _bigram_gradients(P, self.l_max)
 
-    def neighborhood_discretize(self, point: RelaxedPoint, count: int, rng) -> list:
+    def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
         if count < 1:
             raise ValueError("count must be positive")
-        P = self._matrix(point)
+        P = x.reshape(self.l_max, 3)
         _validate_rows(P)
         rows = np.clip(P, 0.0, None)
         rows = rows / rows.sum(axis=1, keepdims=True)
@@ -408,6 +406,8 @@ class SurrogateTask(TaskContract):
     oracle-labeled training rows are not counted as oracle calls.
     """
 
+    region = Box(0.0, 1.0)
+
     def __init__(
         self,
         n_b: int = 16,
@@ -425,18 +425,16 @@ class SurrogateTask(TaskContract):
     def _discrete_losses(self, candidate) -> np.ndarray:
         return self.oracle.losses(np.asarray(candidate, dtype=np.float64))
 
-    def relax(self, candidate) -> RelaxedPoint:
-        return RelaxedPoint(
-            np.asarray(candidate, dtype=np.float64), Box(0.0, 1.0)
-        )
+    def relax(self, candidate) -> np.ndarray:
+        return np.asarray(candidate, dtype=np.float64)
 
-    def losses_and_gradients(self, point: RelaxedPoint) -> tuple[np.ndarray, np.ndarray]:
-        return self.net.losses_and_gradients(point.params)
+    def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.net.losses_and_gradients(x)
 
-    def neighborhood_discretize(self, point: RelaxedPoint, count: int, rng) -> list:
+    def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
         if count < 1:
             raise ValueError("count must be positive")
-        p = np.clip(point.params, 0.0, 1.0)
+        p = np.clip(x, 0.0, 1.0)
         out = [(p >= 0.5).astype(np.int64)]
         for _ in range(count - 1):
             out.append((rng.random(self.n_b) < p).astype(np.int64))

@@ -1,0 +1,69 @@
+"""The traced benchmark run still fits the program it traces.
+
+``bench/tracer.py`` wraps names of ``paretoscan`` that it resolves with a
+strict ``getattr``, and ``bench/worker.py`` marks a traced run incorrect
+when tracing moves a scan's fingerprint.  These tests import both
+unchanged and run a tiny synthetic scan with and without the tracer, so a
+rename in the program that breaks the traced run fails here first.
+"""
+
+import importlib
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import paretoscan
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import tracer  # noqa: E402
+import worker  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+#: Two rays of the synthetic workload with T = K = C = 2.
+TINY = replace(WORKLOADS["synthetic-epo"], rays=2, T=2, K=2, C=2)
+
+
+def test_every_traced_name_resolves():
+    for _, module, attr in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for _, module, base, _ in tracer.METHODS:
+        assert isinstance(getattr(importlib.import_module(module), base), type), (module, base)
+
+
+def _bindings():
+    """Every name bound in a ``paretoscan`` module or a traced class."""
+    owners = [
+        mod for name, mod in sys.modules.items()
+        if name == "paretoscan" or name.startswith("paretoscan.")
+    ]
+    todo = [getattr(sys.modules[module], base) for _, module, base, _ in tracer.METHODS]
+    while todo:
+        cls = todo.pop()
+        owners.append(cls)
+        todo.extend(cls.__subclasses__())
+    return {id(owner): (owner, dict(vars(owner))) for owner in owners}
+
+
+def test_tracing_a_scan_keeps_its_fingerprint_and_counts_its_rounds():
+    grid, _, truth = worker._setup(paretoscan, TINY, {})
+    _, _, plain, _ = worker._scan_loop(paretoscan, TINY, grid, truth, 1, 0.0)
+    before = _bindings()
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        _, scan, traced, same = worker._scan_loop(
+            paretoscan, TINY, grid, truth, 1, 0.0, plain, spans
+        )
+    finally:
+        spans.uninstall()
+    assert same and traced == plain == worker._fingerprint(scan)
+    layers = worker._layer_metrics(spans, paretoscan.RunConfig().epsilon)
+    assert layers["relax.inner_descent.calls"] == 4  # 2 rays x T
+    assert layers["relax.inner_rounds"] == 8  # 2 rays x T x K
+    assert spans.totals()[0]["tasks.clamp"] == 12  # K + 1 per descent
+    for owner, names in before.values():
+        now = vars(owner)
+        assert all(now.get(key) is value for key, value in names.items()), owner

@@ -267,6 +267,35 @@ def test_config_file_errors(tmp_path, capsys):
         assert f"config error: {key}" in capsys.readouterr().err, data
 
 
+def _existing_file(tmp_path):
+    path = tmp_path / "file"
+    path.write_text("")
+    return path
+
+
+def _latin1_config(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"task": "synthétique"}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "flag, make, key",
+    [
+        ("-o", _existing_file, "out"),
+        ("-o", lambda tmp: _existing_file(tmp) / "x", "out"),
+        ("--config", lambda tmp: tmp, "config"),
+        ("--config", _latin1_config, "config"),
+    ],
+    ids=["out-is-a-file", "out-under-a-file", "config-is-a-directory", "config-not-utf8"],
+)
+def test_unusable_paths_are_config_errors(tmp_path, capsys, flag, make, key):
+    args = _run_args(tmp_path / "out") + [flag, str(make(tmp_path))]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err and "Traceback" not in err
+
+
 def _scan_args(out, *extra):
     return [
         "scan",

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from paretoscan import search
 from paretoscan.core import ParetoArchive, relative_max
 from paretoscan.relax import NumericalFailureError
 from paretoscan.search import (
@@ -365,6 +366,16 @@ def test_front_scan_single_ray():
     assert scan.metrics["coverage"] is None
     assert scan.metrics["oracle_calls_total"] == scan.rays[0].oracle_calls
     assert len(scan.archive) >= 1
+
+
+def test_front_scan_computes_no_theory_diagnostics(monkeypatch):
+    # nothing in a ScanResult reads them, so the rays never compute them
+    def refuse(*args):
+        raise AssertionError("theory_diagnostics called inside a scan")
+
+    monkeypatch.setattr(search, "theory_diagnostics", refuse)
+    scan = front_scan(lambda: SyntheticTask(n=6), [DIAG, DIAG[::-1]], _small_cfg())
+    assert not any(ray.failed for ray in scan.rays)
 
 
 def test_front_scan_factory_contract():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from paretoscan import tasks
 from paretoscan.net import _sigmoid
-from paretoscan.relax import Box, InvalidRelaxationError, RelaxedPoint, SimplexRows
+from paretoscan.relax import Box, InvalidRelaxationError, SimplexRows
 from paretoscan.tasks import (
     ALPHABET,
     NGramTask,
@@ -94,9 +94,10 @@ def test_synthetic_true_front_endpoints():
 
 def test_synthetic_task_snap_and_bounds():
     task = SyntheticTask(n=3, grid_step=0.01)
-    point = task.relax(np.array([1, -2, 0], dtype=np.int64))
-    assert isinstance(point.region, Box)
-    assert point.params == pytest.approx([0.01, -0.02, 0.0])
+    x = task.relax(np.array([1, -2, 0], dtype=np.int64))
+    assert task.region == Box(-2.0, 2.0)
+    assert x.shape == (3,) and x.dtype == np.float64
+    assert x == pytest.approx([0.01, -0.02, 0.0])
     snapped = task._snap(np.array([0.014, -5.0, 1.996]))
     assert snapped.tolist() == [1, -200, 200]
     assert snapped.dtype == np.int64
@@ -167,9 +168,10 @@ def test_ngram_unigram_losses_sum_is_conserved(s):
 def test_ngram_relaxation_is_lattice_exact(s, mode):
     # one-hot relaxation of a string reproduces the discrete losses exactly
     task = NGramTask(mode=mode, l_max=6)
-    point = task.relax(s)
-    assert isinstance(point.region, SimplexRows)
-    assert task.losses_and_gradients(point)[0] == pytest.approx(
+    x = task.relax(s)
+    assert task.region == SimplexRows(6, 3)
+    assert x.shape == (18,) and x.dtype == np.float64
+    assert task.losses_and_gradients(x)[0] == pytest.approx(
         ngram_losses(s, mode, 6), abs=1e-15
     )
 
@@ -238,9 +240,7 @@ def test_ngram_task_neighborhood_argmax_first():
             [0.9, 0.05, 0.05],
         ]
     )
-    point = task.relax("CVAC")  # replace params with a soft matrix
-    point.params = P.ravel()
-    batch = task.neighborhood_discretize(point, 5, np.random.default_rng(0))
+    batch = task.neighborhood_discretize(P.ravel(), 5, np.random.default_rng(0))
     assert batch[0] == "CVAC"
     assert all(len(s) == 4 and set(s) <= set(ALPHABET) for s in batch)
 
@@ -285,11 +285,12 @@ def test_surrogate_discrete_eval_is_the_oracle(small_surrogate):
 
 def test_surrogate_relaxed_losses_are_head_cross_entropies(small_surrogate):
     task = small_surrogate
-    point = task.relax(np.array([1, 0, 1, 0, 1, 0, 1, 0]))
-    assert isinstance(point.region, Box)
-    rel = task.losses_and_gradients(point)[0]
+    x = task.relax(np.array([1, 0, 1, 0, 1, 0, 1, 0]))
+    assert task.region == Box(0.0, 1.0)
+    assert x.shape == (8,) and x.dtype == np.float64
+    rel = task.losses_and_gradients(x)[0]
     net = task.net
-    z = net.w2 @ np.tanh(net.w1 @ point.params + net.b1) + net.b2
+    z = net.w2 @ np.tanh(net.w1 @ x + net.b1) + net.b2
     assert rel == pytest.approx(-np.log(_sigmoid(z)), abs=1e-9)
     assert np.all(rel >= 0.0)
 
@@ -299,9 +300,7 @@ def test_surrogate_gradients_match_finite_differences(small_surrogate):
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.uniform(0.2, 0.8, size=8)
-        point = task.relax(x)
-        point.params = x
-        G = task.losses_and_gradients(point)[1]
+        G = task.losses_and_gradients(x)[1]
         fd = _fd_columns(lambda v: task.net.losses_and_gradients(v)[0], x, 2)
         assert np.max(np.abs(G - fd)) < 1e-7
 
@@ -309,16 +308,14 @@ def test_surrogate_gradients_match_finite_differences(small_surrogate):
 def test_surrogate_descent_consumes_no_oracle_budget(small_surrogate):
     task = small_surrogate
     before = task.oracle_calls
-    point = task.relax(np.array([1, 1, 0, 0, 1, 1, 0, 0]))
-    task.losses_and_gradients(point)
+    task.losses_and_gradients(task.relax(np.array([1, 1, 0, 0, 1, 1, 0, 0])))
     assert task.oracle_calls == before
 
 
 def test_surrogate_neighborhood_threshold_first(small_surrogate):
     task = small_surrogate
-    point = task.relax(np.array([1, 0, 1, 0, 1, 0, 1, 0]))
-    point.params = np.array([0.9, 0.2, 0.51, 0.49, 0.5, 0.1, 0.8, 0.3])
-    batch = task.neighborhood_discretize(point, 4, np.random.default_rng(0))
+    x = np.array([0.9, 0.2, 0.51, 0.49, 0.5, 0.1, 0.8, 0.3])
+    batch = task.neighborhood_discretize(x, 4, np.random.default_rng(0))
     assert batch[0].tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
     assert all(set(b.tolist()) <= {0, 1} for b in batch)
     assert task.candidate_id(batch[0]) == "b:10101010"
@@ -340,24 +337,19 @@ def test_surrogate_net_cache_reuses_training():
 def _clamped_points(task, rng, count=25):
     """Seeded points as the inner loop meets them: a relaxed draw, moved, clamped."""
     start = task.relax(task.random_candidate(rng))
-    return [
-        task.clamp(
-            RelaxedPoint(start.params + rng.normal(0.0, 0.5, start.params.size), start.region)
-        )
-        for _ in range(count)
-    ]
+    return [task.clamp(start + rng.normal(0.0, 0.5, start.size)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("name", ["synthetic", "ngram-uni", "ngram-bi"])
 def test_closed_form_losses_and_gradients_equal_the_public_functions(name):
     task = make_task(name)
-    for point in _clamped_points(task, np.random.default_rng(31)):
-        losses, grads = task.losses_and_gradients(point)
+    for x in _clamped_points(task, np.random.default_rng(31)):
+        losses, grads = task.losses_and_gradients(x)
         if name == "synthetic":
-            assert np.array_equal(losses, synthetic_losses(point.params))
-            want = synthetic_losses_and_gradients(point.params)
+            assert np.array_equal(losses, synthetic_losses(x))
+            want = synthetic_losses_and_gradients(x)
         else:
-            P = point.params.reshape(task.l_max, 3)
+            P = x.reshape(task.l_max, 3)
             want = (
                 ngram_losses(P, task.mode, task.l_max),
                 ngram_gradients(P, task.mode, task.l_max),
@@ -382,9 +374,9 @@ def _two_forward_passes(net, x):
 @pytest.mark.parametrize("m", [2, 4])
 def test_surrogate_losses_and_gradients_equal_two_forward_passes(m):
     task = make_task("surrogate", m=m)
-    for point in _clamped_points(task, np.random.default_rng(32)):
-        losses, grads = task.losses_and_gradients(point)
-        want = _two_forward_passes(task.net, point.params)
+    for x in _clamped_points(task, np.random.default_rng(32)):
+        losses, grads = task.losses_and_gradients(x)
+        want = _two_forward_passes(task.net, x)
         assert np.array_equal(losses, want[0])
         assert np.array_equal(grads, want[1])
 
