@@ -174,7 +174,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         raise _ConfigError([str(exc)])
 
 
-def _require_out(args: argparse.Namespace) -> Path:
+def _require_out(args: argparse.Namespace, artifacts: tuple[str, ...]) -> Path:
     if not args.out:
         raise _ConfigError(["out: output directory (-o) is required"])
     out = Path(args.out)
@@ -182,6 +182,11 @@ def _require_out(args: argparse.Namespace) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _ConfigError([f"out: cannot create directory {out}: {exc.strerror}"])
+    # Writing an artifact over a directory would only fail after the run.
+    for name in artifacts:
+        path = out / name
+        if path.exists() and not path.is_file():
+            raise _ConfigError([f"out: {path} exists and is not a regular file"])
     return out
 
 
@@ -221,7 +226,7 @@ def _make_task_checked(config: RunConfig):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _assemble_config(args)
-    out = _require_out(args)
+    out = _require_out(args, ("trajectory.csv", "metrics.json", "theory.json"))
     task = _make_task_checked(config)
     if config.weights is not None and np.asarray(config.weights).size != task.m:
         raise _ConfigError(
@@ -291,7 +296,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     config = _assemble_config(args)
     if config.weights is not None:
         raise _ConfigError(["lambda: scan takes its rays from --weights or --weights-file"])
-    out = _require_out(args)
+    out = _require_out(args, ("metrics.json", "archive.csv", "front.svg"))
     probe = _make_task_checked(config)
     rays = _scan_weights(args, probe.m)
     truth = probe.true_front(400) if hasattr(probe, "true_front") else None
@@ -311,10 +316,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise _ConfigError([f"budget: {exc}"])
     wallclock_ms = (time.perf_counter() - start) * 1e3
     if args.verbose:
-        for ray in scan.rays:
+        for i, ray in enumerate(scan.rays):
             status = "failed" if ray.failed else "ok"
             print(
-                f"ray {ray.index}: {status}, calls={ray.oracle_calls}",
+                f"ray {i}: {status}, calls={ray.oracle_calls}",
                 file=sys.stderr,
             )
 

@@ -233,14 +233,6 @@ class ParetoArchive:
         self.entries.append(entry)
         return True
 
-    def merge(self, other: "ParetoArchive") -> int:
-        """Insert every entry of ``other`` in order; returns the insert count."""
-        inserted = 0
-        for entry in other.entries:
-            if self.insert(entry):
-                inserted += 1
-        return inserted
-
     def objectives_array(self) -> np.ndarray:
         """All entry objectives stacked as a (len, m) array."""
         if not self.entries:

@@ -2,12 +2,12 @@
 
 A run repeats relax -> inner descent -> discretize/select for one weight
 ray, logging one trajectory record per outer iteration.  A scan runs one
-ray per weight vector from a deterministic per-ray seed, merges the
-rays' archives (each holds the ray's start point and the candidate
-selected in each outer round) into one Pareto archive, and summarizes
-front quality.  Diagnostics check the run's loss path against the descent
-theory: each step should stay inside the previous admissible box
-(componentwise l_j <= r_check / lambda_j), the weighted relative max
+ray per weight vector from a deterministic per-ray seed, keeps each ray's
+RunResult, builds one Pareto archive from every ray's trajectory (the
+start point and the candidate selected in each outer round), and
+summarizes front quality.  Diagnostics check the run's loss path against
+the descent theory: each step should stay inside the previous admissible
+box (componentwise l_j <= r_check / lambda_j), the weighted relative max
 should fall monotonically, and the final point should satisfy the
 geometric-decay bound implied by the fitted per-step decay ratio.
 """
@@ -43,7 +43,6 @@ __all__ = [
     "TrajectoryPoint",
     "RunResult",
     "TheoryReport",
-    "RayOutcome",
     "ScanResult",
     "run_inversion",
     "front_scan",
@@ -151,14 +150,15 @@ class RunResult:
     """Everything produced by one run, including the partial state on failure.
 
     ``diagnostics`` is set by :func:`run_inversion` once the trajectory has
-    two records; the runs inside :func:`front_scan` leave it None.
+    two records; the runs inside :func:`front_scan` leave it None.  A scan
+    ray whose task factory or run raised has an empty trajectory, no final
+    candidate and ``failed`` set.
     """
 
     config: RunConfig
     weights: np.ndarray
     trajectory: list[TrajectoryPoint]
     final_candidate: object
-    archive: ParetoArchive
     diagnostics: "TheoryReport | None" = None
     converged: bool = False
     failed: bool = False
@@ -167,6 +167,10 @@ class RunResult:
     @property
     def oracle_calls(self) -> int:
         return self.trajectory[-1].oracle_calls if self.trajectory else 0
+
+    @property
+    def final_objectives(self) -> np.ndarray | None:
+        return self.trajectory[-1].objectives if self.trajectory else None
 
 
 @dataclass
@@ -237,14 +241,10 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
     if x0 is None:
         x0 = task.random_candidate(rng)
 
-    archive = ParetoArchive()
     trajectory: list[TrajectoryPoint] = []
     x = x0
     objectives = task.eval_discrete(x)
     trajectory.append(_record(task, x, objectives, weights, 0, start_calls))
-    archive.insert(
-        ArchiveEntry(task.candidate_id(x), objectives, weights, trajectory[-1].oracle_calls)
-    )
 
     converged = False
     failed = False
@@ -271,11 +271,6 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
         x = selection.candidate
         objectives = selection.objectives
         trajectory.append(_record(task, x, objectives, weights, t, start_calls))
-        archive.insert(
-            ArchiveEntry(
-                task.candidate_id(x), objectives, weights, trajectory[-1].oracle_calls
-            )
-        )
         if inner.converged:
             converged = True
             break
@@ -285,7 +280,6 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
         weights=weights,
         trajectory=trajectory,
         final_candidate=x,
-        archive=archive,
         converged=converged,
         failed=failed,
         error=error,
@@ -303,9 +297,9 @@ def run_inversion(config: RunConfig, x0=None, task: TaskContract | None = None) 
       task: Optional pre-built task instance (otherwise built from config).
 
     Returns:
-      RunResult with the per-iteration trajectory, final candidate, local
-      Pareto archive and theory diagnostics.  Numerical failures abort the
-      loop and return the partial result with ``failed`` set.
+      RunResult with the per-iteration trajectory, final candidate and
+      theory diagnostics.  Numerical failures abort the loop and return the
+      partial result with ``failed`` set.
     """
     config.validate()
     result = _run(config, x0, task)
@@ -395,25 +389,11 @@ def theory_diagnostics(result: RunResult, weights) -> TheoryReport:
 
 
 @dataclass
-class RayOutcome:
-    """Per-ray scan record; ``failed`` rays keep the scan going."""
-
-    index: int
-    weights: np.ndarray
-    final_objectives: np.ndarray | None
-    final_mu: float
-    oracle_calls: int
-    converged: bool
-    failed: bool
-    error: str | None = None
-
-
-@dataclass
 class ScanResult:
-    """Merged archive plus per-ray outcomes and summary metrics."""
+    """Archive of every ray's trajectory, the rays' runs and summary metrics."""
 
     archive: ParetoArchive
-    rays: list[RayOutcome]
+    rays: list[RunResult]
     metrics: dict
 
 
@@ -424,35 +404,37 @@ def front_scan(
     *,
     true_front=None,
 ) -> ScanResult:
-    """Scan a weight grid: one seeded run per ray, merged into one archive.
+    """Scan a weight grid: one seeded run per ray, pooled into one archive.
 
     Args:
       task_factory: Zero-argument callable building a fresh task per ray.
-      weight_list: Non-empty list of weight vectors.
+      weight_list: Non-empty sequence of weight vectors (a list or an array).
       config: Per-ray settings; ray i runs with seed ``config.seed + i`` and
         an even share of ``config.oracle_budget``.  ``config.weights`` must
         be None, and a non-zero budget must allow one call per ray.
       true_front: Optional reference front for coverage.
 
     Returns:
-      ScanResult; ``metrics`` holds hv against the unit corner, coverage
-      within distance 0.05 of the reference front (None without one),
-      nu_per_ray, nu_topk (mean of the 5 best rays' non-uniformity) and
-      oracle_calls_total.  hv and coverage
-      summarize the per-ray final solutions — the points the scan actually
-      returns, one per weight — while the merged archive additionally keeps
-      every per-iteration selection as a trace.  A ray whose task factory
-      or run raises is recorded as failed, with no final point, and left
-      out of the merge.  A ray stopped by a NumericalFailureError is
-      recorded as failed too, but keeps its partial result: its archive is
-      merged and its last point counts in hv.
+      ScanResult; ``rays`` holds each ray's RunResult in grid order, and
+      ``archive`` every ray's trajectory points offered in ray order.
+      ``metrics`` holds hv against the unit corner, coverage within
+      distance 0.05 of the reference front (None without one), nu_per_ray,
+      nu_topk (mean of the 5 best rays' non-uniformity) and
+      oracle_calls_total.  hv and coverage summarize the per-ray final
+      solutions — the points the scan actually returns, one per weight —
+      while the archive additionally keeps every per-iteration selection
+      as a trace.  A ray whose task factory or run raises is recorded as
+      failed, with an empty trajectory, so it adds nothing to the archive.
+      A ray stopped by a NumericalFailureError is recorded as failed too,
+      but keeps its partial trajectory: its points join the archive and
+      its last point counts in hv.
 
     Raises:
       ValueError: Before any ray runs, for an empty ``weight_list``, an
         invalid ``config``, ``config.weights`` set, or an ``oracle_budget``
         below the ray count.
     """
-    if not weight_list:
+    if len(weight_list) == 0:
         raise ValueError("weight_list must be non-empty")
     if not callable(task_factory):
         raise TypeError("task_factory must be a zero-argument callable")
@@ -466,42 +448,20 @@ def front_scan(
         )
 
     per_ray_budget = config.oracle_budget // len(weight_list)
-
-    def one_ray(index: int, w) -> tuple[RayOutcome, ParetoArchive | None]:
-        cfg = replace(
-            config,
-            weights=np.asarray(w, dtype=np.float64),
-            seed=config.seed + index,
-            oracle_budget=per_ray_budget,
-        )
-        try:
-            task = task_factory()
-            result = _run(cfg, task=task)
-        except Exception as exc:  # per-ray isolation: record and continue
-            return (
-                RayOutcome(index, np.asarray(w, float), None, float("nan"), 0, False, True, str(exc)),
-                None,
-            )
-        last = result.trajectory[-1]
-        outcome = RayOutcome(
-            index=index,
-            weights=result.weights,
-            final_objectives=last.objectives,
-            final_mu=last.mu,
-            oracle_calls=result.oracle_calls,
-            converged=result.converged,
-            failed=result.failed,
-            error=result.error,
-        )
-        return outcome, result.archive
-
-    merged = ParetoArchive()
-    rays = []
+    archive = ParetoArchive()
+    rays: list[RunResult] = []
     for i, w in enumerate(weight_list):
-        outcome, archive = one_ray(i, w)
-        rays.append(outcome)
-        if archive is not None:
-            merged.merge(archive)
+        w = np.asarray(w, dtype=np.float64)
+        cfg = replace(config, weights=w, seed=config.seed + i, oracle_budget=per_ray_budget)
+        try:
+            result = _run(cfg, task=task_factory())
+        except Exception as exc:  # per-ray isolation: record and continue
+            result = RunResult(cfg, w, [], None, failed=True, error=str(exc))
+        rays.append(result)
+        for p in result.trajectory:
+            archive.insert(
+                ArchiveEntry(p.candidate_id, p.objectives, result.weights, p.oracle_calls)
+            )
 
     finals = np.array(
         [r.final_objectives for r in rays if r.final_objectives is not None]
@@ -518,7 +478,7 @@ def front_scan(
         if true_front is not None and finals.size
         else None
     )
-    nu_per_ray = [r.final_mu for r in rays]
+    nu_per_ray = [r.trajectory[-1].mu if r.trajectory else float("nan") for r in rays]
     finite_mu = [v for v in nu_per_ray if np.isfinite(v)]
     metrics = {
         "hv": float(hv),
@@ -527,7 +487,7 @@ def front_scan(
         "nu_topk": nonuniformity_report(finite_mu) if finite_mu else None,
         "oracle_calls_total": int(sum(r.oracle_calls for r in rays)),
     }
-    return ScanResult(archive=merged, rays=rays, metrics=metrics)
+    return ScanResult(archive=archive, rays=rays, metrics=metrics)
 
 
 def trajectory_to_csv(trajectory: list[TrajectoryPoint], m: int) -> str:

@@ -326,6 +326,22 @@ def _file_scan_args(out, path):
     return args
 
 
+@pytest.mark.parametrize(
+    "command, artifact",
+    [("run", name) for name in ("trajectory.csv", "metrics.json", "theory.json")]
+    + [("scan", name) for name in ("metrics.json", "archive.csv", "front.svg")],
+)
+def test_a_directory_in_place_of_an_artifact_is_refused_before_the_run(
+    tmp_path, capsys, command, artifact
+):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main({"run": _run_args, "scan": _scan_args}[command](out)) == 1
+    err = capsys.readouterr().err
+    assert f"config error: out: {out / artifact}" in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == [artifact]
+
+
 def test_scan_writes_archive_metrics_and_plot(tmp_path):
     out = tmp_path / "scan"
     assert main(_scan_args(out, "--seed", "2")) == 0

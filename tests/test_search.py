@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paretoscan import search
-from paretoscan.core import ParetoArchive, relative_max
+from paretoscan.core import relative_max
 from paretoscan.relax import NumericalFailureError
 from paretoscan.search import (
     RunConfig,
@@ -18,8 +18,9 @@ from paretoscan.search import (
     theory_diagnostics,
     trajectory_to_csv,
 )
-from paretoscan.tasks import SyntheticTask, synthetic_true_front
+from paretoscan.tasks import SyntheticTask, make_task, synthetic_true_front
 from paretoscan.weights import weight_grid
+from test_core import _reference_front
 
 DIAG = np.array([math.sqrt(0.5), math.sqrt(0.5)])
 
@@ -199,7 +200,6 @@ def test_numerical_failure_returns_partial_result():
     assert res.failed
     assert "round 1" in res.error
     assert len(res.trajectory) == 1  # the evaluated start survives
-    assert len(res.archive) == 1
     assert res.diagnostics is None
 
 
@@ -249,7 +249,6 @@ def _fabricate(r_values, weights, losses=None, C=3):
         weights=w,
         trajectory=trajectory,
         final_candidate=None,
-        archive=ParetoArchive(),
     )
 
 
@@ -441,6 +440,7 @@ def test_front_scan_isolates_factory_failures():
     scan = front_scan(flaky, weight_grid(2, 3), _small_cfg())
     assert [r.failed for r in scan.rays] == [False, True, False]
     assert scan.rays[1].error == "boom"
+    assert scan.rays[1].trajectory == []
     assert scan.rays[1].final_objectives is None
     assert np.isnan(scan.metrics["nu_per_ray"][1])
     assert scan.metrics["hv"] > 0.0  # surviving rays still summarized
@@ -464,6 +464,47 @@ def test_front_scan_keeps_the_partial_result_of_a_numerical_failure():
     assert np.array_equal(ray.final_objectives, start_objectives)
     assert scan.metrics["hv"] == pytest.approx(float(np.prod(1.0 - start_objectives)))
     assert tasks[0].candidate_id(start) in [e.candidate_id for e in scan.archive]
+
+
+@pytest.mark.parametrize(
+    "build, fail_on, rays, cfg",
+    [
+        (lambda: SyntheticTask(n=6), 2, weight_grid(2, 4), _small_cfg()),
+        (
+            lambda: make_task("ngram-uni", l_max=4),
+            None,
+            weight_grid(3, 3),
+            RunConfig(task="ngram-uni", task_params={"l_max": 4}, T=3, K=3, C=3, seed=2),
+        ),
+    ],
+    ids=["m2-with-a-failed-ray", "m3"],
+)
+def test_front_scan_archive_is_the_front_of_every_trajectory(build, fail_on, rays, cfg):
+    built = []
+
+    def factory():
+        built.append(None)
+        if len(built) == fail_on:
+            raise ValueError("boom")
+        return build()
+
+    scan = front_scan(factory, rays, cfg)
+    assert [r.failed for r in scan.rays] == [i + 1 == fail_on for i in range(len(rays))]
+    offered = [(p, ray.weights) for ray in scan.rays for p in ray.trajectory]
+    kept = [offered[int(i)] for i in _reference_front([p.objectives for p, _ in offered])]
+    assert len(scan.archive) == len(kept)
+    for entry, (p, w) in zip(scan.archive, kept):
+        assert entry.candidate_id == p.candidate_id
+        assert np.array_equal(entry.objectives, p.objectives)
+        assert np.array_equal(entry.weight_used, w)
+        assert entry.oracle_calls_at_insert == p.oracle_calls
+
+
+def test_front_scan_takes_an_array_of_rays():
+    rays = weight_grid(2, 3)
+    as_list = front_scan(lambda: SyntheticTask(n=6), rays, _small_cfg())
+    as_array = front_scan(lambda: SyntheticTask(n=6), np.array(rays), _small_cfg())
+    assert as_array.archive.to_csv() == as_list.archive.to_csv()
 
 
 def test_front_scan_reports_coverage_against_a_reference_front():
