@@ -81,9 +81,7 @@ def main():
             }
         )
         finals.append(last.objectives)
-        (out / f"trajectory_ray{i}.csv").write_text(
-            trajectory_to_csv(res.trajectory, 2)
-        )
+        (out / f"trajectory_ray{i}.csv").write_text(trajectory_to_csv(res.trajectory))
         print(
             f"ray {i}: lambda=({w[0]:.3f},{w[1]:.3f})  "
             f"final=({last.objectives[0]:.4f},{last.objectives[1]:.4f})  "

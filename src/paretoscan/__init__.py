@@ -9,7 +9,6 @@ approximate Pareto front under a fixed oracle-call budget.
 """
 
 from .core import (
-    ArchiveEntry,
     DimensionMismatchError,
     Dominance,
     EmptyInputError,
@@ -55,7 +54,6 @@ from .weights import lift_positive, weight_grid, weights_2d, weights_3d, weights
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchiveEntry",
     "DegenerateLossError",
     "DimensionMismatchError",
     "Dominance",

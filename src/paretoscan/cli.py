@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .search import RunConfig, front_scan, run_inversion, trajectory_to_csv
 from .selftest import run_selftest
 from .svgplot import render_front
 from .tasks import TASK_NAMES, make_task
-from .weights import load_weights_csv, weight_grid
+from .weights import lift_positive, load_weights_csv, weight_grid
 
 __all__ = ["main"]
 
@@ -245,7 +246,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    _write_text(out / "trajectory.csv", trajectory_to_csv(result.trajectory, task.m))
+    _write_text(out / "trajectory.csv", trajectory_to_csv(result.trajectory))
     last = result.trajectory[-1]
     _write_json(
         out / "metrics.json",
@@ -261,7 +262,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
     )
     theory = (
-        result.diagnostics.to_dict()
+        asdict(result.diagnostics)
         if result.diagnostics is not None
         else {"note": "trajectory too short for diagnostics"}
     )
@@ -285,6 +286,10 @@ def _scan_weights(args: argparse.Namespace, m: int) -> list[np.ndarray]:
                 raise _ConfigError(
                     [f"weights-file: row {i + 2} has {w.size} components, task needs {m}"]
                 )
+            try:
+                lift_positive(w)  # the check RunConfig.validate makes of --lambda
+            except ValueError as exc:
+                raise _ConfigError([f"weights-file: row {i + 2}: {exc}"])
         return rays
     try:
         return weight_grid(m, args.weight_count if args.weight_count is not None else 50)

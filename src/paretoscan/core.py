@@ -3,7 +3,8 @@
 Objective vectors are plain 1-D float arrays of per-objective losses (lower is
 better); weight vectors are strictly positive preference directions of the same
 length.  This module provides the dominance relation, non-dominated filtering,
-a Pareto archive with eviction-on-insert semantics, and the weighted
+the record of one evaluated candidate (``TrajectoryPoint``), a Pareto archive
+of such records with eviction-on-insert semantics, and the weighted
 relative-max scalar used by the descent loop and its diagnostics.
 """
 
@@ -20,8 +21,8 @@ __all__ = [
     "Dominance",
     "DimensionMismatchError",
     "EmptyInputError",
-    "ArchiveEntry",
     "ParetoArchive",
+    "TrajectoryPoint",
     "as_objectives",
     "as_weights",
     "dominates",
@@ -162,39 +163,35 @@ def relative_max(losses, weights) -> float:
 
 
 @dataclass
-class ArchiveEntry:
-    """A discrete candidate with its evaluated objectives.
+class TrajectoryPoint:
+    """One evaluated candidate of a run; round 0 is the evaluated start point.
 
-    Attributes:
-        candidate_id: Opaque, stable identifier of the discrete candidate.
-        objectives: Evaluated objective vector for the candidate.
-        weight_used: Preference vector active when the candidate was produced,
-            or None when not applicable.
-        oracle_calls_at_insert: Cumulative oracle-call count at insertion time.
+    ``mu`` and ``r_check`` are the non-uniformity and weighted relative max
+    of ``objectives`` along ``weights``, the run's own ray array, shared by
+    every point of the run; ``oracle_calls`` counts the run's calls so far.
     """
 
+    round_index: int
     candidate_id: str
     objectives: np.ndarray
-    weight_used: np.ndarray | None = None
-    oracle_calls_at_insert: int = 0
-
-    def __post_init__(self) -> None:
-        self.objectives = as_objectives(self.objectives)
-        if self.weight_used is not None:
-            self.weight_used = as_weights(self.weight_used)
+    mu: float
+    r_check: float
+    oracle_calls: int
+    weights: np.ndarray
 
 
 class ParetoArchive:
     """Mutually non-dominated set of evaluated candidates.
 
-    Inserting an entry evicts every incumbent it strictly dominates.  An entry
+    The entries are the inserted ``TrajectoryPoint`` objects themselves.
+    Inserting a point evicts every incumbent it strictly dominates.  A point
     is rejected when an incumbent weakly dominates it, which both discards
-    strictly worse entries and keeps the earliest-inserted copy of exact
+    strictly worse points and keeps the earliest-inserted copy of exact
     duplicates.
     """
 
     def __init__(self) -> None:
-        self.entries: list[ArchiveEntry] = []
+        self.entries: list[TrajectoryPoint] = []
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -207,16 +204,20 @@ class ParetoArchive:
         """Number of objectives, or None while the archive is empty."""
         return self.entries[0].objectives.size if self.entries else None
 
-    def insert(self, entry: ArchiveEntry) -> bool:
+    def insert(self, entry: TrajectoryPoint) -> bool:
         """Insert ``entry`` unless an incumbent weakly dominates it.
 
         Returns:
             True when the entry was inserted, False when rejected.
 
         Raises:
+            ValueError: If the entry's objectives are not a valid objective
+                vector or its weights not a valid weight vector.
             DimensionMismatchError: If the entry's objective length differs
                 from the archive's.
         """
+        as_objectives(entry.objectives)
+        as_weights(entry.weights)
         if self.entries and entry.objectives.size != self.m:
             raise DimensionMismatchError(
                 f"archive holds {self.m}-objective entries, got {entry.objectives.size}"
@@ -254,15 +255,10 @@ class ParetoArchive:
         )
         writer.writerow(header)
         for e in self.entries:
-            lam = (
-                [repr(float(x)) for x in e.weight_used]
-                if e.weight_used is not None
-                else [""] * m
-            )
             writer.writerow(
                 [e.candidate_id]
                 + [repr(float(x)) for x in e.objectives]
-                + lam
-                + [str(e.oracle_calls_at_insert)]
+                + [repr(float(x)) for x in e.weights]
+                + [str(e.oracle_calls)]
             )
         return buf.getvalue()

@@ -1,15 +1,16 @@
 """Outer optimization drivers and theory diagnostics.
 
 A run repeats relax -> inner descent -> discretize/select for one weight
-ray, logging one trajectory record per outer iteration.  A scan runs one
+ray, logging one ``TrajectoryPoint`` per outer iteration.  A scan runs one
 ray per weight vector from a deterministic per-ray seed, keeps each ray's
-RunResult, builds one Pareto archive from every ray's trajectory (the
-start point and the candidate selected in each outer round), and
-summarizes front quality.  Diagnostics check the run's loss path against
-the descent theory: each step should stay inside the previous admissible
-box (componentwise l_j <= r_check / lambda_j), the weighted relative max
-should fall monotonically, and the final point should satisfy the
-geometric-decay bound implied by the fitted per-step decay ratio.
+RunResult, inserts every ray's trajectory points (the start point and the
+candidate selected in each outer round) into one Pareto archive that keeps
+the surviving points themselves, and summarizes front quality.
+Diagnostics check the run's loss path against the descent theory: each
+step should stay inside the previous admissible box (componentwise
+l_j <= r_check / lambda_j), the weighted relative max should fall
+monotonically, and the final point should satisfy the geometric-decay
+bound implied by the fitted per-step decay ratio.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ArchiveEntry, ParetoArchive, as_weights, relative_max
+from .core import EmptyInputError, ParetoArchive, TrajectoryPoint, as_weights, relative_max
 from .metrics import (
     UnsupportedDimensionError,
     front_coverage,
@@ -134,18 +135,6 @@ class RunConfig:
 
 
 @dataclass
-class TrajectoryPoint:
-    """One outer-iteration record; round 0 is the evaluated initial point."""
-
-    round_index: int
-    candidate_id: str
-    objectives: np.ndarray
-    mu: float
-    r_check: float
-    oracle_calls: int
-
-
-@dataclass
 class RunResult:
     """Everything produced by one run, including the partial state on failure.
 
@@ -190,15 +179,6 @@ class TheoryReport:
     monotone_fraction: float
     bound_check: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "admissible_violations": self.admissible_violations,
-            "violation_steps": list(self.violation_steps),
-            "r_check_sequence": list(self.r_check_sequence),
-            "monotone_fraction": self.monotone_fraction,
-            "bound_check": dict(self.bound_check),
-        }
-
 
 def _resolve_weights(config: RunConfig, m: int) -> np.ndarray:
     if config.weights is None:
@@ -227,6 +207,7 @@ def _record(
         mu=ray_nonuniformity(objectives, weights),
         r_check=relative_max(objectives, weights),
         oracle_calls=task.oracle_calls - start_calls,
+        weights=weights,
     )
 
 
@@ -304,18 +285,17 @@ def run_inversion(config: RunConfig, x0=None, task: TaskContract | None = None) 
     config.validate()
     result = _run(config, x0, task)
     if len(result.trajectory) >= 2:
-        result.diagnostics = theory_diagnostics(result, result.weights)
+        result.diagnostics = theory_diagnostics(result)
     return result
 
 
-def theory_diagnostics(result: RunResult, weights) -> TheoryReport:
+def theory_diagnostics(result: RunResult) -> TheoryReport:
     """Check a finished trajectory against the descent theory.
 
     Args:
-      result: A run with at least two trajectory records; its
-        discretization count C is the neighborhood-size bound N of the
-        decay bound.
-      weights: The ray the run targeted.
+      result: A run with at least two trajectory records; its ray is
+        ``result.weights``, and its discretization count C is the
+        neighborhood-size bound N of the decay bound.
 
     Returns:
       TheoryReport.  The decay ratio ``alpha_hat`` is the median of
@@ -325,7 +305,7 @@ def theory_diagnostics(result: RunResult, weights) -> TheoryReport:
     """
     if len(result.trajectory) < 2:
         raise ValueError("theory diagnostics need a trajectory of length >= 2")
-    wv = as_weights(weights)
+    wv = as_weights(result.weights)
     losses = [p.objectives for p in result.trajectory]
     r_seq = [p.r_check for p in result.trajectory]
     steps = len(r_seq) - 1
@@ -390,7 +370,11 @@ def theory_diagnostics(result: RunResult, weights) -> TheoryReport:
 
 @dataclass
 class ScanResult:
-    """Archive of every ray's trajectory, the rays' runs and summary metrics."""
+    """The rays' runs, the Pareto archive of their points and summary metrics.
+
+    Every ``archive`` entry is one of the ``rays[k].trajectory`` points
+    itself, not a copy.
+    """
 
     archive: ParetoArchive
     rays: list[RunResult]
@@ -416,7 +400,8 @@ def front_scan(
 
     Returns:
       ScanResult; ``rays`` holds each ray's RunResult in grid order, and
-      ``archive`` every ray's trajectory points offered in ray order.
+      ``archive`` the non-dominated trajectory points themselves, every
+      ray's points offered in ray order.
       ``metrics`` holds hv against the unit corner, coverage within
       distance 0.05 of the reference front (None without one), nu_per_ray,
       nu_topk (mean of the 5 best rays' non-uniformity) and
@@ -459,9 +444,7 @@ def front_scan(
             result = RunResult(cfg, w, [], None, failed=True, error=str(exc))
         rays.append(result)
         for p in result.trajectory:
-            archive.insert(
-                ArchiveEntry(p.candidate_id, p.objectives, result.weights, p.oracle_calls)
-            )
+            archive.insert(p)
 
     finals = np.array(
         [r.final_objectives for r in rays if r.final_objectives is not None]
@@ -490,8 +473,15 @@ def front_scan(
     return ScanResult(archive=archive, rays=rays, metrics=metrics)
 
 
-def trajectory_to_csv(trajectory: list[TrajectoryPoint], m: int) -> str:
-    """Serialize an outer trajectory: round, l_1..l_m, mu, r_check, oracle_calls."""
+def trajectory_to_csv(trajectory: list[TrajectoryPoint]) -> str:
+    """Serialize an outer trajectory: round, l_1..l_m, mu, r_check, oracle_calls.
+
+    m is the first point's objective count; an empty trajectory raises
+    EmptyInputError.
+    """
+    if not trajectory:
+        raise EmptyInputError("trajectory is empty")
+    m = trajectory[0].objectives.size
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

@@ -396,6 +396,24 @@ def test_scan_weights_file_parse_errors(tmp_path, capsys):
     assert "config error: weights-file" in capsys.readouterr().err
 
 
+def test_scan_weights_file_row_with_an_overflowing_norm_is_a_config_error(
+    tmp_path, capsys
+):
+    # the same numbers that --lambda refuses; a valid first row does not hide it
+    path = tmp_path / "rays.csv"
+    path.write_text("lambda_1,lambda_2\n0.6,0.8\n1e308,1e308\n")
+    out = tmp_path / "out"
+    assert main(_file_scan_args(out, path)) == 1
+    err = capsys.readouterr().err
+    assert (
+        "config error: weights-file: row 3: weights must have a finite Euclidean norm"
+        in err
+    )
+    assert not (out / "metrics.json").exists()  # refused before any ray ran
+    assert main(_run_args(tmp_path / "run", "--lambda", "1e308,1e308")) == 1
+    assert "must have a finite Euclidean norm" in capsys.readouterr().err
+
+
 def test_scan_rejects_nonpositive_ray_count(tmp_path, capsys):
     args = _scan_args(tmp_path / "out")
     args[args.index("--weights") + 1] = "0"

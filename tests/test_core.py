@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretoscan.core import (
-    ArchiveEntry,
     DimensionMismatchError,
     Dominance,
     EmptyInputError,
     ParetoArchive,
+    TrajectoryPoint,
     as_objectives,
     as_weights,
     dominates,
@@ -134,39 +134,51 @@ def test_pareto_filter_matches_naive_oracle(rows):
 # ---------------------------------------------------------------------------
 
 
-def test_archive_entry_validates():
-    with pytest.raises(ValueError):
-        ArchiveEntry("a", np.array([-1.0, 0.0]))
-    with pytest.raises(ValueError):
-        ArchiveEntry("a", np.array([1.0, 0.0]), weight_used=np.array([0.0, 1.0]))
+def _point(candidate_id, objectives, weights=None, oracle_calls=0):
+    """A trajectory point as a run records it; the weights default to all ones."""
+    objectives = np.asarray(objectives, dtype=np.float64)
+    weights = np.ones(objectives.size) if weights is None else np.asarray(weights, float)
+    return TrajectoryPoint(0, candidate_id, objectives, 0.0, 0.0, oracle_calls, weights)
+
+
+def test_archive_insert_validates_the_point():
+    archive = ParetoArchive()
+    for objectives in ([-1.0, 0.0], [np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(ValueError):
+            archive.insert(_point("a", objectives))
+    for weights in ([0.0, 1.0], [-0.5, 1.0]):
+        with pytest.raises(ValueError):
+            archive.insert(_point("a", [1.0, 0.0], weights))
+    assert len(archive) == 0
 
 
 def test_archive_insert_evict_reject():
     archive = ParetoArchive()
     assert archive.m is None
-    assert archive.insert(ArchiveEntry("a", [3.0, 3.0]))
-    assert archive.insert(ArchiveEntry("b", [2.0, 4.0]))
-    assert not archive.insert(ArchiveEntry("c", [4.0, 4.0]))  # dominated
-    assert not archive.insert(ArchiveEntry("d", [3.0, 3.0]))  # duplicate
+    assert archive.insert(_point("a", [3.0, 3.0]))
+    assert archive.insert(_point("b", [2.0, 4.0]))
+    assert not archive.insert(_point("c", [4.0, 4.0]))  # dominated
+    assert not archive.insert(_point("d", [3.0, 3.0]))  # duplicate
     assert len(archive) == 2
-    assert archive.insert(ArchiveEntry("e", [2.0, 2.0]))  # evicts both
+    assert archive.insert(_point("e", [2.0, 2.0]))  # evicts both
     assert [e.candidate_id for e in archive] == ["e"]
     assert archive.m == 2
 
 
 def test_archive_keeps_earliest_duplicate():
     archive = ParetoArchive()
-    archive.insert(ArchiveEntry("first", [1.0, 1.0], oracle_calls_at_insert=2))
-    archive.insert(ArchiveEntry("second", [1.0, 1.0], oracle_calls_at_insert=9))
+    first = _point("first", [1.0, 1.0], oracle_calls=2)
+    archive.insert(first)
+    archive.insert(_point("second", [1.0, 1.0], oracle_calls=9))
     assert len(archive) == 1
-    assert archive.entries[0].candidate_id == "first"
+    assert archive.entries[0] is first  # the point itself, not a copy
 
 
 def test_archive_dimension_mismatch():
     archive = ParetoArchive()
-    archive.insert(ArchiveEntry("a", [1.0, 2.0]))
+    archive.insert(_point("a", [1.0, 2.0]))
     with pytest.raises(DimensionMismatchError):
-        archive.insert(ArchiveEntry("b", [1.0, 2.0, 3.0]))
+        archive.insert(_point("b", [1.0, 2.0, 3.0]))
 
 
 def test_archive_empty_accessors_raise():
@@ -202,7 +214,7 @@ def test_archive_invariants(rows):
     points = [np.array(r) / 2.0 for r in rows]
     archive = ParetoArchive()
     for i, vec in enumerate(points):
-        archive.insert(ArchiveEntry(str(i), vec))
+        archive.insert(_point(str(i), vec))
     assert [e.candidate_id for e in archive] == _reference_front(points)
     # entries are mutually incomparable
     for i, e in enumerate(archive.entries):
@@ -218,16 +230,12 @@ def test_archive_invariants(rows):
 
 def test_archive_csv_round_trip():
     archive = ParetoArchive()
-    archive.insert(
-        ArchiveEntry(
-            "x:1,2", [0.123456789012345, 0.5], np.array([0.6, 0.8]), 14
-        )
-    )
-    archive.insert(ArchiveEntry("x:3,4", [0.5, 0.1], None, 20))
+    archive.insert(_point("x:1,2", [0.123456789012345, 0.5], [0.6, 0.8], 14))
+    archive.insert(_point("x:3,4", [0.5, 0.1], [0.8, 0.6], 20))
     text = archive.to_csv()
     assert text.endswith("\n")
     assert text.splitlines() == [
         "candidate_id,l_1,l_2,lambda_1,lambda_2,oracle_calls",
         '"x:1,2",0.123456789012345,0.5,0.6,0.8,14',
-        '"x:3,4",0.5,0.1,,,20',
+        '"x:3,4",0.5,0.1,0.8,0.6,20',
     ]

@@ -1,8 +1,10 @@
 """Front metrics: exact hypervolume vs hand values and MC, coverage, summaries."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paretoscan.core import EmptyInputError
@@ -79,7 +81,7 @@ def test_hypervolume_grows_when_points_are_added(seed, m):
     assert grown <= 1.0 + 1e-12
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=25, derandomize=True)
 @given(st.integers(0, 10**9), st.integers(2, 4))
 def test_hypervolume_agrees_with_monte_carlo(seed, m):
     rng = np.random.default_rng(seed)
@@ -88,6 +90,26 @@ def test_hypervolume_agrees_with_monte_carlo(seed, m):
     exact = hypervolume(pts, ref)
     est, se = hypervolume_monte_carlo(pts, ref, samples=40000, seed=seed)
     assert abs(exact - est) <= max(4.0 * se, 1e-9)
+
+
+def _inclusion_exclusion_volume(pts, ref):
+    """Volume of the union of the boxes [p, ref], summed over every subset."""
+    total = 0.0
+    for k in range(1, len(pts) + 1):
+        for subset in itertools.combinations(pts, k):
+            corner = np.max(subset, axis=0)
+            total += (-1) ** (k + 1) * float(np.prod(ref - corner))
+    return total
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10**9), st.integers(2, 4))
+@example(seed=362, m=4)
+def test_hypervolume_equals_inclusion_exclusion(seed, m):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.1, 0.9, size=(5, m))
+    ref = np.ones(m)
+    assert abs(hypervolume(pts, ref) - _inclusion_exclusion_volume(pts, ref)) <= 1e-12
 
 
 def test_monte_carlo_is_deterministic_per_seed():

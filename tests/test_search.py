@@ -1,13 +1,13 @@
 """Outer loop: runs, scans, theory diagnostics, trajectory serialization."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from paretoscan import search
-from paretoscan.core import relative_max
+from paretoscan.core import EmptyInputError, relative_max
 from paretoscan.relax import NumericalFailureError
 from paretoscan.search import (
     RunConfig,
@@ -147,7 +147,7 @@ def test_shared_task_instance_keeps_per_run_accounting():
     cfg = RunConfig(task="synthetic", task_params={"n": 6}, T=4, K=5, eta=0.05, C=4, seed=9)
     first = run_inversion(cfg, task=task)
     second = run_inversion(cfg, task=task)
-    assert trajectory_to_csv(first.trajectory, 2) == trajectory_to_csv(second.trajectory, 2)
+    assert trajectory_to_csv(first.trajectory) == trajectory_to_csv(second.trajectory)
     assert first.trajectory[0].oracle_calls == second.trajectory[0].oracle_calls == 2
 
 
@@ -155,9 +155,9 @@ def test_fresh_instance_runs_are_deterministic():
     cfg = RunConfig(task="synthetic", task_params={"n": 8}, T=6, K=8, eta=0.05, C=5, seed=21)
     a = run_inversion(cfg)
     b = run_inversion(cfg)
-    assert trajectory_to_csv(a.trajectory, 2) == trajectory_to_csv(b.trajectory, 2)
+    assert trajectory_to_csv(a.trajectory) == trajectory_to_csv(b.trajectory)
     c = run_inversion(RunConfig(**{**cfg.__dict__, "seed": 22}))
-    assert trajectory_to_csv(c.trajectory, 2) != trajectory_to_csv(a.trajectory, 2)
+    assert trajectory_to_csv(c.trajectory) != trajectory_to_csv(a.trajectory)
 
 
 def test_single_objective_reduces_to_weighted_sum():
@@ -174,7 +174,7 @@ def test_single_objective_reduces_to_weighted_sum():
     )
     a = run_inversion(cfg)
     b = run_inversion(replace(cfg, mode="ls"))
-    assert trajectory_to_csv(a.trajectory, 1) == trajectory_to_csv(b.trajectory, 1)
+    assert trajectory_to_csv(a.trajectory) == trajectory_to_csv(b.trajectory)
 
 
 class _GradFailTask(SyntheticTask):
@@ -214,7 +214,7 @@ def test_run_inversion_follows_config_mode():
     ls = run_inversion(replace(cfg, mode="ls"))
     assert epo.config.mode == "epo"
     assert ls.config.mode == "ls"
-    assert trajectory_to_csv(ls.trajectory, 2) != trajectory_to_csv(epo.trajectory, 2)
+    assert trajectory_to_csv(ls.trajectory) != trajectory_to_csv(epo.trajectory)
 
 
 def test_weight_dimension_mismatch_raises():
@@ -242,6 +242,7 @@ def _fabricate(r_values, weights, losses=None, C=3):
                 mu=0.0,
                 r_check=relative_max(obj, w),
                 oracle_calls=2 * (i + 1),
+                weights=w,
             )
         )
     return RunResult(
@@ -254,7 +255,7 @@ def _fabricate(r_values, weights, losses=None, C=3):
 
 def test_theory_geometric_decay_fit():
     res = _fabricate([1.0, 0.8, 0.7], [1.0, 1.0], C=3)
-    rep = theory_diagnostics(res, [1.0, 1.0])
+    rep = theory_diagnostics(res)
     assert rep.admissible_violations == 0
     assert rep.monotone_fraction == 1.0
     bc = rep.bound_check
@@ -267,7 +268,7 @@ def test_theory_geometric_decay_fit():
 
 def test_theory_single_step_gamma_is_exact():
     res = _fabricate([1.0, 0.9], [1.0, 1.0], C=1)
-    rep = theory_diagnostics(res, [1.0, 1.0])
+    rep = theory_diagnostics(res)
     bc = rep.bound_check
     assert bc["alpha_hat"] is None  # one drop, no consecutive pair
     assert bc["gamma"] == 1.0  # the ratio cancels exactly at one step
@@ -277,7 +278,7 @@ def test_theory_single_step_gamma_is_exact():
 
 def test_theory_fitted_ratio_off_the_grid():
     res = _fabricate([1.0, 0.6, 0.44], [1.0, 1.0], C=2)
-    rep = theory_diagnostics(res, [1.0, 1.0])
+    rep = theory_diagnostics(res)
     bc = rep.bound_check
     assert bc["alpha_hat"] == pytest.approx(0.4)
     assert bc["gamma"] == pytest.approx(0.7)  # (1 - 0.16) / (0.6 * 2)
@@ -287,7 +288,7 @@ def test_theory_fitted_ratio_off_the_grid():
 
 def test_theory_flat_trajectory_has_no_fit():
     res = _fabricate([0.5, 0.5, 0.5], [1.0, 1.0])
-    rep = theory_diagnostics(res, [1.0, 1.0])
+    rep = theory_diagnostics(res)
     assert rep.monotone_fraction == 1.0
     assert rep.admissible_violations == 0
     bc = rep.bound_check
@@ -299,7 +300,7 @@ def test_theory_flat_trajectory_has_no_fit():
 
 def test_theory_flags_admissibility_violations():
     res = _fabricate([1.0, 1.2, 1.1], [1.0, 1.0])
-    rep = theory_diagnostics(res, [1.0, 1.0])
+    rep = theory_diagnostics(res)
     assert rep.violation_steps == [1]  # 1.2 escaped the box; 1.1 stayed in 1.2's
     assert rep.monotone_fraction == 0.5
 
@@ -309,14 +310,14 @@ def test_theory_violation_is_componentwise():
     # first improves and the unweighted max falls
     losses = [[0.5, 0.25], [0.4, 0.3]]
     res = _fabricate([0.0, 0.0], [1.0, 2.0], losses=losses)
-    rep = theory_diagnostics(res, [1.0, 2.0])
+    rep = theory_diagnostics(res)
     assert rep.r_check_sequence == pytest.approx([0.5, 0.6])
     assert rep.violation_steps == [1]
 
 
 def test_theory_unit_ratio_limit():
     res = _fabricate([1.0, 0.8, 0.6, 0.4], [1.0, 1.0], C=3)
-    rep = theory_diagnostics(res, [1.0, 1.0])
+    rep = theory_diagnostics(res)
     bc = rep.bound_check
     assert bc["alpha_hat"] == pytest.approx(1.0)
     assert bc["gamma"] == 1.0  # steps / N at the alpha -> 1 limit
@@ -326,16 +327,16 @@ def test_theory_unit_ratio_limit():
 def test_theory_input_validation():
     res = _fabricate([1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        theory_diagnostics(res, [1.0, 1.0])
+        theory_diagnostics(res)
     res2 = _fabricate([1.0, 0.9], [1.0, 1.0], C=0)
     with pytest.raises(ValueError):
-        theory_diagnostics(res2, [1.0, 1.0])
+        theory_diagnostics(res2)
 
 
 def test_theory_report_round_trips_to_dict():
     res = _fabricate([1.0, 0.8, 0.7], [1.0, 1.0])
-    rep = theory_diagnostics(res, [1.0, 1.0])
-    d = rep.to_dict()
+    rep = theory_diagnostics(res)
+    d = asdict(rep)
     assert set(d) == {
         "admissible_violations",
         "violation_steps",
@@ -490,14 +491,13 @@ def test_front_scan_archive_is_the_front_of_every_trajectory(build, fail_on, ray
 
     scan = front_scan(factory, rays, cfg)
     assert [r.failed for r in scan.rays] == [i + 1 == fail_on for i in range(len(rays))]
-    offered = [(p, ray.weights) for ray in scan.rays for p in ray.trajectory]
-    kept = [offered[int(i)] for i in _reference_front([p.objectives for p, _ in offered])]
+    offered = [p for ray in scan.rays for p in ray.trajectory]
+    kept = [offered[int(i)] for i in _reference_front([p.objectives for p in offered])]
     assert len(scan.archive) == len(kept)
-    for entry, (p, w) in zip(scan.archive, kept):
-        assert entry.candidate_id == p.candidate_id
-        assert np.array_equal(entry.objectives, p.objectives)
-        assert np.array_equal(entry.weight_used, w)
-        assert entry.oracle_calls_at_insert == p.oracle_calls
+    for entry, p in zip(scan.archive, kept):
+        assert entry is p  # the ray's own trajectory point, not a copy
+    for ray in scan.rays:
+        assert all(p.weights is ray.weights for p in ray.trajectory)
 
 
 def test_front_scan_takes_an_array_of_rays():
@@ -525,13 +525,19 @@ def test_front_scan_reports_coverage_against_a_reference_front():
 
 
 def test_trajectory_csv_layout():
+    w = np.full(3, 1.0 / math.sqrt(3.0))
     points = [
-        TrajectoryPoint(0, "a", np.array([0.5, 0.25, 0.125]), 0.01, 0.5, 3),
-        TrajectoryPoint(1, "b", np.array([0.25, 0.2, 0.1]), 0.0, 0.25, 6),
+        TrajectoryPoint(0, "a", np.array([0.5, 0.25, 0.125]), 0.01, 0.5, 3, w),
+        TrajectoryPoint(1, "b", np.array([0.25, 0.2, 0.1]), 0.0, 0.25, 6, w),
     ]
-    text = trajectory_to_csv(points, 3)
+    text = trajectory_to_csv(points)
     lines = text.split("\n")
     assert lines[0] == "round,l_1,l_2,l_3,mu,r_check,oracle_calls"
     assert lines[1] == "0,0.5,0.25,0.125,0.01,0.5,3"
     assert lines[2] == "1,0.25,0.2,0.1,0.0,0.25,6"
     assert text.endswith("\n")
+
+
+def test_trajectory_csv_of_an_empty_trajectory_raises():
+    with pytest.raises(EmptyInputError, match="trajectory is empty"):
+        trajectory_to_csv([])
