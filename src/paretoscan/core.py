@@ -214,10 +214,14 @@ class ParetoArchive:
             ValueError: If the entry's objectives are not a valid objective
                 vector or its weights not a valid weight vector.
             DimensionMismatchError: If the entry's objective length differs
-                from the archive's.
+                from the archive's or from its weights' length.
         """
         as_objectives(entry.objectives)
         as_weights(entry.weights)
+        if entry.weights.size != entry.objectives.size:
+            raise DimensionMismatchError(
+                f"entry has {entry.objectives.size} objectives but {entry.weights.size} weights"
+            )
         if self.entries and entry.objectives.size != self.m:
             raise DimensionMismatchError(
                 f"archive holds {self.m}-objective entries, got {entry.objectives.size}"

@@ -160,8 +160,9 @@ class RoundTrace:
 
 @dataclass
 class InnerResult:
-    """Outcome of :func:`inner_descent`."""
+    """Outcome of :func:`inner_descent`; ``start`` is the clamped start vector."""
 
+    start: np.ndarray
     point: np.ndarray
     trace: list[RoundTrace]
     converged: bool
@@ -176,8 +177,15 @@ def inner_descent(
     rounds: int,
     mode: str = "epo",
     epsilon: float = qp.EPSILON_DEFAULT,
+    previous: InnerResult | None = None,
 ) -> InnerResult:
     """Gradient descent on the relaxation driven by the chosen direction rule.
+
+    The descent reads no random state, so its result depends only on the
+    clamped start and the settings.  When ``previous`` started from the
+    same clamped vector, it is returned itself and nothing is recomputed.
+    ``previous`` must come from a call with the same task, weights, eta,
+    rounds, mode and epsilon; a run passes its last round's result.
 
     Args:
         task: The task providing relaxed losses/gradients.
@@ -187,6 +195,7 @@ def inner_descent(
         rounds: Number of descent rounds (K).
         mode: "epo" for the non-dominating QP direction, "ls" for d = G lam.
         epsilon: Balance threshold for the QP mode.
+        previous: The result of an earlier call with the same settings.
 
     Returns:
         InnerResult with the final vector, a per-round trace of
@@ -203,6 +212,9 @@ def inner_descent(
         raise ValueError(f"unknown descent mode {mode!r}")
     wv = as_weights(weights)
     x = task.clamp(x)
+    if previous is not None and np.array_equal(previous.start, x):
+        return previous
+    start = x
     trace: list[RoundTrace] = []
     max_norm = 0.0
     hint = None  # the last m >= 3 QP's winning pattern, tried first next round
@@ -240,7 +252,7 @@ def inner_descent(
             raise NumericalFailureError("non-finite step direction", k)
         max_norm = max(max_norm, float(np.linalg.norm(direction)))
         x = task.clamp(x - eta * direction)
-    return InnerResult(point=x, trace=trace, converged=max_norm < CONVERGENCE_NORM)
+    return InnerResult(start, x, trace, converged=max_norm < CONVERGENCE_NORM)
 
 
 @dataclass

@@ -230,6 +230,7 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
     converged = False
     failed = False
     error: str | None = None
+    inner = None  # a stalled ray starts from the same point: reuse its descent
     for t in range(1, config.T + 1):
         budget = config.oracle_budget
         if budget and task.oracle_calls - start_calls >= budget:
@@ -243,6 +244,7 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
                 rounds=config.K,
                 mode=config.mode,
                 epsilon=config.epsilon,
+                previous=inner,
             )
             selection = discretize_select(task, inner.point, weights, config.C, rng)
         except NumericalFailureError as exc:

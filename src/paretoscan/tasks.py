@@ -315,9 +315,14 @@ class NGramTask(TaskContract):
         rows = np.clip(P, 0.0, None)
         rows = rows / rows.sum(axis=1, keepdims=True)
         out = ["".join(ALPHABET[int(i)] for i in np.argmax(rows, axis=1))]
-        for _ in range(count - 1):
-            draws = [rng.choice(3, p=rows[t]) for t in range(self.l_max)]
-            out.append("".join(ALPHABET[int(i)] for i in draws))
+        # rng.choice(3, p=row) draws one rng.random() and returns the count of
+        # the row's normalised cumulative sums at or below it; drawing all the
+        # uniforms at once gives the same letters and leaves rng in the same state.
+        cdf = np.cumsum(rows, axis=1)
+        cdf /= cdf[:, -1:]
+        u = rng.random((count - 1, self.l_max))
+        draws = (cdf[None] <= u[..., None]).sum(axis=-1)
+        out += ["".join(ALPHABET[i] for i in row) for row in draws.tolist()]
         return out
 
     def candidate_id(self, candidate) -> str:

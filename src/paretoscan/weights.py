@@ -162,7 +162,9 @@ def lift_positive(weights) -> np.ndarray:
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ValueError("weights must be finite and non-negative")
     w[w < POSITIVITY_FLOOR] = POSITIVITY_FLOOR
-    w = w / np.linalg.norm(w)
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norm = np.linalg.norm(w)
+    w = w / norm
     if not np.all(w > 0.0):
         raise ValueError("weights must have a finite Euclidean norm")
     return w

@@ -4,7 +4,9 @@
 strict ``getattr``, and ``bench/worker.py`` marks a traced run incorrect
 when tracing moves a scan's fingerprint.  These tests import both
 unchanged and run a tiny synthetic scan with and without the tracer, so a
-rename in the program that breaks the traced run fails here first.
+rename in the program that breaks the traced run fails here first.  A tiny
+stalling n-gram scan must also pass ``bench/run.py``'s own check of the
+traced counts against the program's counters.
 """
 
 import importlib
@@ -18,12 +20,15 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
+import run  # noqa: E402
 import tracer  # noqa: E402
 import worker  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 #: Two rays of the synthetic workload with T = K = C = 2.
 TINY = replace(WORKLOADS["synthetic-epo"], rays=2, T=2, K=2, C=2)
+#: Two unigram rays that stand still in 6 of their 8 outer rounds.
+STALLING = replace(WORKLOADS["ngram-uni"], rays=2, T=4, K=2, C=2)
 
 
 def test_every_traced_name_resolves():
@@ -67,3 +72,20 @@ def test_tracing_a_scan_keeps_its_fingerprint_and_counts_its_rounds():
     for owner, names in before.values():
         now = vars(owner)
         assert all(now.get(key) is value for key, value in names.items()), owner
+
+
+def test_the_benchmarks_trace_agreement_holds_when_descents_are_reused():
+    grid, probe, truth = worker._setup(paretoscan, STALLING, {})
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        _, scan, _, _ = worker._scan_loop(paretoscan, STALLING, grid, truth, 1, 0.0, None, spans)
+    finally:
+        spans.uninstall()
+    report = worker._outputs(paretoscan, scan, probe, STALLING.m)
+    report["per_layer"] = worker._layer_metrics(spans, paretoscan.RunConfig().epsilon)
+    assert run._trace_agreement(report, STALLING) == []
+    assert report["per_layer"]["relax.inner_descent.calls"] == 8  # 2 rays x T
+    assert report["per_layer"]["relax.inner_rounds"] == 16  # reused rounds count too
+    # 2 computed descents clamp K + 1 times, the 6 reused ones only their start
+    assert spans.totals()[0]["tasks.clamp"] == 2 * 3 + 6

@@ -1,9 +1,12 @@
-"""Command-line interface: artifacts, precedence, exit codes (in-process)."""
+"""Command-line interface: artifacts, precedence, exit codes (in-process but for one stderr check)."""
 
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -394,6 +397,24 @@ def test_scan_weights_file_parse_errors(tmp_path, capsys):
     path.write_text("lambda_1,lambda_2\n0.5,oops\n")
     assert main(_file_scan_args(tmp_path / "out", path)) == 1
     assert "config error: weights-file" in capsys.readouterr().err
+
+
+def test_an_overflowing_weight_norm_prints_no_numpy_warning(tmp_path):
+    # a fresh interpreter shows what a user sees on stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "paretoscan.cli",
+            *_run_args(tmp_path / "run", "--lambda", "1e308,1e308"),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "config error: lambda" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_scan_weights_file_row_with_an_overflowing_norm_is_a_config_error(

@@ -181,6 +181,14 @@ def test_archive_dimension_mismatch():
         archive.insert(_point("b", [1.0, 2.0, 3.0]))
 
 
+def test_archive_rejects_weights_of_another_length():
+    # to_csv would write this row with one column more than its header
+    archive = ParetoArchive()
+    with pytest.raises(DimensionMismatchError):
+        archive.insert(_point("x", [0.5, 0.5], [0.5, 0.5, 0.5], oracle_calls=1))
+    assert len(archive) == 0
+
+
 def test_archive_empty_accessors_raise():
     archive = ParetoArchive()
     with pytest.raises(EmptyInputError):

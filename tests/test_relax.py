@@ -187,6 +187,36 @@ def test_inner_descent_asks_the_task_once_per_round_at_a_clamped_point(mode):
     assert all(a is c for a, c in zip(task.asked, task.clamped))
 
 
+class _BoxedStub(_StubTask):
+    region = Box(-1.0, 1.0)
+
+
+def test_inner_descent_returns_a_previous_result_from_the_same_clamped_start():
+    task = _BoxedStub()
+    first = inner_descent(task, np.array([1.5, 0.7]), [1.0, 1.0], eta=0.1, rounds=5)
+    assert task.calls == 5
+    assert np.array_equal(first.start, [1.0, 0.7])
+    # another vector that clamps to the same start: no task call, the same object
+    again = inner_descent(
+        task, np.array([3.0, 0.7]), [1.0, 1.0], eta=0.1, rounds=5, previous=first
+    )
+    assert again is first
+    assert task.calls == 5
+
+
+def test_inner_descent_recomputes_from_a_different_start():
+    task = _BoxedStub()
+    first = inner_descent(task, np.array([0.4, 0.7]), [1.0, 1.0], eta=0.1, rounds=5)
+    moved = np.array([0.4, np.nextafter(0.7, 1.0)])
+    other = inner_descent(task, moved, [1.0, 1.0], eta=0.1, rounds=5, previous=first)
+    assert other is not first
+    assert task.calls == 10
+    fresh = inner_descent(_BoxedStub(), moved, [1.0, 1.0], eta=0.1, rounds=5)
+    assert np.array_equal(other.start, fresh.start)
+    assert np.array_equal(other.point, fresh.point)
+    assert [r.losses.tobytes() for r in other.trace] == [r.losses.tobytes() for r in fresh.trace]
+
+
 def test_inner_descent_rejects_unknown_mode():
     task = _StubTask()
     with pytest.raises(ValueError):

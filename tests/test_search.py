@@ -8,7 +8,7 @@ import pytest
 
 from paretoscan import search
 from paretoscan.core import EmptyInputError, relative_max
-from paretoscan.relax import NumericalFailureError
+from paretoscan.relax import NumericalFailureError, discretize_select, inner_descent
 from paretoscan.search import (
     RunConfig,
     RunResult,
@@ -18,7 +18,7 @@ from paretoscan.search import (
     theory_diagnostics,
     trajectory_to_csv,
 )
-from paretoscan.tasks import SyntheticTask, make_task, synthetic_true_front
+from paretoscan.tasks import SyntheticTask, default_eta, make_task, synthetic_true_front
 from paretoscan.weights import weight_grid
 from test_core import _reference_front
 
@@ -215,6 +215,65 @@ def test_run_inversion_follows_config_mode():
     assert epo.config.mode == "epo"
     assert ls.config.mode == "ls"
     assert trajectory_to_csv(ls.trajectory) != trajectory_to_csv(epo.trajectory)
+
+
+def _descend_every_round(config):
+    """The run loop without descent reuse: (trajectory rows, final candidate, rng state)."""
+    task = make_task(config.task, **config.task_params)
+    weights = search._resolve_weights(config, task.m)
+    eta = default_eta(config.task) if config.eta is None else config.eta
+    rng = np.random.default_rng(config.seed)
+    x = task.random_candidate(rng)
+    rows = [(task.candidate_id(x), task.eval_discrete(x).tobytes(), task.oracle_calls)]
+    for _ in range(config.T):
+        inner = inner_descent(
+            task, task.relax(x), weights, eta=eta, rounds=config.K,
+            mode=config.mode, epsilon=config.epsilon,
+        )
+        selection = discretize_select(task, inner.point, weights, config.C, rng)
+        x = selection.candidate
+        rows.append((task.candidate_id(x), selection.objectives.tobytes(), task.oracle_calls))
+        if inner.converged:
+            break
+    return rows, task.candidate_id(x), rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(
+            task="ngram-uni", weights=weight_grid(3, 12)[7], T=12, K=20, eta=0.2, C=10, seed=2
+        ),
+        RunConfig(
+            task="surrogate", task_params={"m": 3, "epochs": 200},
+            T=10, K=10, eta=0.1, C=5, seed=1,
+        ),
+    ],
+    ids=["ngram-uni", "surrogate"],
+)
+def test_reusing_a_stalled_rays_descent_changes_nothing(monkeypatch, config):
+    rngs, reused = [], []
+
+    def watch_inner(*args, previous=None, **kwargs):
+        result = inner_descent(*args, previous=previous, **kwargs)
+        reused.append(result is previous)
+        return result
+
+    def watch_select(task, x, weights, count, rng):
+        rngs.append(rng)
+        return discretize_select(task, x, weights, count, rng)
+
+    monkeypatch.setattr(search, "inner_descent", watch_inner)
+    monkeypatch.setattr(search, "discretize_select", watch_select)
+    run = run_inversion(config)
+    rows, final_id, state = _descend_every_round(config)
+    # the ray both moves and stalls, so the reuse is exercised
+    assert 0 < sum(reused) < len(reused)
+    assert [
+        (p.candidate_id, p.objectives.tobytes(), p.oracle_calls) for p in run.trajectory
+    ] == rows
+    assert make_task(config.task, **config.task_params).candidate_id(run.final_candidate) == final_id
+    assert rngs[-1].bit_generator.state == state
 
 
 def test_weight_dimension_mismatch_raises():

@@ -245,6 +245,39 @@ def test_ngram_task_neighborhood_argmax_first():
     assert all(len(s) == 4 and set(s) <= set(ALPHABET) for s in batch)
 
 
+def _choice_per_position(rows, count, rng):
+    """The neighbourhood draw as one ``rng.choice`` per position."""
+    rows = np.clip(rows, 0.0, None)
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    out = ["".join(ALPHABET[int(i)] for i in np.argmax(rows, axis=1))]
+    for _ in range(count - 1):
+        out.append("".join(ALPHABET[int(rng.choice(3, p=row))] for row in rows))
+    return out
+
+
+def test_ngram_neighborhood_draws_equal_per_position_choice():
+    # one vectorised uniform draw must give rng.choice's letters and leave the
+    # generator where the per-position loop leaves it; a numpy change that
+    # breaks this would otherwise move the n-gram goldens silently
+    gen = np.random.default_rng(2024)
+    for case in range(2000):
+        l_max = int(gen.integers(2, 10))
+        rows = gen.random((l_max, 3)) ** gen.uniform(0.2, 6.0)
+        kind = gen.random(l_max)
+        rows[kind < 0.2] = np.eye(3)[gen.integers(0, 3, int(np.sum(kind < 0.2)))]
+        rows[(kind >= 0.2) & (kind < 0.3), gen.integers(0, 3)] = 0.0
+        if case % 3 == 0:  # rows as the descent leaves them: projected, with zeros
+            rows = SimplexRows(l_max, 3).project(gen.normal(size=3 * l_max)).reshape(l_max, 3)
+        else:
+            rows /= rows.sum(axis=1, keepdims=True)
+        count = int(gen.integers(1, 12))
+        vectorised, looped = np.random.default_rng(case), np.random.default_rng(case)
+        task = NGramTask(l_max=l_max)
+        got = task.neighborhood_discretize(rows.ravel(), count, vectorised)
+        assert got == _choice_per_position(rows, count, looped), case
+        assert vectorised.bit_generator.state == looped.bit_generator.state, case
+
+
 def test_ngram_task_ids_and_random_candidates():
     task = NGramTask(mode="bigram", l_max=8)
     s = task.random_candidate(np.random.default_rng(11))
