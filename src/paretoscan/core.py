@@ -65,9 +65,9 @@ def as_objectives(values) -> np.ndarray:
         raise ValueError(f"objective vector must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptyInputError("objective vector must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("objective vector contains non-finite entries")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("objective vector contains negative entries")
     return arr.copy()
 
@@ -86,9 +86,9 @@ def as_weights(values) -> np.ndarray:
         raise ValueError(f"weight vector must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptyInputError("weight vector must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("weight vector contains non-finite entries")
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("weight vector entries must be strictly positive")
     return arr.copy()
 

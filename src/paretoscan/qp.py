@@ -75,17 +75,17 @@ def _paired(losses, weights) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _profile(
-    losses: np.ndarray, weights: np.ndarray, epsilon: float
+    prod: np.ndarray, weights: np.ndarray, epsilon: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Non-uniformity, anchor and active set from one pass over the profile.
 
-    The inputs must already be validated and paired: non-negative finite
-    losses and strictly positive finite weights of one length.
+    ``prod`` is the weighted loss vector ``losses * weights``, from losses
+    and weights already validated and paired: non-negative finite losses
+    and strictly positive finite weights of one length.
 
     Raises:
         DegenerateLossError: If every weighted loss is zero.
     """
-    prod = losses * weights
     total = float(prod.sum())
     if total <= 0.0:
         raise DegenerateLossError("all weighted losses are zero")
@@ -93,10 +93,10 @@ def _profile(
     m = h.size
     pos = h > 0.0
     log_ratio = np.log(h[pos] * m)
-    mu = float(np.sum(h[pos] * log_ratio))
+    mu = float((h[pos] * log_ratio).sum())
     if mu <= epsilon:
         top = float(prod.max())
-        active = np.flatnonzero(prod >= top - 1e-12 * max(top, 1.0))
+        active = (prod >= top - 1e-12 * max(top, 1.0)).nonzero()[0]
         return mu, prod, active
     anchor = np.zeros(m)
     anchor[pos] = weights[pos] * (log_ratio - mu)
@@ -110,7 +110,7 @@ def nonuniformity(losses, weights) -> float:
     concentrates.  Zero entries contribute nothing (0 log 0 = 0).
     """
     lv, wv = _paired(losses, weights)
-    return _profile(lv, wv, EPSILON_DEFAULT)[0]
+    return _profile(lv * wv, wv, EPSILON_DEFAULT)[0]
 
 
 def active_index_set(losses, weights, epsilon: float = EPSILON_DEFAULT) -> list[int]:
@@ -121,7 +121,7 @@ def active_index_set(losses, weights, epsilon: float = EPSILON_DEFAULT) -> list[
     balancing step cannot regress any objective.
     """
     lv, wv = _paired(losses, weights)
-    return [int(j) for j in _profile(lv, wv, epsilon)[2]]
+    return [int(j) for j in _profile(lv * wv, wv, epsilon)[2]]
 
 
 def anchor_direction(losses, weights, epsilon: float = EPSILON_DEFAULT) -> np.ndarray:
@@ -135,14 +135,27 @@ def anchor_direction(losses, weights, epsilon: float = EPSILON_DEFAULT) -> np.nd
     h_j = 0 are left at zero.
     """
     lv, wv = _paired(losses, weights)
-    return _profile(lv, wv, epsilon)[1]
+    return _profile(lv * wv, wv, epsilon)[1]
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based).
 
-    A 2-D input is projected row by row.
+    A 2-D input is projected row by row.  Shifting a row by a constant does
+    not move its projection, so a row whose result misses the unit sum by
+    more than 1e-9 (its cumulative sums dwarf 1, as from 1e18 up) is
+    projected once more from the row minus its maximum.  A NaN row stays NaN.
     """
+    out = _project_sorted(v)
+    off = np.abs(out.sum(axis=-1) - 1.0) > 1e-9
+    if off.any():
+        shifted = v - v.max(axis=-1, keepdims=True)
+        out[off] = _project_sorted(shifted[off])
+    return out
+
+
+def _project_sorted(v: np.ndarray) -> np.ndarray:
+    """The sort-based projection of :func:`project_simplex`, in one pass."""
     u = np.sort(v, axis=-1)[..., ::-1]
     css = np.cumsum(u, axis=-1) - 1.0
     ks = np.arange(1, v.shape[-1] + 1)
@@ -301,7 +314,7 @@ def _solve_enumerated(
     beta, ok = _on_simplex(beta)
     fit = beta @ M.T
     obj = np.einsum("ij,ij->i", fit - a, fit - a)
-    feasible = np.all(fit[:, act] >= -_RELIEF, axis=1)
+    feasible = (fit[:, act] >= -_RELIEF).all(axis=1)
     infeasible = not feasible.any()
     best = None
     for i in np.flatnonzero(bounds_only[ok] if infeasible else feasible):
@@ -333,9 +346,9 @@ def _solve_certified(
     with np.errstate(all="ignore"):
         beta, nu = _kkt_points(Q2, c2, rows, pattern[None])
     beta, ok = _on_simplex(beta)
-    if not ok[0] or np.any(nu[0, 1:] > 0.0):
+    if not ok[0] or (nu[0, 1:] > 0.0).any():
         return None
-    if np.any((beta @ M.T)[0, act] < -_RELIEF):
+    if ((beta @ M.T)[0, act] < -_RELIEF).any():
         return None
     return QPSolution(beta=beta[0])
 

@@ -22,6 +22,7 @@ Oracle accounting: one discrete evaluation costs m calls (one per objective).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ class Box:
     hi: float
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,13 @@ def inner_descent(
     ``previous`` must come from a call with the same task, weights, eta,
     rounds, mode and epsilon; a run passes its last round's result.
 
+    Each round checks the losses and gradients entry by entry.  The
+    direction's sum of squares gives the norm for the converged flag and
+    doubles as its finiteness check: a finite sum proves every entry
+    finite, and only an infinite one, which finite entries can also give,
+    is checked entry by entry.  So a direction fails exactly when an entry
+    is NaN or infinite.
+
     Args:
         task: The task providing relaxed losses/gradients.
         x: Starting relaxed vector (clamped before use).
@@ -221,22 +229,23 @@ def inner_descent(
     for k in range(rounds):
         losses, grads = task.losses_and_gradients(x)
         losses = np.asarray(losses, dtype=np.float64)
-        if not np.all(np.isfinite(losses)):
+        if not np.isfinite(losses).all():
             raise NumericalFailureError("non-finite relaxed losses", k)
         grads = np.asarray(grads, dtype=np.float64)
-        if not np.all(np.isfinite(grads)):
+        if not np.isfinite(grads).all():
             raise NumericalFailureError("non-finite gradients", k)
-        if np.any(losses < 0.0):
+        if (losses < 0.0).any():
             raise ValueError("objective vector contains negative entries")
         if losses.shape != wv.shape:
             raise DimensionMismatchError(
                 f"losses have length {losses.size} but weights have length {wv.size}"
             )
+        weighted = losses * wv
         try:
-            mu, anchor, active = qp._profile(losses, wv, epsilon)
+            mu, anchor, active = qp._profile(weighted, wv, epsilon)
         except qp.DegenerateLossError:  # every loss is zero: the ideal point
             mu, anchor, active = 0.0, None, None
-        r_check = float(np.max(losses * wv))
+        r_check = float(weighted.max())
         trace.append(RoundTrace(k, losses.copy(), mu, r_check, mode))
         if mode == "ls":
             direction = grads @ wv
@@ -248,9 +257,10 @@ def inner_descent(
                 direction = np.zeros(x.size)
             else:
                 direction = grads @ solution.beta
-        if not np.all(np.isfinite(direction)):
+        sq = float(direction.dot(direction))
+        if not math.isfinite(sq) and not np.isfinite(direction).all():
             raise NumericalFailureError("non-finite step direction", k)
-        max_norm = max(max_norm, float(np.linalg.norm(direction)))
+        max_norm = max(max_norm, math.sqrt(sq))
         x = task.clamp(x - eta * direction)
     return InnerResult(start, x, trace, converged=max_norm < CONVERGENCE_NORM)
 
@@ -288,8 +298,7 @@ def discretize_select(
     for idx, cand in enumerate(candidates):
         objectives = task.eval_discrete(cand)
         weighted = objectives * wv
-        r_check = float(np.max(weighted))
-        key = (r_check, float(np.sum(weighted)), idx)
+        key = (float(max(weighted)), float(weighted.sum()), idx)
         if best_key is None or key < best_key:
             best_key = key
             best = (cand, objectives)

@@ -19,6 +19,7 @@ Three task families exercise the relax-descend-discretize loop:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -93,10 +94,18 @@ def default_eta(task_name: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _centre(n: int) -> np.ndarray:
+    """The read-only well centre ones(n) / sqrt(n), built once per n."""
+    c = np.full(n, 1.0 / math.sqrt(n))
+    c.flags.writeable = False
+    return c
+
+
 def _wells(x) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[float, ...]]:
     """Losses of the two wells, with the offsets x -+ c and their exponentials."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    c = np.full(x.size, 1.0 / math.sqrt(x.size))
+    c = _centre(x.size)
     offsets = (x - c, x + c)
     factors = tuple(math.exp(-float(d @ d)) for d in offsets)
     return np.array([1.0 - e for e in factors]), offsets, factors
@@ -110,7 +119,10 @@ def synthetic_losses(x) -> np.ndarray:
 def synthetic_losses_and_gradients(x) -> tuple[np.ndarray, np.ndarray]:
     """:func:`synthetic_losses` and their (n, 2) gradient matrix."""
     losses, offsets, factors = _wells(x)
-    return losses, np.stack([2.0 * d * e for d, e in zip(offsets, factors)], axis=1)
+    grads = np.empty((offsets[0].size, 2))
+    for j, (d, e) in enumerate(zip(offsets, factors)):
+        grads[:, j] = 2.0 * d * e
+    return losses, grads
 
 
 def synthetic_true_front(samples: int = 200) -> np.ndarray:
@@ -164,7 +176,7 @@ class SyntheticTask(TaskContract):
 
     def _snap(self, params: np.ndarray) -> np.ndarray:
         idx = np.rint(params / self.grid_step).astype(np.int64)
-        return np.clip(idx, -self._max_index, self._max_index)
+        return np.minimum(np.maximum(idx, -self._max_index), self._max_index)
 
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
         if count < 1:
@@ -198,7 +210,7 @@ _CHAR_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
 
 
 def _validate_rows(P: np.ndarray) -> None:
-    if np.any(P < -1e-9) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):
+    if (P < -1e-9).any() or (np.abs(P.sum(axis=1) - 1.0) > 1e-9).any():
         raise InvalidRelaxationError("rows must lie on the probability simplex")
 
 

@@ -435,6 +435,17 @@ def test_scan_weights_file_row_with_an_overflowing_norm_is_a_config_error(
     assert "must have a finite Euclidean norm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta", ["1e20", "1e300", "1e308"])
+def test_a_huge_step_on_the_simplex_still_completes_the_run(tmp_path, eta):
+    # the step throws each row of the n-gram matrix out to about eta, far
+    # past where cumsum - 1 can see the 1 of the simplex projection
+    out = tmp_path / "run"
+    argv = ["run", "--task", "ngram-uni", "-T", "2", "-K", "3", "-C", "2"]
+    assert main([*argv, "--eta", eta, "-o", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3  # header, the start and two rounds
+
+
 def test_scan_rejects_nonpositive_ray_count(tmp_path, capsys):
     args = _scan_args(tmp_path / "out")
     args[args.index("--weights") + 1] = "0"

@@ -99,6 +99,35 @@ def test_project_simplex_properties(seed, m):
     assert np.array_equal(qp.project_simplex(rows), expected)
 
 
+@pytest.mark.parametrize("scale", [1e18, 1e19, 1e50, 1e100, 1e200, 1e300])
+def test_project_simplex_keeps_the_unit_sum_at_large_scales(scale):
+    # cumsum - 1 cannot see the 1 once the entries pass about 1e16, so the
+    # first pass of such a row misses the simplex; a row shifted by its
+    # maximum has the same projection and no such cancellation
+    v = np.array([0.75 * scale, 0.75 * scale, scale])
+    assert np.array_equal(qp.project_simplex(v), [0.0, 0.0, 1.0])
+    rows = np.array([[0.75, 0.75, 1.0], [1.0, -1.0, 0.5], [0.5, 0.5, 0.5]]) * scale
+    out = qp.project_simplex(rows)
+    assert np.array_equal(out[:2], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    assert out[2] == pytest.approx([1.0 / 3.0] * 3, abs=1e-15)
+    assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
+
+
+def test_project_simplex_mends_only_the_rows_that_miss():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(scale=3.0, size=(5, 3))
+    accurate = qp.project_simplex(rows)
+    rows[2] = [3.75e18, 3.75e18, 5e18]
+    rows[4, 1] = np.nan
+    out = qp.project_simplex(rows)
+    # the accurate rows keep their bits, the far row is mended and the NaN
+    # row stays NaN, after one pass
+    keep = [0, 1, 3]
+    assert np.array_equal(out[keep], accurate[keep])
+    assert np.array_equal(out[2], [0.0, 0.0, 1.0])
+    assert np.isnan(out[4]).all()
+
+
 # ---------------------------------------------------------------------------
 # solve_qp
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from paretoscan import qp
 from paretoscan.relax import (
     Box,
     ExhaustedNeighborhoodError,
@@ -40,6 +41,31 @@ def test_simplex_rows_projection():
     assert out.sum(axis=1) == pytest.approx([1.0, 1.0])
     assert out.min() >= 0.0
     assert out[1] == pytest.approx([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.0, 2.0), (-np.inf, np.inf)])
+def test_box_projection_equals_clip(lo, hi):
+    box = Box(lo, hi)
+    specials = [-np.inf, np.inf, np.nan, 0.0, 0.5, 1e300, -1e300, 5e-324, -5e-324]
+    edges = [b for b in (lo, hi) if np.isfinite(b)]
+    near = [np.nextafter(b, d) for b in edges for d in (-np.inf, np.inf)]
+    x = np.array(specials + edges + near)
+    out = box.project(x)
+    assert np.array_equal(np.isnan(out), np.isnan(x))  # NaN stays, in place
+    assert np.array_equal(out, np.clip(x, lo, hi), equal_nan=True)
+    assert out.dtype == np.float64 and out.shape == x.shape
+
+
+def test_box_projection_maps_negative_zero_at_a_zero_bound_to_positive_zero():
+    # np.clip keeps -0.0 on Box(0, 1); maximum(-0.0, 0.0) gives +0.0.  No
+    # relaxed vector holds -0.0: starts are +0.0 or 1.0, and x - eta * d is
+    # -0.0 only when x is, since +0.0 - 0.0 and +0.0 - (-0.0) are +0.0 and a
+    # negative result clamps to +0.0.  Off the bound the sign is kept.
+    assert not np.signbit(Box(0.0, 1.0).project(np.array([-0.0]))).any()
+    assert np.signbit(Box(-2.0, 2.0).project(np.array([-0.0]))).all()
+    x = np.zeros(4)
+    step = 0.1 * np.array([0.0, -0.0, 1e-300, -1e-300])
+    assert not np.signbit(Box(0.0, 1.0).project(x - step)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +281,77 @@ def test_inner_descent_failure_on_losses_at_first_round():
             rounds=3,
         )
     assert exc.value.round_index == 0
+
+
+class _GuardStub(_StubTask):
+    """Stub whose round ``bad_round`` returns the given losses and gradients."""
+
+    def __init__(self, bad_round, losses=None, grads=None):
+        super().__init__()
+        self.bad_round = bad_round
+        self.bad_losses = losses
+        self.bad_grads = grads
+
+    def losses_and_gradients(self, x):
+        k = self.calls
+        losses, grads = super().losses_and_gradients(x)
+        if k == self.bad_round:
+            if self.bad_losses is not None:
+                losses = np.array(self.bad_losses)
+            if self.bad_grads is not None:
+                grads = np.full((x.size, 2), self.bad_grads)
+        return losses, grads
+
+
+def test_inner_descent_accepts_a_finite_direction_whose_squared_norm_overflows():
+    # d = G lam has entries 2e200: finite, but d . d overflows to inf
+    task = _GuardStub(1, grads=1e200)
+    with np.errstate(over="ignore"):
+        out = inner_descent(
+            task, np.array([0.4, 0.7]), [1.0, 1.0], eta=0.0, rounds=3, mode="ls"
+        )
+    assert len(out.trace) == 3
+    assert not out.converged
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"losses": [np.nan, 1.0]}, "non-finite relaxed losses"),
+        ({"losses": [1.0, np.inf]}, "non-finite relaxed losses"),
+        ({"losses": [-np.inf, 1.0]}, "non-finite relaxed losses"),
+        ({"grads": np.nan}, "non-finite gradients"),
+        ({"grads": -np.inf}, "non-finite gradients"),
+        ({"grads": 1e308}, "non-finite step direction"),  # G lam overflows
+    ],
+)
+def test_inner_descent_non_finite_values_raise_at_their_round(bad, message):
+    task = _GuardStub(2, **bad)
+    with pytest.raises(NumericalFailureError) as exc, np.errstate(over="ignore"):
+        inner_descent(task, np.array([0.4, 0.7]), [1.0, 1.0], eta=0.1, rounds=5, mode="ls")
+    assert str(exc.value) == f"{message} (inner round 2)"
+    assert exc.value.round_index == 2
+
+
+@pytest.mark.parametrize("beta", [[np.nan, 1.0], [np.inf, 0.0]])
+def test_inner_descent_non_finite_qp_direction_raises(monkeypatch, beta):
+    solve = qp._solve
+
+    def broken(G, a, act, hint=None):
+        solution, hint = solve(G, a, act, hint)
+        return qp.QPSolution(beta=np.array(beta)), hint
+
+    monkeypatch.setattr(qp, "_solve", broken)
+    with pytest.raises(NumericalFailureError) as exc:
+        inner_descent(_StubTask(), np.array([0.4, 0.7]), [1.0, 1.0], eta=0.1, rounds=3)
+    assert str(exc.value) == "non-finite step direction (inner round 0)"
+
+
+def test_inner_descent_negative_losses_still_raise_value_error():
+    task = _GuardStub(1, losses=[0.5, -1e-300])
+    with pytest.raises(ValueError, match="objective vector contains negative entries"):
+        inner_descent(task, np.array([0.4, 0.7]), [1.0, 1.0], eta=0.1, rounds=3)
+    assert task.calls == 2
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Outer loop: runs, scans, theory diagnostics, trajectory serialization."""
 
+import hashlib
 import math
+import struct
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -600,3 +602,43 @@ def test_trajectory_csv_layout():
 def test_trajectory_csv_of_an_empty_trajectory_raises():
     with pytest.raises(EmptyInputError, match="trajectory is empty"):
         trajectory_to_csv([])
+
+
+# ---------------------------------------------------------------------------
+# the selection path, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+#: sha256 of the archive CSV and every trajectory point of the 4-ray scans
+#: in ``_scan_digest``, written at the commit before the inner round's
+#: per-call NumPy dispatch was cut.  The inner-path digests of
+#: ``test_relax`` stop at the relaxed vector; these also cover
+#: ``discretize_select``'s tie-break key, over 500 evaluated candidates per ray.
+_SCAN_DIGESTS = {
+    "synthetic": (
+        "4b67e6283f343916bbfbd8fdc15c0544"
+        "6d9373f51b2ca68ee4d4d19216413ec3"
+    ),
+    "ngram-uni": (
+        "bc2e06dfddac87f9fa0bb47c5faaa1ed"
+        "4d7c365c891dbfd1134248cc85db8173"
+    ),
+}
+
+
+def _scan_digest(name):
+    task = make_task(name)
+    config = RunConfig(task=name, T=50, K=20, eta=default_eta(name), C=10, seed=3)
+    scan = front_scan(lambda: make_task(name), weight_grid(task.m, 4), config)
+    digest = hashlib.sha256(scan.archive.to_csv().encode())
+    for ray in scan.rays:
+        for p in ray.trajectory:
+            digest.update(struct.pack("<q", p.round_index))
+            digest.update(p.candidate_id.encode() + b"\0")
+            digest.update(p.objectives.tobytes())
+            digest.update(struct.pack("<ddq", p.mu, p.r_check, p.oracle_calls))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_DIGESTS))
+def test_front_scan_selection_path_is_pinned(name):
+    assert _scan_digest(name) == _SCAN_DIGESTS[name]

@@ -80,6 +80,21 @@ def test_synthetic_gradients_match_finite_differences(seed):
     assert np.max(np.abs(G - fd)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_synthetic_gradients_equal_the_stacked_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.uniform(-2.0, 2.0, size=n), np.zeros(n)):
+        c = np.full(n, 1.0 / math.sqrt(n))
+        offsets = (x - c, x + c)
+        factors = [math.exp(-float(d @ d)) for d in offsets]
+        stacked = np.stack([2.0 * d * e for d, e in zip(offsets, factors)], axis=1)
+        losses, G = synthetic_losses_and_gradients(x)
+        assert G.flags.c_contiguous and G.tobytes() == stacked.tobytes()
+        assert losses.tobytes() == np.array([1.0 - e for e in factors]).tobytes()
+    # the well centre is built once per n and shared, so nothing may write it
+    assert not tasks._centre(n).flags.writeable
+
+
 def test_synthetic_true_front_endpoints():
     front = synthetic_true_front(201)
     edge = 1.0 - math.exp(-4.0)
@@ -101,6 +116,18 @@ def test_synthetic_task_snap_and_bounds():
     snapped = task._snap(np.array([0.014, -5.0, 1.996]))
     assert snapped.tolist() == [1, -200, 200]
     assert snapped.dtype == np.int64
+
+
+@pytest.mark.parametrize("grid_step", [0.01, 0.3, 2.0**-61])
+def test_synthetic_snap_equals_the_clip_form(grid_step):
+    task = SyntheticTask(n=3, grid_step=grid_step)
+    top = task._max_index
+    ks = np.array([0, 1, top - 1, top, top + 1, 1.5 * top, 2.0**40], dtype=np.float64)
+    params = np.concatenate([ks, -ks]) * grid_step
+    idx = np.rint(params / grid_step).astype(np.int64)
+    snapped = task._snap(params)
+    assert snapped.dtype == np.int64
+    assert np.array_equal(snapped, np.clip(idx, -top, top))
 
 
 def test_synthetic_task_neighborhood_first_is_deterministic():
