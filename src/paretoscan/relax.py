@@ -95,13 +95,16 @@ class TaskContract(abc.ABC):
 
     Subclasses define the candidate space, the oracle, the relaxation and its
     gradients.  ``eval_discrete`` is the only operation that touches the
-    oracle counter.
+    oracle counter.  A subclass that sets no ``default_eta`` runs only with
+    an explicit ``RunConfig.eta``.
     """
 
     #: Number of objectives; set by subclasses.
     m: int = 0
     #: Feasible region of the relaxed vectors; set by subclasses.
     region: Box | SimplexRows
+    #: Descent step a run takes when ``RunConfig.eta`` is None; set by subclasses.
+    default_eta: float
 
     def __init__(self) -> None:
         self._oracle_calls = 0

@@ -36,7 +36,7 @@ from .relax import (
     discretize_select,
     inner_descent,
 )
-from .tasks import TASK_NAMES, default_eta, make_task
+from .tasks import TASK_NAMES, make_task
 from .weights import lift_positive
 
 __all__ = [
@@ -69,7 +69,7 @@ class RunConfig:
     """Settings for one optimization run.
 
     ``oracle_budget`` of 0 means unlimited; ``eta=None`` picks the task's
-    default step size; ``weights=None`` picks the uniform ray.  ``eta=0``
+    ``default_eta``; ``weights=None`` picks the uniform ray.  ``eta=0``
     is allowed and yields a constant trajectory (useful as a control).
     """
 
@@ -216,7 +216,7 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
     if task is None:
         task = make_task(config.task, **config.task_params)
     weights = _resolve_weights(config, task.m)
-    eta = default_eta(config.task) if config.eta is None else config.eta
+    eta = task.default_eta if config.eta is None else config.eta
     rng = np.random.default_rng(config.seed)
     start_calls = task.oracle_calls
     if x0 is None:
@@ -394,6 +394,8 @@ def front_scan(
 
     Args:
       task_factory: Zero-argument callable building a fresh task per ray.
+        The factory, not ``config.task``, decides what each ray runs, and a
+        ray with ``config.eta`` None steps at its own task's ``default_eta``.
       weight_list: Non-empty sequence of weight vectors (a list or an array).
       config: Per-ray settings; ray i runs with seed ``config.seed + i`` and
         an even share of ``config.oracle_budget``.  ``config.weights`` must

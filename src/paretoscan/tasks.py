@@ -5,12 +5,12 @@ Three task families exercise the relax-descend-discretize loop:
 * ``SyntheticTask`` -- two Gaussian-well losses over a fine grid in a box,
   with a closed-form Pareto front (the segment between the two well centers)
   for ground-truth comparisons.
-* ``NGramTask`` -- fixed-length strings over the alphabet {C, V, A} (an end
-  token is reserved but never emitted), scored by symbol counts (unigram
-  mode, conflicting: the counts compete for the same positions) or by
-  adjacent-pair counts of CV, VA, AC (bigram mode, correlated: a cyclic
-  string feeds all three).  The relaxation is a row-stochastic position-wise
-  distribution matrix; bigram counts factorize across adjacent positions.
+* ``NGramTask`` -- fixed-length strings over the alphabet {C, V, A}, scored
+  by symbol counts (unigram mode, conflicting: the counts compete for the
+  same positions) or by adjacent-pair counts of CV, VA, AC (bigram mode,
+  correlated: a cyclic string feeds all three).  The relaxation is a
+  row-stochastic position-wise distribution matrix; bigram counts factorize
+  across adjacent positions.
 * ``SurrogateTask`` -- bit vectors scored by hidden monotone-sigmoid
   properties.  Discrete evaluation always queries the ground-truth oracle,
   while gradients come from a small net pretrained on oracle-labeled
@@ -39,7 +39,6 @@ __all__ = [
     "ngram_losses",
     "ngram_gradients",
     "make_task",
-    "default_eta",
     "TASK_NAMES",
 ]
 
@@ -75,18 +74,6 @@ _TASK_PARAMS = {
 }
 
 TASK_NAMES = tuple(_TASK_PARAMS)
-
-_ETA_DEFAULTS = {
-    "synthetic": 0.05,
-    "ngram-uni": 0.2,
-    "ngram-bi": 0.2,
-    "surrogate": 0.1,
-}
-
-
-def default_eta(task_name: str) -> float:
-    """Per-task default descent step size."""
-    return _ETA_DEFAULTS[task_name]
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +137,7 @@ class SyntheticTask(TaskContract):
 
     m = 2
     region = Box(-_SYNTHETIC_BOUND, _SYNTHETIC_BOUND)
+    default_eta = 0.05
 
     def __init__(self, n: int = 20, grid_step: float = 0.01, init_bound: float = 0.5) -> None:
         super().__init__()
@@ -203,7 +191,6 @@ class SyntheticTask(TaskContract):
 # ---------------------------------------------------------------------------
 
 ALPHABET = "CVA"
-END_TOKEN = "$"  # reserved in the vocabulary; sequences never emit it
 _UNIGRAM_TARGETS = ("C", "V", "A")
 _BIGRAM_TARGETS = ("CV", "VA", "AC")
 _CHAR_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
@@ -291,6 +278,7 @@ class NGramTask(TaskContract):
     """Fixed-length strings over {C, V, A} scored by n-gram counts."""
 
     m = 3
+    default_eta = 0.2
 
     def __init__(self, mode: str = "unigram", l_max: int = 8) -> None:
         super().__init__()
@@ -424,6 +412,7 @@ class SurrogateTask(TaskContract):
     """
 
     region = Box(0.0, 1.0)
+    default_eta = 0.1
 
     def __init__(
         self,

@@ -3,8 +3,9 @@
 Rays are parameterized by uniform coordinates in [0, 1] mapped through
 spherical angles, so evenly spaced (or low-discrepancy) inputs give well
 spread rays.  Generators can emit exact zeros at the orthant boundary;
-:func:`lift_positive` floors those before a vector is used in optimization,
-where strictly positive weights are required.
+:func:`lift_positive` raises every component below ``POSITIVITY_FLOOR``,
+zeros and tiny positive values alike, to that floor before a vector is used
+in optimization, where strictly positive weights are required.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
 #: Components below this magnitude are snapped to exact zero.
 _SNAP = 1e-12
 
-#: Floor applied by :func:`lift_positive` to zero components.
+#: Floor applied by :func:`lift_positive` to every component below it.
 POSITIVITY_FLOOR = 1e-3
 
 
@@ -152,11 +153,13 @@ def weight_grid(m: int, count: int) -> list[np.ndarray]:
 
 
 def lift_positive(weights) -> np.ndarray:
-    """Floor zero components and re-normalize to the unit sphere.
+    """Raise components below ``POSITIVITY_FLOOR`` to it and re-normalize.
 
     Boundary rays carry exact zeros, which the non-uniformity measure and
     the inverse-weight ray cannot accept; the lift perturbs the ray by at
-    most ``POSITIVITY_FLOOR`` while restoring strict positivity.
+    most ``POSITIVITY_FLOOR`` while restoring strict positivity.  Every
+    component below the floor is raised, not only zeros: ``[1, 1e-6]``
+    lifts to ``[1, 1e-3]`` before the norm is restored.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):

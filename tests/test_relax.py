@@ -17,7 +17,7 @@ from paretoscan.relax import (
     discretize_select,
     inner_descent,
 )
-from paretoscan.tasks import SyntheticTask, default_eta, make_task
+from paretoscan.tasks import SyntheticTask, make_task
 from paretoscan.weights import lift_positive, weight_grid
 
 #: The stub tasks' feasible region: the whole space.
@@ -496,7 +496,7 @@ def _inner_path_digest(name, mode):
         rng = np.random.default_rng(100 + i)
         start = task.relax(task.random_candidate(rng))
         out = inner_descent(
-            task, start, lift_positive(weights), eta=default_eta(name), rounds=20, mode=mode
+            task, start, lift_positive(weights), eta=task.default_eta, rounds=20, mode=mode
         )
         for row in out.trace:
             digest.update(struct.pack("<q", row.round_index))

@@ -20,7 +20,7 @@ from paretoscan.search import (
     theory_diagnostics,
     trajectory_to_csv,
 )
-from paretoscan.tasks import SyntheticTask, default_eta, make_task, synthetic_true_front
+from paretoscan.tasks import SyntheticTask, make_task, synthetic_true_front
 from paretoscan.weights import weight_grid
 from test_core import _reference_front
 
@@ -223,7 +223,7 @@ def _descend_every_round(config):
     """The run loop without descent reuse: (trajectory rows, final candidate, rng state)."""
     task = make_task(config.task, **config.task_params)
     weights = search._resolve_weights(config, task.m)
-    eta = default_eta(config.task) if config.eta is None else config.eta
+    eta = task.default_eta if config.eta is None else config.eta
     rng = np.random.default_rng(config.seed)
     x = task.random_candidate(rng)
     rows = [(task.candidate_id(x), task.eval_discrete(x).tobytes(), task.oracle_calls)]
@@ -439,6 +439,21 @@ def test_front_scan_computes_no_theory_diagnostics(monkeypatch):
     assert not any(ray.failed for ray in scan.rays)
 
 
+def test_front_scan_steps_each_ray_at_its_own_tasks_default(monkeypatch):
+    # the factory, not config.task, decides what a ray runs, and so its step
+    etas = []
+
+    def spy(*args, eta, **kwargs):
+        etas.append(eta)
+        return inner_descent(*args, eta=eta, **kwargs)
+
+    monkeypatch.setattr(search, "inner_descent", spy)
+    config = RunConfig(task="ngram-uni", T=1, K=1, C=1)
+    scan = front_scan(lambda: make_task("synthetic"), weight_grid(2, 2), config)
+    assert not any(ray.failed for ray in scan.rays)
+    assert etas == [0.05, 0.05]
+
+
 def test_front_scan_factory_contract():
     with pytest.raises(TypeError):
         front_scan(42, [DIAG], _small_cfg())
@@ -609,10 +624,13 @@ def test_trajectory_csv_of_an_empty_trajectory_raises():
 # ---------------------------------------------------------------------------
 
 #: sha256 of the archive CSV and every trajectory point of the 4-ray scans
-#: in ``_scan_digest``, written at the commit before the inner round's
-#: per-call NumPy dispatch was cut.  The inner-path digests of
-#: ``test_relax`` stop at the relaxed vector; these also cover
-#: ``discretize_select``'s tie-break key, over 500 evaluated candidates per ray.
+#: in ``_scan_digest``.  The synthetic and unigram digests were written at the
+#: commit before the inner round's per-call NumPy dispatch was cut, the m = 4
+#: surrogate's at the commit before each task took over its default step.
+#: The inner-path digests of ``test_relax`` stop at the relaxed vector; these
+#: also cover ``discretize_select``'s tie-break key, over 500 evaluated
+#: candidates per ray, and at m = 4 the certified QP, the box clamp and the
+#: net's gradients.
 _SCAN_DIGESTS = {
     "synthetic": (
         "4b67e6283f343916bbfbd8fdc15c0544"
@@ -622,13 +640,28 @@ _SCAN_DIGESTS = {
         "bc2e06dfddac87f9fa0bb47c5faaa1ed"
         "4d7c365c891dbfd1134248cc85db8173"
     ),
+    "surrogate-m4": (
+        "02c76e062810047859d7a275dd6a9427"
+        "dc3d64dda452db2c63ddbd9bc7d3352e"
+    ),
 }
 
 
-def _scan_digest(name):
-    task = make_task(name)
-    config = RunConfig(task=name, T=50, K=20, eta=default_eta(name), C=10, seed=3)
-    scan = front_scan(lambda: make_task(name), weight_grid(task.m, 4), config)
+#: The scanned task and its parameters, by ``_SCAN_DIGESTS`` key.
+_SCAN_TASKS = {
+    "synthetic": ("synthetic", {}),
+    "ngram-uni": ("ngram-uni", {}),
+    "surrogate-m4": ("surrogate", {"m": 4}),
+}
+
+
+def _scan_digest(key):
+    name, params = _SCAN_TASKS[key]
+    task = make_task(name, **params)
+    config = RunConfig(
+        task=name, task_params=params, T=50, K=20, eta=task.default_eta, C=10, seed=3
+    )
+    scan = front_scan(lambda: make_task(name, **params), weight_grid(task.m, 4), config)
     digest = hashlib.sha256(scan.archive.to_csv().encode())
     for ray in scan.rays:
         for p in ray.trajectory:

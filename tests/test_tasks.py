@@ -16,7 +16,6 @@ from paretoscan.tasks import (
     SigmoidOracle,
     SurrogateTask,
     SyntheticTask,
-    default_eta,
     make_task,
     ngram_gradients,
     ngram_losses,
@@ -461,7 +460,7 @@ def test_make_task_dispatch():
 
 
 def test_default_eta_table():
-    assert default_eta("synthetic") == 0.05
-    assert default_eta("ngram-uni") == 0.2
-    assert default_eta("ngram-bi") == 0.2
-    assert default_eta("surrogate") == 0.1
+    assert make_task("synthetic").default_eta == 0.05
+    assert make_task("ngram-uni").default_eta == 0.2
+    assert make_task("ngram-bi").default_eta == 0.2
+    assert make_task("surrogate", n_b=8, m=2, train_seed=3, epochs=100).default_eta == 0.1

@@ -203,11 +203,13 @@ def test_no_code_path_needs_scipy(tmp_path):
 
 
 def test_lift_positive_floors_zeros():
-    lifted = lift_positive([1.0, 0.0])
-    assert np.all(lifted > 0.0)
-    assert np.linalg.norm(lifted) == pytest.approx(1.0)
+    # a tiny positive component is floored like a zero one
     want = np.array([1.0, POSITIVITY_FLOOR])
-    assert lifted == pytest.approx(want / np.linalg.norm(want))
+    for ray in ([1.0, 0.0], [1.0, 1e-6]):
+        lifted = lift_positive(ray)
+        assert np.all(lifted > 0.0)
+        assert np.linalg.norm(lifted) == pytest.approx(1.0)
+        assert lifted == pytest.approx(want / np.linalg.norm(want))
     # already-positive rays pass through untouched
     assert lift_positive([0.6, 0.8]).tolist() == [0.6, 0.8]
     with pytest.raises(ValueError):
