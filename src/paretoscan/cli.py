@@ -23,7 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .search import RunConfig, front_scan, run_inversion, trajectory_to_csv
+from .search import (
+    RunConfig,
+    front_scan,
+    run_inversion,
+    theory_diagnostics,
+    trajectory_to_csv,
+)
 from .selftest import run_selftest
 from .svgplot import render_front
 from .tasks import TASK_NAMES, make_task
@@ -262,8 +268,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
     )
     theory = (
-        asdict(result.diagnostics)
-        if result.diagnostics is not None
+        asdict(theory_diagnostics(result))
+        if len(result.trajectory) >= 2
         else {"note": "trajectory too short for diagnostics"}
     )
     _write_json(out / "theory.json", theory)

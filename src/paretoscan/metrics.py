@@ -19,6 +19,7 @@ __all__ = [
     "hypervolume",
     "hypervolume_monte_carlo",
     "nonuniformity_report",
+    "ray_nonuniformity",
     "front_coverage",
 ]
 
@@ -95,8 +96,6 @@ def hypervolume(points, reference) -> float:
     front = _clean_front(pts, reference)
     if front.shape[0] == 0:
         return 0.0
-    if m == 2:
-        return _hv2(front, reference)
     return _hv_slice(front, reference)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "NumericalFailureError",
     "RoundTrace",
     "InnerResult",
-    "SelectionResult",
     "inner_descent",
     "discretize_select",
 ]
@@ -268,26 +267,18 @@ def inner_descent(
     return InnerResult(start, x, trace, converged=max_norm < CONVERGENCE_NORM)
 
 
-@dataclass
-class SelectionResult:
-    """Outcome of :func:`discretize_select`: the kept candidate and its losses."""
-
-    candidate: object
-    objectives: np.ndarray
-
-
 def discretize_select(
     task: TaskContract,
     x: np.ndarray,
     weights,
     count: int,
     rng,
-) -> SelectionResult:
+) -> tuple[object, np.ndarray]:
     """Sample candidates near a relaxed vector and keep the best by r_check.
 
     Evaluates ``count`` discrete candidates with the oracle and returns the
-    one minimizing the weighted relative max; ties break by lower weighted
-    loss sum, then by draw order.
+    ``(candidate, objectives)`` pair minimizing the weighted relative max;
+    ties break by lower weighted loss sum, then by draw order.
 
     Raises:
         ExhaustedNeighborhoodError: If the task yields no candidates.
@@ -306,4 +297,4 @@ def discretize_select(
             best_key = key
             best = (cand, objectives)
     assert best is not None
-    return SelectionResult(candidate=best[0], objectives=best[1])
+    return best

@@ -41,7 +41,6 @@ from .weights import lift_positive
 
 __all__ = [
     "RunConfig",
-    "TrajectoryPoint",
     "RunResult",
     "TheoryReport",
     "ScanResult",
@@ -138,20 +137,20 @@ class RunConfig:
 class RunResult:
     """Everything produced by one run, including the partial state on failure.
 
-    ``diagnostics`` is set by :func:`run_inversion` once the trajectory has
-    two records; the runs inside :func:`front_scan` leave it None.  A scan
-    ray whose task factory or run raised has an empty trajectory, no final
-    candidate and ``failed`` set.
+    A run that failed carries its ``error``.  A scan ray whose task factory
+    or run raised has an empty trajectory and no final candidate.
     """
 
     config: RunConfig
     weights: np.ndarray
     trajectory: list[TrajectoryPoint]
     final_candidate: object
-    diagnostics: "TheoryReport | None" = None
     converged: bool = False
-    failed: bool = False
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
     @property
     def oracle_calls(self) -> int:
@@ -211,24 +210,34 @@ def _record(
     )
 
 
-def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunResult:
-    """One run's loop, without diagnostics; the caller validated ``config``."""
+def run_inversion(config: RunConfig, *, task: TaskContract | None = None) -> RunResult:
+    """Run the relax-descend-discretize loop along one weight ray.
+
+    Args:
+      config: Run settings, validated here; ``config.mode`` picks the
+        descent direction: "epo" for the non-dominating QP direction, "ls"
+        for the linearly weighted baseline d = G lambda.
+      task: Optional pre-built task instance (otherwise built from config).
+
+    Returns:
+      RunResult with the per-iteration trajectory from a start drawn from
+      the seeded stream, and the final candidate.  Numerical failures abort
+      the loop and return the partial result with ``error`` set.
+    """
+    config.validate()
     if task is None:
         task = make_task(config.task, **config.task_params)
     weights = _resolve_weights(config, task.m)
     eta = task.default_eta if config.eta is None else config.eta
     rng = np.random.default_rng(config.seed)
     start_calls = task.oracle_calls
-    if x0 is None:
-        x0 = task.random_candidate(rng)
 
     trajectory: list[TrajectoryPoint] = []
-    x = x0
+    x = task.random_candidate(rng)
     objectives = task.eval_discrete(x)
     trajectory.append(_record(task, x, objectives, weights, 0, start_calls))
 
     converged = False
-    failed = False
     error: str | None = None
     inner = None  # a stalled ray starts from the same point: reuse its descent
     for t in range(1, config.T + 1):
@@ -246,13 +255,10 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
                 epsilon=config.epsilon,
                 previous=inner,
             )
-            selection = discretize_select(task, inner.point, weights, config.C, rng)
+            x, objectives = discretize_select(task, inner.point, weights, config.C, rng)
         except NumericalFailureError as exc:
-            failed = True
             error = f"round {t}: {exc}"
             break
-        x = selection.candidate
-        objectives = selection.objectives
         trajectory.append(_record(task, x, objectives, weights, t, start_calls))
         if inner.converged:
             converged = True
@@ -264,31 +270,8 @@ def _run(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunRes
         trajectory=trajectory,
         final_candidate=x,
         converged=converged,
-        failed=failed,
         error=error,
     )
-
-
-def run_inversion(config: RunConfig, x0=None, task: TaskContract | None = None) -> RunResult:
-    """Run the relax-descend-discretize loop along one weight ray.
-
-    Args:
-      config: Run settings; ``config.mode`` picks the descent direction:
-        "epo" for the non-dominating QP direction, "ls" for the linearly
-        weighted baseline d = G lambda.
-      x0: Optional starting candidate; drawn from the seeded stream if omitted.
-      task: Optional pre-built task instance (otherwise built from config).
-
-    Returns:
-      RunResult with the per-iteration trajectory, final candidate and
-      theory diagnostics.  Numerical failures abort the loop and return the
-      partial result with ``failed`` set.
-    """
-    config.validate()
-    result = _run(config, x0, task)
-    if len(result.trajectory) >= 2:
-        result.diagnostics = theory_diagnostics(result)
-    return result
 
 
 def theory_diagnostics(result: RunResult) -> TheoryReport:
@@ -397,9 +380,10 @@ def front_scan(
         The factory, not ``config.task``, decides what each ray runs, and a
         ray with ``config.eta`` None steps at its own task's ``default_eta``.
       weight_list: Non-empty sequence of weight vectors (a list or an array).
-      config: Per-ray settings; ray i runs with seed ``config.seed + i`` and
-        an even share of ``config.oracle_budget``.  ``config.weights`` must
-        be None, and a non-zero budget must allow one call per ray.
+      config: Per-ray settings; ray i is one :func:`run_inversion` call
+        with its weight vector, seed ``config.seed + i`` and an even share
+        of ``config.oracle_budget``.  ``config.weights`` must be None, and a
+        non-zero budget must allow one call per ray.
       true_front: Optional reference front for coverage.
 
     Returns:
@@ -412,8 +396,10 @@ def front_scan(
       oracle_calls_total.  hv and coverage summarize the per-ray final
       solutions — the points the scan actually returns, one per weight —
       while the archive additionally keeps every per-iteration selection
-      as a trace.  A ray whose task factory or run raises is recorded as
-      failed, with an empty trajectory, so it adds nothing to the archive.
+      as a trace.  A ray whose task factory or run raises, such as one
+      whose weights the run's validation refuses, is recorded as failed
+      with the exception's text and an empty trajectory, so it adds
+      nothing to the archive.
       A ray stopped by a NumericalFailureError is recorded as failed too,
       but keeps its partial trajectory: its points join the archive and
       its last point counts in hv.
@@ -443,9 +429,9 @@ def front_scan(
         w = np.asarray(w, dtype=np.float64)
         cfg = replace(config, weights=w, seed=config.seed + i, oracle_budget=per_ray_budget)
         try:
-            result = _run(cfg, task=task_factory())
+            result = run_inversion(cfg, task=task_factory())
         except Exception as exc:  # per-ray isolation: record and continue
-            result = RunResult(cfg, w, [], None, failed=True, error=str(exc))
+            result = RunResult(cfg, w, [], None, error=str(exc))
         rays.append(result)
         for p in result.trajectory:
             archive.insert(p)

@@ -383,21 +383,15 @@ _NET_HIDDEN = 32
 _TRAIN_SIZE = 1024
 _TRAIN_RATE = 5e-2
 
-_NET_CACHE: dict[tuple, DualPathNet] = {}
-
-
-def _trained_net(
-    oracle: SigmoidOracle, n_b: int, oracle_seed: int, train_seed: int, epochs: int
-) -> DualPathNet:
-    key = (n_b, oracle.m, oracle_seed, train_seed, epochs)
-    if key in _NET_CACHE:
-        return _NET_CACHE[key]
+@functools.lru_cache(maxsize=None)
+def _trained_net(n_b: int, m: int, oracle_seed: int, train_seed: int, epochs: int) -> DualPathNet:
+    """The net trained on oracle-labelled rows, built once per setting."""
+    oracle = SigmoidOracle(n_b=n_b, m=m, seed=oracle_seed)
     rng = np.random.default_rng(train_seed)
     X = rng.integers(0, 2, size=(_TRAIN_SIZE, n_b)).astype(np.float64)
     Y = np.stack([oracle.scores(x) for x in X])
-    net = DualPathNet(n_b, _NET_HIDDEN, oracle.m, seed=train_seed)
+    net = DualPathNet(n_b, _NET_HIDDEN, m, seed=train_seed)
     net.train(X, Y, epochs=epochs, rate=_TRAIN_RATE)
-    _NET_CACHE[key] = net
     return net
 
 
@@ -426,7 +420,7 @@ class SurrogateTask(TaskContract):
         self.m = m
         self.n_b = n_b
         self.oracle = SigmoidOracle(n_b=n_b, m=m, seed=oracle_seed)
-        self.net = _trained_net(self.oracle, n_b, oracle_seed, train_seed, epochs)
+        self.net = _trained_net(n_b, m, oracle_seed, train_seed, epochs)
 
     def _discrete_losses(self, candidate) -> np.ndarray:
         return self.oracle.losses(np.asarray(candidate, dtype=np.float64))

@@ -27,7 +27,7 @@ from paretoscan.core import pareto_filter
 from paretoscan.metrics import hypervolume, hypervolume_monte_carlo, ray_nonuniformity
 from paretoscan.net import DualPathNet, _Workspace
 from paretoscan.qp import anchor_direction, solve_qp
-from paretoscan.search import RunConfig, front_scan, run_inversion
+from paretoscan.search import RunConfig, front_scan, run_inversion, theory_diagnostics
 from paretoscan.selftest import qp_grid_oracle
 from paretoscan.tasks import (
     SyntheticTask,
@@ -442,7 +442,7 @@ def test_09_descent_theory_diagnostics_hold(tmp_path, capsys):
     good = 0
     for seed in range(20):
         res = run_inversion(RunConfig(task="synthetic", seed=seed))
-        d = res.diagnostics
+        d = theory_diagnostics(res)
         steps = len(d.r_check_sequence) - 1
         rate = d.admissible_violations / steps
         good += d.monotone_fraction >= 0.9 and rate <= 0.1

@@ -79,6 +79,16 @@ def test_run_is_deterministic_across_invocations(tmp_path):
     assert (a / "trajectory.csv").read_bytes() != (c / "trajectory.csv").read_bytes()
 
 
+def test_a_run_stopped_by_its_budget_after_the_start_writes_the_short_note(tmp_path):
+    out = tmp_path / "short"
+    argv = ["run", "--task", "synthetic", "--budget", "1", "-T", "5", "-K", "1", "-C", "1"]
+    assert main([*argv, "--seed", "1", "-o", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 2  # the header and the start point
+    theory = json.loads((out / "theory.json").read_text())
+    assert theory == {"note": "trajectory too short for diagnostics"}
+
+
 def test_environment_seed_beats_the_flag(tmp_path, monkeypatch):
     flagged = tmp_path / "flagged"
     assert main(_run_args(flagged, "--seed", "3")) == 0

@@ -380,11 +380,11 @@ def test_discretize_select_minimizes_relative_max():
     # losses: [x@x, (x-1)@(x-1)]; weights (1, 1)
     # r_check: 0.5 -> 0.5, 0.1 -> 1.62, 0.9 -> 1.62
     task = _StubTask(candidates=cands)
-    sel = discretize_select(
+    candidate, objectives = discretize_select(
         task, np.zeros(2), [1.0, 1.0], 3, np.random.default_rng(0)
     )
-    assert sel.candidate == pytest.approx([0.5, 0.5])
-    assert sel.objectives == pytest.approx([0.5, 0.5])
+    assert candidate == pytest.approx([0.5, 0.5])
+    assert objectives == pytest.approx([0.5, 0.5])
     assert task.oracle_calls == 3 * 2  # every candidate evaluated once
 
 
@@ -420,10 +420,10 @@ def test_discretize_select_tie_break_weighted_sum_then_order():
         "c": [0.6, 0.1],  # identical to b, later draw
     }
     task = _Scripted(table)
-    sel = discretize_select(
+    candidate, _ = discretize_select(
         task, np.zeros(1), [1.0, 1.0], 3, np.random.default_rng(0)
     )
-    assert sel.candidate == "b"
+    assert candidate == "b"
 
 
 def test_discretize_select_counts_oracle_calls():

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from paretoscan import search
-from paretoscan.core import EmptyInputError, relative_max
+from paretoscan.core import EmptyInputError, TrajectoryPoint, relative_max
 from paretoscan.relax import NumericalFailureError, discretize_select, inner_descent
 from paretoscan.search import (
     RunConfig,
     RunResult,
-    TrajectoryPoint,
     front_scan,
     run_inversion,
     theory_diagnostics,
@@ -90,19 +89,19 @@ def test_balanced_ray_converges_to_the_origin():
     assert last.objectives[1] == edge
     assert last.mu == 0.0
     assert np.all(res.final_candidate == 0)
-    assert res.diagnostics is not None
-    assert res.diagnostics.monotone_fraction == 1.0
-    assert res.diagnostics.admissible_violations == 0
-    assert res.diagnostics.bound_check["satisfied"] is True
+    rep = theory_diagnostics(res)
+    assert rep.monotone_fraction == 1.0
+    assert rep.admissible_violations == 0
+    assert rep.bound_check["satisfied"] is True
 
 
 def test_round_zero_records_the_initial_point():
     task = SyntheticTask(n=5)
-    x0 = np.array([10, -10, 5, 0, 3], dtype=np.int64)
+    x0 = task.random_candidate(np.random.default_rng(0))  # the run's seeded start
     cfg = RunConfig(task="synthetic", T=1, K=1, eta=0.0, C=1, seed=0)
-    res = run_inversion(cfg, x0=x0, task=task)
+    res = run_inversion(cfg, task=task)
     assert res.trajectory[0].round_index == 0
-    assert res.trajectory[0].candidate_id == "x:10,-10,5,0,3"
+    assert res.trajectory[0].candidate_id == task.candidate_id(x0)
     assert res.trajectory[0].objectives == pytest.approx(task.eval_discrete(x0))
     assert res.trajectory[0].oracle_calls == 2
 
@@ -202,7 +201,6 @@ def test_numerical_failure_returns_partial_result():
     assert res.failed
     assert "round 1" in res.error
     assert len(res.trajectory) == 1  # the evaluated start survives
-    assert res.diagnostics is None
 
 
 def test_run_inversion_follows_config_mode():
@@ -232,9 +230,8 @@ def _descend_every_round(config):
             task, task.relax(x), weights, eta=eta, rounds=config.K,
             mode=config.mode, epsilon=config.epsilon,
         )
-        selection = discretize_select(task, inner.point, weights, config.C, rng)
-        x = selection.candidate
-        rows.append((task.candidate_id(x), selection.objectives.tobytes(), task.oracle_calls))
+        x, objectives = discretize_select(task, inner.point, weights, config.C, rng)
+        rows.append((task.candidate_id(x), objectives.tobytes(), task.oracle_calls))
         if inner.converged:
             break
     return rows, task.candidate_id(x), rng.bit_generator.state
@@ -522,6 +519,25 @@ def test_front_scan_isolates_factory_failures():
     assert np.isnan(scan.metrics["nu_per_ray"][1])
     assert scan.metrics["hv"] > 0.0  # surviving rays still summarized
     assert len(scan.archive) >= 1
+
+
+def test_a_scan_ray_is_a_run_with_the_same_validation():
+    cfg = RunConfig(task="synthetic", T=1, K=1, C=1)
+    bad, good = np.array([1.0, -1.0]), np.array([0.6, 0.8])
+    scan = front_scan(lambda: make_task("synthetic", n=4), [bad, good], cfg)
+    with pytest.raises(ValueError) as refused:
+        run_inversion(replace(cfg, weights=bad), task=make_task("synthetic", n=4))
+    assert scan.rays[0].failed
+    assert scan.rays[0].error == str(refused.value)
+    assert scan.rays[0].error.startswith("lambda (weights): ")
+    assert not scan.rays[1].failed and len(scan.rays[1].trajectory) == 2
+
+
+def test_a_result_has_failed_exactly_when_it_carries_an_error():
+    cfg = RunConfig()
+    w = np.array([0.6, 0.8])
+    assert RunResult(cfg, w, [], None, error="boom").failed is True
+    assert RunResult(cfg, w, [], None, error=None).failed is False
 
 
 def test_front_scan_keeps_the_partial_result_of_a_numerical_failure():
