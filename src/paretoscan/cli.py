@@ -1,4 +1,4 @@
-"""Command-line front end: run one ray, scan a front, or self-test.
+"""Command-line front end: run one ray or scan a front.
 
 Configuration precedence, lowest to highest: built-in defaults, then a
 JSON config file (``--config``), then explicit flags, then the
@@ -30,7 +30,6 @@ from .search import (
     theory_diagnostics,
     trajectory_to_csv,
 )
-from .selftest import run_selftest
 from .svgplot import render_front
 from .tasks import TASK_NAMES, make_task
 from .weights import lift_positive, load_weights_csv, weight_grid
@@ -100,11 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scan_p.add_argument("--weights-file", default=None, help="CSV of weight rays")
 
-    self_p = sub.add_parser(
-        "selftest", help="run embedded verification suites", allow_abbrev=False
-    )
-    self_p.add_argument("--filter", default="", help="substring row filter")
-    self_p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -357,27 +351,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise _ConfigError([f"seed: must be non-negative, got {args.seed}"])
-    rows = run_selftest(args.filter, seed=args.seed)
-    if not rows:
-        print(f"no selftest rows match filter {args.filter!r}", file=sys.stderr)
-        return 1
-    width = max(len(r.name) for r in rows)
-    ok = True
-    for row in rows:
-        status = "PASS" if row.passed else "FAIL"
-        print(f"{row.name:<{width}}  {status}  {row.detail}  [{row.seconds:.2f}s]")
-        ok = ok and row.passed
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {"run": _cmd_run, "scan": _cmd_scan, "selftest": _cmd_selftest}[
-        args.command
-    ]
+    handler = {"run": _cmd_run, "scan": _cmd_scan}[args.command]
     try:
         return handler(args)
     except _ConfigError as exc:

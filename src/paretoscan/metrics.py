@@ -2,9 +2,7 @@
 
 Hypervolume is computed exactly: a linear sweep in two dimensions and
 recursive objective slicing in three and four.  Higher dimensions are out
-of scope for the exact routine and raise ``UnsupportedDimensionError``; the
-Monte Carlo estimator works for any dimension and doubles as an independent
-cross-check on the exact values.
+of scope for the exact routine and raise ``UnsupportedDimensionError``.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from .qp import DegenerateLossError, nonuniformity
 __all__ = [
     "UnsupportedDimensionError",
     "hypervolume",
-    "hypervolume_monte_carlo",
     "nonuniformity_report",
     "ray_nonuniformity",
     "front_coverage",
@@ -97,48 +94,6 @@ def hypervolume(points, reference) -> float:
     if front.shape[0] == 0:
         return 0.0
     return _hv_slice(front, reference)
-
-
-def hypervolume_monte_carlo(
-    points, reference, samples: int = 100_000, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo hypervolume estimate with its standard error.
-
-    Samples uniformly inside the box [min(points), reference] and rescales
-    the dominated fraction by the box volume.  Works for any number of
-    objectives, at statistical accuracy only.
-
-    Returns:
-      (estimate, standard_error)
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    reference = as_objectives(reference)
-    if pts.size == 0:
-        return 0.0, 0.0
-    if pts.shape[1] != reference.size:
-        raise ValueError("points/reference dimension mismatch")
-    front = _clean_front(pts, reference)
-    if front.shape[0] == 0:
-        return 0.0, 0.0
-    lo = front.min(axis=0)
-    box = float(np.prod(reference - lo))
-    if box <= 0.0:
-        return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    hits = 0
-    chunk = 65536
-    remaining = samples
-    while remaining > 0:
-        k = min(chunk, remaining)
-        U = lo + rng.random((k, reference.size)) * (reference - lo)
-        # dominated iff some front point is <= the sample in every objective
-        dom = (front[None, :, :] <= U[:, None, :]).all(axis=2).any(axis=1)
-        hits += int(dom.sum())
-        remaining -= k
-    p = hits / samples
-    est = box * p
-    se = box * np.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return est, float(se)
 
 
 def nonuniformity_report(fronts_mu: list[float]) -> float:

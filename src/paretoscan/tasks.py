@@ -37,7 +37,6 @@ __all__ = [
     "synthetic_losses_and_gradients",
     "synthetic_true_front",
     "ngram_losses",
-    "ngram_gradients",
     "make_task",
     "TASK_NAMES",
 ]
@@ -243,16 +242,6 @@ def _ngram_losses(P: np.ndarray, mode: str, l_max: int) -> np.ndarray:
             ]
         )
         return 1.0 - counts / (l_max - 1)
-    raise ValueError(f"unknown n-gram mode {mode!r}")
-
-
-def ngram_gradients(P, mode: str = "unigram", l_max: int = 8) -> np.ndarray:
-    """(3 * l_max, 3) gradient matrix of :func:`ngram_losses` w.r.t. flat P."""
-    P = _as_matrix(P, l_max)
-    if mode == "unigram":
-        return _unigram_gradients(l_max)
-    if mode == "bigram":
-        return _bigram_gradients(P, l_max)
     raise ValueError(f"unknown n-gram mode {mode!r}")
 
 

@@ -1,0 +1,136 @@
+"""Slow independent reference routes for the fast production code.
+
+Each helper here is deliberately naive: a dense simplex grid, a grid search
+with pattern-search refinement for the QP, and a Monte Carlo hypervolume.
+The tests check the solver and the exact hypervolume against them; nothing
+in the package uses them.
+"""
+
+import numpy as np
+
+from paretoscan.core import as_objectives
+
+
+def simplex_grid(m: int, resolution: int) -> np.ndarray:
+    """All lattice points k/resolution on the (m-1)-simplex, m in {2, 3, 4}."""
+    r = resolution
+    if m == 2:
+        i = np.arange(r + 1)
+        pts = np.stack([i, r - i], axis=1)
+    elif m == 3:
+        i, j = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="ij")
+        keep = i + j <= r
+        pts = np.stack([i[keep], j[keep], r - i[keep] - j[keep]], axis=1)
+    elif m == 4:
+        ax = np.arange(r + 1)
+        i, j, k = np.meshgrid(ax, ax, ax, indexing="ij")
+        keep = i + j + k <= r
+        pts = np.stack(
+            [i[keep], j[keep], k[keep], r - i[keep] - j[keep] - k[keep]], axis=1
+        )
+    else:
+        raise ValueError("simplex_grid supports m in {2, 3, 4}")
+    return pts / r
+
+
+def qp_grid_oracle(
+    M: np.ndarray, a: np.ndarray, active, resolution: int
+) -> tuple[np.ndarray, float]:
+    """Slow independent minimizer of ||M b - a||^2 over the constrained simplex.
+
+    Dense grid search followed by pattern-search refinement along pairwise
+    exchange directions (which preserve the simplex sum).
+
+    Returns:
+      (argmin, objective value)
+    """
+    M = np.asarray(M, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    active = list(active)
+    m = M.shape[0]
+    pts = simplex_grid(m, resolution)
+    residual = pts @ M.T - a
+    obj = np.sum(residual * residual, axis=1)
+    if active:
+        slack = pts @ M[active].T
+        feasible = slack.min(axis=1) >= -1e-8
+        if not feasible.any():
+            feasible = np.ones(len(pts), dtype=bool)
+    else:
+        feasible = np.ones(len(pts), dtype=bool)
+    start = pts[int(np.argmin(np.where(feasible, obj, np.inf)))]
+
+    def value(b: np.ndarray) -> float:
+        r = M @ b - a
+        return float(r @ r)
+
+    def ok(b: np.ndarray) -> bool:
+        if b.min() < -1e-12:
+            return False
+        if active and float(np.min((M @ b)[active])) < -1e-8:
+            return False
+        return True
+
+    current, best = start.copy(), value(start)
+    step = 1.0 / resolution
+    while step > 1e-9:
+        improved = False
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                trial = current.copy()
+                trial[i] += step
+                trial[j] -= step
+                if trial[j] < 0.0 or not ok(trial):
+                    continue
+                tv = value(trial)
+                if tv < best - 1e-18:
+                    current, best = trial, tv
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return current, best
+
+
+def hypervolume_monte_carlo(
+    points, reference, samples: int = 100_000, seed: int = 0
+) -> tuple[float, float]:
+    """Monte Carlo hypervolume estimate with its standard error.
+
+    Samples uniformly inside the box [min(points), reference] and rescales
+    the dominated fraction by the box volume.  Only points strictly inside
+    the reference box take part; no Pareto filter is applied, since a
+    dominated point changes neither the hit test nor the box corner.
+
+    Returns:
+      (estimate, standard_error)
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    reference = as_objectives(reference)
+    if pts.size == 0:
+        return 0.0, 0.0
+    if pts.shape[1] != reference.size:
+        raise ValueError("points/reference dimension mismatch")
+    front = pts[np.all(pts < reference, axis=1)]
+    if front.shape[0] == 0:
+        return 0.0, 0.0
+    lo = front.min(axis=0)
+    box = float(np.prod(reference - lo))
+    if box <= 0.0:
+        return 0.0, 0.0
+    rng = np.random.default_rng(seed)
+    hits = 0
+    chunk = 65536
+    remaining = samples
+    while remaining > 0:
+        k = min(chunk, remaining)
+        U = lo + rng.random((k, reference.size)) * (reference - lo)
+        # dominated iff some front point is <= the sample in every objective
+        dom = (front[None, :, :] <= U[:, None, :]).all(axis=2).any(axis=1)
+        hits += int(dom.sum())
+        remaining -= k
+    p = hits / samples
+    est = box * p
+    se = box * np.sqrt(max(p * (1.0 - p), 0.0) / samples)
+    return est, float(se)

@@ -24,20 +24,21 @@ import pytest
 
 from paretoscan.cli import main
 from paretoscan.core import pareto_filter
-from paretoscan.metrics import hypervolume, hypervolume_monte_carlo, ray_nonuniformity
+from paretoscan.metrics import hypervolume, ray_nonuniformity
 from paretoscan.net import DualPathNet, _Workspace
 from paretoscan.qp import anchor_direction, solve_qp
 from paretoscan.search import RunConfig, front_scan, run_inversion, theory_diagnostics
-from paretoscan.selftest import qp_grid_oracle
 from paretoscan.tasks import (
+    NGramTask,
     SyntheticTask,
     make_task,
-    ngram_gradients,
     synthetic_losses,
     synthetic_losses_and_gradients,
     synthetic_true_front,
 )
 from paretoscan.weights import weight_grid, weights_2d
+
+from oracles import hypervolume_monte_carlo, qp_grid_oracle
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -390,7 +391,7 @@ def test_08_analytic_gradients_match_finite_differences(capsys):
     for k in range(20):
         mode = "unigram" if k % 2 == 0 else "bigram"
         P = rng.dirichlet(np.ones(3), size=6)
-        G = ngram_gradients(P, mode, 6)
+        G = NGramTask(mode, 6).losses_and_gradients(P.ravel())[1]
         err = max(err, _rel_err(G, _fd_columns(raw_ngram(mode, 6), P.ravel(), 3)))
     worst["ngram"] = err
 

@@ -10,7 +10,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,13 +204,11 @@ def test_unknown_task_is_rejected_by_the_parser(tmp_path):
         ["run", "--task", "surrogate", "--m", "ls", "-T", "2", "-K", "2", "-C", "2"],
         ["run", "--task", "synthetic", "--budg", "8"],
         ["scan", "--task", "synthetic", "--weights-f", "w.csv"],
-        ["selftest", "--filt", "qp"],
     ],
 )
 def test_abbreviated_flags_are_rejected_by_the_parser(tmp_path, capsys, argv):
-    out = [] if argv[0] == "selftest" else ["-o", str(tmp_path / "x")]
     with pytest.raises(SystemExit) as exc:
-        main(argv + out)
+        main(argv + ["-o", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -502,27 +499,6 @@ def test_scan_without_a_weight_grid_is_a_config_error(tmp_path, capsys, m):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"config error: weights: weight grids support m in {{2, 3, 4}}, got {m}" in err
-
-
-def test_selftest_rejects_a_negative_seed(capsys):
-    assert main(["selftest", "--seed", "-1"]) == 1
-    assert "config error: seed" in capsys.readouterr().err
-
-
-def test_selftest_reports_every_suite(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    for name in ("qp", "hv", "grad", "weights"):
-        assert name in out
-    assert "PASS" in out and "FAIL" not in out
-
-
-def test_selftest_filter(capsys):
-    assert main(["selftest", "--filter", "qp"]) == 0
-    out = capsys.readouterr().out
-    assert "qp" in out and "hv" not in out
-    assert main(["selftest", "--filter", "zzz"]) == 1
-    assert "no selftest rows match" in capsys.readouterr().err
 
 
 # acceptance test 10's argument lists

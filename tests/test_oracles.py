@@ -1,9 +1,9 @@
-"""Embedded verification suites and their supporting grid utilities."""
+"""The slow reference routes: simplex grid and grid-search QP oracle."""
 
 import numpy as np
 import pytest
 
-from paretoscan.selftest import qp_grid_oracle, run_selftest, simplex_grid
+from oracles import qp_grid_oracle, simplex_grid
 
 
 def test_simplex_grid_2d():
@@ -52,17 +52,3 @@ def test_qp_grid_oracle_respects_active_constraints():
     # the refinement stage works at 1e-9 steps, so allow oracle-scale slack
     assert (M @ beta)[0] >= -5e-8
     assert beta.sum() == pytest.approx(1.0)
-
-
-def test_run_selftest_all_rows_pass():
-    rows = run_selftest(seed=0)
-    assert [r.name for r in rows] == ["qp", "hv", "grad", "weights"]
-    assert all(r.passed for r in rows)
-    assert all(r.seconds >= 0.0 for r in rows)
-    assert all(r.detail for r in rows)
-
-
-def test_run_selftest_filter_subsets():
-    rows = run_selftest("grad", seed=0)
-    assert [r.name for r in rows] == ["grad"]
-    assert run_selftest("zzz", seed=0) == []

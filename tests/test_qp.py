@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from paretoscan import qp
 from paretoscan.core import DimensionMismatchError
-from paretoscan.selftest import qp_grid_oracle
+
+from oracles import qp_grid_oracle
 
 
 # ---------------------------------------------------------------------------

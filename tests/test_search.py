@@ -10,7 +10,7 @@ import pytest
 
 from paretoscan import search
 from paretoscan.core import EmptyInputError, TrajectoryPoint, relative_max
-from paretoscan.relax import NumericalFailureError, discretize_select, inner_descent
+from paretoscan.relax import discretize_select, inner_descent
 from paretoscan.search import (
     RunConfig,
     RunResult,

@@ -17,7 +17,6 @@ from paretoscan.tasks import (
     SurrogateTask,
     SyntheticTask,
     make_task,
-    ngram_gradients,
     ngram_losses,
     synthetic_losses,
     synthetic_losses_and_gradients,
@@ -236,7 +235,7 @@ def test_ngram_gradients_match_finite_differences(seed, mode):
         )
         return 1.0 - counts / (l_max - 1)
 
-    G = ngram_gradients(P, mode, l_max)
+    G = NGramTask(mode, l_max).losses_and_gradients(P.ravel())[1]
     assert G.shape == (3 * l_max, 3)
     fd = _fd_columns(raw_losses, P.ravel(), 3)
     assert np.max(np.abs(G - fd)) < 1e-9
@@ -407,14 +406,11 @@ def test_closed_form_losses_and_gradients_equal_the_public_functions(name):
         if name == "synthetic":
             assert np.array_equal(losses, synthetic_losses(x))
             want = synthetic_losses_and_gradients(x)
+            assert np.array_equal(losses, want[0])
+            assert np.array_equal(grads, want[1])
         else:
             P = x.reshape(task.l_max, 3)
-            want = (
-                ngram_losses(P, task.mode, task.l_max),
-                ngram_gradients(P, task.mode, task.l_max),
-            )
-        assert np.array_equal(losses, want[0])
-        assert np.array_equal(grads, want[1])
+            assert np.array_equal(losses, ngram_losses(P, task.mode, task.l_max))
         if name == "ngram-uni":  # the constant unigram gradient is shared
             assert not grads.flags.writeable
 

@@ -191,7 +191,8 @@ def test_no_code_path_needs_scipy(tmp_path):
 
         assert len(weight_grid(3, 12)) == 12
         assert len(weight_grid(4, 4)) == 4
-        assert cli.main(["selftest"]) == 0
+        run = ["run", "--task", "synthetic", "-T", "2", "-K", "2", "-C", "2"]
+        assert cli.main(run + ["-o", {str(tmp_path / "run")!r}]) == 0
         scan = ["scan", "--task", "ngram-uni", "-T", "1", "-K", "1", "-C", "2", "--weights", "3"]
         assert cli.main(scan + ["-o", {str(tmp_path / "scan")!r}]) == 0
         assert "scipy" not in sys.modules
