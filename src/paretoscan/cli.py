@@ -36,13 +36,7 @@ from .weights import lift_positive, load_weights_csv, weight_grid
 
 __all__ = ["main"]
 
-_TASK_PARAM_FLAGS = {
-    "n": int,
-    "grid_step": float,
-    "l_max": int,
-    "n_b": int,
-    "oracle_seed": int,
-}
+_TASK_PARAM_FLAGS = ("n", "l_max", "n_b")
 
 
 class _ConfigError(Exception):
@@ -72,8 +66,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("-o", "--out", default=None, help="output directory")
     parser.add_argument("--verbose", action="store_true")
-    for name, kind in _TASK_PARAM_FLAGS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
+    for name in _TASK_PARAM_FLAGS:
+        parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:

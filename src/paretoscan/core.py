@@ -3,9 +3,8 @@
 Objective vectors are plain 1-D float arrays of per-objective losses (lower is
 better); weight vectors are strictly positive preference directions of the same
 length.  This module provides the dominance relation, non-dominated filtering,
-the record of one evaluated candidate (``TrajectoryPoint``), a Pareto archive
-of such records with eviction-on-insert semantics, and the weighted
-relative-max scalar used by the descent loop and its diagnostics.
+the record of one evaluated candidate (``TrajectoryPoint``) and a Pareto
+archive of such records with eviction-on-insert semantics.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "as_weights",
     "dominates",
     "pareto_filter",
-    "relative_max",
 ]
 
 
@@ -144,22 +142,6 @@ def pareto_filter(points) -> list[int]:
     if any(v.size != vecs[0].size for v in vecs):
         raise DimensionMismatchError("points must share a common length")
     return np.flatnonzero(_pareto_mask(np.stack(vecs))).tolist()
-
-
-def relative_max(losses, weights) -> float:
-    """Largest weighted loss ``max_j losses[j] * weights[j]``.
-
-    This scalar tracks progress of a run: the region of objective space at or
-    below the current value along every weighted axis is exactly the set of
-    points whose own relative max does not exceed it.
-    """
-    lv = as_objectives(losses)
-    wv = as_weights(weights)
-    if lv.shape != wv.shape:
-        raise DimensionMismatchError(
-            f"losses have length {lv.size} but weights have length {wv.size}"
-        )
-    return float(np.max(lv * wv))
 
 
 @dataclass

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import EmptyInputError, ParetoArchive, TrajectoryPoint, as_weights, relative_max
+from . import qp
+from .core import EmptyInputError, ParetoArchive, TrajectoryPoint, as_weights
 from .metrics import (
     UnsupportedDimensionError,
     front_coverage,
     hypervolume,
     nonuniformity_report,
-    ray_nonuniformity,
 )
 from .qp import EPSILON_DEFAULT
 from .relax import (
@@ -199,12 +199,18 @@ def _record(
     round_index: int,
     start_calls: int,
 ) -> TrajectoryPoint:
+    """The point of one evaluated candidate, from the run's checked vectors."""
+    weighted = objectives * weights
+    try:
+        mu = qp._profile(weighted, weights, EPSILON_DEFAULT)[0]
+    except qp.DegenerateLossError:
+        mu = float("nan")
     return TrajectoryPoint(
         round_index=round_index,
         candidate_id=task.candidate_id(candidate),
         objectives=objectives,
-        mu=ray_nonuniformity(objectives, weights),
-        r_check=relative_max(objectives, weights),
+        mu=mu,
+        r_check=float(weighted.max()),
         oracle_calls=task.oracle_calls - start_calls,
         weights=weights,
     )

@@ -2,9 +2,9 @@
 
 Three task families exercise the relax-descend-discretize loop:
 
-* ``SyntheticTask`` -- two Gaussian-well losses over a fine grid in a box,
-  with a closed-form Pareto front (the segment between the two well centers)
-  for ground-truth comparisons.
+* ``SyntheticTask`` -- two Gaussian-well losses over the grid of step 0.01
+  in the box [-2, 2]^n, with a closed-form Pareto front (the segment
+  between the two well centers) for ground-truth comparisons.
 * ``NGramTask`` -- fixed-length strings over the alphabet {C, V, A}, scored
   by symbol counts (unigram mode, conflicting: the counts compete for the
   same positions) or by adjacent-pair counts of CV, VA, AC (bigram mode,
@@ -14,7 +14,11 @@ Three task families exercise the relax-descend-discretize loop:
 * ``SurrogateTask`` -- bit vectors scored by hidden monotone-sigmoid
   properties.  Discrete evaluation always queries the ground-truth oracle,
   while gradients come from a small net pretrained on oracle-labeled
-  samples, so descent consumes no oracle budget.
+  samples, so descent consumes no oracle budget.  The oracle and the
+  training rows are fixed by seeds 7 and 101.
+
+Every task parameter is an integer with a floor; the grid, the start box
+and the seeds are constants.
 """
 
 from __future__ import annotations
@@ -41,35 +45,26 @@ __all__ = [
     "TASK_NAMES",
 ]
 
-_POSITIVE = (int, lambda v: v >= 1, ">= 1")
-_NON_NEGATIVE = (int, lambda v: v >= 0, ">= 0")
-_L_MAX = (int, lambda v: v >= 2, ">= 2")
-
 #: Half-width of the synthetic task's box [-2, 2]^n.
 _SYNTHETIC_BOUND = 2.0
 
-#: Parameters each task accepts through :func:`make_task`: type, range check
-#: and the range in words.  The synthetic grid spans [-2, 2], so 2 / grid_step
-#: must fit an int64 grid index.
+#: The synthetic lattice: coordinates are integer multiples of 0.01, and
+#: start draws take indices in [-50, 50], the sub-box [-0.5, 0.5]^n.
+_GRID_STEP = 0.01
+_MAX_INDEX = round(_SYNTHETIC_BOUND / _GRID_STEP)
+_INIT_INDEX = 50
+
+#: Seeds of the surrogate's hidden oracle and of its net's training rows.
+_ORACLE_SEED = 7
+_TRAIN_SEED = 101
+
+#: Parameters each task accepts through :func:`make_task`, all integers,
+#: with the smallest value each may take.
 _TASK_PARAMS = {
-    "synthetic": {
-        "n": _POSITIVE,
-        "grid_step": (
-            float,
-            lambda v: 2.0**-62 < v < math.inf,  # 2 / v < 2**63
-            "finite and > 0 with 2 / grid_step within int64",
-        ),
-        "init_bound": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    },
-    "ngram-uni": {"l_max": _L_MAX},
-    "ngram-bi": {"l_max": _L_MAX},
-    "surrogate": {
-        "n_b": _POSITIVE,
-        "m": _POSITIVE,
-        "oracle_seed": _NON_NEGATIVE,
-        "train_seed": _NON_NEGATIVE,
-        "epochs": _NON_NEGATIVE,
-    },
+    "synthetic": {"n": 1},
+    "ngram-uni": {"l_max": 2},
+    "ngram-bi": {"l_max": 2},
+    "surrogate": {"n_b": 2, "m": 1, "epochs": 0},
 }
 
 TASK_NAMES = tuple(_TASK_PARAMS)
@@ -128,8 +123,8 @@ def synthetic_true_front(samples: int = 200) -> np.ndarray:
 class SyntheticTask(TaskContract):
     """Gaussian-well losses on the grid (step 0.01) inside [-2, 2]^n.
 
-    Candidates are integer index vectors k with coordinates k * grid_step.
-    Initial draws come from a sub-box around the origin: far from the
+    Candidates are integer index vectors k with coordinates k * 0.01.
+    Initial draws come from the sub-box [-0.5, 0.5]^n: far from the
     centers both exponentials vanish and gradients carry no signal, so
     starting in the dead zone would stall the descent immediately.
     """
@@ -138,19 +133,14 @@ class SyntheticTask(TaskContract):
     region = Box(-_SYNTHETIC_BOUND, _SYNTHETIC_BOUND)
     default_eta = 0.05
 
-    def __init__(self, n: int = 20, grid_step: float = 0.01, init_bound: float = 0.5) -> None:
+    def __init__(self, n: int = 20) -> None:
         super().__init__()
         if n < 1:
             raise ValueError("n must be positive")
-        if grid_step <= 0:
-            raise ValueError("grid_step must be positive")
         self.n = n
-        self.grid_step = float(grid_step)
-        self.init_bound = float(min(init_bound, _SYNTHETIC_BOUND))
-        self._max_index = int(round(_SYNTHETIC_BOUND / self.grid_step))
 
     def _coords(self, candidate: np.ndarray) -> np.ndarray:
-        return np.asarray(candidate, dtype=np.float64) * self.grid_step
+        return np.asarray(candidate, dtype=np.float64) * _GRID_STEP
 
     def _discrete_losses(self, candidate) -> np.ndarray:
         return synthetic_losses(self._coords(candidate))
@@ -162,15 +152,15 @@ class SyntheticTask(TaskContract):
         return synthetic_losses_and_gradients(x)
 
     def _snap(self, params: np.ndarray) -> np.ndarray:
-        idx = np.rint(params / self.grid_step).astype(np.int64)
-        return np.minimum(np.maximum(idx, -self._max_index), self._max_index)
+        idx = np.rint(params / _GRID_STEP).astype(np.int64)
+        return np.minimum(np.maximum(idx, -_MAX_INDEX), _MAX_INDEX)
 
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
         if count < 1:
             raise ValueError("count must be positive")
         out = [self._snap(x)]
         for _ in range(count - 1):
-            noise = rng.uniform(-self.grid_step, self.grid_step, self.n)
+            noise = rng.uniform(-_GRID_STEP, _GRID_STEP, self.n)
             out.append(self._snap(x + noise))
         return out
 
@@ -178,8 +168,7 @@ class SyntheticTask(TaskContract):
         return "x:" + ",".join(str(int(k)) for k in candidate)
 
     def random_candidate(self, rng) -> np.ndarray:
-        lim = int(round(self.init_bound / self.grid_step))
-        return rng.integers(-lim, lim + 1, self.n).astype(np.int64)
+        return rng.integers(-_INIT_INDEX, _INIT_INDEX + 1, self.n).astype(np.int64)
 
     def true_front(self, samples: int = 200) -> np.ndarray:
         return synthetic_true_front(samples)
@@ -325,10 +314,6 @@ class NGramTask(TaskContract):
 # Surrogate bit-vector task
 # ---------------------------------------------------------------------------
 
-#: Published seed for the default ground-truth oracle family.
-DEFAULT_ORACLE_SEED = 7
-
-
 class SigmoidOracle:
     """Hidden ground-truth properties O_i(x) = sigmoid(w_i . x + b_i).
 
@@ -338,8 +323,8 @@ class SigmoidOracle:
     on {0, 1}^n.
     """
 
-    def __init__(self, n_b: int = 16, m: int = 2, seed: int = DEFAULT_ORACLE_SEED) -> None:
-        rng = np.random.default_rng(seed)
+    def __init__(self, n_b: int = 16, m: int = 2) -> None:
+        rng = np.random.default_rng(_ORACLE_SEED)
         u = rng.standard_normal(n_b)
         u /= np.linalg.norm(u)
         v = rng.standard_normal(n_b)
@@ -373,15 +358,15 @@ _TRAIN_SIZE = 1024
 _TRAIN_RATE = 5e-2
 
 @functools.lru_cache(maxsize=None)
-def _trained_net(n_b: int, m: int, oracle_seed: int, train_seed: int, epochs: int) -> DualPathNet:
-    """The net trained on oracle-labelled rows, built once per setting."""
-    oracle = SigmoidOracle(n_b=n_b, m=m, seed=oracle_seed)
-    rng = np.random.default_rng(train_seed)
+def _trained_net(n_b: int, m: int, epochs: int) -> tuple[SigmoidOracle, DualPathNet]:
+    """The oracle and the net trained on rows it labelled, built once per setting."""
+    oracle = SigmoidOracle(n_b=n_b, m=m)
+    rng = np.random.default_rng(_TRAIN_SEED)
     X = rng.integers(0, 2, size=(_TRAIN_SIZE, n_b)).astype(np.float64)
     Y = np.stack([oracle.scores(x) for x in X])
-    net = DualPathNet(n_b, _NET_HIDDEN, m, seed=train_seed)
+    net = DualPathNet(n_b, _NET_HIDDEN, m, seed=_TRAIN_SEED)
     net.train(X, Y, epochs=epochs, rate=_TRAIN_RATE)
-    return net
+    return oracle, net
 
 
 class SurrogateTask(TaskContract):
@@ -397,19 +382,11 @@ class SurrogateTask(TaskContract):
     region = Box(0.0, 1.0)
     default_eta = 0.1
 
-    def __init__(
-        self,
-        n_b: int = 16,
-        m: int = 2,
-        oracle_seed: int = DEFAULT_ORACLE_SEED,
-        train_seed: int = 101,
-        epochs: int = 5000,
-    ) -> None:
+    def __init__(self, n_b: int = 16, m: int = 2, epochs: int = 5000) -> None:
         super().__init__()
         self.m = m
         self.n_b = n_b
-        self.oracle = SigmoidOracle(n_b=n_b, m=m, seed=oracle_seed)
-        self.net = _trained_net(n_b, m, oracle_seed, train_seed, epochs)
+        self.oracle, self.net = _trained_net(n_b, m, epochs)
 
     def _discrete_losses(self, candidate) -> np.ndarray:
         return self.oracle.losses(np.asarray(candidate, dtype=np.float64))
@@ -444,13 +421,12 @@ class SurrogateTask(TaskContract):
 def make_task(name: str, **params) -> TaskContract:
     """Build a task by name: synthetic, ngram-uni, ngram-bi, or surrogate.
 
-    Recognized params: n, grid_step, init_bound (synthetic); l_max (n-gram);
-    n_b, m, oracle_seed, train_seed, epochs (surrogate).
+    Recognized params, all integers: n >= 1 (synthetic); l_max >= 2
+    (n-gram); n_b >= 2, m >= 1, epochs >= 0 (surrogate).
 
     Raises:
         ValueError: For an unknown task name, or a parameter the task does
-            not take or whose value has the wrong type or is out of range,
-            naming it.
+            not take or that is not an integer or below its floor, naming it.
     """
     if name not in _TASK_PARAMS:
         raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
@@ -459,12 +435,10 @@ def make_task(name: str, **params) -> TaskContract:
     if unknown:
         raise ValueError(f"task {name!r} does not take parameter(s): {', '.join(unknown)}")
     for key, value in params.items():
-        kind, in_range, rule = allowed[key]
-        number = numbers.Real if kind is float else numbers.Integral
-        if isinstance(value, bool) or not isinstance(value, number):
-            raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
-        if not in_range(value):
-            raise ValueError(f"{key} must be {rule}, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be int, got {value!r}")
+        if value < allowed[key]:
+            raise ValueError(f"{key} must be >= {allowed[key]}, got {value!r}")
     if name == "synthetic":
         return SyntheticTask(**params)
     if name == "surrogate":

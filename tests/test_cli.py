@@ -118,7 +118,7 @@ def test_malformed_weight_flag(tmp_path, capsys):
 
 def test_bad_task_parameter_is_a_config_error(tmp_path, capsys):
     base = ["run", "--task", "synthetic", "-T", "2", "-K", "2", "-C", "2", "-o", str(tmp_path / "x")]
-    assert main(base + ["--grid-step", "-1"]) == 1
+    assert main(base + ["--n", "0"]) == 1
     assert "config error: task" in capsys.readouterr().err
     # a parameter the task does not take is rejected, not dropped
     assert main(base + ["--l-max", "5"]) == 1
@@ -144,22 +144,15 @@ def test_bad_task_parameter_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "task, flags, params, message",
     [
-        ("synthetic", ["--grid-step", "inf"], {}, "grid_step must be finite and > 0"),
-        ("synthetic", ["--grid-step", "nan"], {}, "grid_step must be finite and > 0"),
-        ("synthetic", ["--grid-step", "1e-300"], {}, "grid_step must be finite and > 0 with 2 / grid_step within int64"),
         ("synthetic", ["--n", "0"], {}, "n must be >= 1, got 0"),
-        ("synthetic", [], {"init_bound": -1.0}, "init_bound must be finite and >= 0"),
         ("ngram-uni", ["--l-max", "1"], {}, "l_max must be >= 2, got 1"),
-        ("surrogate", ["--n-b", "0"], {}, "n_b must be >= 1, got 0"),
-        ("surrogate", ["--oracle-seed", "-1"], {}, "oracle_seed must be >= 0, got -1"),
+        ("surrogate", ["--n-b", "0"], {}, "n_b must be >= 2, got 0"),
+        # one bit leaves the oracle no second direction to span its plane
+        ("surrogate", ["--n-b", "1"], {}, "n_b must be >= 2, got 1"),
         ("surrogate", [], {"m": 0}, "m must be >= 1, got 0"),
-        ("surrogate", [], {"train_seed": -2}, "train_seed must be >= 0, got -2"),
         ("surrogate", [], {"epochs": -1}, "epochs must be >= 0, got -1"),
     ],
-    ids=[
-        "grid_step=inf", "grid_step=nan", "grid_step=1e-300", "n=0", "init_bound=-1",
-        "l_max=1", "n_b=0", "oracle_seed=-1", "m=0", "train_seed=-2", "epochs=-1",
-    ],
+    ids=["n=0", "l_max=1", "n_b=0", "n_b=1", "m=0", "epochs=-1"],
 )
 def test_task_parameter_out_of_range_is_a_config_error(tmp_path, capsys, task, flags, params, message):
     cfg = tmp_path / "cfg.json"
@@ -167,7 +160,17 @@ def test_task_parameter_out_of_range_is_a_config_error(tmp_path, capsys, task, f
     args = ["run", "--task", task, "-T", "1", "-K", "1", "-C", "1", "--config", str(cfg)]
     assert main(args + flags + ["-o", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert f"config error: task: {message}" in err and "Traceback" not in err
+    assert f"config error: task: {message}" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("flag", ["--grid-step", "--oracle-seed"])
+def test_fixed_task_constants_have_no_flag(tmp_path, capsys, flag):
+    args = ["run", "--task", "synthetic", flag, "1", "-o", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 _BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(

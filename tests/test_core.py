@@ -15,7 +15,6 @@ from paretoscan.core import (
     as_weights,
     dominates,
     pareto_filter,
-    relative_max,
 )
 
 
@@ -69,12 +68,6 @@ def test_dominates_tri_state():
 def test_dominates_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         dominates([1.0], [1.0, 2.0])
-
-
-def test_relative_max_value():
-    assert relative_max([0.2, 0.5], [2.0, 0.6]) == pytest.approx(0.4)
-    with pytest.raises(DimensionMismatchError):
-        relative_max([0.2], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_synthetic_true_front_endpoints():
 
 
 def test_synthetic_task_snap_and_bounds():
-    task = SyntheticTask(n=3, grid_step=0.01)
+    task = SyntheticTask(n=3)
     x = task.relax(np.array([1, -2, 0], dtype=np.int64))
     assert task.region == Box(-2.0, 2.0)
     assert x.shape == (3,) and x.dtype == np.float64
@@ -116,10 +116,11 @@ def test_synthetic_task_snap_and_bounds():
     assert snapped.dtype == np.int64
 
 
-@pytest.mark.parametrize("grid_step", [0.01, 0.3, 2.0**-61])
+@pytest.mark.parametrize("grid_step", [0.01])
 def test_synthetic_snap_equals_the_clip_form(grid_step):
-    task = SyntheticTask(n=3, grid_step=grid_step)
-    top = task._max_index
+    task = SyntheticTask(n=3)
+    assert task.relax(np.ones(3, dtype=np.int64)).tolist() == [grid_step] * 3
+    top = round(2.0 / grid_step)
     ks = np.array([0, 1, top - 1, top, top + 1, 1.5 * top, 2.0**40], dtype=np.float64)
     params = np.concatenate([ks, -ks]) * grid_step
     idx = np.rint(params / grid_step).astype(np.int64)
@@ -141,7 +142,7 @@ def test_synthetic_task_neighborhood_first_is_deterministic():
 
 
 def test_synthetic_task_initial_draw_stays_in_sub_box():
-    task = SyntheticTask(n=12, init_bound=0.5)
+    task = SyntheticTask(n=12)
     for seed in range(5):
         k = task.random_candidate(np.random.default_rng(seed))
         assert np.max(np.abs(k)) <= 50
@@ -159,8 +160,6 @@ def test_synthetic_task_oracle_accounting_and_ids():
 def test_synthetic_task_validation():
     with pytest.raises(ValueError):
         SyntheticTask(n=0)
-    with pytest.raises(ValueError):
-        SyntheticTask(grid_step=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def test_sigmoid_oracle_geometry():
 
 @pytest.fixture(scope="module")
 def small_surrogate():
-    return SurrogateTask(n_b=8, m=2, train_seed=3, epochs=400)
+    return SurrogateTask(n_b=8, m=2, epochs=400)
 
 
 def test_surrogate_discrete_eval_is_the_oracle(small_surrogate):
@@ -380,10 +379,10 @@ def test_surrogate_neighborhood_threshold_first(small_surrogate):
 
 
 def test_surrogate_net_cache_reuses_training():
-    a = SurrogateTask(n_b=8, m=2, train_seed=3, epochs=400)
-    b = SurrogateTask(n_b=8, m=2, train_seed=3, epochs=400)
-    assert a.net is b.net
-    c = SurrogateTask(n_b=8, m=2, train_seed=4, epochs=400)
+    a = SurrogateTask(n_b=8, m=2, epochs=400)
+    b = SurrogateTask(n_b=8, m=2, epochs=400)
+    assert a.net is b.net and a.oracle is b.oracle
+    c = SurrogateTask(n_b=8, m=2, epochs=401)
     assert c.net is not a.net
 
 
@@ -447,7 +446,7 @@ def test_make_task_dispatch():
     bi = make_task("ngram-bi", l_max=6)
     assert isinstance(uni, NGramTask) and uni.mode == "unigram"
     assert bi.mode == "bigram" and bi.l_max == 6
-    sur = make_task("surrogate", n_b=8, m=2, train_seed=3, epochs=100)
+    sur = make_task("surrogate", n_b=8, m=2, epochs=100)
     assert isinstance(sur, SurrogateTask)
     with pytest.raises(ValueError):
         make_task("quantum")
@@ -455,8 +454,23 @@ def test_make_task_dispatch():
         make_task("synthetic", n=5, bogus=1)
 
 
+@pytest.mark.parametrize(
+    "name, param, value",
+    [
+        ("synthetic", "grid_step", 0.01),
+        ("synthetic", "init_bound", 0.5),
+        ("surrogate", "oracle_seed", 7),
+        ("surrogate", "train_seed", 101),
+    ],
+)
+def test_make_task_rejects_the_fixed_constants(name, param, value):
+    # the grid, the start box and the seeds are constants, even at their values
+    with pytest.raises(ValueError, match=f"does not take parameter\\(s\\): {param}$"):
+        make_task(name, **{param: value})
+
+
 def test_default_eta_table():
     assert make_task("synthetic").default_eta == 0.05
     assert make_task("ngram-uni").default_eta == 0.2
     assert make_task("ngram-bi").default_eta == 0.2
-    assert make_task("surrogate", n_b=8, m=2, train_seed=3, epochs=100).default_eta == 0.1
+    assert make_task("surrogate", n_b=8, m=2, epochs=100).default_eta == 0.1
