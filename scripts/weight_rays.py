@@ -18,7 +18,7 @@ from paretoscan.metrics import ray_nonuniformity
 from paretoscan.search import RunConfig, run_inversion, trajectory_to_csv
 from paretoscan.svgplot import render_front
 from paretoscan.tasks import synthetic_true_front
-from paretoscan.weights import weights_2d
+from paretoscan.weights import weight_grid
 
 
 def parse_args():
@@ -47,8 +47,7 @@ def main():
     dense = synthetic_true_front(20001)
     # interior rays only: the boundary rays point along the axes, where a
     # single objective dominates and the intersection is degenerate
-    coords = [(i + 1) / (args.rays + 1) for i in range(args.rays)]
-    rays = [weights_2d(u) for u in coords]
+    rays = weight_grid(2, args.rays + 2)[1:-1]
 
     rows = []
     finals = []

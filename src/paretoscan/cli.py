@@ -59,7 +59,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-K", type=int, default=None, help="inner descent rounds")
     parser.add_argument("--eta", type=float, default=None, help="step size")
     parser.add_argument("-C", type=int, default=None, help="discretization candidates")
-    parser.add_argument("--epsilon", type=float, default=None)
     parser.add_argument(
         "--budget", type=int, default=None, help="oracle-call budget (0 = unlimited)"
     )
@@ -137,7 +136,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         for key, value in file_data.items():
             merged[key] = value
 
-    for name in ("task", "mode", "T", "K", "eta", "C", "epsilon", "seed"):
+    for name in ("task", "mode", "T", "K", "eta", "C", "seed"):
         value = getattr(args, name)
         if value is not None:
             merged[name] = value

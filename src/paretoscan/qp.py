@@ -8,8 +8,9 @@ and preference weights lam, the step direction is d = G beta* where
                     beta^T G^T g_j >= 0  for every j in the active index set J.
 
 The anchor a switches between a pure descent target (weighted losses, taken
-when the weighted loss profile is already uniform along the preference ray)
-and a balancing target built from the log-ratio of each normalized weighted
+when the weighted loss profile is already uniform along the preference ray:
+its non-uniformity is at most the fixed threshold ``EPSILON`` = 1e-3) and a
+balancing target built from the log-ratio of each normalized weighted
 loss to the uniform profile.  The constraint set J shrinks to the maximal
 weighted losses in the uniform regime so the step may trade off the rest.
 
@@ -52,9 +53,10 @@ __all__ = [
     "solve_qp",
 ]
 
-#: Default threshold on the non-uniformity below which the weighted loss
-#: profile counts as balanced and the solver switches to pure descent.
-EPSILON_DEFAULT = 1e-3
+#: Threshold on the non-uniformity at or below which the weighted loss
+#: profile counts as balanced and the solver switches to pure descent
+#: (the EPO search of Mahapatra & Rajan, ICML 2020).
+EPSILON = 1e-3
 
 # Slack inequalities count as met down to -_RELIEF.
 _RELIEF = 5e-9
@@ -74,9 +76,7 @@ def _paired(losses, weights) -> tuple[np.ndarray, np.ndarray]:
     return lv, wv
 
 
-def _profile(
-    prod: np.ndarray, weights: np.ndarray, epsilon: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _profile(prod: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Non-uniformity, anchor and active set from one pass over the profile.
 
     ``prod`` is the weighted loss vector ``losses * weights``, from losses
@@ -94,7 +94,7 @@ def _profile(
     pos = h > 0.0
     log_ratio = np.log(h[pos] * m)
     mu = float((h[pos] * log_ratio).sum())
-    if mu <= epsilon:
+    if mu <= EPSILON:
         top = float(prod.max())
         active = (prod >= top - 1e-12 * max(top, 1.0)).nonzero()[0]
         return mu, prod, active
@@ -110,24 +110,24 @@ def nonuniformity(losses, weights) -> float:
     concentrates.  Zero entries contribute nothing (0 log 0 = 0).
     """
     lv, wv = _paired(losses, weights)
-    return _profile(lv * wv, wv, EPSILON_DEFAULT)[0]
+    return _profile(lv * wv, wv)[0]
 
 
-def active_index_set(losses, weights, epsilon: float = EPSILON_DEFAULT) -> list[int]:
+def active_index_set(losses, weights) -> list[int]:
     """Objectives whose descent must not be sacrificed by the next step.
 
     Returns the maximizers of the weighted loss (ties included) when the
-    profile is already uniform within ``epsilon``; otherwise every index, so a
+    profile is already uniform within ``EPSILON``; otherwise every index, so a
     balancing step cannot regress any objective.
     """
     lv, wv = _paired(losses, weights)
-    return [int(j) for j in _profile(lv * wv, wv, epsilon)[2]]
+    return [int(j) for j in _profile(lv * wv, wv)[2]]
 
 
-def anchor_direction(losses, weights, epsilon: float = EPSILON_DEFAULT) -> np.ndarray:
+def anchor_direction(losses, weights) -> np.ndarray:
     """Target vector the QP tries to match with G^T G beta.
 
-    In the balanced regime (non-uniformity <= epsilon) the anchor is the
+    In the balanced regime (non-uniformity <= ``EPSILON``) the anchor is the
     weighted loss vector itself, yielding a weighted descent step.  Otherwise
     each component is ``lam_j * (log(m * h_j) - mu)`` with h the normalized
     weighted losses and mu the non-uniformity, which pushes oversized
@@ -135,7 +135,7 @@ def anchor_direction(losses, weights, epsilon: float = EPSILON_DEFAULT) -> np.nd
     h_j = 0 are left at zero.
     """
     lv, wv = _paired(losses, weights)
-    return _profile(lv * wv, wv, epsilon)[1]
+    return _profile(lv * wv, wv)[1]
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

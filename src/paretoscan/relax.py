@@ -179,7 +179,6 @@ def inner_descent(
     eta: float,
     rounds: int,
     mode: str = "epo",
-    epsilon: float = qp.EPSILON_DEFAULT,
     previous: InnerResult | None = None,
 ) -> InnerResult:
     """Gradient descent on the relaxation driven by the chosen direction rule.
@@ -188,7 +187,7 @@ def inner_descent(
     clamped start and the settings.  When ``previous`` started from the
     same clamped vector, it is returned itself and nothing is recomputed.
     ``previous`` must come from a call with the same task, weights, eta,
-    rounds, mode and epsilon; a run passes its last round's result.
+    rounds and mode; a run passes its last round's result.
 
     Each round checks the losses and gradients entry by entry.  The
     direction's sum of squares gives the norm for the converged flag and
@@ -204,7 +203,6 @@ def inner_descent(
         eta: Step size.
         rounds: Number of descent rounds (K).
         mode: "epo" for the non-dominating QP direction, "ls" for d = G lam.
-        epsilon: Balance threshold for the QP mode.
         previous: The result of an earlier call with the same settings.
 
     Returns:
@@ -244,7 +242,7 @@ def inner_descent(
             )
         weighted = losses * wv
         try:
-            mu, anchor, active = qp._profile(weighted, wv, epsilon)
+            mu, anchor, active = qp._profile(weighted, wv)
         except qp.DegenerateLossError:  # every loss is zero: the ideal point
             mu, anchor, active = 0.0, None, None
         r_check = float(weighted.max())

@@ -29,7 +29,6 @@ from .metrics import (
     hypervolume,
     nonuniformity_report,
 )
-from .qp import EPSILON_DEFAULT
 from .relax import (
     NumericalFailureError,
     TaskContract,
@@ -80,11 +79,15 @@ class RunConfig:
     K: int = 20
     eta: float | None = None
     C: int = 10
-    epsilon: float = EPSILON_DEFAULT
     oracle_budget: int = 0
     seed: int = 0
 
     _ALIASES = {"lambda": "weights", "t": "T", "k": "K", "c": "C", "budget": "oracle_budget"}
+
+    @property
+    def epsilon(self) -> float:
+        """The balance threshold of the "epo" direction, the constant ``qp.EPSILON``."""
+        return qp.EPSILON
 
     def validate(self) -> None:
         if self.task not in TASK_NAMES:
@@ -99,10 +102,6 @@ class RunConfig:
             raise ValueError("T, K and C must all be at least 1")
         if self.eta is not None and not _finite_non_negative(self.eta):
             raise ValueError(f"eta must be a finite, non-negative number, got {self.eta!r}")
-        if not _finite_non_negative(self.epsilon):
-            raise ValueError(
-                f"epsilon must be a finite, non-negative number, got {self.epsilon!r}"
-            )
         if self.weights is not None:
             try:
                 w = np.asarray(self.weights, dtype=np.float64)
@@ -188,7 +187,7 @@ def _resolve_weights(config: RunConfig, m: int) -> np.ndarray:
             raise ValueError(
                 f"weight vector has {w.size} components but the task has {m} objectives"
             )
-    return as_weights(lift_positive(w))
+    return lift_positive(w)
 
 
 def _record(
@@ -202,7 +201,7 @@ def _record(
     """The point of one evaluated candidate, from the run's checked vectors."""
     weighted = objectives * weights
     try:
-        mu = qp._profile(weighted, weights, EPSILON_DEFAULT)[0]
+        mu = qp._profile(weighted, weights)[0]
     except qp.DegenerateLossError:
         mu = float("nan")
     return TrajectoryPoint(
@@ -258,7 +257,6 @@ def run_inversion(config: RunConfig, *, task: TaskContract | None = None) -> Run
                 eta=eta,
                 rounds=config.K,
                 mode=config.mode,
-                epsilon=config.epsilon,
                 previous=inner,
             )
             x, objectives = discretize_select(task, inner.point, weights, config.C, rng)

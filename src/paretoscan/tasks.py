@@ -17,8 +17,8 @@ Three task families exercise the relax-descend-discretize loop:
   samples, so descent consumes no oracle budget.  The oracle and the
   training rows are fixed by seeds 7 and 101.
 
-Every task parameter is an integer with a floor; the grid, the start box
-and the seeds are constants.
+Every task parameter is an integer with a floor, which the task's own
+constructor checks; the grid, the start box and the seeds are constants.
 """
 
 from __future__ import annotations
@@ -68,6 +68,17 @@ _TASK_PARAMS = {
 }
 
 TASK_NAMES = tuple(_TASK_PARAMS)
+
+
+def _check_params(task: str, **params) -> None:
+    """Raise ValueError, naming the parameter, unless each is an integer at
+    or above its floor in ``_TASK_PARAMS[task]``."""
+    floors = _TASK_PARAMS[task]
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be int, got {value!r}")
+        if value < floors[key]:
+            raise ValueError(f"{key} must be >= {floors[key]}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +146,7 @@ class SyntheticTask(TaskContract):
 
     def __init__(self, n: int = 20) -> None:
         super().__init__()
-        if n < 1:
-            raise ValueError("n must be positive")
+        _check_params("synthetic", n=n)
         self.n = n
 
     def _coords(self, candidate: np.ndarray) -> np.ndarray:
@@ -262,8 +272,7 @@ class NGramTask(TaskContract):
         super().__init__()
         if mode not in ("unigram", "bigram"):
             raise ValueError(f"unknown n-gram mode {mode!r}")
-        if l_max < 2:
-            raise ValueError("l_max must be at least 2")
+        _check_params("ngram-uni", l_max=l_max)
         self.mode = mode
         self.l_max = l_max
         self.region = SimplexRows(l_max, 3)
@@ -330,10 +339,7 @@ class SigmoidOracle:
         v = rng.standard_normal(n_b)
         v -= (v @ u) * u
         v /= np.linalg.norm(v)
-        if m == 1:
-            angles = np.array([0.0])
-        else:
-            angles = np.linspace(0.0, math.radians(120.0), m)
+        angles = np.linspace(0.0, math.radians(120.0), m)
         self.w = 4.0 * np.stack(
             [math.cos(t) * u + math.sin(t) * v for t in angles]
         )
@@ -384,6 +390,7 @@ class SurrogateTask(TaskContract):
 
     def __init__(self, n_b: int = 16, m: int = 2, epochs: int = 5000) -> None:
         super().__init__()
+        _check_params("surrogate", n_b=n_b, m=m, epochs=epochs)
         self.m = m
         self.n_b = n_b
         self.oracle, self.net = _trained_net(n_b, m, epochs)
@@ -430,15 +437,9 @@ def make_task(name: str, **params) -> TaskContract:
     """
     if name not in _TASK_PARAMS:
         raise ValueError(f"unknown task {name!r}; expected one of {TASK_NAMES}")
-    allowed = _TASK_PARAMS[name]
-    unknown = sorted(set(params) - set(allowed))
+    unknown = sorted(set(params) - set(_TASK_PARAMS[name]))
     if unknown:
         raise ValueError(f"task {name!r} does not take parameter(s): {', '.join(unknown)}")
-    for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{key} must be int, got {value!r}")
-        if value < allowed[key]:
-            raise ValueError(f"{key} must be >= {allowed[key]}, got {value!r}")
     if name == "synthetic":
         return SyntheticTask(**params)
     if name == "surrogate":

@@ -2,7 +2,7 @@
 
 Rays are parameterized by uniform coordinates in [0, 1] mapped through
 spherical angles, so evenly spaced (or low-discrepancy) inputs give well
-spread rays.  Generators can emit exact zeros at the orthant boundary;
+spread rays.  Grids can emit exact zeros at the orthant boundary;
 :func:`lift_positive` raises every component below ``POSITIVITY_FLOOR``,
 zeros and tiny positive values alike, to that floor before a vector is used
 in optimization, where strictly positive weights are required.
@@ -15,14 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "weights_2d",
-    "weights_3d",
-    "weights_4d",
-    "weight_grid",
-    "lift_positive",
-    "load_weights_csv",
-]
+__all__ = ["weight_grid", "lift_positive", "load_weights_csv"]
 
 #: Components below this magnitude are snapped to exact zero.
 _SNAP = 1e-12
@@ -31,58 +24,23 @@ _SNAP = 1e-12
 POSITIVITY_FLOOR = 1e-3
 
 
-def _finalize(components: list[float]) -> np.ndarray:
-    w = np.asarray(components, dtype=np.float64)
+def _ray(coords) -> np.ndarray:
+    """Unit ray with ``len(coords) + 1`` components from coordinates in [0, 1].
+
+    The first coordinate u gives t = (pi/2) u and the ray (cos t, sin t).
+    Each further coordinate c sets a = arccos c, multiplies every component
+    so far by sin a and appends cos a: c = 0 leaves the earlier components
+    as they were with a zero appended, and c = 1 gives the new axis.
+    """
+    t = 0.5 * math.pi * coords[0]
+    components = [math.cos(t), math.sin(t)]
+    for c in coords[1:]:
+        a = math.acos(c)
+        scale = math.sin(a)
+        components = [x * scale for x in components] + [math.cos(a)]
+    w = np.array(components)
     w[np.abs(w) < _SNAP] = 0.0
     return w / np.linalg.norm(w)
-
-
-def _check_unit(value: float, name: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
-def weights_2d(u: float) -> np.ndarray:
-    """Ray (cos t, sin t) with t = (pi/2) u, u in [0, 1]."""
-    t = 0.5 * math.pi * _check_unit(u, "u")
-    return _finalize([math.cos(t), math.sin(t)])
-
-
-def weights_3d(u: float, v: float) -> np.ndarray:
-    """Three-component ray from two unit coordinates.
-
-    Uses the four-component construction with the final inclination pinned
-    so the fourth component vanishes: theta = (pi/2) u, phi = arccos v, and
-    the ray is (sin phi cos theta, sin phi sin theta, cos phi).
-    """
-    t = 0.5 * math.pi * _check_unit(u, "u")
-    phi = math.acos(_check_unit(v, "v"))
-    return _finalize(
-        [math.sin(phi) * math.cos(t), math.sin(phi) * math.sin(t), math.cos(phi)]
-    )
-
-
-def weights_4d(u: float, v: float, z: float) -> np.ndarray:
-    """Four-component ray from three unit coordinates.
-
-    theta = (pi/2) u, phi = arccos v, sigma = arccos z; the components are
-    (sin phi cos theta sin sigma, sin phi sin theta sin sigma,
-    sin sigma cos phi, cos sigma).
-    """
-    t = 0.5 * math.pi * _check_unit(u, "u")
-    phi = math.acos(_check_unit(v, "v"))
-    sigma = math.acos(_check_unit(z, "z"))
-    sp, ss = math.sin(phi), math.sin(sigma)
-    return _finalize(
-        [
-            sp * math.cos(t) * ss,
-            sp * math.sin(t) * ss,
-            ss * math.cos(phi),
-            math.cos(sigma),
-        ]
-    )
 
 
 #: Prime base of each Halton coordinate; grids use at most three coordinates.
@@ -130,17 +88,16 @@ def weight_grid(m: int, count: int) -> list[np.ndarray]:
         raise ValueError("count must be positive")
     if m == 2:
         if count == 1:
-            return [weights_2d(0.5)]
-        return [weights_2d(i / (count - 1)) for i in range(count)]
+            return [_ray([0.5])]
+        return [_ray([i / (count - 1)]) for i in range(count)]
     if m in (3, 4):
-        maker = weights_3d if m == 3 else weights_4d
         perms = _halton_permutations(m - 1)
         out: list[np.ndarray] = []
         seen: set[tuple] = set()
         start, block = 0, max(count, 8)
         while len(out) < count:
             for row in _halton_points(perms, start, block):
-                w = maker(*row)
+                w = _ray(row)
                 key = tuple(np.round(w, 12))
                 if key not in seen:
                     seen.add(key)

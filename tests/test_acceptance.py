@@ -36,7 +36,7 @@ from paretoscan.tasks import (
     synthetic_losses_and_gradients,
     synthetic_true_front,
 )
-from paretoscan.weights import weight_grid, weights_2d
+from paretoscan.weights import weight_grid
 
 from oracles import hypervolume_monte_carlo, qp_grid_oracle
 
@@ -126,7 +126,7 @@ def test_02_qp_direction_beats_weighted_sum_baseline(synthetic_scans, capsys):
 
 
 def test_03_final_points_hit_their_weight_rays(capsys):
-    rays = [weights_2d((i + 1) / 6) for i in range(5)]
+    rays = weight_grid(2, 7)[1:-1]
     dense = synthetic_true_front(20001)
     targets = []
     for w in rays:

@@ -164,7 +164,7 @@ def test_task_parameter_out_of_range_is_a_config_error(tmp_path, capsys, task, f
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
-@pytest.mark.parametrize("flag", ["--grid-step", "--oracle-seed"])
+@pytest.mark.parametrize("flag", ["--grid-step", "--oracle-seed", "--epsilon"])
 def test_fixed_task_constants_have_no_flag(tmp_path, capsys, flag):
     args = ["run", "--task", "synthetic", flag, "1", "-o", str(tmp_path / "x")]
     with pytest.raises(SystemExit) as exc:
@@ -181,7 +181,7 @@ _BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
 @settings(deadline=None, max_examples=60)
 @given(
     command=st.sampled_from(["run", "scan"]),
-    key=st.sampled_from(["eta", "epsilon", "lambda"]),
+    key=st.sampled_from(["eta", "lambda"]),
     bad=_BAD_NUMBERS,
     good=st.floats(0.0, 10.0),
 )

@@ -3,12 +3,12 @@
 import hashlib
 import math
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from paretoscan import search
+from paretoscan import qp, search
 from paretoscan.core import EmptyInputError, TrajectoryPoint
 from paretoscan.relax import discretize_select, inner_descent
 from paretoscan.search import (
@@ -43,8 +43,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(eta=-0.1).validate()
     with pytest.raises(ValueError):
-        RunConfig(epsilon=-1.0).validate()
-    with pytest.raises(ValueError):
         RunConfig(oracle_budget=-1).validate()
     with pytest.raises(ValueError, match="^task must be one of"):
         RunConfig(task="bogus").validate()
@@ -68,6 +66,19 @@ def test_config_from_dict_aliases():
     assert upper.T == 7
     with pytest.raises(ValueError, match="unknown config key"):
         RunConfig.from_dict({"steps": 3})
+
+
+def test_balance_threshold_is_a_read_only_constant():
+    assert "epsilon" not in {f.name for f in fields(RunConfig)}
+    cfg = RunConfig()
+    assert cfg.epsilon == qp.EPSILON == 1e-3
+    with pytest.raises(ValueError, match="^unknown config key 'epsilon'$"):
+        RunConfig.from_dict({"epsilon": 0.01})
+    with pytest.raises(TypeError):
+        RunConfig(epsilon=0.01)
+    with pytest.raises(AttributeError):
+        cfg.epsilon = 0.01
+    assert cfg.epsilon == 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +239,7 @@ def _descend_every_round(config):
     for _ in range(config.T):
         inner = inner_descent(
             task, task.relax(x), weights, eta=eta, rounds=config.K,
-            mode=config.mode, epsilon=config.epsilon,
+            mode=config.mode,
         )
         x, objectives = discretize_select(task, inner.point, weights, config.C, rng)
         rows.append((task.candidate_id(x), objectives.tobytes(), task.oracle_calls))

@@ -1,6 +1,7 @@
 """Built-in task families: frozen values, lattice exactness, gradients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -467,6 +468,25 @@ def test_make_task_rejects_the_fixed_constants(name, param, value):
     # the grid, the start box and the seeds are constants, even at their values
     with pytest.raises(ValueError, match=f"does not take parameter\\(s\\): {param}$"):
         make_task(name, **{param: value})
+
+
+@pytest.mark.parametrize(
+    "cls, params, message",
+    [
+        (SyntheticTask, {"n": 0}, "n must be >= 1, got 0"),
+        (SyntheticTask, {"n": 2.0}, "n must be int, got 2.0"),
+        (NGramTask, {"l_max": 1}, "l_max must be >= 2, got 1"),
+        # one bit leaves the oracle no second direction to span its plane
+        (SurrogateTask, {"n_b": 1, "m": 2, "epochs": 0}, "n_b must be >= 2, got 1"),
+        (SurrogateTask, {"m": 0}, "m must be >= 1, got 0"),
+        (SurrogateTask, {"epochs": -1}, "epochs must be >= 0, got -1"),
+    ],
+    ids=["n=0", "n=2.0", "l_max=1", "n_b=1", "m=0", "epochs=-1"],
+)
+def test_task_constructors_check_their_parameters(cls, params, message):
+    # the same text the CLI reports after "config error: task: "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**params)
 
 
 def test_default_eta_table():

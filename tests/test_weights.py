@@ -17,78 +17,66 @@ from paretoscan.weights import (
     POSITIVITY_FLOOR,
     _halton_permutations,
     _halton_points,
+    _ray,
     lift_positive,
     load_weights_csv,
     weight_grid,
-    weights_2d,
-    weights_3d,
-    weights_4d,
 )
 
 _unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 def test_weights_2d_endpoints_are_exact():
-    assert weights_2d(0.0).tolist() == [1.0, 0.0]
-    assert weights_2d(1.0).tolist() == [0.0, 1.0]  # cos snap at the boundary
-    mid = weights_2d(0.5)
+    assert _ray([0.0]).tolist() == [1.0, 0.0]
+    assert _ray([1.0]).tolist() == [0.0, 1.0]  # cos snap at the boundary
+    mid = _ray([0.5])
     assert mid == pytest.approx([math.sqrt(0.5)] * 2)
 
 
 @settings(deadline=None, max_examples=200)
 @given(_unit)
 def test_weights_2d_stay_on_positive_unit_circle(u):
-    w = weights_2d(u)
+    w = _ray([u])
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0.0)
 
 
 def test_weights_2d_sweep_is_monotone():
     us = np.linspace(0.0, 1.0, 21)
-    first = [weights_2d(u)[0] for u in us]
-    second = [weights_2d(u)[1] for u in us]
+    first = [_ray([u])[0] for u in us]
+    second = [_ray([u])[1] for u in us]
     assert all(a > b for a, b in zip(first, first[1:]))
     assert all(a < b for a, b in zip(second, second[1:]))
-
-
-def test_weights_coordinate_range_checks():
-    for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            weights_2d(bad)
-        with pytest.raises(ValueError):
-            weights_3d(0.5, bad)
-        with pytest.raises(ValueError):
-            weights_4d(0.5, 0.5, bad)
 
 
 @settings(deadline=None, max_examples=100)
 @given(_unit, _unit)
 def test_weights_3d_reduce_to_2d_on_the_boundary(u, v):
-    w = weights_3d(u, v)
+    w = _ray([u, v])
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0.0)
-    flat = weights_3d(u, 0.0)
-    assert flat[:2] == pytest.approx(weights_2d(u), abs=1e-12)
+    flat = _ray([u, 0.0])
+    assert flat[:2] == pytest.approx(_ray([u]), abs=1e-12)
     assert flat[2] == 0.0
 
 
 def test_weights_3d_pole():
-    assert weights_3d(0.3, 1.0).tolist() == [0.0, 0.0, 1.0]
+    assert _ray([0.3, 1.0]).tolist() == [0.0, 0.0, 1.0]
 
 
 @settings(deadline=None, max_examples=100)
 @given(_unit, _unit, _unit)
 def test_weights_4d_reduce_to_3d_on_the_boundary(u, v, z):
-    w = weights_4d(u, v, z)
+    w = _ray([u, v, z])
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0.0)
-    flat = weights_4d(u, v, 0.0)
-    assert flat[:3] == pytest.approx(weights_3d(u, v), abs=1e-12)
+    flat = _ray([u, v, 0.0])
+    assert flat[:3] == pytest.approx(_ray([u, v]), abs=1e-12)
     assert flat[3] == 0.0
 
 
 def test_weights_4d_pole():
-    assert weights_4d(0.3, 0.7, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert _ray([0.3, 0.7, 1.0]).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_weight_grid_2d_spacing():
