@@ -11,10 +11,11 @@ A relaxed point is a plain 1-D float64 vector.  Its feasible region is fixed
 per task, so it lives on the task (``TaskContract.region``: a ``Box`` or
 ``SimplexRows``), not on the point; ``clamp`` projects a vector onto it.
 
-The inner loop asks the task for its losses and gradients in one
-``losses_and_gradients`` call per round, always on a vector that the task's
-own ``clamp`` made.  The task may therefore trust the vector's shape and
-feasibility and skip re-validating it; the loop checks what comes back.
+The engine hands a task only vectors that its own ``clamp`` made: one
+``losses_and_gradients`` call per inner round, and one
+``neighborhood_discretize`` call at the point the descent returned.  The
+task may therefore trust the vector's shape and feasibility and skip
+re-validating it; the loop checks what comes back.
 
 Oracle accounting: one discrete evaluation costs m calls (one per objective).
 """
@@ -34,7 +35,6 @@ __all__ = [
     "Box",
     "SimplexRows",
     "TaskContract",
-    "InvalidRelaxationError",
     "ExhaustedNeighborhoodError",
     "NumericalFailureError",
     "RoundTrace",
@@ -45,10 +45,6 @@ __all__ = [
 
 #: Step directions with norm below this count as converged.
 CONVERGENCE_NORM = 1e-9
-
-
-class InvalidRelaxationError(ValueError):
-    """Raised when relaxed parameters leave the task's feasible region."""
 
 
 class ExhaustedNeighborhoodError(RuntimeError):
@@ -94,7 +90,8 @@ class TaskContract(abc.ABC):
 
     Subclasses define the candidate space, the oracle, the relaxation and its
     gradients.  ``eval_discrete`` is the only operation that touches the
-    oracle counter.  A subclass that sets no ``default_eta`` runs only with
+    oracle counter.  ``losses_and_gradients`` and ``neighborhood_discretize``
+    receive only vectors that :meth:`clamp` made.  A subclass that sets no ``default_eta`` runs only with
     an explicit ``RunConfig.eta``.
     """
 
@@ -139,7 +136,11 @@ class TaskContract(abc.ABC):
 
     @abc.abstractmethod
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
-        """Discrete candidates near ``x``; first entry is deterministic."""
+        """``count`` discrete candidates near ``x``; first entry is deterministic.
+
+        ``x`` comes from :meth:`clamp`, so it lies in the feasible region,
+        and :func:`discretize_select` has checked that ``count`` >= 1.
+        """
 
     @abc.abstractmethod
     def candidate_id(self, candidate) -> str:
@@ -278,9 +279,14 @@ def discretize_select(
     ``(candidate, objectives)`` pair minimizing the weighted relative max;
     ties break by lower weighted loss sum, then by draw order.
 
+    ``x`` must come from ``task.clamp``, as :func:`inner_descent`'s point does.
+
     Raises:
+        ValueError: If ``count`` is below 1, before any oracle call.
         ExhaustedNeighborhoodError: If the task yields no candidates.
     """
+    if count < 1:
+        raise ValueError("count must be positive")
     wv = as_weights(weights)
     candidates = task.neighborhood_discretize(x, count, rng)
     if not candidates:

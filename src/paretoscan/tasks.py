@@ -17,6 +17,10 @@ Three task families exercise the relax-descend-discretize loop:
   samples, so descent consumes no oracle budget.  The oracle and the
   training rows are fixed by seeds 7 and 101.
 
+Each task computes its losses only through its own methods: the oracle
+losses of a candidate through ``eval_discrete``, the relaxed losses and
+gradients through ``losses_and_gradients`` at a vector ``clamp`` made.
+
 Every task parameter is an integer with a floor, which the task's own
 constructor checks; the grid, the start box and the seeds are constants.
 """
@@ -30,17 +34,13 @@ import numbers
 import numpy as np
 
 from .net import DualPathNet
-from .relax import Box, SimplexRows, TaskContract, InvalidRelaxationError
+from .relax import Box, SimplexRows, TaskContract
 
 __all__ = [
     "SyntheticTask",
     "NGramTask",
     "SurrogateTask",
-    "SigmoidOracle",
-    "synthetic_losses",
-    "synthetic_losses_and_gradients",
     "synthetic_true_front",
-    "ngram_losses",
     "make_task",
     "TASK_NAMES",
 ]
@@ -94,27 +94,12 @@ def _centre(n: int) -> np.ndarray:
     return c
 
 
-def _wells(x) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[float, ...]]:
-    """Losses of the two wells, with the offsets x -+ c and their exponentials."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+def _wells(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[float, ...]]:
+    """Losses 1 - exp(-||x -+ c||^2), with the offsets x -+ c and their exponentials."""
     c = _centre(x.size)
     offsets = (x - c, x + c)
     factors = tuple(math.exp(-float(d @ d)) for d in offsets)
     return np.array([1.0 - e for e in factors]), offsets, factors
-
-
-def synthetic_losses(x) -> np.ndarray:
-    """Two-objective losses 1 - exp(-||x -+ c||^2) with c = ones/sqrt(n)."""
-    return _wells(x)[0]
-
-
-def synthetic_losses_and_gradients(x) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`synthetic_losses` and their (n, 2) gradient matrix."""
-    losses, offsets, factors = _wells(x)
-    grads = np.empty((offsets[0].size, 2))
-    for j, (d, e) in enumerate(zip(offsets, factors)):
-        grads[:, j] = 2.0 * d * e
-    return losses, grads
 
 
 def synthetic_true_front(samples: int = 200) -> np.ndarray:
@@ -153,21 +138,23 @@ class SyntheticTask(TaskContract):
         return np.asarray(candidate, dtype=np.float64) * _GRID_STEP
 
     def _discrete_losses(self, candidate) -> np.ndarray:
-        return synthetic_losses(self._coords(candidate))
+        return _wells(self._coords(candidate))[0]
 
     def relax(self, candidate) -> np.ndarray:
         return self._coords(candidate)
 
     def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return synthetic_losses_and_gradients(x)
+        losses, offsets, factors = _wells(x)
+        grads = np.empty((x.size, 2))
+        for j, (d, e) in enumerate(zip(offsets, factors)):
+            grads[:, j] = 2.0 * d * e
+        return losses, grads
 
     def _snap(self, params: np.ndarray) -> np.ndarray:
         idx = np.rint(params / _GRID_STEP).astype(np.int64)
         return np.minimum(np.maximum(idx, -_MAX_INDEX), _MAX_INDEX)
 
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
-        if count < 1:
-            raise ValueError("count must be positive")
         out = [self._snap(x)]
         for _ in range(count - 1):
             noise = rng.uniform(-_GRID_STEP, _GRID_STEP, self.n)
@@ -194,54 +181,36 @@ _BIGRAM_TARGETS = ("CV", "VA", "AC")
 _CHAR_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
 
 
-def _validate_rows(P: np.ndarray) -> None:
-    if (P < -1e-9).any() or (np.abs(P.sum(axis=1) - 1.0) > 1e-9).any():
-        raise InvalidRelaxationError("rows must lie on the probability simplex")
-
-
-def _as_matrix(sequence_or_matrix, l_max: int) -> np.ndarray:
-    if isinstance(sequence_or_matrix, str):
-        seq = sequence_or_matrix
-        if len(seq) != l_max or any(ch not in _CHAR_INDEX for ch in seq):
-            raise ValueError(f"sequence must have length {l_max} over {ALPHABET!r}")
-        P = np.zeros((l_max, 3))
-        for t, ch in enumerate(seq):
-            P[t, _CHAR_INDEX[ch]] = 1.0
-        return P
-    P = np.asarray(sequence_or_matrix, dtype=np.float64)
-    if P.shape != (l_max, 3):
-        raise ValueError(f"matrix must have shape ({l_max}, 3), got {P.shape}")
-    _validate_rows(P)
+def _one_hot(sequence: str, l_max: int) -> np.ndarray:
+    """The (l_max, 3) one-hot matrix of a string of length l_max over the alphabet."""
+    if len(sequence) != l_max or any(ch not in _CHAR_INDEX for ch in sequence):
+        raise ValueError(f"sequence must have length {l_max} over {ALPHABET!r}")
+    P = np.zeros((l_max, 3))
+    for t, ch in enumerate(sequence):
+        P[t, _CHAR_INDEX[ch]] = 1.0
     return P
 
 
-def ngram_losses(sequence_or_matrix, mode: str = "unigram", l_max: int = 8) -> np.ndarray:
-    """Losses 1 - normalized target counts for a sequence or relaxed matrix.
+def _ngram_losses(P: np.ndarray, mode: str, l_max: int) -> np.ndarray:
+    """Losses 1 - normalized target counts of a row-stochastic matrix.
 
     Unigram mode counts each alphabet symbol (normalized by the length);
     bigram mode counts CV, VA, AC over adjacent pairs (normalized by the
-    pair count).  For a relaxed matrix the counts are expectations, with
-    bigram expectations factorized across adjacent rows.
+    pair count).  The counts are expectations, exact for a one-hot string,
+    with bigram expectations factorized across adjacent rows.
     """
-    return _ngram_losses(_as_matrix(sequence_or_matrix, l_max), mode, l_max)
-
-
-def _ngram_losses(P: np.ndarray, mode: str, l_max: int) -> np.ndarray:
-    """:func:`ngram_losses` of a matrix already known to be valid."""
     if mode == "unigram":
         counts = P.sum(axis=0)
         return 1.0 - counts / l_max
-    if mode == "bigram":
-        first = P[:-1]
-        second = P[1:]
-        counts = np.array(
-            [
-                float(np.sum(first[:, _CHAR_INDEX[a]] * second[:, _CHAR_INDEX[b]]))
-                for a, b in _BIGRAM_TARGETS
-            ]
-        )
-        return 1.0 - counts / (l_max - 1)
-    raise ValueError(f"unknown n-gram mode {mode!r}")
+    first = P[:-1]
+    second = P[1:]
+    counts = np.array(
+        [
+            float(np.sum(first[:, _CHAR_INDEX[a]] * second[:, _CHAR_INDEX[b]]))
+            for a, b in _BIGRAM_TARGETS
+        ]
+    )
+    return 1.0 - counts / (l_max - 1)
 
 
 def _unigram_gradients(l_max: int) -> np.ndarray:
@@ -282,10 +251,10 @@ class NGramTask(TaskContract):
             self._unigram_grads.flags.writeable = False
 
     def _discrete_losses(self, candidate) -> np.ndarray:
-        return ngram_losses(candidate, self.mode, self.l_max)
+        return _ngram_losses(_one_hot(candidate, self.l_max), self.mode, self.l_max)
 
     def relax(self, candidate) -> np.ndarray:
-        return _as_matrix(candidate, self.l_max).ravel()
+        return _one_hot(candidate, self.l_max).ravel()
 
     def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         P = x.reshape(self.l_max, 3)
@@ -295,11 +264,8 @@ class NGramTask(TaskContract):
         return losses, _bigram_gradients(P, self.l_max)
 
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
-        if count < 1:
-            raise ValueError("count must be positive")
-        P = x.reshape(self.l_max, 3)
-        _validate_rows(P)
-        rows = np.clip(P, 0.0, None)
+        # the projected rows are non-negative; renormalise away their rounding
+        rows = x.reshape(self.l_max, 3)
         rows = rows / rows.sum(axis=1, keepdims=True)
         out = ["".join(ALPHABET[int(i)] for i in np.argmax(rows, axis=1))]
         # rng.choice(3, p=row) draws one rng.random() and returns the count of
@@ -323,16 +289,17 @@ class NGramTask(TaskContract):
 # Surrogate bit-vector task
 # ---------------------------------------------------------------------------
 
-class SigmoidOracle:
+class _SigmoidOracle:
     """Hidden ground-truth properties O_i(x) = sigmoid(w_i . x + b_i).
 
     Property directions of norm 4 live in a fixed plane, spread evenly over
     120 degrees (so two heads conflict), and each bias centers the property
     at the half-on bit vector, so scores spread over a useful sigmoid range
-    on {0, 1}^n.
+    on {0, 1}^n.  Only ``_trained_net`` builds one, with the n_b >= 2 and
+    m >= 1 that ``SurrogateTask`` checked.
     """
 
-    def __init__(self, n_b: int = 16, m: int = 2) -> None:
+    def __init__(self, n_b: int, m: int) -> None:
         rng = np.random.default_rng(_ORACLE_SEED)
         u = rng.standard_normal(n_b)
         u /= np.linalg.norm(u)
@@ -344,10 +311,6 @@ class SigmoidOracle:
             [math.cos(t) * u + math.sin(t) * v for t in angles]
         )
         self.b = -0.5 * self.w.sum(axis=1)
-
-    @property
-    def m(self) -> int:
-        return self.w.shape[0]
 
     def scores(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -364,9 +327,9 @@ _TRAIN_SIZE = 1024
 _TRAIN_RATE = 5e-2
 
 @functools.lru_cache(maxsize=None)
-def _trained_net(n_b: int, m: int, epochs: int) -> tuple[SigmoidOracle, DualPathNet]:
+def _trained_net(n_b: int, m: int, epochs: int) -> tuple[_SigmoidOracle, DualPathNet]:
     """The oracle and the net trained on rows it labelled, built once per setting."""
-    oracle = SigmoidOracle(n_b=n_b, m=m)
+    oracle = _SigmoidOracle(n_b=n_b, m=m)
     rng = np.random.default_rng(_TRAIN_SEED)
     X = rng.integers(0, 2, size=(_TRAIN_SIZE, n_b)).astype(np.float64)
     Y = np.stack([oracle.scores(x) for x in X])
@@ -405,12 +368,9 @@ class SurrogateTask(TaskContract):
         return self.net.losses_and_gradients(x)
 
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
-        if count < 1:
-            raise ValueError("count must be positive")
-        p = np.clip(x, 0.0, 1.0)
-        out = [(p >= 0.5).astype(np.int64)]
+        out = [(x >= 0.5).astype(np.int64)]
         for _ in range(count - 1):
-            out.append((rng.random(self.n_b) < p).astype(np.int64))
+            out.append((rng.random(self.n_b) < x).astype(np.int64))
         return out
 
     def candidate_id(self, candidate) -> str:

@@ -32,8 +32,6 @@ from paretoscan.tasks import (
     NGramTask,
     SyntheticTask,
     make_task,
-    synthetic_losses,
-    synthetic_losses_and_gradients,
     synthetic_true_front,
 )
 from paretoscan.weights import weight_grid
@@ -367,10 +365,12 @@ def test_08_analytic_gradients_match_finite_differences(capsys):
 
     rng = np.random.default_rng(0)
     err = 0.0
+    task = SyntheticTask(8)
     for _ in range(20):
         x = rng.uniform(-0.4, 0.4, size=8)
-        G = synthetic_losses_and_gradients(x)[1]
-        err = max(err, _rel_err(G, _fd_columns(synthetic_losses, x, 2)))
+        G = task.losses_and_gradients(x)[1]
+        fd = _fd_columns(lambda v: task.losses_and_gradients(v)[0], x, 2)
+        err = max(err, _rel_err(G, fd))
     worst["synthetic"] = err
 
     def raw_ngram(mode, l_max):

@@ -228,6 +228,29 @@ def test_run_inversion_follows_config_mode():
     assert trajectory_to_csv(ls.trajectory) != trajectory_to_csv(epo.trajectory)
 
 
+@pytest.mark.parametrize("name", ["synthetic", "ngram-uni", "ngram-bi", "surrogate"])
+def test_every_neighbourhood_is_drawn_around_a_point_clamp_made(name):
+    # the tasks' neighborhood_discretize neither checks nor clips its vector
+    params = {"epochs": 0} if name == "surrogate" else {}
+    task = make_task(name, **params)
+    clamped, asked = [], []
+    clamp, neighbourhood = task.clamp, task.neighborhood_discretize
+
+    def watch_clamp(x):
+        clamped.append(clamp(x))
+        return clamped[-1]
+
+    def watch_neighbourhood(x, count, rng):
+        asked.append(x)
+        return neighbourhood(x, count, rng)
+
+    task.clamp, task.neighborhood_discretize = watch_clamp, watch_neighbourhood
+    run = run_inversion(RunConfig(task=name, task_params=params, T=8, K=3, C=3, seed=2), task=task)
+    assert len(asked) == len(run.trajectory) - 1 > 0
+    # each round is drawn around the very vector a clamp made, not a copy
+    assert all(any(a is c for c in clamped) for a in asked)
+
+
 def _descend_every_round(config):
     """The run loop without descent reuse: (trajectory rows, final candidate, rng state)."""
     task = make_task(config.task, **config.task_params)

@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 
 from paretoscan import tasks
 from paretoscan.net import _sigmoid
-from paretoscan.relax import Box, InvalidRelaxationError, SimplexRows
+from paretoscan.relax import Box, SimplexRows, discretize_select
 from paretoscan.tasks import (
     ALPHABET,
     NGramTask,
-    SigmoidOracle,
     SurrogateTask,
     SyntheticTask,
     make_task,
-    ngram_losses,
-    synthetic_losses,
-    synthetic_losses_and_gradients,
     synthetic_true_front,
 )
 
@@ -37,6 +33,17 @@ def _fd_columns(f, x, m, eps=1e-6):
     return out
 
 
+def _expected_ngram_losses(flat, mode, l_max):
+    """The n-gram losses of a flattened matrix, recomputed from the counts'
+    definition without any check, so off-simplex probes stay well-defined."""
+    Q = flat.reshape(l_max, 3)
+    if mode == "unigram":
+        return 1.0 - Q.sum(axis=0) / l_max
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    counts = np.array([float(np.sum(Q[:-1, a] * Q[1:, b])) for a, b in pairs])
+    return 1.0 - counts / (l_max - 1)
+
+
 # ---------------------------------------------------------------------------
 # synthetic
 # ---------------------------------------------------------------------------
@@ -44,18 +51,19 @@ def _fd_columns(f, x, m, eps=1e-6):
 
 def test_synthetic_losses_at_origin():
     # ||0 -+ c||^2 = 1 exactly, so both losses are 1 - 1/e
-    l = synthetic_losses(np.zeros(20))
+    l = SyntheticTask(20).losses_and_gradients(np.zeros(20))[0]
     assert l == pytest.approx([1.0 - math.exp(-1.0)] * 2, abs=1e-12)
     assert l[0] == l[1]
 
 
 def test_synthetic_losses_at_centers():
     n = 10
+    task = SyntheticTask(n)
     c = np.full(n, 1.0 / math.sqrt(n))
-    at_plus = synthetic_losses(c)
+    at_plus = task.losses_and_gradients(c)[0]
     assert at_plus[0] == pytest.approx(0.0, abs=1e-15)
     assert at_plus[1] == pytest.approx(1.0 - math.exp(-4.0), abs=1e-12)
-    at_minus = synthetic_losses(-c)
+    at_minus = task.losses_and_gradients(-c)[0]
     assert at_minus[0] == pytest.approx(1.0 - math.exp(-4.0), abs=1e-12)
     assert at_minus[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -63,7 +71,7 @@ def test_synthetic_losses_at_centers():
 def test_synthetic_gradients_closed_form_at_origin():
     n = 5
     c = np.full(n, 1.0 / math.sqrt(n))
-    G = synthetic_losses_and_gradients(np.zeros(n))[1]
+    G = SyntheticTask(n).losses_and_gradients(np.zeros(n))[1]
     assert G.shape == (n, 2)
     assert G[:, 0] == pytest.approx(-2.0 * c * math.exp(-1.0))
     assert G[:, 1] == pytest.approx(2.0 * c * math.exp(-1.0))
@@ -74,8 +82,9 @@ def test_synthetic_gradients_closed_form_at_origin():
 def test_synthetic_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.4, 0.4, size=8)
-    G = synthetic_losses_and_gradients(x)[1]
-    fd = _fd_columns(synthetic_losses, x, 2)
+    task = SyntheticTask(8)
+    G = task.losses_and_gradients(x)[1]
+    fd = _fd_columns(lambda v: task.losses_and_gradients(v)[0], x, 2)
     assert np.max(np.abs(G - fd)) < 1e-8
 
 
@@ -87,7 +96,7 @@ def test_synthetic_gradients_equal_the_stacked_form_bit_for_bit(n):
         offsets = (x - c, x + c)
         factors = [math.exp(-float(d @ d)) for d in offsets]
         stacked = np.stack([2.0 * d * e for d, e in zip(offsets, factors)], axis=1)
-        losses, G = synthetic_losses_and_gradients(x)
+        losses, G = SyntheticTask(n).losses_and_gradients(x)
         assert G.flags.c_contiguous and G.tobytes() == stacked.tobytes()
         assert losses.tobytes() == np.array([1.0 - e for e in factors]).tobytes()
     # the well centre is built once per n and shared, so nothing may write it
@@ -138,8 +147,6 @@ def test_synthetic_task_neighborhood_first_is_deterministic():
     assert batch[0].tolist() == [3, 3, 3, 3]
     again = task.neighborhood_discretize(point, 6, np.random.default_rng(0))
     assert all(a.tolist() == b.tolist() for a, b in zip(batch, again))
-    with pytest.raises(ValueError):
-        task.neighborhood_discretize(point, 0, np.random.default_rng(0))
 
 
 def test_synthetic_task_initial_draw_stays_in_sub_box():
@@ -169,23 +176,26 @@ def test_synthetic_task_validation():
 
 
 def test_ngram_unigram_counts():
-    assert ngram_losses("CVCVCVCV", "unigram") == pytest.approx([0.5, 0.5, 1.0])
-    assert ngram_losses("AAAAAAAA", "unigram") == pytest.approx([1.0, 1.0, 0.0])
+    task = NGramTask("unigram")
+    assert task.eval_discrete("CVCVCVCV") == pytest.approx([0.5, 0.5, 1.0])
+    assert task.eval_discrete("AAAAAAAA") == pytest.approx([1.0, 1.0, 0.0])
 
 
 def test_ngram_bigram_counts():
     # pairs of CVACVACV: CV VA AC CV VA AC CV -> counts (3, 2, 2) over 7
-    assert ngram_losses("CVACVACV", "bigram") == pytest.approx(
+    task = NGramTask("bigram")
+    assert task.eval_discrete("CVACVACV") == pytest.approx(
         [1 - 3 / 7, 1 - 2 / 7, 1 - 2 / 7]
     )
-    assert ngram_losses("AAAAAAAA", "bigram") == pytest.approx([1.0, 1.0, 1.0])
+    assert task.eval_discrete("AAAAAAAA") == pytest.approx([1.0, 1.0, 1.0])
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.text(alphabet=ALPHABET, min_size=8, max_size=8))
 def test_ngram_unigram_losses_sum_is_conserved(s):
     # the three symbol counts always total l_max: sum of losses == 2 exactly
-    assert float(ngram_losses(s, "unigram").sum()) == pytest.approx(2.0, abs=1e-12)
+    losses = NGramTask("unigram").eval_discrete(s)
+    assert float(losses.sum()) == pytest.approx(2.0, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=100)
@@ -197,19 +207,18 @@ def test_ngram_relaxation_is_lattice_exact(s, mode):
     assert task.region == SimplexRows(6, 3)
     assert x.shape == (18,) and x.dtype == np.float64
     assert task.losses_and_gradients(x)[0] == pytest.approx(
-        ngram_losses(s, mode, 6), abs=1e-15
+        task.eval_discrete(s), abs=1e-15
     )
 
 
 def test_ngram_input_validation():
-    with pytest.raises(ValueError):
-        ngram_losses("CVX", "unigram", l_max=3)
-    with pytest.raises(ValueError):
-        ngram_losses("CV", "unigram", l_max=3)
-    with pytest.raises(InvalidRelaxationError):
-        ngram_losses(np.full((3, 3), 0.5), "unigram", l_max=3)
-    with pytest.raises(ValueError):
-        ngram_losses("CVA", "trigram", l_max=3)
+    # a candidate is scored and relaxed only as a string of length l_max
+    task = NGramTask("unigram", l_max=3)
+    for bad in ("CVX", "CV"):
+        with pytest.raises(ValueError, match="sequence must have length 3 over 'CVA'"):
+            task.eval_discrete(bad)
+        with pytest.raises(ValueError, match="sequence must have length 3 over 'CVA'"):
+            task.relax(bad)
     with pytest.raises(ValueError):
         NGramTask(mode="trigram")
     with pytest.raises(ValueError):
@@ -222,22 +231,9 @@ def test_ngram_gradients_match_finite_differences(seed, mode):
     rng = np.random.default_rng(seed)
     l_max = 5
     P = rng.dirichlet(np.ones(3), size=l_max)
-
-    def raw_losses(flat):
-        # recompute the expectations directly, without simplex validation,
-        # so off-simplex finite-difference probes stay well-defined
-        Q = flat.reshape(l_max, 3)
-        if mode == "unigram":
-            return 1.0 - Q.sum(axis=0) / l_max
-        pairs = [(0, 1), (1, 2), (2, 0)]
-        counts = np.array(
-            [float(np.sum(Q[:-1, a] * Q[1:, b])) for a, b in pairs]
-        )
-        return 1.0 - counts / (l_max - 1)
-
     G = NGramTask(mode, l_max).losses_and_gradients(P.ravel())[1]
     assert G.shape == (3 * l_max, 3)
-    fd = _fd_columns(raw_losses, P.ravel(), 3)
+    fd = _fd_columns(lambda v: _expected_ngram_losses(v, mode, l_max), P.ravel(), 3)
     assert np.max(np.abs(G - fd)) < 1e-9
 
 
@@ -246,12 +242,13 @@ def test_ngram_bigram_relaxed_losses_are_sampling_expectations():
     # position-wise from the relaxed rows and average their discrete losses
     rng = np.random.default_rng(5)
     P = rng.dirichlet(np.ones(3), size=5)
-    rel = ngram_losses(P, "bigram", l_max=5)
+    task = NGramTask("bigram", l_max=5)
+    rel = task.losses_and_gradients(P.ravel())[0]
     draws = 20000
     acc = np.zeros(3)
     for _ in range(draws):
         s = "".join(ALPHABET[rng.choice(3, p=P[t])] for t in range(5))
-        acc += ngram_losses(s, "bigram", l_max=5)
+        acc += task.eval_discrete(s)
     assert np.max(np.abs(rel - acc / draws)) < 0.005
 
 
@@ -317,7 +314,7 @@ def test_ngram_task_ids_and_random_candidates():
 
 
 def test_sigmoid_oracle_geometry():
-    oracle = SigmoidOracle(n_b=8, m=2)
+    oracle = SurrogateTask(n_b=8, m=2, epochs=0).oracle
     w0, w1 = oracle.w
     assert np.linalg.norm(w0) == pytest.approx(4.0)
     assert np.linalg.norm(w1) == pytest.approx(4.0)
@@ -388,7 +385,7 @@ def test_surrogate_net_cache_reuses_training():
 
 
 # ---------------------------------------------------------------------------
-# one task call per round: the numbers of the public functions, bit for bit
+# one task call per round: the numbers of the reference forms, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -399,20 +396,31 @@ def _clamped_points(task, rng, count=25):
 
 
 @pytest.mark.parametrize("name", ["synthetic", "ngram-uni", "ngram-bi"])
-def test_closed_form_losses_and_gradients_equal_the_public_functions(name):
+def test_closed_form_losses_and_gradients_equal_the_reference_forms(name):
     task = make_task(name)
     for x in _clamped_points(task, np.random.default_rng(31)):
         losses, grads = task.losses_and_gradients(x)
         if name == "synthetic":
-            assert np.array_equal(losses, synthetic_losses(x))
-            want = synthetic_losses_and_gradients(x)
-            assert np.array_equal(losses, want[0])
-            assert np.array_equal(grads, want[1])
+            c = np.full(x.size, 1.0 / math.sqrt(x.size))
+            offsets = (x - c, x + c)
+            factors = [math.exp(-float(d @ d)) for d in offsets]
+            assert np.array_equal(losses, [1.0 - e for e in factors])
+            want = np.stack([2.0 * d * e for d, e in zip(offsets, factors)], axis=1)
+            assert np.array_equal(grads, want)
         else:
-            P = x.reshape(task.l_max, 3)
-            assert np.array_equal(losses, ngram_losses(P, task.mode, task.l_max))
+            assert np.array_equal(losses, _expected_ngram_losses(x, task.mode, task.l_max))
         if name == "ngram-uni":  # the constant unigram gradient is shared
             assert not grads.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["synthetic", "ngram-uni", "ngram-bi", "surrogate"])
+def test_a_count_below_one_is_refused_before_any_oracle_call(name):
+    task = make_task(name, **({"epochs": 0} if name == "surrogate" else {}))
+    x = task.clamp(task.relax(task.random_candidate(np.random.default_rng(0))))
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="^count must be positive$"):
+            discretize_select(task, x, np.ones(task.m), count, np.random.default_rng(0))
+    assert task.oracle_calls == 0
 
 
 def _two_forward_passes(net, x):
