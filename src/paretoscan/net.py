@@ -1,10 +1,13 @@
 """Small multi-head MLP bridging discrete oracles and continuous descent.
 
 One hidden tanh layer, per-head sigmoid outputs.  The net is trained once on
-oracle-labeled bit vectors via full-batch gradient descent and then frozen;
-afterwards it serves a single purpose: supplying the per-head binary
-cross-entropies and their input-space gradients so the descent loop can move
-through the relaxed space without touching the oracle.
+oracle-labeled bit vectors via full-batch gradient descent and then frozen.
+``epochs`` caps the steps: training stops earlier, before step k >= 100,
+once the loss has stopped falling, that is when it fell by at least 0 and
+at most 1e-4 of its current value over the last 100 steps.  Afterwards the
+net serves a single purpose: supplying the per-head binary cross-entropies
+and their input-space gradients so the descent loop can move through the
+relaxed space without touching the oracle.
 
 Cross-entropy is computed from logits (softplus form), so losses and
 gradients stay finite for any parameter scale.
@@ -18,6 +21,11 @@ import numbers
 import numpy as np
 
 __all__ = ["DualPathNet", "DivergenceError", "FrozenNetError"]
+
+
+# The loss plateau that stops training: window in steps, relative tolerance.
+_PLATEAU_WINDOW = 100
+_PLATEAU_TOL = 1e-4
 
 
 class DivergenceError(RuntimeError):
@@ -116,13 +124,19 @@ class DualPathNet:
         return loss
 
     def train(self, X, Y, epochs: int, rate: float = 1e-2) -> None:
-        """Full-batch gradient descent; freezes the net afterwards.
+        """Full-batch gradient descent up to a loss plateau; freezes the net.
+
+        Let L[k] be the training loss before step k.  Training stops before
+        step k when k >= 100 and 0 <= L[k-100] - L[k] <= 1e-4 * L[k], or
+        after ``epochs`` steps, whichever comes first.  A loss that rises
+        over the window is no plateau.  Stopping only truncates: a net that
+        stops before step k holds the parameters ``epochs=k`` gives.
 
         Args:
             X: (B, n_inputs) finite training inputs, B >= 1.
             Y: (B, n_heads) finite targets in [0, 1].
-            epochs: Gradient steps, a non-negative int; zero leaves
-                parameters untouched.
+            epochs: Cap on the gradient steps, a non-negative int; zero
+                leaves parameters untouched.
             rate: Step size, finite and positive.
 
         Raises:
@@ -162,12 +176,18 @@ class DualPathNet:
             raise ValueError(f"rate must be finite and positive, got {rate!r}")
         work = _Workspace(self, X.shape[0])
         params = (self.w1, self.b1, self.w2, self.b2)
-        for _ in range(epochs):
+        history = []
+        for k in range(epochs):
             loss = self._loss_and_grads(X, Y, work)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     "training loss is non-finite; use a smaller rate"
                 )
+            if k >= _PLATEAU_WINDOW:
+                fall = history[k - _PLATEAU_WINDOW] - loss
+                if 0.0 <= fall <= _PLATEAU_TOL * loss:
+                    break
+            history.append(loss)
             for param, grad in zip(params, work.grads):
                 grad *= rate
                 param -= grad

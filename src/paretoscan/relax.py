@@ -111,9 +111,14 @@ class TaskContract(abc.ABC):
         return self._oracle_calls
 
     def eval_discrete(self, candidate) -> np.ndarray:
-        """Evaluate a discrete candidate with the oracle (counted)."""
+        """Evaluate a discrete candidate with the oracle (counted).
+
+        The m calls are charged once the oracle has returned, so a candidate
+        the task refuses costs nothing.
+        """
+        losses = self._discrete_losses(candidate)
         self._oracle_calls += self.m
-        return as_objectives(self._discrete_losses(candidate))
+        return as_objectives(losses)
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Project a relaxed vector onto the task's feasible region."""

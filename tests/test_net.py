@@ -114,12 +114,14 @@ def _parameter_digest(net):
 
 
 def test_trained_parameters_are_pinned():
-    # sha256 of the bytes of (w1, b1, w2, b2), recorded with the per-epoch
-    # allocating trainer on OpenBLAS 0.3.31 (Haswell kernels), one or two
-    # BLAS threads.  Training in work arrays must reproduce them bit for bit.
+    # sha256 of the bytes of (w1, b1, w2, b2) on OpenBLAS 0.3.31 (Haswell
+    # kernels), one or two BLAS threads.  The toy digest was recorded with
+    # the per-epoch allocating trainer, which training in work arrays must
+    # reproduce bit for bit.  The m = 4 digest moved when training began to
+    # stop at its loss plateau: it is that of the net's first 1550 steps.
     surrogate = make_task("surrogate", m=4).net
     assert _parameter_digest(surrogate) == (
-        "7a2a8b7182dd31763a52d046563375d4ca447a09be31b41aba9a6abefa4c5c37"
+        "d92c43b7d2d34f2465bd08c759d8e2f70b344c5ebce90d74a8d138b50a34dd45"
     )
     rng = np.random.default_rng(12)
     X = rng.integers(0, 2, size=(32, 4)).astype(float)
@@ -129,6 +131,27 @@ def test_trained_parameters_are_pinned():
     assert _parameter_digest(net) == (
         "d5f94c75b8ce08f2f7b1f8f3c69aa1e06ec07f7c9d7b7258b81f519cd22579f3"
     )
+
+
+def test_default_surrogate_net_stops_at_its_plateau():
+    # stopping only truncates: the capped run stops before step 1550
+    stopped = _parameter_digest(make_task("surrogate", m=4).net)
+    assert stopped == _parameter_digest(make_task("surrogate", m=4, epochs=1550).net)
+    assert stopped != _parameter_digest(make_task("surrogate", m=4, epochs=1549).net)
+
+
+def test_a_rising_loss_is_no_plateau():
+    # at rate 20 the toy loss rises over the first 100 steps, so a cap of
+    # 101 takes every step
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 2, size=(32, 4)).astype(float)
+    Y = np.stack([X[:, 0], 1.0 - X[:, 1]], axis=1)
+    nets = {}
+    for cap in (100, 101):
+        nets[cap] = DualPathNet(4, 8, 2, seed=5)
+        nets[cap].train(X, Y, epochs=cap, rate=20.0)
+    assert _loss(nets[100], X, Y) > _loss(DualPathNet(4, 8, 2, seed=5), X, Y)
+    assert _parameter_digest(nets[101]) != _parameter_digest(nets[100])
 
 
 def _masked_sigmoid(z):

@@ -219,6 +219,7 @@ def test_ngram_input_validation():
             task.eval_discrete(bad)
         with pytest.raises(ValueError, match="sequence must have length 3 over 'CVA'"):
             task.relax(bad)
+    assert task.oracle_calls == 0  # a refused candidate costs no oracle calls
     with pytest.raises(ValueError):
         NGramTask(mode="trigram")
     with pytest.raises(ValueError):
