@@ -25,6 +25,11 @@ class UnsupportedDimensionError(ValueError):
     """Exact hypervolume requested outside the supported 2-4 range."""
 
 
+def _reject_nan(points: np.ndarray, name: str) -> None:
+    if np.isnan(points).any():
+        raise ValueError(f"{name} contain NaN entries")
+
+
 def _clean_front(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Non-dominated points that strictly improve on the reference somewhere."""
     inside = points[np.all(points < reference, axis=1)]
@@ -78,6 +83,10 @@ def hypervolume(points, reference) -> float:
     Returns:
       Lebesgue measure of the region dominated by the front within the
       reference box.  Empty or fully-outside fronts yield 0.0.
+
+    Raises:
+      ValueError: If a point has a NaN entry; points that are not strictly
+        inside the reference box are otherwise ignored.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.size == 0:
@@ -90,6 +99,7 @@ def hypervolume(points, reference) -> float:
         )
     if pts.shape[1] != m:
         raise ValueError(f"points have {pts.shape[1]} objectives, reference has {m}")
+    _reject_nan(pts, "points")
     front = _clean_front(pts, reference)
     if front.shape[0] == 0:
         return 0.0
@@ -125,14 +135,20 @@ def front_coverage(archive_points, true_front) -> float:
 
     Returns:
       Covered fraction in [0, 1]; an empty archive covers nothing.
+
+    Raises:
+      EmptyInputError: If ``true_front`` is empty.
+      ValueError: If the dimensions differ, or either input has a NaN entry.
     """
     ref = np.atleast_2d(np.asarray(true_front, dtype=np.float64))
     if ref.size == 0:
         raise EmptyInputError("reference front is empty")
+    _reject_nan(ref, "reference front points")
     pts = np.atleast_2d(np.asarray(archive_points, dtype=np.float64))
     if pts.size == 0:
         return 0.0
     if pts.shape[1] != ref.shape[1]:
         raise ValueError("archive/front dimension mismatch")
+    _reject_nan(pts, "archive points")
     d2 = ((ref[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     return float((d2.min(axis=1) <= 0.05 * 0.05).mean())

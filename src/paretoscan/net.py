@@ -1,13 +1,14 @@
 """Small multi-head MLP bridging discrete oracles and continuous descent.
 
 One hidden tanh layer, per-head sigmoid outputs.  The net is trained once on
-oracle-labeled bit vectors via full-batch gradient descent and then frozen.
-``epochs`` caps the steps: training stops earlier, before step k >= 100,
-once the loss has stopped falling, that is when it fell by at least 0 and
-at most 1e-4 of its current value over the last 100 steps.  Afterwards the
-net serves a single purpose: supplying the per-head binary cross-entropies
-and their input-space gradients so the descent loop can move through the
-relaxed space without touching the oracle.
+oracle-labeled bit vectors via full-batch gradient descent with heavy-ball
+momentum (Polyak 1964, beta = 0.9) and then frozen.  ``epochs`` caps the
+steps: training stops earlier, before step k >= 100, once the loss has
+stopped falling, that is when it fell by at least 0 and at most 1e-4 of its
+current value over the last 100 steps.  Afterwards the net serves a single
+purpose: supplying the per-head binary cross-entropies and their
+input-space gradients so the descent loop can move through the relaxed
+space without touching the oracle.
 
 Cross-entropy is computed from logits (softplus form), so losses and
 gradients stay finite for any parameter scale.
@@ -26,6 +27,8 @@ __all__ = ["DualPathNet", "DivergenceError", "FrozenNetError"]
 # The loss plateau that stops training: window in steps, relative tolerance.
 _PLATEAU_WINDOW = 100
 _PLATEAU_TOL = 1e-4
+# Heavy-ball momentum: the share of the last step that the next one keeps.
+_MOMENTUM = 0.9
 
 
 class DivergenceError(RuntimeError):
@@ -57,7 +60,8 @@ class _Workspace:
     ``train`` allocates them once and reuses them every epoch: (B, hidden)
     temporaries are large enough that the allocator maps and unmaps fresh
     pages for each one, which made the training time depend on whatever
-    else the process had loaded.
+    else the process had loaded.  ``velocity`` holds the momentum step of
+    each parameter, zero before the first step.
     """
 
     def __init__(self, net: DualPathNet, batch: int) -> None:
@@ -71,6 +75,7 @@ class _Workspace:
         self.T = np.empty((batch, heads))
         self.dZ = np.empty((batch, heads))
         self.grads = tuple(np.empty_like(p) for p in (net.w1, net.b1, net.w2, net.b2))
+        self.velocity = tuple(np.zeros_like(g) for g in self.grads)
 
 
 class DualPathNet:
@@ -124,20 +129,22 @@ class DualPathNet:
         return loss
 
     def train(self, X, Y, epochs: int, rate: float = 1e-2) -> None:
-        """Full-batch gradient descent up to a loss plateau; freezes the net.
+        """Full-batch heavy-ball descent up to a loss plateau; freezes the net.
 
-        Let L[k] be the training loss before step k.  Training stops before
-        step k when k >= 100 and 0 <= L[k-100] - L[k] <= 1e-4 * L[k], or
-        after ``epochs`` steps, whichever comes first.  A loss that rises
-        over the window is no plateau.  Stopping only truncates: a net that
-        stops before step k holds the parameters ``epochs=k`` gives.
+        Each step sets v <- 0.9 * v + rate * grad, from v = 0, and then
+        param <- param - v.  Let L[k] be the training loss before step k.
+        Training stops before step k when k >= 100 and 0 <= L[k-100] - L[k]
+        <= 1e-4 * L[k], or after ``epochs`` steps, whichever comes first.  A
+        loss that rises over the window is no plateau.  Stopping only
+        truncates: a net that stops before step k holds the parameters
+        ``epochs=k`` gives.
 
         Args:
             X: (B, n_inputs) finite training inputs, B >= 1.
             Y: (B, n_heads) finite targets in [0, 1].
             epochs: Cap on the gradient steps, a non-negative int; zero
                 leaves parameters untouched.
-            rate: Step size, finite and positive.
+            rate: Gradient scale of each step, finite and positive.
 
         Raises:
             FrozenNetError: If the net was trained already.
@@ -188,9 +195,11 @@ class DualPathNet:
                 if 0.0 <= fall <= _PLATEAU_TOL * loss:
                     break
             history.append(loss)
-            for param, grad in zip(params, work.grads):
+            for param, grad, vel in zip(params, work.grads, work.velocity):
+                vel *= _MOMENTUM
                 grad *= rate
-                param -= grad
+                vel += grad
+                param -= vel
         if not all(np.all(np.isfinite(param)) for param in params):
             raise DivergenceError("a trained parameter is non-finite; use a smaller rate")
         self.frozen = True

@@ -34,6 +34,17 @@ def test_hypervolume_ignores_dominated_and_outside_points():
     assert hypervolume([[1.0, 0.0]], [1.0, 1.0]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[[np.nan, 0.5]], [[0.2, 0.5], [np.nan, 0.1]], [[0.2, 0.5], [2.0, np.nan]]],
+)
+def test_hypervolume_refuses_nan_points(points):
+    # a NaN row fails the inside-the-box test, so it must be refused before
+    # that filter drops it, as a -inf row is refused
+    with pytest.raises(ValueError, match="NaN"):
+        hypervolume(points, [1.0, 1.0])
+
+
 def test_hypervolume_empty_is_zero():
     assert hypervolume([], [1.0, 1.0]) == 0.0
     assert hypervolume(np.empty((0, 3)), [1.0, 1.0, 1.0]) == 0.0
@@ -158,3 +169,13 @@ def test_front_coverage_edge_cases():
         front_coverage([[0.0, 0.0]], [])
     with pytest.raises(ValueError):
         front_coverage([[0.0, 0.0, 0.0]], [[0.0, 0.0]])
+
+
+def test_front_coverage_refuses_nan_points():
+    truth = [[0.0, 0.0], [1.0, 1.0]]
+    # a NaN distance is never within the radius: an archive NaN row would
+    # leave every reference point uncovered, and a front NaN row missed
+    with pytest.raises(ValueError, match="NaN"):
+        front_coverage([[0.01, 0.01], [np.nan, 1.0]], truth)
+    with pytest.raises(ValueError, match="NaN"):
+        front_coverage([[0.01, 0.01]], [[0.0, 0.0], [np.nan, 1.0]])

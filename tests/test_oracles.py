@@ -1,9 +1,10 @@
-"""The slow reference routes: simplex grid and grid-search QP oracle."""
+"""The slow reference routes: simplex grid, grid-search QP oracle, exact front."""
 
 import numpy as np
 import pytest
 
-from oracles import qp_grid_oracle, simplex_grid
+from oracles import exact_discrete_front, qp_grid_oracle, simplex_grid
+from paretoscan.core import pareto_filter
 
 
 def test_simplex_grid_2d():
@@ -52,3 +53,20 @@ def test_qp_grid_oracle_respects_active_constraints():
     # the refinement stage works at 1e-9 steps, so allow oracle-scale slack
     assert (M @ beta)[0] >= -5e-8
     assert beta.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_exact_discrete_front_matches_pareto_filter(seed, m):
+    # coarse levels give ties in single coordinates and in loss sums, and
+    # repeated rows give exact duplicates on and off the front
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, size=(40, m)) / 4.0
+    pts = np.concatenate([pts, pts[rng.integers(0, 40, size=10)]])
+    assert exact_discrete_front(pts) == pareto_filter(pts)
+
+
+def test_exact_discrete_front_orders_rounded_sum_ties_by_coordinates():
+    # both sums round to 1.0, yet the second row strictly dominates the first
+    pts = [[2e-20, 1.0], [1e-20, 1.0]]
+    assert exact_discrete_front(pts) == pareto_filter(pts) == [1]

@@ -474,13 +474,15 @@ _INNER_PATH_DIGESTS = {
         "edd2e7bb15a6a291aea7bf0c3324f5b7"
         "b5582514c0af864ed5e068d108fb1a64"
     ),
+    # The surrogate digests moved when the net's training gained momentum:
+    # its 200 steps now give other parameters.
     ("surrogate", "epo"): (
-        "400587c89d97b632371c43a7266235c3"
-        "e33054fdc553dd5edecec12c86ec1ec0"
+        "6723bb648d967bb4d4574af663882d87"
+        "e07fceb217be5364dad318e473bb527c"
     ),
     ("surrogate", "ls"): (
-        "87d3edd0bbb34f90144b2280309c6c02"
-        "7dc42e4476c501562394e801dcfb8146"
+        "f6537928b421036c553269d8b96fb74b"
+        "74e0c4334e5de4b80173fceb7bfb8afe"
     ),
 }
 
