@@ -17,7 +17,7 @@ import numpy as np
 
 from paretoscan.search import RunConfig, front_scan
 from paretoscan.svgplot import render_front
-from paretoscan.tasks import SyntheticTask, synthetic_true_front
+from paretoscan.tasks import SyntheticTask
 from paretoscan.weights import weight_grid
 
 
@@ -37,7 +37,7 @@ def main():
     args = parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    truth = synthetic_true_front(2001)
+    truth = SyntheticTask().true_front(2001)
     rays = weight_grid(2, args.weights)
 
     rows = []

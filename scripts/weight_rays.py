@@ -17,7 +17,7 @@ import numpy as np
 from paretoscan.metrics import ray_nonuniformity
 from paretoscan.search import RunConfig, run_inversion, trajectory_to_csv
 from paretoscan.svgplot import render_front
-from paretoscan.tasks import synthetic_true_front
+from paretoscan.tasks import SyntheticTask
 from paretoscan.weights import weight_grid
 
 
@@ -44,7 +44,7 @@ def main():
     args = parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dense = synthetic_true_front(20001)
+    dense = SyntheticTask().true_front(20001)
     # interior rays only: the boundary rays point along the axes, where a
     # single objective dominates and the intersection is degenerate
     rays = weight_grid(2, args.rays + 2)[1:-1]

@@ -1,15 +1,16 @@
 """Front-quality metrics: hypervolume, non-uniformity summaries, coverage.
 
-Hypervolume is computed exactly: a linear sweep in two dimensions and
-recursive objective slicing in three and four.  Higher dimensions are out
-of scope for the exact routine and raise ``UnsupportedDimensionError``.
+Hypervolume is computed exactly: a running-minimum sweep in two dimensions,
+reached by slicing on the last objective in three and four.  Higher
+dimensions are out of scope for the exact routine and raise
+``UnsupportedDimensionError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import EmptyInputError, _pareto_mask, as_objectives, pareto_filter
+from .core import EmptyInputError, as_objectives, pareto_filter
 from .qp import DegenerateLossError, nonuniformity
 
 __all__ = [
@@ -30,35 +31,32 @@ def _reject_nan(points: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contain NaN entries")
 
 
-def _clean_front(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Non-dominated points that strictly improve on the reference somewhere."""
-    inside = points[np.all(points < reference, axis=1)]
-    if inside.shape[0] == 0:
-        return inside
-    keep = pareto_filter(inside)
-    return inside[keep]
-
-def _hv2(points: np.ndarray, reference: np.ndarray) -> float:
-    order = np.argsort(points[:, 0], kind="stable")
-    pts = points[order]
-    total = 0.0
-    prev_y = reference[1]
-    for x, y in pts:
-        total += (reference[0] - x) * (prev_y - y)
-        prev_y = y
-    return total
+def _point_rows(values, name: str) -> np.ndarray:
+    """``values`` as a float64 (k, m) array; a single 1-D point is one row."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim > 2:
+        raise ValueError(f"{name} must be a (k, m) array, got shape {arr.shape}")
+    return np.atleast_2d(arr)
 
 
 def _hv_slice(points: np.ndarray, reference: np.ndarray) -> float:
-    """Recursive slicing on the last objective.
+    """Recursive slicing on the last objective, down to a 2-D sweep.
 
-    Sort by the last coordinate; each slab between consecutive values
-    contributes (slab height) x (lower-dimensional hypervolume of the
-    points at or below the slab floor).
+    In (x, y) order, a point below the running minimum of y adds its
+    rectangle up to that minimum; a dominated point or a duplicate never
+    is, so the sweep needs no filter.  Above two dimensions, each slab
+    between consecutive last coordinates contributes (slab height) x
+    (hypervolume of the points at or below the slab floor, one dimension down).
     """
     m = reference.size
     if m == 2:
-        return _hv2(points[_pareto_mask(points)], reference)
+        ref_x, floor = reference.tolist()
+        total = 0.0
+        for x, y in points[np.lexsort((points[:, 1], points[:, 0]))].tolist():
+            if y < floor:
+                total += (ref_x - x) * (floor - y)
+                floor = y
+        return total
     order = np.argsort(points[:, -1], kind="stable")
     pts = points[order]
     total = 0.0
@@ -85,10 +83,11 @@ def hypervolume(points, reference) -> float:
       reference box.  Empty or fully-outside fronts yield 0.0.
 
     Raises:
-      ValueError: If a point has a NaN entry; points that are not strictly
-        inside the reference box are otherwise ignored.
+      ValueError: If ``points`` has more than two dimensions, or a point has
+        a NaN entry; points that are not strictly inside the reference box
+        are otherwise ignored.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = _point_rows(points, "points")
     if pts.size == 0:
         return 0.0
     reference = as_objectives(reference)
@@ -100,10 +99,12 @@ def hypervolume(points, reference) -> float:
     if pts.shape[1] != m:
         raise ValueError(f"points have {pts.shape[1]} objectives, reference has {m}")
     _reject_nan(pts, "points")
-    front = _clean_front(pts, reference)
-    if front.shape[0] == 0:
+    inside = pts[np.all(pts < reference, axis=1)]
+    if inside.shape[0] == 0:
         return 0.0
-    return _hv_slice(front, reference)
+    # dominated points would add slab levels, and so rounding, at m = 3 and 4;
+    # the filter also refuses negative entries inside the box
+    return _hv_slice(inside[pareto_filter(inside)], reference)
 
 
 def nonuniformity_report(fronts_mu: list[float]) -> float:
@@ -138,13 +139,14 @@ def front_coverage(archive_points, true_front) -> float:
 
     Raises:
       EmptyInputError: If ``true_front`` is empty.
-      ValueError: If the dimensions differ, or either input has a NaN entry.
+      ValueError: If either input has more than two dimensions, the
+        dimensions differ, or either input has a NaN entry.
     """
-    ref = np.atleast_2d(np.asarray(true_front, dtype=np.float64))
+    ref = _point_rows(true_front, "true_front")
+    pts = _point_rows(archive_points, "archive_points")
     if ref.size == 0:
         raise EmptyInputError("reference front is empty")
     _reject_nan(ref, "reference front points")
-    pts = np.atleast_2d(np.asarray(archive_points, dtype=np.float64))
     if pts.size == 0:
         return 0.0
     if pts.shape[1] != ref.shape[1]:

@@ -40,7 +40,6 @@ __all__ = [
     "SyntheticTask",
     "NGramTask",
     "SurrogateTask",
-    "synthetic_true_front",
     "make_task",
     "TASK_NAMES",
 ]
@@ -102,20 +101,6 @@ def _wells(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[flo
     return np.array([1.0 - e for e in factors]), offsets, factors
 
 
-def synthetic_true_front(samples: int = 200) -> np.ndarray:
-    """Loss images of the optimal segment x = t * c, t in [-1, 1].
-
-    Along the segment the squared distances to the two centers are (t - 1)^2
-    and (t + 1)^2 regardless of dimension, so the front is dimension-free.
-    """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    t = np.linspace(-1.0, 1.0, samples)
-    return np.stack(
-        [1.0 - np.exp(-((t - 1.0) ** 2)), 1.0 - np.exp(-((t + 1.0) ** 2))], axis=1
-    )
-
-
 class SyntheticTask(TaskContract):
     """Gaussian-well losses on the grid (step 0.01) inside [-2, 2]^n.
 
@@ -167,8 +152,19 @@ class SyntheticTask(TaskContract):
     def random_candidate(self, rng) -> np.ndarray:
         return rng.integers(-_INIT_INDEX, _INIT_INDEX + 1, self.n).astype(np.int64)
 
-    def true_front(self, samples: int = 200) -> np.ndarray:
-        return synthetic_true_front(samples)
+    def true_front(self, samples: int) -> np.ndarray:
+        """Loss images of the optimal segment x = t * c, t in [-1, 1].
+
+        Along the segment the squared distances to the two centers are
+        (t - 1)^2 and (t + 1)^2 regardless of dimension, so the front is
+        dimension-free.
+        """
+        if samples < 1:
+            raise ValueError("samples must be positive")
+        t = np.linspace(-1.0, 1.0, samples)
+        return np.stack(
+            [1.0 - np.exp(-((t - 1.0) ** 2)), 1.0 - np.exp(-((t + 1.0) ** 2))], axis=1
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Slow independent reference routes for the fast production code.
 
 Each helper here is deliberately naive: a dense simplex grid, a grid search
-with pattern-search refinement for the QP, a Monte Carlo hypervolume, and a
-sorted sweep for the exact front of a large discrete set.  The tests check
-the solver and the exact hypervolume against them, and score scans against
-the exact front; nothing in the package uses them.
+with pattern-search refinement for the QP, a Monte Carlo hypervolume, the
+slicing hypervolume that filters every 2-D slice, and a sorted sweep for the
+exact front of a large discrete set.  The tests check the solver and the
+exact hypervolume against them, and score scans against the exact front;
+nothing in the package uses them.
 """
 
 import numpy as np
 
-from paretoscan.core import as_objectives
+from paretoscan.core import as_objectives, pareto_filter
 
 
 def simplex_grid(m: int, resolution: int) -> np.ndarray:
@@ -135,6 +136,75 @@ def hypervolume_monte_carlo(
     est = box * p
     se = box * np.sqrt(max(p * (1.0 - p), 0.0) / samples)
     return est, float(se)
+
+
+def _clean_front(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Non-dominated points strictly inside the reference box."""
+    inside = points[np.all(points < reference, axis=1)]
+    if inside.shape[0] == 0:
+        return inside
+    keep = pareto_filter(inside)
+    return inside[keep]
+
+
+def _pareto_mask(points: np.ndarray) -> np.ndarray:
+    """Rows that no other row strictly dominates, by the all-pairs test."""
+    weak = np.all(points[:, None, :] <= points[None, :, :], axis=2)
+    return ~np.any(weak & ~weak.T, axis=0)
+
+
+def _hv2(points: np.ndarray, reference: np.ndarray) -> float:
+    order = np.argsort(points[:, 0], kind="stable")
+    pts = points[order]
+    total = 0.0
+    prev_y = reference[1]
+    for x, y in pts:
+        total += (reference[0] - x) * (prev_y - y)
+        prev_y = y
+    return total
+
+
+def _hv_slice(points: np.ndarray, reference: np.ndarray) -> float:
+    """Recursive slicing on the last objective.
+
+    Sort by the last coordinate; each slab between consecutive values
+    contributes (slab height) x (lower-dimensional hypervolume of the
+    points at or below the slab floor).
+    """
+    m = reference.size
+    if m == 2:
+        return _hv2(points[_pareto_mask(points)], reference)
+    order = np.argsort(points[:, -1], kind="stable")
+    pts = points[order]
+    total = 0.0
+    levels = pts[:, -1]
+    for i in range(pts.shape[0]):
+        if i + 1 < pts.shape[0] and levels[i + 1] == levels[i]:
+            continue  # merge ties into a single slab
+        upper = reference[-1] if i + 1 == pts.shape[0] else levels[i + 1]
+        if upper > levels[i]:
+            total += (upper - levels[i]) * _hv_slice(pts[: i + 1, :-1], reference[:-1])
+    return total
+
+
+def hypervolume_by_slices(points, reference) -> float:
+    """Exact hypervolume by slicing, with a Pareto filter in every 2-D slice.
+
+    The reference for the package's running-minimum sweep, bit for bit: the
+    non-dominated points strictly inside the box are sliced on the last
+    objective down to two dimensions, where each slice is filtered again by
+    an all-pairs test and swept in x order.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.size == 0:
+        return 0.0
+    reference = as_objectives(reference)
+    if pts.shape[1] != reference.size:
+        raise ValueError("points/reference dimension mismatch")
+    front = _clean_front(pts, reference)
+    if front.shape[0] == 0:
+        return 0.0
+    return _hv_slice(front, reference)
 
 
 def exact_discrete_front(losses) -> list[int]:

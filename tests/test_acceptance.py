@@ -28,12 +28,7 @@ from paretoscan.metrics import hypervolume, ray_nonuniformity
 from paretoscan.net import DualPathNet, _Workspace
 from paretoscan.qp import anchor_direction, solve_qp
 from paretoscan.search import RunConfig, front_scan, run_inversion, theory_diagnostics
-from paretoscan.tasks import (
-    NGramTask,
-    SyntheticTask,
-    make_task,
-    synthetic_true_front,
-)
+from paretoscan.tasks import NGramTask, SyntheticTask, make_task
 from paretoscan.weights import weight_grid
 
 from oracles import hypervolume_monte_carlo, qp_grid_oracle
@@ -67,7 +62,7 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
 
 @pytest.fixture(scope="module")
 def synthetic_scans():
-    truth = synthetic_true_front(2001)
+    truth = SyntheticTask().true_front(2001)
     rays = weight_grid(2, 50)
     data = {"epo": [], "ls": [], "epo_seconds": 0.0}
     for seed in SEEDS:
@@ -125,7 +120,7 @@ def test_02_qp_direction_beats_weighted_sum_baseline(synthetic_scans, capsys):
 
 def test_03_final_points_hit_their_weight_rays(capsys):
     rays = weight_grid(2, 7)[1:-1]
-    dense = synthetic_true_front(20001)
+    dense = SyntheticTask().true_front(20001)
     targets = []
     for w in rays:
         mus = np.array([ray_nonuniformity(p, w) for p in dense])

@@ -1,6 +1,9 @@
-"""Front metrics: exact hypervolume vs hand values and MC, coverage, summaries."""
+"""Front metrics: exact hypervolume vs hand values, MC and the slicing
+reference, coverage, summaries."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from paretoscan.metrics import (
     ray_nonuniformity,
 )
 
-from oracles import hypervolume_monte_carlo
+from oracles import hypervolume_by_slices, hypervolume_monte_carlo
 
 
 def test_hypervolume_two_points_2d():
@@ -124,6 +127,37 @@ def test_hypervolume_equals_inclusion_exclusion(seed, m):
     assert abs(hypervolume(pts, ref) - _inclusion_exclusion_volume(pts, ref)) <= 1e-12
 
 
+_LATTICE = st.integers(0, 9).map(lambda k: k / 8)  # ties, duplicates, 1.0, 1.125
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_hypervolume_equals_the_slicing_reference_bit_for_bit(m, data):
+    # the running-minimum sweep adds the same nonzero terms in the same order
+    # as filtering each 2-D slice first, so the two agree exactly
+    coord = data.draw(st.sampled_from([_LATTICE, st.floats(0.0, 1.2)]))
+    rows = st.lists(coord, min_size=m, max_size=m)
+    points = data.draw(st.lists(rows, min_size=1, max_size=30))
+    ref = np.ones(m)
+    assert hypervolume(points, ref) == hypervolume_by_slices(points, ref)
+
+
+def _hv_scaling_script():
+    """``scripts/hv_scaling.py`` as a module, for its seeded front generator."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "hv_scaling.py"
+    spec = importlib.util.spec_from_file_location("hv_scaling", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_hypervolume_equals_the_slicing_reference_on_a_concave_front():
+    front = _hv_scaling_script().concave_front(100, 4, seed=27)
+    ref = np.ones(4)
+    assert hypervolume(front, ref) == hypervolume_by_slices(front, ref)
+
+
 def test_monte_carlo_is_deterministic_per_seed():
     pts = [[0.3, 0.4], [0.5, 0.2]]
     a = hypervolume_monte_carlo(pts, [1.0, 1.0], samples=10000, seed=7)
@@ -169,6 +203,27 @@ def test_front_coverage_edge_cases():
         front_coverage([[0.0, 0.0]], [])
     with pytest.raises(ValueError):
         front_coverage([[0.0, 0.0, 0.0]], [[0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda a: hypervolume(a, [1.0, 1.0]), "points"),
+        (lambda a: front_coverage(a, [[0.5, 0.5]]), "archive_points"),
+        (lambda a: front_coverage([[0.5, 0.5]], a), "true_front"),
+    ],
+    ids=["hypervolume", "coverage-archive", "coverage-front"],
+)
+def test_metrics_refuse_point_arrays_of_three_dimensions(call, name):
+    # unchecked, a (2, 2, 2) array gives hv 0.25 and coverage 1.0 silently
+    shape = r"must be a \(k, m\) array, got shape \(2, 2, 2\)"
+    with pytest.raises(ValueError, match=f"{name} {shape}"):
+        call(np.full((2, 2, 2), 0.5))
+
+
+def test_metrics_accept_a_single_point():
+    assert hypervolume([0.5, 0.5], [1.0, 1.0]) == 0.25
+    assert front_coverage([0.5, 0.5], [0.5, 0.5]) == 1.0
 
 
 def test_front_coverage_refuses_nan_points():

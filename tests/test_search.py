@@ -20,7 +20,7 @@ from paretoscan.search import (
     theory_diagnostics,
     trajectory_to_csv,
 )
-from paretoscan.tasks import SyntheticTask, make_task, synthetic_true_front
+from paretoscan.tasks import SyntheticTask, make_task
 from paretoscan.weights import weight_grid
 from oracles import exact_discrete_front
 from test_core import _reference_front
@@ -636,7 +636,7 @@ def test_front_scan_takes_an_array_of_rays():
 
 
 def test_front_scan_reports_coverage_against_a_reference_front():
-    truth = synthetic_true_front(2001)
+    truth = SyntheticTask().true_front(2001)
     scan = front_scan(
         lambda: SyntheticTask(),
         weight_grid(2, 3),

@@ -17,7 +17,6 @@ from paretoscan.tasks import (
     SurrogateTask,
     SyntheticTask,
     make_task,
-    synthetic_true_front,
 )
 
 
@@ -104,7 +103,7 @@ def test_synthetic_gradients_equal_the_stacked_form_bit_for_bit(n):
 
 
 def test_synthetic_true_front_endpoints():
-    front = synthetic_true_front(201)
+    front = SyntheticTask().true_front(201)
     edge = 1.0 - math.exp(-4.0)
     assert front[0] == pytest.approx([edge, 0.0], abs=1e-12)
     assert front[-1] == pytest.approx([0.0, edge], abs=1e-12)
@@ -112,7 +111,7 @@ def test_synthetic_true_front_endpoints():
     assert mid[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
     assert mid[0] == mid[1]
     with pytest.raises(ValueError):
-        synthetic_true_front(0)
+        SyntheticTask().true_front(0)
 
 
 def test_synthetic_task_snap_and_bounds():
