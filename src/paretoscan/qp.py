@@ -378,7 +378,7 @@ def solve_qp(gradients, anchor, active) -> QPSolution:
     act = np.array(sorted(set(int(j) for j in active)), dtype=int)
     if act.size and (act[0] < 0 or act[-1] >= m):
         raise ValueError("active index out of range")
-    return _solve(G, a, act)[0]
+    return _solve(G.T @ G, a, act)[0]
 
 
 #: A winning m >= 3 pattern and the active indices it was found under.
@@ -386,10 +386,11 @@ Hint = tuple[np.ndarray, np.ndarray]
 
 
 def _solve(
-    G: np.ndarray, a: np.ndarray, act: np.ndarray, hint: Hint | None = None
+    M: np.ndarray, a: np.ndarray, act: np.ndarray, hint: Hint | None = None
 ) -> tuple[QPSolution, Hint | None]:
-    """:func:`solve_qp` on validated inputs: finite (n, m) gradients, a
-    length-m anchor and sorted, distinct, in-range active indices.
+    """:func:`solve_qp` on validated inputs: the (m, m) Gram matrix
+    M = G^T G of finite gradients, a length-m anchor and sorted, distinct,
+    in-range active indices.
 
     For m >= 3 the pattern of ``hint`` is tried alone first when it was
     found under the same active indices (see :func:`_solve_certified`);
@@ -397,10 +398,9 @@ def _solve(
     the hint for the next call: None for m <= 2, degenerate gradients and
     infeasible solutions.
     """
-    m = G.shape[1]
+    m = M.shape[0]
     if m == 1:
         return QPSolution(beta=np.ones(1)), None
-    M = G.T @ G
     if not M.any():
         return QPSolution(beta=np.full(m, 1.0 / m), degenerate=True), None
     if m == 2:

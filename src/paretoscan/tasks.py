@@ -140,11 +140,10 @@ class SyntheticTask(TaskContract):
         return np.minimum(np.maximum(idx, -_MAX_INDEX), _MAX_INDEX)
 
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
-        out = [self._snap(x)]
-        for _ in range(count - 1):
-            noise = rng.uniform(-_GRID_STEP, _GRID_STEP, self.n)
-            out.append(self._snap(x + noise))
-        return out
+        # one (count - 1, n) draw fills its rows in the order that count - 1
+        # draws of n would, and leaves rng in the same state
+        noise = rng.uniform(-_GRID_STEP, _GRID_STEP, (count - 1, self.n))
+        return [self._snap(x), *self._snap(x + noise)]
 
     def candidate_id(self, candidate) -> str:
         return "x:" + ",".join(str(int(k)) for k in candidate)

@@ -5,12 +5,14 @@ strict ``getattr``, and ``bench/worker.py`` marks a traced run incorrect
 when tracing moves a scan's fingerprint.  These tests import both
 unchanged and run a tiny synthetic scan with and without the tracer, so a
 rename in the program that breaks the traced run fails here first.  A tiny
-stalling n-gram scan must also pass ``bench/run.py``'s own check of the
-traced counts against the program's counters.
+stalling n-gram scan and a five-ray synthetic scan, whose rays descend as
+one stack, must also pass ``bench/run.py``'s own check of the traced
+counts against the program's counters.
 """
 
 import importlib
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +31,8 @@ from workloads import WORKLOADS  # noqa: E402
 TINY = replace(WORKLOADS["synthetic-epo"], rays=2, T=2, K=2, C=2)
 #: Two unigram rays that stand still in 6 of their 8 outer rounds.
 STALLING = replace(WORKLOADS["ngram-uni"], rays=2, T=4, K=2, C=2)
+#: Five synthetic rays, so that a scan's round descends several rays as one stack.
+STACKED = replace(WORKLOADS["synthetic-epo"], rays=5, T=6, K=4, C=3)
 
 
 def test_every_traced_name_resolves():
@@ -89,3 +93,27 @@ def test_the_benchmarks_trace_agreement_holds_when_descents_are_reused():
     assert report["per_layer"]["relax.inner_rounds"] == 16  # reused rounds count too
     # 2 computed descents clamp K + 1 times, the 6 reused ones only their start
     assert spans.totals()[0]["tasks.clamp"] == 2 * 3 + 6
+
+
+def test_the_benchmarks_trace_agreement_holds_when_rays_descend_as_one_stack():
+    grid, probe, truth = worker._setup(paretoscan, STACKED, {})
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        _, scan, _, _ = worker._scan_loop(paretoscan, STACKED, grid, truth, 1, 0.0, None, spans)
+    finally:
+        spans.uninstall()
+    report = worker._outputs(paretoscan, scan, probe, STACKED.m)
+    report["per_layer"] = worker._layer_metrics(spans, paretoscan.RunConfig().epsilon)
+    assert run._trace_agreement(report, STACKED) == []
+    calls = report["per_layer"]["relax.inner_descent.calls"]
+    assert calls == STACKED.rays * STACKED.T
+    # every descent came from a round's stack: each traced call clamps only
+    # its start, and the scan clamps each start and the stack's K steps
+    names = spans.names
+    clamps = Counter(
+        names[spans.span_name[parent]]
+        for name, parent in zip(spans.span_name, spans.span_parent)
+        if names[name] == "tasks.clamp"
+    )
+    assert clamps == {"relax.inner_descent": calls, "search.front_scan": calls * (STACKED.K + 1)}

@@ -273,7 +273,7 @@ def test_winning_pattern_certifies_the_enumerated_beta(seed, m):
     certified = qp._solve_certified(M, a, act, pattern)
     assert certified is not None
     assert np.array_equal(certified.beta, sol.beta)
-    hinted, hint = qp._solve(G, a, act, (act, pattern))
+    hinted, hint = qp._solve(M, a, act, (act, pattern))
     assert np.array_equal(hinted.beta, sol.beta)
     assert not hinted.infeasible and not hinted.degenerate
     assert hint[1] is pattern
@@ -290,7 +290,7 @@ def test_wrong_patterns_fall_back_to_the_enumeration(m):
             if np.array_equal(other, pattern):
                 continue
             assert qp._solve_certified(M, a, act, other) is None
-            hinted, hint = qp._solve(G, a, act, (act, other))
+            hinted, hint = qp._solve(M, a, act, (act, other))
             assert np.array_equal(hinted.beta, sol.beta)
             assert np.array_equal(hint[1], pattern)
 
@@ -301,7 +301,7 @@ def test_pattern_from_another_active_set_is_not_tried(monkeypatch):
     tried = []
     monkeypatch.setattr(qp, "_solve_certified", lambda *args: tried.append(args))
     other_act = np.setdiff1d(np.arange(4), act)
-    hinted, hint = qp._solve(G, a, act, (other_act, pattern))
+    hinted, hint = qp._solve(G.T @ G, a, act, (other_act, pattern))
     assert tried == []
     assert np.array_equal(hinted.beta, sol.beta)
     assert hint[0] is act and np.array_equal(hint[1], pattern)
@@ -321,7 +321,7 @@ def test_wrong_multiplier_sign_falls_back():
     assert beta[0] == pytest.approx([0.0, 0.55, 0.45], abs=1e-12)
     assert nu[0, 1] > 0.0
     assert qp._solve_certified(M, a, act, bound) is None
-    hinted, hint = qp._solve(G, a, act, (act, bound))
+    hinted, hint = qp._solve(M, a, act, (act, bound))
     assert np.array_equal(hinted.beta, sol.beta)
     assert hint[1] is pattern
 
@@ -335,7 +335,7 @@ def test_infeasible_enumeration_gives_no_hint():
     sol, pattern = qp._solve_enumerated(G.T @ G, a, act)
     assert sol.infeasible and pattern is None
     some = qp._patterns(3, 6)[1][1]
-    hinted, hint = qp._solve(G, a, act, (act, some))
+    hinted, hint = qp._solve(G.T @ G, a, act, (act, some))
     assert hint is None
     assert hinted.infeasible and np.array_equal(hinted.beta, sol.beta)
 
@@ -345,5 +345,5 @@ def test_small_m_never_hints(m):
     rng = np.random.default_rng(m)
     for _ in range(20):
         G = rng.normal(size=(4, m))
-        assert qp._solve(G, rng.normal(size=m), np.arange(m))[1] is None
-    assert qp._solve(np.zeros((4, 3)), np.zeros(3), np.arange(3))[1] is None
+        assert qp._solve(G.T @ G, rng.normal(size=m), np.arange(m))[1] is None
+    assert qp._solve(np.zeros((3, 3)), np.zeros(3), np.arange(3))[1] is None

@@ -5,8 +5,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paretoscan import qp
+from paretoscan import qp, relax
 from paretoscan.relax import (
     Box,
     ExhaustedNeighborhoodError,
@@ -337,8 +339,8 @@ def test_inner_descent_non_finite_values_raise_at_their_round(bad, message):
 def test_inner_descent_non_finite_qp_direction_raises(monkeypatch, beta):
     solve = qp._solve
 
-    def broken(G, a, act, hint=None):
-        solution, hint = solve(G, a, act, hint)
+    def broken(M, a, act, hint=None):
+        solution, hint = solve(M, a, act, hint)
         return qp.QPSolution(beta=np.array(beta)), hint
 
     monkeypatch.setattr(qp, "_solve", broken)
@@ -368,6 +370,158 @@ def test_inner_descent_rejects_malformed_task_losses(losses, message):
             eta=0.1,
             rounds=2,
         )
+
+
+# ---------------------------------------------------------------------------
+# rows descended together
+# ---------------------------------------------------------------------------
+
+
+def _trace_bytes(result):
+    """Every recorded value of a descent, as bytes."""
+    rows = [
+        (row.round_index, row.losses.tobytes(), struct.pack("<dd", row.mu, row.r_check), row.mode)
+        for row in result.trace
+    ]
+    return result.start.tobytes(), result.point.tobytes(), result.converged, rows
+
+
+_SHARE = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.25, 0.5, 1.0]),  # repeated values tie at the top
+    st.floats(1e-300, 1e3),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_stacked_profiles_equal_the_profile_of_each_row(data):
+    m = data.draw(st.integers(1, 4))
+    count = data.draw(st.integers(1, 6))
+    row = st.lists(_SHARE, min_size=m, max_size=m)
+    losses = np.array(data.draw(st.lists(row, min_size=count, max_size=count)))
+    if data.draw(st.booleans()):
+        losses[data.draw(st.integers(0, count - 1))] = 0.0  # a degenerate row
+    weight = st.lists(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)), min_size=m, max_size=m)
+    weights = np.array(data.draw(st.lists(weight, min_size=count, max_size=count)))
+    weighted = losses * weights
+    for prod, w, (mu, anchor, active) in zip(
+        weighted, weights, relax._profiles(weighted, weights)
+    ):
+        try:
+            want = qp._profile(prod, w)
+        except qp.DegenerateLossError:
+            assert (mu, anchor, active) == (0.0, None, None)
+            continue
+        assert struct.pack("<d", mu) == struct.pack("<d", want[0])
+        assert anchor.tobytes() == want[1].tobytes()
+        assert active.dtype == want[2].dtype and np.array_equal(active, want[2])
+
+
+class _FortranStub(_StubTask):
+    """Stub whose gradient matrix is Fortran-ordered, as the surrogate's is."""
+
+    def losses_and_gradients(self, x):
+        losses, grads = super().losses_and_gradients(x)
+        return losses, np.asfortranarray(grads)
+
+
+def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents():
+    # rows of different n, m, gradient memory order and eta descend in one
+    # call; each equals the descent it makes alone
+    def build():
+        return [
+            (SyntheticTask(n=4), 0.05),
+            (make_task("ngram-uni", l_max=3), 0.2),
+            (SyntheticTask(n=4), 0.11),
+            (make_task("ngram-bi", l_max=4), 0.3),
+            (make_task("surrogate", m=4, epochs=50), 0.1),
+            (make_task("surrogate", n_b=6, m=1, epochs=50), 0.1),
+            (_StubTask(), 0.1),
+            (_FortranStub(), 0.1),
+        ]
+
+    rng = np.random.default_rng(5)
+    rows = build()
+    starts, weights = [], []
+    for task, _ in rows:
+        starts.append(task.clamp(task.relax(task.random_candidate(rng))))
+        weights.append(lift_positive(rng.uniform(0.2, 1.0, task.m)))
+    for mode in ("epo", "ls"):
+        together = relax._descend_rows(
+            [task for task, _ in rows], starts, weights, [eta for _, eta in rows],
+            rounds=8, mode=mode,
+        )
+        for (task, eta), start, w, got in zip(build(), starts, weights, together):
+            alone = inner_descent(task, start, w, eta=eta, rounds=8, mode=mode)
+            assert _trace_bytes(got) == _trace_bytes(alone), (type(task).__name__, mode)
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"losses": [np.nan, 1.0]},
+        {"losses": [1.0, np.inf]},
+        {"grads": np.nan},
+        {"grads": -np.inf},
+        {"losses": [0.5, -1e-300]},
+        {"losses": [0.5, 0.5, 0.5]},
+    ],
+)
+def test_a_failing_row_stops_alone_with_its_one_row_error(bad, mode):
+    starts = [np.array([0.4, 0.7]), np.array([0.1, 0.9]), np.array([-0.3, 0.2])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
+    etas = [0.1, 0.05, 0.2]
+    tasks = [_StubTask(), _GuardStub(2, **bad), _StubTask()]
+    out = relax._descend_rows(tasks, starts, weights, etas, rounds=5, mode=mode)
+    assert isinstance(out[1], Exception)
+    with pytest.raises(Exception) as alone:
+        inner_descent(_GuardStub(2, **bad), starts[1], weights[1], eta=etas[1], rounds=5, mode=mode)
+    assert type(out[1]) is type(alone.value)
+    assert str(out[1]) == str(alone.value)
+    assert getattr(out[1], "round_index", None) == getattr(alone.value, "round_index", None)
+    for j in (0, 2):
+        clean = inner_descent(_StubTask(), starts[j], weights[j], eta=etas[j], rounds=5, mode=mode)
+        assert _trace_bytes(out[j]) == _trace_bytes(clean)
+
+
+def test_a_row_whose_qp_raises_stops_alone(monkeypatch):
+    solve = qp._solve
+
+    def refusing(M, a, act, hint=None):
+        if M[0, 0] > 100.0:  # only the row started at (8, 8) has gradients this large
+            raise RuntimeError("no pattern")
+        return solve(M, a, act, hint)
+
+    monkeypatch.setattr(qp, "_solve", refusing)
+    starts = [np.array([0.4, 0.7]), np.array([8.0, 8.0]), np.array([0.1, 0.9])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
+    tasks = [_StubTask(), _StubTask(), _StubTask()]
+    out = relax._descend_rows(tasks, starts, weights, [0.1] * 3, rounds=5, mode="epo")
+    assert isinstance(out[1], RuntimeError) and str(out[1]) == "no pattern"
+    with pytest.raises(RuntimeError, match="no pattern"):
+        inner_descent(_StubTask(), starts[1], weights[1], eta=0.1, rounds=5)
+    for j in (0, 2):
+        clean = inner_descent(_StubTask(), starts[j], weights[j], eta=0.1, rounds=5)
+        assert _trace_bytes(out[j]) == _trace_bytes(clean)
+
+
+def test_a_row_whose_task_raises_stops_alone():
+    class _Refusing(_StubTask):
+        def losses_and_gradients(self, x):
+            if self.calls == 3:
+                raise RuntimeError("refused")
+            return super().losses_and_gradients(x)
+
+    starts = [np.array([0.4, 0.7]), np.array([0.1, 0.9])]
+    weights = [lift_positive([1.0, 1.0])] * 2
+    out = relax._descend_rows(
+        [_Refusing(), _StubTask()], starts, weights, [0.1, 0.1], rounds=5, mode="epo"
+    )
+    assert isinstance(out[0], RuntimeError) and str(out[0]) == "refused"
+    clean = inner_descent(_StubTask(), starts[1], weights[1], eta=0.1, rounds=5)
+    assert _trace_bytes(out[1]) == _trace_bytes(clean)
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,137 @@ def test_front_scan_archive_is_the_front_of_every_trajectory(build, fail_on, ray
         assert all(p.weights is ray.weights for p in ray.trajectory)
 
 
+def _run_rows(result):
+    """Everything a run recorded, as comparable values."""
+    points = [
+        (
+            p.round_index,
+            p.candidate_id,
+            p.objectives.tobytes(),
+            struct.pack("<dd", p.mu, p.r_check),
+            p.oracle_calls,
+        )
+        for p in result.trajectory
+    ]
+    return points, result.error, result.converged
+
+
+def _assert_rays_equal_solo_runs(scan, build, rays, config):
+    """Ray i of ``scan`` equals a solo run with weights ``rays[i]``, seed
+    ``config.seed + i`` and the ray's share of the budget on ``build(i)``."""
+    share = config.oracle_budget // len(rays)
+    for i, (w, ray) in enumerate(zip(rays, scan.rays)):
+        cfg = replace(config, weights=w, seed=config.seed + i, oracle_budget=share)
+        assert _run_rows(ray) == _run_rows(run_inversion(cfg, task=build(i))), i
+
+
+#: Tasks of the lockstep equivalence tests: (name, params).
+_LOCKSTEP_TASKS = {
+    "synthetic": ("synthetic", {"n": 6}),
+    "ngram-uni": ("ngram-uni", {"l_max": 5}),
+    "ngram-bi": ("ngram-bi", {"l_max": 5}),
+    "surrogate-m2": ("surrogate", {"m": 2, "epochs": 200}),
+    "surrogate-m4": ("surrogate", {"m": 4, "epochs": 200}),
+}
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+@pytest.mark.parametrize("key", sorted(_LOCKSTEP_TASKS))
+def test_every_ray_of_a_lockstep_scan_equals_its_solo_run(key, mode):
+    name, params = _LOCKSTEP_TASKS[key]
+    rays = weight_grid(make_task(name, **params).m, 5)
+    config = RunConfig(task=name, task_params=params, mode=mode, T=12, K=6, C=4, seed=4)
+    scan = front_scan(lambda: make_task(name, **params), rays, config)
+    assert not any(ray.failed for ray in scan.rays)
+    _assert_rays_equal_solo_runs(scan, lambda i: make_task(name, **params), rays, config)
+
+
+def test_every_ray_of_a_budgeted_lockstep_scan_equals_its_solo_run():
+    rays = weight_grid(2, 6)
+    config = _small_cfg(T=40, oracle_budget=6 * 50)
+    scan = front_scan(lambda: SyntheticTask(n=6), rays, config)
+    assert all(50 <= ray.oracle_calls < 50 + 2 * config.C for ray in scan.rays)
+    _assert_rays_equal_solo_runs(scan, lambda i: SyntheticTask(n=6), rays, config)
+
+
+def test_a_ray_whose_factory_raises_leaves_the_lockstep_rays_unchanged():
+    built = []
+
+    def factory():
+        built.append(None)
+        if len(built) == 3:
+            raise ValueError("boom")
+        return SyntheticTask(n=6)
+
+    rays = weight_grid(2, 5)
+    scan = front_scan(factory, rays, _small_cfg(T=10))
+    assert [ray.error for ray in scan.rays] == [None, None, "boom", None, None]
+    solo = _small_cfg(T=10)
+    for i in (0, 1, 3, 4):
+        cfg = replace(solo, weights=rays[i], seed=solo.seed + i)
+        assert _run_rows(scan.rays[i]) == _run_rows(run_inversion(cfg, task=SyntheticTask(n=6)))
+
+
+class _IdFailTask(SyntheticTask):
+    """Synthetic task whose ``candidate_id`` raises on its ``fail_on``-th call."""
+
+    def __init__(self, fail_on: int, **kwargs):
+        super().__init__(**kwargs)
+        self.fail_on = fail_on
+        self.id_calls = 0
+
+    def candidate_id(self, candidate):
+        self.id_calls += 1
+        if self.id_calls == self.fail_on:
+            raise RuntimeError("no id")
+        return super().candidate_id(candidate)
+
+
+def test_a_ray_whose_task_raises_partway_leaves_the_lockstep_rays_unchanged():
+    # ray 2 names its start and its first two selections, then raises in round 3
+    def build(i):
+        return _IdFailTask(fail_on=4, n=6) if i == 2 else SyntheticTask(n=6)
+
+    built = []
+
+    def factory():
+        built.append(build(len(built)))
+        return built[-1]
+
+    rays = weight_grid(2, 5)
+    config = _small_cfg(T=10)
+    scan = front_scan(factory, rays, config)
+    assert [ray.error for ray in scan.rays] == [None, None, "no id", None, None]
+    assert scan.rays[2].trajectory == [] and built[2].id_calls == 4
+    solo = replace(config, weights=rays[2], seed=config.seed + 2)
+    with pytest.raises(RuntimeError, match="no id"):
+        run_inversion(solo, task=build(2))
+    for i in (0, 1, 3, 4):
+        cfg = replace(config, weights=rays[i], seed=config.seed + i)
+        assert _run_rows(scan.rays[i]) == _run_rows(run_inversion(cfg, task=build(i)))
+
+
+def test_a_ray_that_fails_numerically_partway_leaves_the_lockstep_rays_unchanged():
+    # ray 2's gradients go non-finite in its fourth computed descent (K = 5)
+    def build(i):
+        return _GradFailTask(fail_after=17, n=6) if i == 2 else SyntheticTask(n=6)
+
+    built = []
+
+    def factory():
+        built.append(build(len(built)))
+        return built[-1]
+
+    rays = weight_grid(2, 5)
+    config = _small_cfg(T=20)
+    scan = front_scan(factory, rays, config)
+    failed = scan.rays[2]
+    assert failed.failed and failed.error.startswith("round 4: non-finite gradients")
+    assert len(failed.trajectory) == 4
+    assert not any(ray.failed for i, ray in enumerate(scan.rays) if i != 2)
+    _assert_rays_equal_solo_runs(scan, build, rays, config)
+
+
 def test_front_scan_takes_an_array_of_rays():
     rays = weight_grid(2, 3)
     as_list = front_scan(lambda: SyntheticTask(n=6), rays, _small_cfg())

@@ -148,6 +148,25 @@ def test_synthetic_task_neighborhood_first_is_deterministic():
     assert all(a.tolist() == b.tolist() for a, b in zip(batch, again))
 
 
+def test_synthetic_neighborhood_draws_equal_one_draw_per_candidate():
+    # one (count - 1, n) uniform draw must give the candidates of count - 1
+    # draws of n and leave the generator where that loop leaves it
+    gen = np.random.default_rng(2025)
+    for case in range(500):
+        n = int(gen.integers(1, 25))
+        task = SyntheticTask(n=n)
+        x = task.clamp(gen.uniform(-2.5, 2.5, n))
+        count = int(gen.integers(1, 12))
+        stacked, looped = np.random.default_rng(case), np.random.default_rng(case)
+        got = task.neighborhood_discretize(x, count, stacked)
+        want = [task._snap(x)] + [
+            task._snap(x + looped.uniform(-0.01, 0.01, n)) for _ in range(count - 1)
+        ]
+        assert [c.tolist() for c in got] == [c.tolist() for c in want], case
+        assert all(c.dtype == np.int64 and c.shape == (n,) for c in got), case
+        assert stacked.bit_generator.state == looped.bit_generator.state, case
+
+
 def test_synthetic_task_initial_draw_stays_in_sub_box():
     task = SyntheticTask(n=12)
     for seed in range(5):
