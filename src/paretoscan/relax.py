@@ -191,13 +191,14 @@ def inner_descent(
 
     The descent reads no random state, so its result depends only on the
     clamped start and the settings.  When ``previous`` started from the
-    same clamped vector, it is returned itself and nothing is recomputed.
-    ``previous`` must come from a call with the same task, weights, eta,
-    rounds and mode; a run passes its last round's result, and a scan the
-    ray's row of the stack it descended this round.  Otherwise each round
-    is one ``_step_row``, the step that ``_descend_rows`` takes for a row
-    of a scan's stack, so a ray descends the same bit for bit alone or in
-    a scan.
+    same clamped vector, it is returned itself and nothing is recomputed;
+    when ``x`` is ``previous.start`` itself, it is returned before any
+    clamp.  ``previous`` must come from a call with the same task, weights,
+    eta, rounds and mode; a run's round passes the row that
+    :func:`_descend_rows` descended for its ray, or its last descent.
+    Otherwise the descent is the one row of a ``_descend_rows`` call, the
+    loop that also descends a scan's rays together, so a ray descends the
+    same bit for bit alone or in a scan.
 
     Each round checks the losses and gradients entry by entry.  The
     direction's sum of squares gives the norm for the converged flag and
@@ -230,21 +231,15 @@ def inner_descent(
     if mode not in ("epo", "ls"):
         raise ValueError(f"unknown descent mode {mode!r}")
     wv = as_weights(weights)
+    if previous is not None and x is previous.start:
+        return previous
     x = task.clamp(x)
     if previous is not None and np.array_equal(previous.start, x):
         return previous
-    start, trace, peak, hint = x, [], 0.0, None
-    for k in range(rounds):
-        losses, grads = task.losses_and_gradients(x)
-        losses = np.asarray(losses, dtype=np.float64)
-        grads = np.asarray(grads, dtype=np.float64)
-        (losses, mu, r_check), norm, x, hint = _step_row(
-            losses, grads, wv, eta, x, hint, mode, k
-        )
-        trace.append(RoundTrace(k, losses, mu, r_check, mode))
-        peak = max(peak, norm)
-        x = task.clamp(x)
-    return InnerResult(start, x, trace, converged=peak < CONVERGENCE_NORM)
+    (result,) = _descend_rows([task], [x], [wv], [eta], rounds=rounds, mode=mode)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _row_error(
@@ -359,9 +354,9 @@ def _step_stack(
     hints: list,
     mode: str,
 ) -> list[_Step] | None:
-    """:func:`_step_row` of each of two or more ``rows`` of (index, losses,
-    gradients), whose gradient matrices share a shape and a memory order,
-    bit for bit, or None when a row fails a check.
+    """:func:`_step_row` of each of ``rows`` of (index, losses, gradients),
+    whose gradient matrices share a shape and a memory order, bit for bit,
+    or None when a row fails a check.
 
     The checks, the profile, M = G^T G, the direction G beta, its norm and
     the step are computed at once; the QP is solved row by row.
@@ -409,6 +404,13 @@ def _step_stack(
     ]
 
 
+#: Fewest rows of one shape and memory order that step as a stack.  Below
+#: it the stack's fixed cost per inner round outweighs what it saves: two
+#: rows stacked took 1.04-1.24x the time of their two lone descents on the
+#: three tasks, three about 1.0x, four 0.96x and ten 0.67x.
+_MIN_STACK = 3
+
+
 def _descend_rows(
     tasks: list[TaskContract],
     starts: list[np.ndarray],
@@ -419,19 +421,21 @@ def _descend_rows(
     mode: str,
 ) -> list[InnerResult | Exception]:
     """The descents of :func:`inner_descent` from clamped starts, one row
-    per task, stepped together round by round.
+    per task, stepped together round by round: the one loop over inner
+    rounds, which a single descent runs with one row.
 
     Row i descends ``tasks[i]`` from ``starts[i]`` along the validated
-    weights ``weights[i]`` with step ``etas[i]``, and equals its one-row
-    descent bit for bit.  Each task computes its own losses and gradients
-    and its own clamp.  The rows of a round whose gradient matrices share
-    a shape and a memory order step as one stack (:func:`_step_stack`);
-    a lone row, and every row of a stack that one of its rows fails,
-    steps alone (:func:`_step_row`).
+    weights ``weights[i]`` with step ``etas[i]``, and equals the descent
+    it makes as the only row bit for bit.  Each task computes its own
+    losses and gradients and its own clamp.  In each round, the rows
+    whose gradient matrices share a shape and a memory order step as one
+    stack (:func:`_step_stack`) when there are at least ``_MIN_STACK`` of
+    them; the rows of a smaller group, and every row of a stack that one
+    of its rows fails, step one by one (:func:`_step_row`).
 
     Returns, per row, its InnerResult or the exception that stopped it: a
     row whose task raises, whose values fail a check or whose step raises
-    stops with the exception its one-row descent raises, and the other
+    stops with the exception it raises as the only row, and the other
     rows go on.
     """
     outcome: list = [None] * len(tasks)
@@ -458,31 +462,24 @@ def _descend_rows(
             groups.setdefault((grads.shape, fortran), []).append((i, losses, grads))
         for (_, fortran), rows in groups.items():
             steps = None
-            if len(rows) > 1:
+            if len(rows) >= _MIN_STACK:
                 try:
                     steps = _step_stack(rows, fortran, weights, etas, points, hints, mode)
                 except Exception:  # the rows step alone, so only a raising row stops
                     steps = None
-            if steps is None:
-                steps = []
-                for i, losses, grads in rows:
-                    try:
+            for j, (i, losses, grads) in enumerate(rows):
+                try:
+                    if steps is None:
                         step = _step_row(
                             losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
                         )
-                    except Exception as exc:
-                        step = exc
-                    steps.append(step)
-            for (i, _, _), step in zip(rows, steps):
-                if isinstance(step, Exception):
-                    outcome[i] = step
-                    continue
-                (losses, mu, r_check), norm, moved, hints[i] = step
-                traces[i].append(RoundTrace(k, losses, mu, r_check, mode))
-                peaks[i] = max(peaks[i], norm)
-                try:
+                    else:
+                        step = steps[j]
+                    (losses, mu, r_check), norm, moved, hints[i] = step
+                    traces[i].append(RoundTrace(k, losses, mu, r_check, mode))
+                    peaks[i] = max(peaks[i], norm)
                     points[i] = tasks[i].clamp(moved)
-                except Exception as exc:
+                except Exception as exc:  # the row's step or clamp raised
                     outcome[i] = exc
         live = [i for i in live if outcome[i] is None]
     for i in live:

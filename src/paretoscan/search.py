@@ -279,25 +279,27 @@ def _start(config: RunConfig, task: TaskContract) -> _Ray:
     return _Ray(config, task, weights, eta, rng, candidate, [start], spent)
 
 
-def _advance(ray: _Ray, t: int, previous) -> None:
+def _advance(ray: _Ray, t: int, descent) -> None:
     """Outer round ``t`` of one ray: descend, discretize, record.
 
-    ``previous`` is what the round's :func:`inner_descent` call reuses:
-    the ray's last descent, the row a scan descended for it this round, or
-    the exception that row stopped with, raised here in the descent's place.
+    ``descent`` is the ray's descent this round from :func:`_descents`,
+    or the exception that stopped it, raised here in the descent's place.
+    The round's :func:`inner_descent` call hands the descent back
+    unclamped; it keeps one call per ray per completed round, which the
+    benchmark's traced counts read.
     """
     task, config = ray.task, ray.config
     try:
-        if isinstance(previous, Exception):
-            raise previous
+        if isinstance(descent, Exception):
+            raise descent
         inner = inner_descent(
             task,
-            task.relax(ray.candidate),
+            descent.start,
             ray.weights,
             eta=ray.eta,
             rounds=config.K,
             mode=config.mode,
-            previous=previous,
+            previous=descent,
         )
         calls = task.oracle_calls
         candidate, objectives = discretize_select(
@@ -316,53 +318,39 @@ def _advance(ray: _Ray, t: int, previous) -> None:
     ray.converged = inner.converged
 
 
-#: Fewest moving rays whose descents are stacked.  Below it the stack's
-#: fixed cost per inner round outweighs what it saves: two rows stacked
-#: took 1.04-1.24x the time of their two lone descents on the three tasks,
-#: three about 1.0x, four 0.96x and ten 0.67x.
-_MIN_STACK = 3
+def _descents(rays: list[_Ray]) -> list:
+    """Each ray's descent this round, or the exception that stopped it.
 
-
-def _moved_descents(rays: list[_Ray]) -> list:
-    """What each ray's :func:`inner_descent` call reuses this round.
-
-    A ray whose candidate stood still since its last descent reuses that
-    descent.  When at least ``_MIN_STACK`` candidates moved, their
-    descents are computed here as one stack of rows, and each such ray
-    gets its row, or the exception that stopped it; with fewer, each
-    moving ray descends inside its own call.  A descent depends only on
-    its clamped start, so a ray whose new candidate clamps to its old
-    start gets a fresh row equal to the descent it would reuse.
+    Each ray's relaxed candidate is clamped once.  A descent depends only
+    on its clamped start, so a ray whose start equals its last descent's
+    reuses that descent; the other rays descend in one
+    :func:`_descend_rows` call, each on its own task.
     """
-    reuse: list = [ray.inner for ray in rays]
-    moved = [
-        j
-        for j, ray in enumerate(rays)
-        if ray.inner is None
-        or ray.trajectory[-1].candidate_id != ray.trajectory[-2].candidate_id
-    ]
-    if len(moved) < _MIN_STACK:
-        return reuse
-    stacked, starts = [], []
-    for j in moved:
-        task = rays[j].task
+    out: list = [None] * len(rays)
+    moved, starts = [], []
+    for j, ray in enumerate(rays):
         try:
-            starts.append(task.clamp(task.relax(rays[j].candidate)))
-            stacked.append(j)
+            start = ray.task.clamp(ray.task.relax(ray.candidate))
         except Exception as exc:
-            reuse[j] = exc
+            out[j] = exc
+            continue
+        if ray.inner is not None and np.array_equal(ray.inner.start, start):
+            out[j] = ray.inner
+        else:
+            moved.append(j)
+            starts.append(start)
     config = rays[0].config
     rows = _descend_rows(
-        [rays[j].task for j in stacked],
+        [rays[j].task for j in moved],
         starts,
-        [rays[j].weights for j in stacked],
-        [rays[j].eta for j in stacked],
+        [rays[j].weights for j in moved],
+        [rays[j].eta for j in moved],
         rounds=config.K,
         mode=config.mode,
     )
-    for j, row in zip(stacked, rows):
-        reuse[j] = row
-    return reuse
+    for j, row in zip(moved, rows):
+        out[j] = row
+    return out
 
 
 def _lockstep(rays: list[_Ray], rounds: int) -> None:
@@ -372,9 +360,8 @@ def _lockstep(rays: list[_Ray], rounds: int) -> None:
         live = [ray for ray in rays if ray.running()]
         if not live:
             return
-        reuse = _moved_descents(live)
-        for ray, previous in zip(live, reuse):
-            _advance(ray, t, previous)
+        for ray, descent in zip(live, _descents(live)):
+            _advance(ray, t, descent)
 
 
 def run_inversion(config: RunConfig, *, task: TaskContract | None = None) -> RunResult:
@@ -505,11 +492,12 @@ def front_scan(
     The rays run in lockstep.  Before round 1 the factory is called once
     per ray, in ray order, and each ray starts as :func:`run_inversion`
     starts a run, with the same validation.  Every outer round then takes
-    each live ray through the per-round step a run takes; when the
-    candidates of three or more rays moved, their descents are computed
-    as one stack of rows (see ``relax._descend_rows``), each on its own
-    task.
-    Ray i equals the solo run of its settings bit for bit.
+    each live ray through the per-round step a run takes: each ray's
+    start is clamped once, a ray whose clamped start did not move reuses
+    its last descent, and every other ray descends in one
+    ``relax._descend_rows`` call, each on its own task, whose rows of one
+    gradient shape and memory order step as a stack when there are three
+    or more.  Ray i equals the solo run of its settings bit for bit.
 
     Args:
       task_factory: Zero-argument callable building a fresh task per ray.

@@ -426,21 +426,38 @@ class _FortranStub(_StubTask):
         return losses, np.asfortranarray(grads)
 
 
-def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents():
-    # rows of different n, m, gradient memory order and eta descend in one
-    # call; each equals the descent it makes alone
-    def build():
-        return [
-            (SyntheticTask(n=4), 0.05),
-            (make_task("ngram-uni", l_max=3), 0.2),
-            (SyntheticTask(n=4), 0.11),
-            (make_task("ngram-bi", l_max=4), 0.3),
-            (make_task("surrogate", m=4, epochs=50), 0.1),
-            (make_task("surrogate", n_b=6, m=1, epochs=50), 0.1),
-            (_StubTask(), 0.1),
-            (_FortranStub(), 0.1),
-        ]
+def _spy_on_stacks(monkeypatch) -> list:
+    """Patch ``relax._step_stack`` to record (rows, Fortran order, stepped)
+    per call, where stepped says it returned steps rather than None."""
+    stacked, step_stack = [], relax._step_stack
 
+    def spy(rows, fortran, *args):
+        steps = step_stack(rows, fortran, *args)
+        stacked.append((len(rows), fortran, steps is not None))
+        return steps
+
+    monkeypatch.setattr(relax, "_step_stack", spy)
+    return stacked
+
+
+def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypatch):
+    # three rows of each gradient shape and memory order, at different
+    # etas, descend in one call; every group steps as a stack in every
+    # round, and each row equals the descent it makes alone
+    kinds = [
+        (lambda: SyntheticTask(n=4), (0.05, 0.11, 0.02)),
+        (lambda: make_task("ngram-uni", l_max=3), (0.2, 0.1, 0.3)),
+        (lambda: make_task("ngram-bi", l_max=4), (0.3, 0.2, 0.1)),
+        (lambda: make_task("surrogate", m=4, epochs=50), (0.1, 0.05, 0.2)),
+        (lambda: make_task("surrogate", n_b=6, m=1, epochs=50), (0.1, 0.2, 0.3)),
+        (_StubTask, (0.1, 0.05, 0.2)),
+        (_FortranStub, (0.1, 0.05, 0.2)),
+    ]
+
+    def build():
+        return [(make(), eta) for make, etas in kinds for eta in etas]
+
+    stacked = _spy_on_stacks(monkeypatch)
     rng = np.random.default_rng(5)
     rows = build()
     starts, weights = [], []
@@ -448,13 +465,34 @@ def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents():
         starts.append(task.clamp(task.relax(task.random_candidate(rng))))
         weights.append(lift_positive(rng.uniform(0.2, 1.0, task.m)))
     for mode in ("epo", "ls"):
+        stacked.clear()
         together = relax._descend_rows(
             [task for task, _ in rows], starts, weights, [eta for _, eta in rows],
             rounds=8, mode=mode,
         )
+        assert [(size, ok) for size, _, ok in stacked] == [(3, True)] * (len(kinds) * 8)
+        assert sum(fortran for _, fortran, _ in stacked) == 2 * 8  # surrogate m = 4, stub
         for (task, eta), start, w, got in zip(build(), starts, weights, together):
             alone = inner_descent(task, start, w, eta=eta, rounds=8, mode=mode)
             assert _trace_bytes(got) == _trace_bytes(alone), (type(task).__name__, mode)
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+def test_a_group_of_three_rows_stacks_and_a_group_of_two_steps_row_by_row(monkeypatch, mode):
+    # two C-ordered and three Fortran-ordered stub rows in one call: only
+    # the three stack, and every row equals the descent it makes alone
+    def build():
+        return [_StubTask(), _FortranStub(), _StubTask(), _FortranStub(), _FortranStub()]
+
+    stacked = _spy_on_stacks(monkeypatch)
+    starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [-0.3, 0.2], [1.5, -0.5], [0.8, 0.8])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1], [0.2, 1.0], [0.5, 0.5])]
+    etas = [0.1, 0.05, 0.2, 0.15, 0.1]
+    out = relax._descend_rows(build(), starts, weights, etas, rounds=5, mode=mode)
+    assert stacked == [(3, True, True)] * 5
+    for task, start, w, eta, got in zip(build(), starts, weights, etas, out):
+        alone = inner_descent(task, start, w, eta=eta, rounds=5, mode=mode)
+        assert _trace_bytes(got) == _trace_bytes(alone), type(task).__name__
 
 
 @pytest.mark.parametrize("mode", ["epo", "ls"])

@@ -287,23 +287,24 @@ def _descend_every_round(config):
     ids=["ngram-uni", "surrogate"],
 )
 def test_reusing_a_stalled_rays_descent_changes_nothing(monkeypatch, config):
-    rngs, reused = [], []
+    rngs, descended = [], []
+    descend_rows = search._descend_rows
 
-    def watch_inner(*args, previous=None, **kwargs):
-        result = inner_descent(*args, previous=previous, **kwargs)
-        reused.append(result is previous)
-        return result
+    def watch_rows(tasks, *args, **kwargs):
+        descended.append(len(tasks))  # 1 when the ray's start moved, 0 when reused
+        return descend_rows(tasks, *args, **kwargs)
 
     def watch_select(task, x, weights, count, rng):
         rngs.append(rng)
         return discretize_select(task, x, weights, count, rng)
 
-    monkeypatch.setattr(search, "inner_descent", watch_inner)
+    monkeypatch.setattr(search, "_descend_rows", watch_rows)
     monkeypatch.setattr(search, "discretize_select", watch_select)
     run = run_inversion(config)
     rows, final_id, state = _descend_every_round(config)
     # the ray both moves and stalls, so the reuse is exercised
-    assert 0 < sum(reused) < len(reused)
+    assert set(descended) == {0, 1}
+    assert len(descended) == len(run.trajectory) - 1
     assert [
         (p.candidate_id, p.objectives.tobytes(), p.oracle_calls) for p in run.trajectory
     ] == rows
