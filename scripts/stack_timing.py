@@ -1,0 +1,85 @@
+"""Synthetic scan time per ray-round at several ray counts.
+
+Each case runs ``front_scan`` on the ``synthetic`` task (n = 20) over
+``weight_grid(2, rays)`` with eta 0.05 and the benchmark's synthetic-epo
+settings (T = 50, K = 20, C = 10, seed 1), once to warm up and then
+``--repeats`` times, and writes one CSV row per ray count: the median
+wall seconds of a scan, the ray-rounds it ran (each ray's completed outer
+rounds, its trajectory less the start) and the median time per
+ray-round in microseconds.  A lone ray descends row by row; from three
+rays on, the rays that moved in a round descend as one stack and take
+their relaxed losses from one call per inner round, so the per-ray-round
+time shows what stacking saves.
+
+Usage:
+    python scripts/stack_timing.py --out results/stack_timing
+    python scripts/stack_timing.py --out results/stack_timing --rays 1 3 16 --repeats 5
+"""
+
+import argparse
+import csv
+import statistics
+import time
+from pathlib import Path
+
+from paretoscan import RunConfig, front_scan, make_task, weight_grid
+
+_N = 20
+_ETA = 0.05
+
+
+def parse_args():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", default="results/stack_timing", help="output directory")
+    p.add_argument("--rays", type=int, nargs="+", default=[1, 3, 16], help="ray counts")
+    p.add_argument("--repeats", type=int, default=5, help="timed scans per ray count")
+    p.add_argument("-T", type=int, default=50, help="outer rounds")
+    p.add_argument("-K", type=int, default=20, help="inner rounds")
+    p.add_argument("-C", type=int, default=10, help="candidates per round")
+    p.add_argument("--seed", type=int, default=1)
+    return p.parse_args()
+
+
+def main():
+    args = parse_args()
+    if args.repeats < 1 or min(args.rays) < 1:
+        raise SystemExit("--repeats and every --rays count must be positive")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    config = RunConfig(
+        task="synthetic", task_params={"n": _N}, T=args.T, K=args.K, C=args.C,
+        eta=_ETA, seed=args.seed,
+    )
+    rows = []
+    for rays in args.rays:
+        grid = weight_grid(2, rays)
+
+        def scan():
+            return front_scan(lambda: make_task("synthetic", n=_N), grid, config)
+
+        first = scan()
+        ray_rounds = sum(max(len(ray.trajectory) - 1, 0) for ray in first.rays)
+        seconds = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            scan()
+            seconds.append(time.perf_counter() - start)
+        median = statistics.median(seconds)
+        per = median / ray_rounds * 1e6 if ray_rounds else float("nan")
+        rows.append(
+            {
+                "rays": rays, "T": args.T, "K": args.K, "C": args.C, "seed": args.seed,
+                "repeats": args.repeats, "ray_rounds": ray_rounds,
+                "scan_s": f"{median:.4f}", "us_per_ray_round": f"{per:.1f}",
+            }
+        )
+        print(f"rays={rays}: scan {median:.4f} s over {ray_rounds} ray-rounds, {per:.1f} us each")
+    with open(out / "stack_timing.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"table in {out}/stack_timing.csv")
+
+
+if __name__ == "__main__":
+    main()

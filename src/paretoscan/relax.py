@@ -11,11 +11,15 @@ A relaxed point is a plain 1-D float64 vector.  Its feasible region is fixed
 per task, so it lives on the task (``TaskContract.region``: a ``Box`` or
 ``SimplexRows``), not on the point; ``clamp`` projects a vector onto it.
 
-The engine hands a task only vectors that its own ``clamp`` made: one
-``losses_and_gradients`` call per inner round, and one
+The engine hands a task only vectors that its own ``clamp`` made: its
+losses and gradients once per inner round, and one
 ``neighborhood_discretize`` call at the point the descent returned.  The
 task may therefore trust the vector's shape and feasibility and skip
-re-validating it; the loop checks what comes back.
+re-validating it; the loop checks what comes back.  A row's losses come
+from its task's ``losses_and_gradients``, or, when at least
+``_MIN_STACK`` rows of a round share a task class's pure stacked form
+(``TaskContract.stacked_losses_and_gradients``), from one call of that
+form for all of them.
 
 Oracle accounting: one discrete evaluation costs m calls (one per objective).
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import abc
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +98,18 @@ class TaskContract(abc.ABC):
     oracle counter.  ``losses_and_gradients`` and ``neighborhood_discretize``
     receive only vectors that :meth:`clamp` made.  A subclass that sets no ``default_eta`` runs only with
     an explicit ``RunConfig.eta``.
+
+    A class may also define ``stacked_losses_and_gradients``, a static
+    function that maps an (r, n) stack of clamped points to their (r, m)
+    losses and (r, n, m) gradients.  It must equal r calls of the class's
+    ``losses_and_gradients`` bit for bit, the gradients' memory order
+    included, and may read only the points and the class's constants,
+    never instance state.  A descent calls it once per inner round for
+    each group of at least ``_MIN_STACK`` rows that share it.  It serves
+    only tasks whose ``losses_and_gradients`` is the one defined in the
+    same class: a subclass or an instance that overrides the method keeps
+    its own calls.  When the form raises or returns a wrong shape, its
+    rows call their own ``losses_and_gradients`` that round.
     """
 
     #: Number of objectives; set by subclasses.
@@ -101,6 +118,8 @@ class TaskContract(abc.ABC):
     region: Box | SimplexRows
     #: Descent step a run takes when ``RunConfig.eta`` is None; set by subclasses.
     default_eta: float
+    #: Optional pure stacked form of ``losses_and_gradients`` (see above).
+    stacked_losses_and_gradients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __init__(self) -> None:
         self._oracle_calls = 0
@@ -346,27 +365,21 @@ def _step_row(
 
 
 def _step_stack(
-    rows: list,
-    fortran: bool,
+    ids: list[int],
+    L: np.ndarray,
+    G: np.ndarray,
     weights: list[np.ndarray],
     etas: list[float],
     points: list[np.ndarray],
     hints: list,
     mode: str,
 ) -> list[_Step] | None:
-    """:func:`_step_row` of each of ``rows`` of (index, losses, gradients),
-    whose gradient matrices share a shape and a memory order, bit for bit,
-    or None when a row fails a check.
+    """:func:`_step_row` of each row ``ids[j]`` from its losses ``L[j]`` and
+    gradients ``G[j]``, bit for bit, or None when a row fails a check.
 
     The checks, the profile, M = G^T G, the direction G beta, its norm and
     the step are computed at once; the QP is solved row by row.
     """
-    ids = [row[0] for row in rows]
-    L = np.array([row[1] for row in rows])
-    if fortran:  # each slice keeps its matrix's order, so BLAS sums alike
-        G = np.array([row[2].T for row in rows]).transpose(0, 2, 1)
-    else:
-        G = np.array([row[2] for row in rows])
     if not (np.isfinite(G).all() and 0.0 <= L.min() and L.max() < np.inf):
         return None
     W = np.array([weights[i] for i in ids])
@@ -411,6 +424,97 @@ def _step_stack(
 _MIN_STACK = 3
 
 
+def _stacked_form(task: TaskContract) -> Callable | None:
+    """The stacked form that serves ``task``'s losses, or None: the
+    ``stacked_losses_and_gradients`` of the class that defines the
+    ``losses_and_gradients`` the task calls, when it defines one."""
+    method = getattr(task.losses_and_gradients, "__func__", None)
+    for cls in type(task).__mro__:
+        if "losses_and_gradients" in vars(cls):
+            if vars(cls)["losses_and_gradients"] is method and (
+                "stacked_losses_and_gradients" in vars(cls)
+            ):
+                return cls.stacked_losses_and_gradients
+            return None
+    return None
+
+
+def _own_losses(task: TaskContract, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``task.losses_and_gradients(x)``, as float64 arrays."""
+    losses, grads = task.losses_and_gradients(x)
+    return np.asarray(losses, dtype=np.float64), np.asarray(grads, dtype=np.float64)
+
+
+#: One row of a round: its index, its losses and its (n, m) gradients.
+_Row = tuple[int, np.ndarray, np.ndarray]
+
+
+def _gather(
+    tasks: list[TaskContract],
+    forms: list,
+    points: list[np.ndarray],
+    weights: list[np.ndarray],
+    live: list[int],
+    outcome: list,
+    k: int,
+) -> tuple[list[tuple[list[_Row], np.ndarray, np.ndarray]], list[_Row]]:
+    """The losses and gradients of inner round ``k`` at the ``live`` rows,
+    as stacks of (rows, L, G) and the rows that step alone.
+
+    The rows that share a stacked form and a shape, at least
+    ``_MIN_STACK`` of them, take one call of it.  Every other row calls
+    its own task, as do the rows of a form that raises or returns a wrong
+    shape; of these, the rows whose gradient matrices share a shape and a
+    memory order stack when there are at least ``_MIN_STACK`` of them.  A
+    row whose task raises or returns a wrong shape gets its outcome here.
+    """
+    stacks: list = []
+    own: list[int] = []
+    shared: dict = {}
+    for i in live:
+        if forms[i] is None:
+            own.append(i)
+        else:
+            shared.setdefault((forms[i], points[i].size, weights[i].size), []).append(i)
+    for (form, n, m), ids in shared.items():
+        if len(ids) >= _MIN_STACK:
+            try:
+                L, G = form(np.array([points[i] for i in ids]))
+                L = np.array(L, dtype=np.float64)
+                G = np.asarray(G, dtype=np.float64)
+            except Exception:  # the rows call their own tasks instead
+                L = G = None
+            if L is not None and L.shape == (len(ids), m) and G.shape == (len(ids), n, m):
+                stacks.append(([(i, L[j], G[j]) for j, i in enumerate(ids)], L, G))
+                continue
+        own += ids
+    groups: dict = {}
+    for i in sorted(own):
+        try:
+            losses, grads = _own_losses(tasks[i], points[i])
+        except Exception as exc:  # the task's own failure stops its row only
+            outcome[i] = exc
+            continue
+        n = points[i].size
+        if losses.shape != weights[i].shape or grads.shape != (n, losses.size):
+            outcome[i] = _row_error(losses, grads, weights[i], n, k)
+            continue
+        fortran = grads.flags.f_contiguous and not grads.flags.c_contiguous
+        groups.setdefault((grads.shape, fortran), []).append((i, losses, grads))
+    alone: list[_Row] = []
+    for (_, fortran), rows in groups.items():
+        if len(rows) < _MIN_STACK:
+            alone += rows
+            continue
+        L = np.array([row[1] for row in rows])
+        if fortran:  # each slice keeps its matrix's order, so BLAS sums alike
+            G = np.array([row[2].T for row in rows]).transpose(0, 2, 1)
+        else:
+            G = np.array([row[2] for row in rows])
+        stacks.append((rows, L, G))
+    return stacks, alone
+
+
 def _descend_rows(
     tasks: list[TaskContract],
     starts: list[np.ndarray],
@@ -426,12 +530,14 @@ def _descend_rows(
 
     Row i descends ``tasks[i]`` from ``starts[i]`` along the validated
     weights ``weights[i]`` with step ``etas[i]``, and equals the descent
-    it makes as the only row bit for bit.  Each task computes its own
-    losses and gradients and its own clamp.  In each round, the rows
-    whose gradient matrices share a shape and a memory order step as one
-    stack (:func:`_step_stack`) when there are at least ``_MIN_STACK`` of
-    them; the rows of a smaller group, and every row of a stack that one
-    of its rows fails, step one by one (:func:`_step_row`).
+    it makes as the only row bit for bit.  Each task makes its own clamp.
+    A round with fewer than ``_MIN_STACK`` live rows asks each task for
+    its losses and gradients and steps each row alone
+    (:func:`_step_row`).  A larger round gathers its rows
+    (:func:`_gather`): rows that share a stacked form take their losses
+    from one call of it, and the stacks step at once
+    (:func:`_step_stack`); the other rows, and every row of a stack that
+    one of its rows fails, step alone.
 
     Returns, per row, its InnerResult or the exception that stopped it: a
     row whose task raises, whose values fail a check or whose step raises
@@ -443,42 +549,48 @@ def _descend_rows(
     traces: list[list[RoundTrace]] = [[] for _ in tasks]
     peaks = [0.0] * len(tasks)  # each row's largest direction norm
     hints: list = [None] * len(tasks)  # each row's last m >= 3 QP pattern
+    forms = [_stacked_form(task) for task in tasks]
     live = list(range(len(tasks)))
+
+    def advance(i: int, k: int, step: _Step) -> None:
+        (losses, mu, r_check), norm, moved, hints[i] = step
+        traces[i].append(RoundTrace(k, losses, mu, r_check, mode))
+        peaks[i] = max(peaks[i], norm)
+        points[i] = tasks[i].clamp(moved)
+
     for k in range(rounds):
-        groups: dict = {}
-        for i in live:
-            try:
-                losses, grads = tasks[i].losses_and_gradients(points[i])
-                losses = np.asarray(losses, dtype=np.float64)
-                grads = np.asarray(grads, dtype=np.float64)
-            except Exception as exc:  # the task's own failure stops its row only
-                outcome[i] = exc
-                continue
-            n = points[i].size
-            if losses.shape != weights[i].shape or grads.shape != (n, losses.size):
-                outcome[i] = _row_error(losses, grads, weights[i], n, k)
-                continue
-            fortran = grads.flags.f_contiguous and not grads.flags.c_contiguous
-            groups.setdefault((grads.shape, fortran), []).append((i, losses, grads))
-        for (_, fortran), rows in groups.items():
-            steps = None
-            if len(rows) >= _MIN_STACK:
+        if len(live) < _MIN_STACK:
+            for i in live:
                 try:
-                    steps = _step_stack(rows, fortran, weights, etas, points, hints, mode)
+                    losses, grads = _own_losses(tasks[i], points[i])
+                    step = _step_row(
+                        losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
+                    )
+                    advance(i, k, step)
+                except Exception as exc:  # the row's task, step or clamp raised
+                    outcome[i] = exc
+        else:
+            stacks, alone = _gather(tasks, forms, points, weights, live, outcome, k)
+            for rows, L, G in stacks:
+                ids = [row[0] for row in rows]
+                try:
+                    steps = _step_stack(ids, L, G, weights, etas, points, hints, mode)
                 except Exception:  # the rows step alone, so only a raising row stops
                     steps = None
-            for j, (i, losses, grads) in enumerate(rows):
+                if steps is None:
+                    alone += rows
+                    continue
+                for i, step in zip(ids, steps):
+                    try:
+                        advance(i, k, step)
+                    except Exception as exc:  # the row's clamp raised
+                        outcome[i] = exc
+            for i, losses, grads in alone:
                 try:
-                    if steps is None:
-                        step = _step_row(
-                            losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
-                        )
-                    else:
-                        step = steps[j]
-                    (losses, mu, r_check), norm, moved, hints[i] = step
-                    traces[i].append(RoundTrace(k, losses, mu, r_check, mode))
-                    peaks[i] = max(peaks[i], norm)
-                    points[i] = tasks[i].clamp(moved)
+                    step = _step_row(
+                        losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
+                    )
+                    advance(i, k, step)
                 except Exception as exc:  # the row's step or clamp raised
                     outcome[i] = exc
         live = [i for i in live if outcome[i] is None]

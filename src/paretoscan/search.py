@@ -495,9 +495,11 @@ def front_scan(
     each live ray through the per-round step a run takes: each ray's
     start is clamped once, a ray whose clamped start did not move reuses
     its last descent, and every other ray descends in one
-    ``relax._descend_rows`` call, each on its own task, whose rows of one
-    gradient shape and memory order step as a stack when there are three
-    or more.  Ray i equals the solo run of its settings bit for bit.
+    ``relax._descend_rows`` call, each on its own task.  In each inner
+    round, three or more rays whose tasks share a stacked form take their
+    losses from one call of it, and three or more rays of one gradient
+    shape and memory order step as a stack.  Ray i equals the solo run of
+    its settings bit for bit.
 
     Args:
       task_factory: Zero-argument callable building a fresh task per ray.

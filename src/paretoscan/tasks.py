@@ -20,6 +20,8 @@ Three task families exercise the relax-descend-discretize loop:
 Each task computes its losses only through its own methods: the oracle
 losses of a candidate through ``eval_discrete``, the relaxed losses and
 gradients through ``losses_and_gradients`` at a vector ``clamp`` made.
+``SyntheticTask`` also has a stacked form of the relaxed losses, which
+maps many such vectors at once through the same helper, bit for bit.
 
 Every task parameter is an integer with a floor, which the task's own
 constructor checks; the grid, the start box and the seeds are constants.
@@ -86,19 +88,37 @@ def _check_params(task: str, **params) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _centre(n: int) -> np.ndarray:
-    """The read-only well centre ones(n) / sqrt(n), built once per n."""
+def _centres(n: int) -> np.ndarray:
+    """The read-only (2, n) rows -c and c of the well centre c = ones(n) / sqrt(n),
+    built once per n."""
     c = np.full(n, 1.0 / math.sqrt(n))
-    c.flags.writeable = False
-    return c
+    centres = np.stack((-c, c))
+    centres.flags.writeable = False
+    return centres
 
 
-def _wells(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[float, ...]]:
-    """Losses 1 - exp(-||x -+ c||^2), with the offsets x -+ c and their exponentials."""
-    c = _centre(x.size)
-    offsets = (x - c, x + c)
-    factors = tuple(math.exp(-float(d @ d)) for d in offsets)
-    return np.array([1.0 - e for e in factors]), offsets, factors
+def _wells(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Losses 1 - exp(-||x -+ c||^2) of a point x, as (2,), or of each row
+    of an (r, n) stack, as (r, 2), with the offsets x -+ c, as (2, n) or
+    (r, 2, n), and the exponentials.
+
+    One batched matmul gives every squared norm, equal to each offset's
+    ``d @ d`` bit for bit; ``math.exp`` gives each exponential, because
+    ``np.exp`` does not always round as it does.
+    """
+    D = X[..., None, :] + _centres(X.shape[-1])
+    sq = np.matmul(D[..., None, :], D[..., None])
+    E = np.array([math.exp(-s) for s in sq.ravel().tolist()])
+    E.shape = D.shape[:-1]
+    return 1.0 - E, D, E
+
+
+def _relaxed_wells(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The losses of a point or of an (r, n) stack of points, and their
+    gradients 2 (x -+ c) exp(-||x -+ c||^2), as a C-ordered (n, 2) or
+    (r, n, 2) array."""
+    losses, D, E = _wells(X)
+    return losses, np.ascontiguousarray(np.swapaxes(2.0 * D * E[..., None], -1, -2))
 
 
 class SyntheticTask(TaskContract):
@@ -113,6 +133,7 @@ class SyntheticTask(TaskContract):
     m = 2
     region = Box(-_SYNTHETIC_BOUND, _SYNTHETIC_BOUND)
     default_eta = 0.05
+    stacked_losses_and_gradients = staticmethod(_relaxed_wells)
 
     def __init__(self, n: int = 20) -> None:
         super().__init__()
@@ -129,11 +150,7 @@ class SyntheticTask(TaskContract):
         return self._coords(candidate)
 
     def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        losses, offsets, factors = _wells(x)
-        grads = np.empty((x.size, 2))
-        for j, (d, e) in enumerate(zip(offsets, factors)):
-            grads[:, j] = 2.0 * d * e
-        return losses, grads
+        return _relaxed_wells(x)
 
     def _snap(self, params: np.ndarray) -> np.ndarray:
         idx = np.rint(params / _GRID_STEP).astype(np.int64)

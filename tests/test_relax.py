@@ -431,9 +431,10 @@ def _spy_on_stacks(monkeypatch) -> list:
     per call, where stepped says it returned steps rather than None."""
     stacked, step_stack = [], relax._step_stack
 
-    def spy(rows, fortran, *args):
-        steps = step_stack(rows, fortran, *args)
-        stacked.append((len(rows), fortran, steps is not None))
+    def spy(ids, L, G, *args):
+        steps = step_stack(ids, L, G, *args)
+        fortran = G[0].flags.f_contiguous and not G[0].flags.c_contiguous
+        stacked.append((len(ids), fortran, steps is not None))
         return steps
 
     monkeypatch.setattr(relax, "_step_stack", spy)
@@ -443,7 +444,8 @@ def _spy_on_stacks(monkeypatch) -> list:
 def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypatch):
     # three rows of each gradient shape and memory order, at different
     # etas, descend in one call; every group steps as a stack in every
-    # round, and each row equals the descent it makes alone
+    # round, the synthetic rows take their losses from one stacked call,
+    # and each row equals the descent it makes alone
     kinds = [
         (lambda: SyntheticTask(n=4), (0.05, 0.11, 0.02)),
         (lambda: make_task("ngram-uni", l_max=3), (0.2, 0.1, 0.3)),
@@ -458,6 +460,13 @@ def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypat
         return [(make(), eta) for make, etas in kinds for eta in etas]
 
     stacked = _spy_on_stacks(monkeypatch)
+    formed, form = [], SyntheticTask.stacked_losses_and_gradients
+
+    def spy(X):
+        formed.append(X.shape)
+        return form(X)
+
+    monkeypatch.setattr(SyntheticTask, "stacked_losses_and_gradients", staticmethod(spy))
     rng = np.random.default_rng(5)
     rows = build()
     starts, weights = [], []
@@ -466,10 +475,12 @@ def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypat
         weights.append(lift_positive(rng.uniform(0.2, 1.0, task.m)))
     for mode in ("epo", "ls"):
         stacked.clear()
+        formed.clear()
         together = relax._descend_rows(
             [task for task, _ in rows], starts, weights, [eta for _, eta in rows],
             rounds=8, mode=mode,
         )
+        assert formed == [(3, 4)] * 8
         assert [(size, ok) for size, _, ok in stacked] == [(3, True)] * (len(kinds) * 8)
         assert sum(fortran for _, fortran, _ in stacked) == 2 * 8  # surrogate m = 4, stub
         for (task, eta), start, w, got in zip(build(), starts, weights, together):
@@ -560,6 +571,66 @@ def test_a_row_whose_task_raises_stops_alone():
     assert isinstance(out[0], RuntimeError) and str(out[0]) == "refused"
     clean = inner_descent(_StubTask(), starts[1], weights[1], eta=0.1, rounds=5)
     assert _trace_bytes(out[1]) == _trace_bytes(clean)
+
+
+def test_a_stacked_form_serves_only_the_losses_of_the_class_that_defines_it():
+    class _Overrides(SyntheticTask):
+        def losses_and_gradients(self, x):
+            return super().losses_and_gradients(x)
+
+    patched = SyntheticTask(n=2)
+    patched.losses_and_gradients = lambda x: SyntheticTask.losses_and_gradients(patched, x)
+    assert relax._stacked_form(SyntheticTask(n=2)) is SyntheticTask.stacked_losses_and_gradients
+    assert relax._stacked_form(_Overrides(n=2)) is None
+    assert relax._stacked_form(patched) is None
+    assert relax._stacked_form(_StubTask()) is None
+
+
+def _bowl(X):
+    """The stub's bowl losses and gradients at each row of X, with NaN
+    gradients at a row whose first coordinate exceeds 5."""
+    L = np.stack([(X * X).sum(axis=1), ((X - 1.0) * (X - 1.0)).sum(axis=1)], axis=1)
+    G = np.stack([2.0 * X, 2.0 * (X - 1.0)], axis=2)
+    G[X[:, 0] > 5.0] = np.nan
+    return L, G
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+@pytest.mark.parametrize("broken", ["raises", "shape"])
+def test_a_stacked_form_that_fails_falls_back_to_each_rows_own_losses(broken, mode):
+    # the form refuses a stack holding the faulty row: it raises or returns
+    # a wrong shape, the rows call their own losses, and only the faulty
+    # row stops, with its one-row error; the rest take the form again
+    formed = []
+
+    class _PureBowl(_StubTask):
+        def losses_and_gradients(self, x):
+            losses, grads = _bowl(x[None])
+            return losses[0], grads[0]
+
+        @staticmethod
+        def stacked_losses_and_gradients(X):
+            formed.append(len(X))
+            if (X[:, 0] > 5.0).any():
+                if broken == "raises":
+                    raise RuntimeError("stack refused")
+                return np.zeros((len(X), 3)), np.zeros((len(X), X.shape[1], 3))
+            return _bowl(X)
+
+    starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [8.0, 8.0], [-0.3, 0.2])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.5, 0.5], [0.9, 0.1])]
+    etas = [0.1, 0.05, 0.1, 0.2]
+    out = relax._descend_rows(
+        [_PureBowl() for _ in starts], starts, weights, etas, rounds=5, mode=mode
+    )
+    assert formed == [4, 3, 3, 3, 3]
+    with pytest.raises(NumericalFailureError) as alone:
+        inner_descent(_PureBowl(), starts[2], weights[2], eta=etas[2], rounds=5, mode=mode)
+    assert type(out[2]) is NumericalFailureError and str(out[2]) == str(alone.value)
+    assert out[2].round_index == alone.value.round_index == 0
+    for j in (0, 1, 3):
+        clean = inner_descent(_PureBowl(), starts[j], weights[j], eta=etas[j], rounds=5, mode=mode)
+        assert _trace_bytes(out[j]) == _trace_bytes(clean)
 
 
 # ---------------------------------------------------------------------------

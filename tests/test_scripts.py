@@ -30,8 +30,9 @@ _TINY = ["-T", "2", "-K", "2", "-C", "2"]
             ["rays.csv", "front.svg", "trajectory_ray0.csv", "trajectory_ray1.csv"],
         ),
         ("hv_scaling.py", ["--case", "3", "5", "--case", "4", "5"], ["hv_scaling.csv"]),
+        ("stack_timing.py", ["--rays", "1", "3", "--repeats", "1", *_TINY], ["stack_timing.csv"]),
     ],
-    ids=["synthetic_scan", "ngram_fronts", "weight_rays", "hv_scaling"],
+    ids=["synthetic_scan", "ngram_fronts", "weight_rays", "hv_scaling", "stack_timing"],
 )
 def test_experiment_script_runs(tmp_path, script, args, files):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

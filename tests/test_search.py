@@ -739,6 +739,39 @@ def test_a_ray_whose_task_raises_partway_leaves_the_lockstep_rays_unchanged():
         assert _run_rows(scan.rays[i]) == _run_rows(run_inversion(cfg, task=build(i)))
 
 
+def test_rays_whose_task_overrides_the_losses_keep_their_own_calls(monkeypatch):
+    # _GradFailTask overrides losses_and_gradients and counts its calls, so
+    # its rays never take SyntheticTask's stacked form: each ray fails when
+    # its own count runs out, as its solo run does
+    formed = []
+    form = SyntheticTask.stacked_losses_and_gradients
+    monkeypatch.setattr(
+        SyntheticTask, "stacked_losses_and_gradients",
+        staticmethod(lambda X: formed.append(len(X)) or form(X)),
+    )
+
+    def build(i):
+        return _GradFailTask(fail_after=(3, 8, 14, 21, 10_000)[i], n=6)
+
+    built = []
+
+    def factory():
+        built.append(build(len(built)))
+        return built[-1]
+
+    rays = weight_grid(2, 5)
+    config = _small_cfg(T=20)
+    scan = front_scan(factory, rays, config)
+    assert formed == []
+    assert [ray.failed for ray in scan.rays] == [True, True, True, True, False]
+    assert len({len(ray.trajectory) for ray in scan.rays}) == 5
+    _assert_rays_equal_solo_runs(scan, build, rays, config)
+    for i, task in enumerate(built):
+        solo = build(i)
+        run_inversion(replace(config, weights=rays[i], seed=config.seed + i), task=solo)
+        assert task.grad_calls == solo.grad_calls
+
+
 def test_a_ray_that_fails_numerically_partway_leaves_the_lockstep_rays_unchanged():
     # ray 2's gradients go non-finite in its fourth computed descent (K = 5)
     def build(i):

@@ -98,8 +98,32 @@ def test_synthetic_gradients_equal_the_stacked_form_bit_for_bit(n):
         losses, G = SyntheticTask(n).losses_and_gradients(x)
         assert G.flags.c_contiguous and G.tobytes() == stacked.tobytes()
         assert losses.tobytes() == np.array([1.0 - e for e in factors]).tobytes()
-    # the well centre is built once per n and shared, so nothing may write it
-    assert not tasks._centre(n).flags.writeable
+    # the well centres are built once per n and shared, so nothing may write them
+    assert not tasks._centres(n).flags.writeable
+
+
+@pytest.mark.parametrize("r", [1, 3, 16])
+def test_the_stacked_synthetic_losses_equal_one_row_calls_bit_for_bit(r):
+    # points inside the box, on its faces (+-2) and at its corners; at
+    # n = 400 every corner is so far from both wells that exp underflows
+    rng = np.random.default_rng(r)
+    for n in (1, 5, 20, 400):
+        task = SyntheticTask(n)
+        inside = rng.uniform(-2.0, 2.0, (r, n))
+        faces = inside.copy()
+        on_face = rng.random((r, n)) < 0.5
+        faces[on_face] = rng.choice([-2.0, 2.0], int(on_face.sum()))
+        corners = rng.choice([-2.0, 2.0], (r, n))
+        for X in (inside, faces, corners):
+            L, G = SyntheticTask.stacked_losses_and_gradients(X)
+            assert L.shape == (r, 2) and G.shape == (r, n, 2) and G.flags.c_contiguous
+            for x, losses, grads in zip(X, L, G):
+                one_losses, one_grads = task.losses_and_gradients(x)
+                assert one_grads.flags.c_contiguous
+                assert losses.tobytes() == one_losses.tobytes()
+                assert grads.tobytes() == one_grads.tobytes()
+    # ||x -+ c||^2 >= 400 * 1.95^2 > 746 at every corner: the losses are exactly 1
+    assert (L == 1.0).all() and not G.any()
 
 
 def test_synthetic_true_front_endpoints():
