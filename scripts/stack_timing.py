@@ -1,15 +1,17 @@
-"""Synthetic scan time per ray-round at several ray counts.
+"""Scan time per ray-round at several ray counts, on three tasks.
 
-Each case runs ``front_scan`` on the ``synthetic`` task (n = 20) over
-``weight_grid(2, rays)`` with eta 0.05 and the benchmark's synthetic-epo
-settings (T = 50, K = 20, C = 10, seed 1), once to warm up and then
-``--repeats`` times, and writes one CSV row per ray count: the median
-wall seconds of a scan, the ray-rounds it ran (each ray's completed outer
-rounds, its trajectory less the start) and the median time per
-ray-round in microseconds.  A lone ray descends row by row; from three
-rays on, the rays that moved in a round descend as one stack and take
-their relaxed losses from one call per inner round, so the per-ray-round
-time shows what stacking saves.
+Each case runs ``front_scan`` over ``weight_grid(m, rays)`` on one task at
+its benchmark workload's settings: ``synthetic`` (n = 20, m = 2, eta
+0.05), ``ngram-uni`` (m = 3, eta 0.2) and ``surrogate`` (m = 4, eta 0.1),
+each with T = 50, K = 20, C = 10 and seed 1.  A case scans once to warm
+up (the surrogate trains its net there) and then ``--repeats`` times, and
+writes one CSV row per task and ray count: the median wall seconds of a
+scan, the ray-rounds it ran (each ray's completed outer rounds, its
+trajectory less the start) and the median time per ray-round in
+microseconds.  A lone ray descends row by row; from three rays on, the
+rays that moved in a round step as one stack: one QP pass and one clamp
+per inner round, and for synthetic one call for the relaxed losses, so
+the per-ray-round time shows what stacking saves.
 
 Usage:
     python scripts/stack_timing.py --out results/stack_timing
@@ -24,8 +26,12 @@ from pathlib import Path
 
 from paretoscan import RunConfig, front_scan, make_task, weight_grid
 
-_N = 20
-_ETA = 0.05
+#: (task, its parameters, m, eta): the benchmark workloads' settings.
+_TASKS = (
+    ("synthetic", {"n": 20}, 2, 0.05),
+    ("ngram-uni", {}, 3, 0.2),
+    ("surrogate", {"m": 4}, 4, 0.1),
+)
 
 
 def parse_args():
@@ -46,34 +52,38 @@ def main():
         raise SystemExit("--repeats and every --rays count must be positive")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = RunConfig(
-        task="synthetic", task_params={"n": _N}, T=args.T, K=args.K, C=args.C,
-        eta=_ETA, seed=args.seed,
-    )
     rows = []
-    for rays in args.rays:
-        grid = weight_grid(2, rays)
-
-        def scan():
-            return front_scan(lambda: make_task("synthetic", n=_N), grid, config)
-
-        first = scan()
-        ray_rounds = sum(max(len(ray.trajectory) - 1, 0) for ray in first.rays)
-        seconds = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            scan()
-            seconds.append(time.perf_counter() - start)
-        median = statistics.median(seconds)
-        per = median / ray_rounds * 1e6 if ray_rounds else float("nan")
-        rows.append(
-            {
-                "rays": rays, "T": args.T, "K": args.K, "C": args.C, "seed": args.seed,
-                "repeats": args.repeats, "ray_rounds": ray_rounds,
-                "scan_s": f"{median:.4f}", "us_per_ray_round": f"{per:.1f}",
-            }
+    for task, params, m, eta in _TASKS:
+        config = RunConfig(
+            task=task, task_params=params, T=args.T, K=args.K, C=args.C,
+            eta=eta, seed=args.seed,
         )
-        print(f"rays={rays}: scan {median:.4f} s over {ray_rounds} ray-rounds, {per:.1f} us each")
+        for rays in args.rays:
+            grid = weight_grid(m, rays)
+
+            def scan():
+                return front_scan(lambda: make_task(task, **params), grid, config)
+
+            first = scan()
+            ray_rounds = sum(max(len(ray.trajectory) - 1, 0) for ray in first.rays)
+            seconds = []
+            for _ in range(args.repeats):
+                start = time.perf_counter()
+                scan()
+                seconds.append(time.perf_counter() - start)
+            median = statistics.median(seconds)
+            per = median / ray_rounds * 1e6 if ray_rounds else float("nan")
+            rows.append(
+                {
+                    "task": task, "rays": rays, "T": args.T, "K": args.K, "C": args.C,
+                    "seed": args.seed, "repeats": args.repeats, "ray_rounds": ray_rounds,
+                    "scan_s": f"{median:.4f}", "us_per_ray_round": f"{per:.1f}",
+                }
+            )
+            print(
+                f"{task} rays={rays}: scan {median:.4f} s over {ray_rounds} ray-rounds, "
+                f"{per:.1f} us each"
+            )
     with open(out / "stack_timing.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()

@@ -24,13 +24,20 @@ downstream descent loop leans on heavily.
 
 The winning subset (its *pattern*) rarely changes from one inner round to
 the next, so the descent loop passes the last winner back as a hint and,
-under the same J, that pattern alone is solved first.  The problem is convex, so its KKT
-point is optimal when it is feasible and its inequality multipliers have
-the right sign.  That certificate replaces the enumeration in 92 % of the
-m = 3 and 94 % of the m = 4 solves of the benchmark's scans; every other
-case enumerates.  The certified solve uses the enumeration's arithmetic for
-that pattern, so beta is the same bit for bit.  The hint lives in the
-caller's loop only: no state is kept here.
+under the same J, that pattern alone is solved first.  The problem is
+convex, so its KKT point is optimal when it is feasible and its inequality
+multipliers have the right sign.  That certificate replaces the
+enumeration in 815 of the 880 m = 3 solves of the benchmark's ngram-uni
+scan and 467 of the 500 m = 4 solves of its surrogate scan (seed 1, 93 %
+each); every other case enumerates.  The certified solve uses the
+enumeration's arithmetic for that pattern, so beta is the same bit for
+bit.  The hint lives in the caller's loop only: no state is kept here.
+
+A descent that steps several rows as a stack solves their QPs in array
+passes (:func:`_solve_rows`): one interval solve over the stack for
+m = 2, and for m >= 3 one certification per pattern size for the rows
+whose hint applies, with only the rest enumerated one by one.  Each row's
+beta is the one it gets solved alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -229,6 +236,62 @@ def _solve_m2(M: np.ndarray, a: np.ndarray, act: np.ndarray) -> tuple[np.ndarray
     return np.array([b, 1.0 - b]), False
 
 
+def _solve_m2_rows(
+    M: np.ndarray, A: np.ndarray, act: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_solve_m2` of each row, bit for bit: the (r, 2, 2) Gram
+    matrices ``M``, the (r, 2) anchors ``A`` and the (r, 2) active masks
+    ``act``; returns the (r, 2) betas and the infeasible mask.
+
+    Each IEEE operation is the scalar one, in the same order.  Python's
+    ``max(x, q)`` keeps x unless q > x and ``min(x, q)`` keeps x unless
+    q < x, so the ``np.where`` forms keep the same value, signed zeros and
+    NaN comparisons included.
+    """
+    d = M[:, :, 0] - M[:, :, 1]  # (M beta)_j = d_j * b + M[j, 1]
+    c = M[:, :, 1]
+    up, down = act & (d > 0.0), act & (d < 0.0)
+    fixed = act & ~(up | down)  # d_j is 0 (or NaN): the constraint is constant in b
+
+    def interval(relief: float) -> tuple[np.ndarray, np.ndarray]:
+        bound = c + relief
+        q = -bound / d
+        # each bound in the scalar loop's order; -inf and inf stand in for
+        # the constraints that do not bound that side
+        low, high = np.where(up, q, -np.inf), np.where(down, q, np.inf)
+        lo = np.where(low[:, 0] > 0.0, low[:, 0], 0.0)
+        lo = np.where(low[:, 1] > lo, low[:, 1], lo)
+        hi = np.where(high[:, 0] < 1.0, high[:, 0], 1.0)
+        hi = np.where(high[:, 1] < hi, high[:, 1], hi)
+        if fixed.any():
+            refused = (fixed & (bound < 0.0)).any(axis=1)
+            lo, hi = np.where(refused, 1.0, lo), np.where(refused, 0.0, hi)
+        return lo, hi
+
+    with np.errstate(all="ignore"):
+        lo, hi = interval(0.0)
+        retry = lo > hi
+        if retry.any():
+            relieved = interval(_RELIEF)
+            lo, hi = np.where(retry, relieved[0], lo), np.where(retry, relieved[1], hi)
+        infeasible = lo > hi
+        if infeasible.any():
+            lo, hi = np.where(infeasible, 0.0, lo), np.where(infeasible, 1.0, hi)
+        # q(b) = ||d b + (c - a)||^2 = alpha b^2 + 2 half_beta b + const
+        squares, products = d * d, d * (c - A)
+        alpha = squares[:, 0] + squares[:, 1]
+        half_beta = products[:, 0] + products[:, 1]
+        b = -half_beta / alpha
+    b = np.where(lo > b, lo, b)
+    b = np.where(b > hi, hi, b)
+    flat = ~(alpha > 0.0)
+    if flat.any():
+        b = np.where(flat, np.where(half_beta < 0.0, hi, lo), b)
+    beta = np.empty((len(b), 2))
+    beta[:, 0], beta[:, 1] = b, 1.0 - b
+    return beta, infeasible
+
+
 @functools.lru_cache(maxsize=None)
 def _patterns(
     m: int, nrows: int
@@ -246,37 +309,43 @@ def _patterns(
 
 
 def _kkt_points(
-    Q2: np.ndarray, c2: np.ndarray, rows: np.ndarray, combos: np.ndarray
+    Q2: np.ndarray, c2: np.ndarray, E: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions beta and nu of ``[Q2 E^T; E 0] [beta; nu] = [c2; 1; 0]``,
-    one per pattern of ``combos`` (count, size), with E the simplex sum row
-    over the pattern's rows.  Singular and inaccurate patterns get a NaN
-    beta; nu[:, 0] belongs to the sum row, the rest to the pattern's rows."""
-    m = Q2.shape[0]
-    count, size = combos.shape
-    E = np.concatenate([np.ones((count, 1, m)), rows[combos]], axis=1)
+    """Solutions beta and nu of ``[Q2 F^T; F 0] [beta; nu] = [c2; 1; 0]``
+    for c instances, with F the simplex sum row over the rows of ``E``
+    (c, size, m).  ``Q2`` is (m, m) or (c, m, m) and ``c2`` (m,) or (c, m):
+    one problem over c patterns, or one pattern per problem.  Singular and
+    inaccurate instances get a NaN beta; nu[:, 0] belongs to the sum row,
+    the rest to E's rows."""
+    count, size, m = E.shape
+    F = np.concatenate([np.ones((count, 1, m)), E], axis=1)
     kkt = np.zeros((count, m + 1 + size, m + 1 + size))
     kkt[:, :m, :m] = Q2
-    kkt[:, :m, m:] = E.transpose(0, 2, 1)
-    kkt[:, m:, :m] = E
-    rhs = np.concatenate([c2, [1.0], np.zeros(size)])[:, None]
-    x = np.full((count, m + 1 + size), np.nan)
+    kkt[:, :m, m:] = F.transpose(0, 2, 1)
+    kkt[:, m:, :m] = F
+    rhs = np.zeros((count, m + 1 + size, 1))
+    rhs[:, :m, 0] = c2
+    rhs[:, m] = 1.0
     regular = np.linalg.slogdet(kkt)[0] != 0.0
-    x[regular] = np.linalg.solve(kkt[regular], rhs)[:, :, 0]
+    if regular.all():
+        x = np.linalg.solve(kkt, rhs)[:, :, 0]
+    else:
+        x = np.full((count, m + 1 + size), np.nan)
+        x[regular] = np.linalg.solve(kkt[regular], rhs[regular])[:, :, 0]
     beta, nu = x[:, :m].copy(), x[:, m:]
-    residual = np.abs(E @ beta[:, :, None] - rhs[m:]).max(axis=(1, 2))
+    residual = np.abs(F @ beta[:, :, None] - rhs[:, m:]).max(axis=(1, 2))
     beta[~(residual <= 1e-8)] = np.nan
     return beta, nu
 
 
 def _on_simplex(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``beta`` that are simplex points to tolerance, clipped at zero
-    and renormalised, and the mask of those rows."""
+    """Every row of ``beta`` clipped at zero and renormalised, and the mask
+    of the rows that are simplex points to tolerance."""
     ok = beta.min(axis=1) >= -1e-10
     beta = np.maximum(beta, 0.0)
     total = beta.sum(axis=1)
     ok &= (0.999999 < total) & (total < 1.000001)
-    return beta[ok] / total[ok, None], ok
+    return beta / total[:, None], ok
 
 
 def _qp_data(
@@ -310,8 +379,9 @@ def _solve_enumerated(
     by_size, flat, bounds_only = _patterns(m, rows.shape[0])
     # Singular and failed patterns stay NaN, which fails every test below.
     with np.errstate(all="ignore"):
-        beta = np.concatenate([_kkt_points(Q2, c2, rows, c)[0] for c in by_size])
-    beta, ok = _on_simplex(beta)
+        beta = np.concatenate([_kkt_points(Q2, c2, rows[c])[0] for c in by_size])
+        beta, ok = _on_simplex(beta)
+    beta = beta[ok]
     fit = beta @ M.T
     obj = np.einsum("ij,ij->i", fit - a, fit - a)
     feasible = (fit[:, act] >= -_RELIEF).all(axis=1)
@@ -326,11 +396,16 @@ def _solve_enumerated(
     return QPSolution(beta=beta[best], infeasible=infeasible), pattern
 
 
-def _solve_certified(
-    M: np.ndarray, a: np.ndarray, act: np.ndarray, pattern: np.ndarray
-) -> QPSolution | None:
-    """The KKT point of one pattern of :func:`_solve_enumerated`, or None
-    unless it is certified optimal.
+def _certify(
+    M: np.ndarray, A: np.ndarray, act: np.ndarray, patterns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The KKT point of one pattern of :func:`_solve_enumerated` per row,
+    and the mask of the rows where it is certified optimal.
+
+    Row i is the QP of the Gram matrix ``M[i]`` (c, m, m), the anchor
+    ``A[i]`` (c, m) and the active mask ``act[i]`` (c, m), and its pattern
+    ``patterns[i]`` indexes its bound rows 0..m-1, then its J slack rows
+    in order; every pattern has one size.
 
     The warm start of the m >= 3 QP: the pattern that won the last round of
     a descent usually wins the next one too, and since the problem is convex
@@ -338,19 +413,38 @@ def _solve_certified(
     regular with residual <= 1e-8, beta passes the enumeration's simplex
     tolerances, every J slack is >= -_RELIEF, and every multiplier of the
     pattern's inequality rows has the KKT sign (nu <= 0).  The arithmetic is
-    the enumeration's for that pattern, so beta is the enumeration's bit for
-    bit whenever the enumeration picks this pattern, as it does when the
-    optimum is unique and no row outside the pattern is also tight.
+    the enumeration's for that pattern, row by row, so beta is the
+    enumeration's bit for bit whenever the enumeration picks this pattern,
+    as it does when the optimum is unique and no row outside the pattern is
+    also tight.
     """
-    Q2, c2, rows = _qp_data(M, a, act)
+    count, m = A.shape
+    MT = M.transpose(0, 2, 1)
+    own = np.arange(count)[:, None]
+    rows = np.empty((count, 2 * m, m))  # bound rows, then J's slack rows in order
+    rows[:, :m] = np.eye(m)
+    rows[:, m:] = M[own, np.argsort(~act, axis=1, kind="stable")]
     with np.errstate(all="ignore"):
-        beta, nu = _kkt_points(Q2, c2, rows, pattern[None])
-    beta, ok = _on_simplex(beta)
-    if not ok[0] or (nu[0, 1:] > 0.0).any():
-        return None
-    if ((beta @ M.T)[0, act] < -_RELIEF).any():
-        return None
-    return QPSolution(beta=beta[0])
+        beta, nu = _kkt_points(
+            2.0 * np.matmul(MT, M),
+            2.0 * np.matmul(MT, A[:, :, None])[:, :, 0],
+            rows[own, patterns],
+        )
+        beta, ok = _on_simplex(beta)
+        fit = np.matmul(beta[:, None, :], MT)[:, 0]
+    ok &= ~(nu[:, 1:] > 0.0).any(axis=1) & ~((fit < -_RELIEF) & act).any(axis=1)
+    return beta, ok
+
+
+def _solve_certified(
+    M: np.ndarray, a: np.ndarray, act: np.ndarray, pattern: np.ndarray
+) -> QPSolution | None:
+    """The KKT point of ``pattern`` for one QP with active indices ``act``,
+    or None unless :func:`_certify` certifies it."""
+    mask = np.zeros(a.size, dtype=bool)
+    mask[act] = True
+    beta, ok = _certify(M[None], a[None], mask[None], pattern[None])
+    return QPSolution(beta=beta[0]) if ok[0] else None
 
 
 def solve_qp(gradients, anchor, active) -> QPSolution:
@@ -412,3 +506,51 @@ def _solve(
             return solution, hint
     solution, pattern = _solve_enumerated(M, a, act)
     return solution, None if pattern is None else (act, pattern)
+
+
+def _solve_rows(
+    M: np.ndarray, A: np.ndarray, act: np.ndarray, hints: list
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """:func:`_solve` of each row, bit for bit: the (r, m, m) Gram
+    matrices ``M``, the (r, m) anchors ``A``, the (r, m) active masks
+    ``act`` and each row's hint.
+
+    Returns the (r, m) betas, the mask of the degenerate rows (their beta
+    is zero) and each row's next hint.  For m = 2 one interval solve
+    covers the stack (:func:`_solve_m2_rows`).  For m >= 3 the rows whose
+    hint was found under their active indices are certified together,
+    one :func:`_certify` call per pattern size, and only the rows with no
+    such hint or a failed certificate enumerate, one by one.
+    """
+    r, m = A.shape
+    if m == 1:
+        return np.ones((r, 1)), np.zeros(r, dtype=bool), [None] * r
+    degenerate = ~M.any(axis=(1, 2))
+    beta = np.zeros((r, m))
+    found: list = [None] * r
+    if m == 2:
+        live = ~degenerate
+        beta[live] = _solve_m2_rows(M[live], A[live], act[live])[0]
+        return beta, degenerate, found
+    acts = [np.flatnonzero(row) for row in act]
+    sizes: dict = {}
+    enumerate_rows = []
+    for i in np.flatnonzero(~degenerate).tolist():
+        hint = hints[i]
+        if hint is not None and np.array_equal(hint[0], acts[i]):
+            sizes.setdefault(hint[1].size, []).append(i)
+        else:
+            enumerate_rows.append(i)
+    for ids in sizes.values():
+        patterns = np.array([hints[i][1] for i in ids])
+        certified, ok = _certify(M[ids], A[ids], act[ids], patterns)
+        for i, good, row in zip(ids, ok.tolist(), certified):
+            if good:
+                beta[i], found[i] = row, hints[i]
+            else:
+                enumerate_rows.append(i)
+    for i in enumerate_rows:
+        solution, pattern = _solve_enumerated(M[i], A[i], acts[i])
+        beta[i] = solution.beta
+        found[i] = None if pattern is None else (acts[i], pattern)
+    return beta, degenerate, found

@@ -19,7 +19,10 @@ re-validating it; the loop checks what comes back.  A row's losses come
 from its task's ``losses_and_gradients``, or, when at least
 ``_MIN_STACK`` rows of a round share a task class's pure stacked form
 (``TaskContract.stacked_losses_and_gradients``), from one call of that
-form for all of them.
+form for all of them.  A stack of rows steps in array passes: the
+profile, the QP (``qp._solve_rows``) and the step, and one ``clamp`` call
+on the (r, n) stack when every row's task clamps with the plain
+``TaskContract.clamp`` on one region.
 
 Oracle accounting: one discrete evaluation costs m calls (one per objective).
 """
@@ -87,7 +90,7 @@ class SimplexRows:
     cols: int
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return qp.project_simplex(x.reshape(self.rows, self.cols)).ravel()
+        return qp.project_simplex(x.reshape(-1, self.cols)).reshape(x.shape)
 
 
 class TaskContract(abc.ABC):
@@ -140,7 +143,14 @@ class TaskContract(abc.ABC):
         return as_objectives(losses)
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Project a relaxed vector onto the task's feasible region."""
+        """Project a relaxed vector, or each row of an (r, n) stack of
+        them, onto the task's feasible region.
+
+        A descent clamps a stack of rows in one call when every row's task
+        uses this method, with no override on its class or instance, and
+        the tasks hold one region; ``region.project`` maps a stack row by
+        row, bit for bit.
+        """
         return self.region.project(x)
 
     @abc.abstractmethod
@@ -293,9 +303,11 @@ def _profile_row(prod: np.ndarray, weights: np.ndarray) -> tuple:
 
 def _profiles(
     weighted: np.ndarray, weights: np.ndarray
-) -> list[tuple[float, np.ndarray | None, np.ndarray | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_profile_row` of every row of ``weighted`` = losses * weights,
-    bit for bit, computed for all rows at once.
+    bit for bit, computed for all rows at once: the (r,) non-uniformities,
+    the (r, m) anchors and the (r, m) active-set masks.  A row whose
+    losses are all zero has μ 0, a zero anchor and no active index.
 
     A row with a zero share, which the profile's sums leave out, is
     profiled on its own.
@@ -306,31 +318,22 @@ def _profiles(
         log_ratio = np.log(h * m)
         mu = (h * log_ratio).sum(axis=1)
         balancing = weights * (log_ratio - mu[:, None])
+    balanced = (mu <= qp.EPSILON)[:, None]
+    anchor = np.where(balanced, weighted, balancing)
     top = weighted.max(axis=1, keepdims=True)
-    tied = weighted >= top - 1e-12 * np.maximum(top, 1.0)
-    every = np.arange(m)
-    out: list = []
-    for prod, w, value, whole, balanced, ties, anchor in zip(
-        weighted,
-        weights,
-        mu.tolist(),
-        (h > 0.0).all(axis=1).tolist(),
-        (mu <= qp.EPSILON).tolist(),
-        tied,
-        balancing,
-    ):
-        if not whole:
-            out.append(_profile_row(prod, w))
-        elif balanced:
-            out.append((value, prod, np.flatnonzero(ties)))
-        else:
-            out.append((value, anchor, every))
-    return out
+    active = ~balanced | (weighted >= top - 1e-12 * np.maximum(top, 1.0))
+    for j in np.flatnonzero(~(h > 0.0).all(axis=1)).tolist():
+        mu[j], row_anchor, row_active = _profile_row(weighted[j], weights[j])
+        anchor[j] = 0.0 if row_anchor is None else row_anchor
+        active[j] = False
+        if row_active is not None:
+            active[j, row_active] = True
+    return mu, anchor, active
 
 
 #: One row's round: its trace entry (losses, mu, r_check), its direction
-#: norm, its next point before the clamp and its next QP hint.
-_Step = tuple[tuple[np.ndarray, float, float], float, np.ndarray, "qp.Hint | None"]
+#: norm and its next QP hint.
+_Step = tuple[tuple[np.ndarray, float, float], float, "qp.Hint | None"]
 
 
 def _step_row(
@@ -342,9 +345,10 @@ def _step_row(
     hint,
     mode: str,
     k: int,
-) -> _Step:
+) -> tuple[_Step, np.ndarray]:
     """Inner round ``k`` of one descent at ``x``, from the task's losses
-    and (n, m) gradients there."""
+    and (n, m) gradients there: the row's step and its next point before
+    the clamp."""
     error = _row_error(losses, grads, weights, x.size, k)
     if error is not None:
         raise error
@@ -361,7 +365,7 @@ def _step_row(
     if not math.isfinite(sq) and not np.isfinite(direction).all():
         raise NumericalFailureError("non-finite step direction", k)
     trace = (losses.copy(), mu, float(weighted.max()))
-    return trace, math.sqrt(sq), x - eta * direction, hint
+    return (trace, math.sqrt(sq), hint), x - eta * direction
 
 
 def _step_stack(
@@ -373,36 +377,37 @@ def _step_stack(
     points: list[np.ndarray],
     hints: list,
     mode: str,
-) -> list[_Step] | None:
+) -> tuple[list[_Step], np.ndarray] | None:
     """:func:`_step_row` of each row ``ids[j]`` from its losses ``L[j]`` and
-    gradients ``G[j]``, bit for bit, or None when a row fails a check.
+    gradients ``G[j]``, bit for bit: the rows' steps and their (r, n) next
+    points before the clamp, or None when a row fails a check.
 
-    The checks, the profile, M = G^T G, the direction G beta, its norm and
-    the step are computed at once; the QP is solved row by row.
+    Every stage runs on the whole stack: the checks, the profile, M = G^T G,
+    the QP (:func:`qp._solve_rows`), the direction G beta, its norm and the
+    step.
     """
     if not (np.isfinite(G).all() and 0.0 <= L.min() and L.max() < np.inf):
         return None
     W = np.array([weights[i] for i in ids])
     weighted = L * W
-    profiles = _profiles(weighted, W)
+    mu, anchor, active = _profiles(weighted, W)
     hints = [hints[i] for i in ids]
-    still = []  # rows that hold position this round
+    still = np.zeros(len(ids), dtype=bool)  # rows that hold position this round
     if mode == "ls":
         beta = W
     else:
-        M = np.matmul(G.transpose(0, 2, 1), G)
+        still = ~active.any(axis=1)  # every loss zero
+        solving = np.flatnonzero(~still)
+        M = np.matmul(G.transpose(0, 2, 1), G)[solving]
         beta = np.zeros(W.shape)
-        for j, (_, anchor, active) in enumerate(profiles):
-            if anchor is None:
-                still.append(j)
-                continue
-            solution, hints[j] = qp._solve(M[j], anchor, active, hints[j])
-            if solution.degenerate:
-                still.append(j)
-            else:
-                beta[j] = solution.beta
+        beta[solving], degenerate, found = qp._solve_rows(
+            M, anchor[solving], active[solving], [hints[j] for j in solving]
+        )
+        still[solving[degenerate]] = True
+        for j, hint in zip(solving.tolist(), found):
+            hints[j] = hint
     direction = np.matmul(G, beta[:, :, None])[:, :, 0]
-    if still:
+    if still.any():
         direction[still] = 0.0
     with np.errstate(over="ignore"):
         sq = np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0]
@@ -411,10 +416,11 @@ def _step_stack(
         return None
     eta = np.array([etas[i] for i in ids])[:, None]
     moved = np.array([points[i] for i in ids]) - eta * direction
-    return [
-        ((L[j], mu, r_check), norms[j], moved[j], hints[j])
-        for j, ((mu, _, _), r_check) in enumerate(zip(profiles, weighted.max(axis=1).tolist()))
+    steps = [
+        ((L[j], value, r_check), norms[j], hints[j])
+        for j, (value, r_check) in enumerate(zip(mu.tolist(), weighted.max(axis=1).tolist()))
     ]
+    return steps, moved
 
 
 #: Fewest rows of one shape and memory order that step as a stack.  Below
@@ -436,6 +442,16 @@ def _stacked_form(task: TaskContract) -> Callable | None:
             ):
                 return cls.stacked_losses_and_gradients
             return None
+    return None
+
+
+def _stack_region(task: TaskContract) -> Box | SimplexRows | None:
+    """The region on which a stack of ``task``'s rows is clamped in one
+    call, or None: the task's region when its ``clamp`` is
+    ``TaskContract.clamp`` as bound now, with no override on its class or
+    on the instance."""
+    if getattr(task.clamp, "__func__", None) is TaskContract.clamp:
+        return getattr(task, "region", None)
     return None
 
 
@@ -530,14 +546,16 @@ def _descend_rows(
 
     Row i descends ``tasks[i]`` from ``starts[i]`` along the validated
     weights ``weights[i]`` with step ``etas[i]``, and equals the descent
-    it makes as the only row bit for bit.  Each task makes its own clamp.
-    A round with fewer than ``_MIN_STACK`` live rows asks each task for
-    its losses and gradients and steps each row alone
-    (:func:`_step_row`).  A larger round gathers its rows
-    (:func:`_gather`): rows that share a stacked form take their losses
-    from one call of it, and the stacks step at once
+    it makes as the only row bit for bit.  A round with fewer than
+    ``_MIN_STACK`` live rows asks each task for its losses and gradients
+    and steps each row alone (:func:`_step_row`).  A larger round gathers
+    its rows (:func:`_gather`): rows that share a stacked form take their
+    losses from one call of it, and the stacks step at once
     (:func:`_step_stack`); the other rows, and every row of a stack that
-    one of its rows fails, step alone.
+    one of its rows fails, step alone.  A row that steps alone makes its
+    own clamp.  A stack is clamped in one call when its rows' tasks share
+    the plain clamp and a region (:func:`_stack_region`); otherwise, or
+    when that call raises, each row makes its own clamp.
 
     Returns, per row, its InnerResult or the exception that stopped it: a
     row whose task raises, whose values fail a check or whose step raises
@@ -550,23 +568,44 @@ def _descend_rows(
     peaks = [0.0] * len(tasks)  # each row's largest direction norm
     hints: list = [None] * len(tasks)  # each row's last m >= 3 QP pattern
     forms = [_stacked_form(task) for task in tasks]
+    regions = [_stack_region(task) for task in tasks]
     live = list(range(len(tasks)))
 
     def advance(i: int, k: int, step: _Step) -> None:
-        (losses, mu, r_check), norm, moved, hints[i] = step
+        (losses, mu, r_check), norm, hints[i] = step
         traces[i].append(RoundTrace(k, losses, mu, r_check, mode))
         peaks[i] = max(peaks[i], norm)
-        points[i] = tasks[i].clamp(moved)
+
+    def clamp(ids: list[int], moved: np.ndarray) -> None:
+        # one call for a stack whose tasks share the plain clamp and a
+        # region; per row otherwise, or when it raises, so only a raising
+        # row stops
+        region = regions[ids[0]]
+        if region is not None and all(regions[i] is region or regions[i] == region for i in ids):
+            try:
+                clamped = tasks[ids[0]].clamp(moved)
+            except Exception:
+                pass
+            else:
+                for i, point in zip(ids, clamped):
+                    points[i] = point
+                return
+        for i, row in zip(ids, moved):
+            try:
+                points[i] = tasks[i].clamp(row)
+            except Exception as exc:  # the row's clamp raised
+                outcome[i] = exc
 
     for k in range(rounds):
         if len(live) < _MIN_STACK:
             for i in live:
                 try:
                     losses, grads = _own_losses(tasks[i], points[i])
-                    step = _step_row(
+                    step, moved = _step_row(
                         losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
                     )
                     advance(i, k, step)
+                    points[i] = tasks[i].clamp(moved)
                 except Exception as exc:  # the row's task, step or clamp raised
                     outcome[i] = exc
         else:
@@ -574,23 +613,23 @@ def _descend_rows(
             for rows, L, G in stacks:
                 ids = [row[0] for row in rows]
                 try:
-                    steps = _step_stack(ids, L, G, weights, etas, points, hints, mode)
+                    stepped = _step_stack(ids, L, G, weights, etas, points, hints, mode)
                 except Exception:  # the rows step alone, so only a raising row stops
-                    steps = None
-                if steps is None:
+                    stepped = None
+                if stepped is None:
                     alone += rows
                     continue
+                steps, moved = stepped
                 for i, step in zip(ids, steps):
-                    try:
-                        advance(i, k, step)
-                    except Exception as exc:  # the row's clamp raised
-                        outcome[i] = exc
+                    advance(i, k, step)
+                clamp(ids, moved)
             for i, losses, grads in alone:
                 try:
-                    step = _step_row(
+                    step, moved = _step_row(
                         losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
                     )
                     advance(i, k, step)
+                    points[i] = tasks[i].clamp(moved)
                 except Exception as exc:  # the row's step or clamp raised
                     outcome[i] = exc
         live = [i for i in live if outcome[i] is None]

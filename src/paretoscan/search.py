@@ -498,8 +498,9 @@ def front_scan(
     ``relax._descend_rows`` call, each on its own task.  In each inner
     round, three or more rays whose tasks share a stacked form take their
     losses from one call of it, and three or more rays of one gradient
-    shape and memory order step as a stack.  Ray i equals the solo run of
-    its settings bit for bit.
+    shape and memory order step as a stack: one QP pass for all of them,
+    and one clamp when their tasks share the plain clamp and a region.
+    Ray i equals the solo run of its settings bit for bit.
 
     Args:
       task_factory: Zero-argument callable building a fresh task per ray.

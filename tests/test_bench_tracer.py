@@ -119,6 +119,7 @@ def test_the_benchmarks_trace_agreement_holds_when_rays_descend_as_one_stack():
     assert run._trace_agreement(report, STACKED) == []
     calls = report["per_layer"]["relax.inner_descent.calls"]
     assert calls == STACKED.rays * STACKED.T
-    # every ray moved in every round: the scan clamps each start once and
-    # each of the K steps, and the traced call, handed its row, clamps nothing
-    assert _clamp_parents(spans) == {"search.front_scan": calls * (STACKED.K + 1)}
+    # every ray moved in every round: each of the T rounds clamps each
+    # ray's start once and then the five rays' stack once per inner round,
+    # rays + K calls, and the traced call, handed its row, clamps nothing
+    assert _clamp_parents(spans) == {"search.front_scan": STACKED.T * (STACKED.rays + STACKED.K)}

@@ -317,7 +317,7 @@ def test_wrong_multiplier_sign_falls_back():
     assert pattern.size == 0 and sol.beta == pytest.approx(a, abs=1e-15)
     bound = np.array([0])
     Q2, c2, rows = qp._qp_data(M, a, act)
-    beta, nu = qp._kkt_points(Q2, c2, rows, bound[None])
+    beta, nu = qp._kkt_points(Q2, c2, rows[bound[None]])
     assert beta[0] == pytest.approx([0.0, 0.55, 0.45], abs=1e-12)
     assert nu[0, 1] > 0.0
     assert qp._solve_certified(M, a, act, bound) is None
@@ -347,3 +347,158 @@ def test_small_m_never_hints(m):
         G = rng.normal(size=(4, m))
         assert qp._solve(G.T @ G, rng.normal(size=m), np.arange(m))[1] is None
     assert qp._solve(np.zeros((3, 3)), np.zeros(3), np.arange(3))[1] is None
+
+
+# ---------------------------------------------------------------------------
+# stacked solves: a stack of rows equals each row solved alone, bit for bit
+# ---------------------------------------------------------------------------
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-1e3, 1e3))
+_MASKS = st.sampled_from([(True, True), (True, False), (False, True), (False, False)])
+
+
+@st.composite
+def _m2_row(draw):
+    """One m = 2 row (M, a, active mask), often one of the interval
+    solve's edge cases."""
+    kind = draw(st.sampled_from(["free", "refused", "relief", "flat+", "flat-", "zero"]))
+    mask = np.array(draw(_MASKS))
+    a = np.array([draw(_ENTRY), draw(_ENTRY)])
+    M = np.array([[draw(_ENTRY), draw(_ENTRY)], [draw(_ENTRY), draw(_ENTRY)]])
+    if kind == "refused":  # d_j = 0 with c_j < 0
+        j = draw(st.integers(0, 1))
+        mask[j] = True
+        M[j, 1] = -draw(st.floats(1e-6, 1e3))
+        M[j, 0] = M[j, 1]
+    elif kind == "relief":  # lo > hi by 1e-9, an interval only _RELIEF opens
+        M = np.array([[0.5 - 1e-9, -0.5 - 1e-9], [-0.5, 0.5]])
+        mask[:] = True
+    elif kind in ("flat+", "flat-"):  # alpha underflows to 0, half_beta keeps its sign
+        M = np.array([[1e-170, 0.0], [1e-170, 0.0]])
+        a[:] = -1.0 if kind == "flat+" else 1.0
+    elif kind == "zero":
+        M[:] = 0.0
+    return M, a, mask
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_m2_row(), min_size=1, max_size=8))
+def test_stacked_m2_solve_equals_the_scalar_solve(rows):
+    M = np.array([row[0] for row in rows])
+    A = np.array([row[1] for row in rows])
+    act = np.array([row[2] for row in rows])
+    beta, infeasible = qp._solve_m2_rows(M, A, act)
+    for i, (Mi, ai, mask) in enumerate(rows):
+        want, flag = qp._solve_m2(Mi, ai, np.flatnonzero(mask))
+        assert beta[i].tobytes() == want.tobytes(), (Mi, ai, mask)
+        assert bool(infeasible[i]) is flag
+    # through the stacked dispatch: an all-zero Gram is degenerate, as alone
+    stacked, degenerate, hints = qp._solve_rows(M, A, act, [None] * len(rows))
+    assert hints == [None] * len(rows)
+    for i, (Mi, ai, mask) in enumerate(rows):
+        alone, hint = qp._solve(Mi, ai, np.flatnonzero(mask))
+        assert bool(degenerate[i]) is alone.degenerate and hint is None
+        if not alone.degenerate:
+            assert stacked[i].tobytes() == alone.beta.tobytes()
+
+
+def test_stacked_m2_solve_meets_each_edge_case():
+    # the relief row needs the retry, the refused row stays infeasible, and
+    # a flat row takes hi or lo by the sign of half_beta
+    M = np.array(
+        [
+            [[0.5 - 1e-9, -0.5 - 1e-9], [-0.5, 0.5]],
+            [[-2.0, -2.0], [0.0, 1.0]],
+            [[1e-170, 0.0], [1e-170, 0.0]],
+            [[1e-170, 0.0], [1e-170, 0.0]],
+        ]
+    )
+    A = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])
+    act = np.array([[True, True], [True, False], [False, False], [False, False]])
+    beta, infeasible = qp._solve_m2_rows(M, A, act)
+    assert infeasible.tolist() == [False, True, False, False]
+    assert beta[0, 0] == pytest.approx(0.5, abs=1e-8)
+    assert beta[2].tolist() == [1.0, 0.0] and beta[3].tolist() == [0.0, 1.0]
+
+
+def _certification_rows(seed: int, m: int) -> list:
+    """(M, a, active indices, hint) rows: correct hints, wrong patterns,
+    hints from another active set, no hint, full and tied active sets,
+    a wrong multiplier sign and a degenerate Gram."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(10):
+        G = rng.normal(size=(int(rng.integers(m, 9)), m))
+        act = np.arange(m)
+        if rng.random() >= 0.5:  # a tied or partial active set
+            act = np.sort(rng.choice(m, int(rng.integers(1, m)), replace=False))
+        M, a = G.T @ G, rng.normal(size=m)
+        _, pattern = qp._solve_enumerated(M, a, act)
+        kind = rng.integers(4)
+        if pattern is None or kind == 0:
+            hint = None
+        elif kind == 1:
+            hint = (act, pattern)
+        elif kind == 2:
+            flat = qp._patterns(m, m + act.size)[1]
+            hint = (act, flat[int(rng.integers(len(flat)))])
+        else:
+            hint = (np.setdiff1d(np.arange(m), act), pattern)
+        rows.append((M, a, act, hint))
+    # M = I with a on the simplex: holding beta_0 = 0 is feasible, but its
+    # bound multiplier has the wrong sign
+    a = np.full(m, 1.0 / m) + np.linspace(-0.05, 0.05, m)
+    rows.append((np.eye(m), a, np.arange(m), (np.arange(m), np.array([0]))))
+    rows.append((np.zeros((m, m)), a, np.arange(m), None))
+    return rows
+
+
+def _mask(act: np.ndarray, m: int) -> np.ndarray:
+    mask = np.zeros(m, dtype=bool)
+    mask[act] = True
+    return mask
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**9), st.integers(3, 4))
+def test_batched_certification_equals_each_row_certified_alone(seed, m):
+    rows = _certification_rows(seed, m)
+    M, a, act, (_, pattern) = rows[-2]
+    assert qp._solve_certified(M, a, act, pattern) is None  # the wrong sign
+    # one _certify call per pattern size: each row as certified alone
+    sizes: dict = {}
+    for row in rows:
+        if row[3] is not None:
+            sizes.setdefault(row[3][1].size, []).append(row)
+    for group in sizes.values():
+        beta, ok = qp._certify(
+            np.array([M for M, _, _, _ in group]),
+            np.array([a for _, a, _, _ in group]),
+            np.array([_mask(act, m) for _, _, act, _ in group]),
+            np.array([hint[1] for _, _, _, hint in group]),
+        )
+        for j, (M, a, act, (_, pattern)) in enumerate(group):
+            alone = qp._solve_certified(M, a, act, pattern)
+            assert bool(ok[j]) is (alone is not None)
+            if alone is not None:
+                assert beta[j].tobytes() == alone.beta.tobytes()
+                solution, winner = qp._solve_enumerated(M, a, act)
+                if np.array_equal(winner, pattern):
+                    assert beta[j].tobytes() == solution.beta.tobytes()
+    # the whole mixed stack through the stacked dispatch: as _solve alone
+    beta, degenerate, hints = qp._solve_rows(
+        np.array([M for M, _, _, _ in rows]),
+        np.array([a for _, a, _, _ in rows]),
+        np.array([_mask(act, m) for _, _, act, _ in rows]),
+        [hint for _, _, _, hint in rows],
+    )
+    assert degenerate.tolist() == [False] * (len(rows) - 1) + [True]
+    for (M, a, act, hint), got, found in zip(rows, beta, hints):
+        alone, want = qp._solve(M, a, act, hint)
+        if not alone.degenerate:
+            assert got.tobytes() == alone.beta.tobytes()
+        if want is None or want is hint:
+            assert found is want
+        else:
+            assert np.array_equal(found[0], want[0]) and np.array_equal(found[1], want[1])
+

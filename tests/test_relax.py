@@ -70,6 +70,27 @@ def test_box_projection_maps_negative_zero_at_a_zero_bound_to_positive_zero():
     assert not np.signbit(Box(0.0, 1.0).project(x - step)).any()
 
 
+def test_a_stack_projects_row_by_row_bit_for_bit():
+    rng = np.random.default_rng(11)
+    box_rows = rng.uniform(-3.0, 3.0, size=(5, 4))
+    box_rows[1] = [-0.0, 0.0, -1e-300, 1.0]
+    box_rows[3, 2] = np.nan
+    for box in (Box(0.0, 1.0), Box(-2.0, 2.0)):
+        out = box.project(box_rows)
+        for row, got in zip(box_rows, out):
+            assert got.tobytes() == box.project(row).tobytes()
+    assert not np.signbit(Box(0.0, 1.0).project(box_rows)[1]).any()
+    region = SimplexRows(2, 3)
+    simplex_rows = rng.normal(scale=2.0, size=(4, 6))
+    simplex_rows[1, 3:] = [3.75e18, 3.75e18, 5e18]  # the shifted retry
+    simplex_rows[2, 0] = np.nan
+    out = region.project(simplex_rows)
+    assert out.shape == simplex_rows.shape
+    for row, got in zip(simplex_rows, out):
+        assert got.tobytes() == region.project(row).tobytes()
+    assert out[1, 3:].tolist() == [0.0, 0.0, 1.0] and np.isnan(out[2, :3]).all()
+
+
 # ---------------------------------------------------------------------------
 # scripted stub task for loop behavior
 # ---------------------------------------------------------------------------
@@ -405,17 +426,16 @@ def test_stacked_profiles_equal_the_profile_of_each_row(data):
     weight = st.lists(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)), min_size=m, max_size=m)
     weights = np.array(data.draw(st.lists(weight, min_size=count, max_size=count)))
     weighted = losses * weights
-    for prod, w, (mu, anchor, active) in zip(
-        weighted, weights, relax._profiles(weighted, weights)
-    ):
+    for prod, w, mu, anchor, active in zip(weighted, weights, *relax._profiles(weighted, weights)):
         try:
             want = qp._profile(prod, w)
         except qp.DegenerateLossError:
-            assert (mu, anchor, active) == (0.0, None, None)
+            assert struct.pack("<d", mu) == struct.pack("<d", 0.0)
+            assert not anchor.any() and not active.any()
             continue
         assert struct.pack("<d", mu) == struct.pack("<d", want[0])
         assert anchor.tobytes() == want[1].tobytes()
-        assert active.dtype == want[2].dtype and np.array_equal(active, want[2])
+        assert np.array_equal(np.flatnonzero(active), want[2])
 
 
 class _FortranStub(_StubTask):
@@ -536,14 +556,22 @@ def test_a_failing_row_stops_alone_with_its_one_row_error(bad, mode):
 
 
 def test_a_row_whose_qp_raises_stops_alone(monkeypatch):
-    solve = qp._solve
+    # the stacked m = 2 solve refuses a stack that holds the row, so its
+    # rows step alone, and the one-row solve refuses the row itself
+    solve, solve_rows = qp._solve, qp._solve_m2_rows
 
     def refusing(M, a, act, hint=None):
         if M[0, 0] > 100.0:  # only the row started at (8, 8) has gradients this large
             raise RuntimeError("no pattern")
         return solve(M, a, act, hint)
 
+    def refusing_rows(M, A, act):
+        if (M[:, 0, 0] > 100.0).any():
+            raise RuntimeError("no stacked pattern")
+        return solve_rows(M, A, act)
+
     monkeypatch.setattr(qp, "_solve", refusing)
+    monkeypatch.setattr(qp, "_solve_m2_rows", refusing_rows)
     starts = [np.array([0.4, 0.7]), np.array([8.0, 8.0]), np.array([0.1, 0.9])]
     weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
     tasks = [_StubTask(), _StubTask(), _StubTask()]
@@ -554,6 +582,78 @@ def test_a_row_whose_qp_raises_stops_alone(monkeypatch):
     for j in (0, 2):
         clean = inner_descent(_StubTask(), starts[j], weights[j], eta=0.1, rounds=5)
         assert _trace_bytes(out[j]) == _trace_bytes(clean)
+
+
+def test_a_stack_clamps_in_one_call_unless_a_task_overrides_clamp(monkeypatch):
+    # TaskContract.clamp is looked up as the descent runs, so a wrapper on it
+    # sees the stacked calls; a task whose class or instance overrides
+    # clamp keeps its own per-row calls, and so does every row of its stack
+    shapes, plain = [], TaskContract.clamp
+
+    def counting(self, x):
+        shapes.append(x.shape)
+        return plain(self, x)
+
+    monkeypatch.setattr(TaskContract, "clamp", counting)
+    own = []
+
+    class _OwnClamp(_StubTask):
+        def clamp(self, x):
+            own.append(x.shape)
+            return _FREE.project(x)
+
+    patched = _StubTask()
+    patched.clamp = lambda x: own.append(x.shape) or _FREE.project(x)
+    starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [-0.3, 0.2])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
+    etas = [0.1, 0.05, 0.2]
+    for build, stacked in (
+        (lambda: [_StubTask(), _StubTask(), _StubTask()], True),
+        (lambda: [_StubTask(), _OwnClamp(), _StubTask()], False),
+        (lambda: [_StubTask(), _StubTask(), patched], False),
+    ):
+        shapes.clear()
+        own.clear()
+        out = relax._descend_rows(build(), starts, weights, etas, rounds=4, mode="epo")
+        if stacked:
+            assert shapes == [(3, 2)] * 4 and own == []
+        else:
+            assert shapes == [(2,)] * 8 and own == [(2,)] * 4
+        for j, task in enumerate(build()):
+            alone = relax._descend_rows(
+                [task], [starts[j]], [weights[j]], [etas[j]], rounds=4, mode="epo"
+            )[0]
+            assert _trace_bytes(out[j]) == _trace_bytes(alone)
+
+
+class _Picky:
+    """A region that refuses any vector whose first coordinate exceeds 5."""
+
+    def project(self, x):
+        if (x[..., 0] > 5.0).any():
+            raise ValueError("outside the region")
+        return x + 0.0
+
+
+class _PickyStub(_StubTask):
+    region = _Picky()
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+def test_a_stacked_clamp_that_raises_stops_only_the_raising_row(mode):
+    starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [8.0, 8.0], [-0.3, 0.2])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.5, 0.5], [0.9, 0.1])]
+    etas = [0.1, 0.05, 0.1, 0.2]
+    out = relax._descend_rows(
+        [_PickyStub() for _ in starts], starts, weights, etas, rounds=5, mode=mode
+    )
+    alone = [
+        relax._descend_rows([_PickyStub()], [x], [w], [eta], rounds=5, mode=mode)[0]
+        for x, w, eta in zip(starts, weights, etas)
+    ]
+    assert type(out[2]) is ValueError and str(out[2]) == str(alone[2]) == "outside the region"
+    for j in (0, 1, 3):
+        assert _trace_bytes(out[j]) == _trace_bytes(alone[j])
 
 
 def test_a_row_whose_task_raises_stops_alone():
