@@ -4,7 +4,7 @@ Objective vectors are plain 1-D float arrays of per-objective losses (lower is
 better); weight vectors are strictly positive preference directions of the same
 length.  This module provides the dominance relation, non-dominated filtering,
 the record of one evaluated candidate (``TrajectoryPoint``) and a Pareto
-archive of such records with eviction-on-insert semantics.
+archive of such records, built in one filter pass (``build_archive``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "TrajectoryPoint",
     "as_objectives",
     "as_weights",
+    "build_archive",
     "dominates",
     "pareto_filter",
 ]
@@ -115,10 +116,12 @@ def dominates(a, b) -> Dominance:
     return Dominance.INCOMPARABLE
 
 
-def _pareto_mask(points: np.ndarray) -> np.ndarray:
-    """Rows of a validated (k, m) array that no other row strictly dominates."""
+def _pareto_mask(points: np.ndarray, *, first_copy: bool = False) -> np.ndarray:
+    """Rows of a validated (k, m) array that no other row strictly dominates
+    and, with ``first_copy``, that no earlier row equals."""
     weak = np.all(points[:, None, :] <= points[None, :, :], axis=2)
-    return ~np.any(weak & ~weak.T, axis=0)
+    earlier = np.triu(np.ones_like(weak), 1) if first_copy else False  # row i before row j
+    return ~np.any(weak & (~weak.T | earlier), axis=0)
 
 
 def pareto_filter(points) -> list[int]:
@@ -162,18 +165,13 @@ class TrajectoryPoint:
     weights: np.ndarray
 
 
+@dataclass(eq=False)
 class ParetoArchive:
-    """Mutually non-dominated set of evaluated candidates.
+    """Mutually non-dominated set of evaluated candidates, as
+    :func:`build_archive` keeps them: the offered ``TrajectoryPoint``
+    objects themselves, in the order offered."""
 
-    The entries are the inserted ``TrajectoryPoint`` objects themselves.
-    Inserting a point evicts every incumbent it strictly dominates.  A point
-    is rejected when an incumbent weakly dominates it, which both discards
-    strictly worse points and keeps the earliest-inserted copy of exact
-    duplicates.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list[TrajectoryPoint] = []
+    entries: list[TrajectoryPoint] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -185,40 +183,6 @@ class ParetoArchive:
     def m(self) -> int | None:
         """Number of objectives, or None while the archive is empty."""
         return self.entries[0].objectives.size if self.entries else None
-
-    def insert(self, entry: TrajectoryPoint) -> bool:
-        """Insert ``entry`` unless an incumbent weakly dominates it.
-
-        Returns:
-            True when the entry was inserted, False when rejected.
-
-        Raises:
-            ValueError: If the entry's objectives are not a valid objective
-                vector or its weights not a valid weight vector.
-            DimensionMismatchError: If the entry's objective length differs
-                from the archive's or from its weights' length.
-        """
-        as_objectives(entry.objectives)
-        as_weights(entry.weights)
-        if entry.weights.size != entry.objectives.size:
-            raise DimensionMismatchError(
-                f"entry has {entry.objectives.size} objectives but {entry.weights.size} weights"
-            )
-        if self.entries and entry.objectives.size != self.m:
-            raise DimensionMismatchError(
-                f"archive holds {self.m}-objective entries, got {entry.objectives.size}"
-            )
-        if self.entries:
-            incumbents = np.stack([inc.objectives for inc in self.entries])
-            if np.any(np.all(incumbents <= entry.objectives, axis=1)):
-                return False
-            # No incumbent equals the entry here, so <= everywhere is strict.
-            evicted = np.all(entry.objectives <= incumbents, axis=1)
-            self.entries = [
-                inc for inc, out in zip(self.entries, evicted) if not out
-            ]
-        self.entries.append(entry)
-        return True
 
     def objectives_array(self) -> np.ndarray:
         """All entry objectives stacked as a (len, m) array."""
@@ -248,3 +212,35 @@ class ParetoArchive:
                 + [str(e.oracle_calls)]
             )
         return buf.getvalue()
+
+
+def build_archive(groups) -> ParetoArchive:
+    """The archive of the points of ``groups`` (a scan's ray trajectories).
+
+    It keeps, in the order offered, the points that no point strictly
+    dominates and that no earlier point equals, as inserting them one at a
+    time would.  Each group is filtered alone, then the survivors together:
+    a point a group drops is strictly dominated by a survivor or equals an
+    earlier point, so this is exact.  Validation runs once, on the stacks.
+
+    Raises:
+        DimensionMismatchError: If the objective and weight vectors are not
+            all 1-D of one length.
+        ValueError: If an objective is negative or non-finite, or a weight
+            not positive and finite.
+    """
+    groups = [list(group) for group in groups]
+    points = [p for group in groups for p in group]
+    if not points:
+        return ParetoArchive()
+    shape = points[0].objectives.shape
+    shapes = {s for p in points for s in (p.objectives.shape, p.weights.shape)}
+    if len(shape) != 1 or shapes != {shape}:
+        raise DimensionMismatchError("objectives and weights must be 1-D and of one length")
+    objectives = as_objectives(np.concatenate([p.objectives for p in points]))
+    objectives = objectives.reshape(len(points), -1)
+    as_weights(np.concatenate([p.weights for p in points]))
+    rays = np.split(np.arange(len(points)), np.cumsum([len(g) for g in groups])[:-1])
+    kept = np.concatenate([ids[_pareto_mask(objectives[ids], first_copy=True)] for ids in rays])
+    kept = kept[_pareto_mask(objectives[kept], first_copy=True)]
+    return ParetoArchive([points[i] for i in kept.tolist()])

@@ -34,10 +34,10 @@ enumeration's arithmetic for that pattern, so beta is the same bit for
 bit.  The hint lives in the caller's loop only: no state is kept here.
 
 A descent that steps several rows as a stack solves their QPs in array
-passes (:func:`_solve_rows`): one interval solve over the stack for
-m = 2, and for m >= 3 one certification per pattern size for the rows
-whose hint applies, with only the rest enumerated one by one.  Each row's
-beta is the one it gets solved alone, bit for bit.
+passes (:func:`_solve_rows`): one interval solve over a stack of ten or
+more m = 2 rows, and for m >= 3 one certification per pattern size for
+the rows whose hint applies, with only the rest enumerated one by one.
+Each row's beta is the one it gets solved alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -475,6 +475,10 @@ def solve_qp(gradients, anchor, active) -> QPSolution:
     return _solve(G.T @ G, a, act)[0]
 
 
+#: The fewest live m = 2 rows :func:`_solve_rows` solves as one stack: a
+#: stack costs about 30 us at any size and :func:`_solve_m2` 3 us a row.
+_M2_STACK = 10
+
 #: A winning m >= 3 pattern and the active indices it was found under.
 Hint = tuple[np.ndarray, np.ndarray]
 
@@ -517,10 +521,11 @@ def _solve_rows(
 
     Returns the (r, m) betas, the mask of the degenerate rows (their beta
     is zero) and each row's next hint.  For m = 2 one interval solve
-    covers the stack (:func:`_solve_m2_rows`).  For m >= 3 the rows whose
-    hint was found under their active indices are certified together,
-    one :func:`_certify` call per pattern size, and only the rows with no
-    such hint or a failed certificate enumerate, one by one.
+    covers ``_M2_STACK`` or more live rows (:func:`_solve_m2_rows`), and
+    fewer solve row by row.  For m >= 3 the rows whose hint was found
+    under their active indices are certified together, one
+    :func:`_certify` call per pattern size, and only the rows with no such
+    hint or a failed certificate enumerate, one by one.
     """
     r, m = A.shape
     if m == 1:
@@ -529,8 +534,12 @@ def _solve_rows(
     beta = np.zeros((r, m))
     found: list = [None] * r
     if m == 2:
-        live = ~degenerate
-        beta[live] = _solve_m2_rows(M[live], A[live], act[live])[0]
+        live = np.flatnonzero(~degenerate)
+        if live.size >= _M2_STACK:
+            beta[live] = _solve_m2_rows(M[live], A[live], act[live])[0]
+        else:
+            for i, on in zip(live.tolist(), act[live].tolist()):
+                beta[i] = _solve_m2(M[i], A[i], [j for j in (0, 1) if on[j]])[0]
         return beta, degenerate, found
     acts = [np.flatnonzero(row) for row in act]
     sizes: dict = {}

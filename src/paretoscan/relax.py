@@ -649,9 +649,9 @@ def discretize_select(
 ) -> tuple[object, np.ndarray]:
     """Sample candidates near a relaxed vector and keep the best by r_check.
 
-    Evaluates ``count`` discrete candidates with the oracle and returns the
-    ``(candidate, objectives)`` pair minimizing the weighted relative max;
-    ties break by lower weighted loss sum, then by draw order.
+    Evaluates ``count`` discrete candidates with the oracle, in draw order,
+    and returns the ``(candidate, objectives)`` pair minimizing the weighted
+    relative max; ties break by lower weighted sum, then draw order (a stable lexsort).
 
     ``x`` must come from ``task.clamp``, as :func:`inner_descent`'s point does.
 
@@ -665,14 +665,7 @@ def discretize_select(
     candidates = task.neighborhood_discretize(x, count, rng)
     if not candidates:
         raise ExhaustedNeighborhoodError("discretization produced no candidates")
-    best_key: tuple[float, float, int] | None = None
-    best: tuple[object, np.ndarray] | None = None
-    for idx, cand in enumerate(candidates):
-        objectives = task.eval_discrete(cand)
-        weighted = objectives * wv
-        key = (float(max(weighted)), float(weighted.sum()), idx)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (cand, objectives)
-    assert best is not None
-    return best
+    objectives = [task.eval_discrete(cand) for cand in candidates]
+    weighted = np.array(objectives) * wv
+    best = int(np.lexsort((weighted.sum(axis=1), weighted.max(axis=1)))[0])
+    return candidates[best], objectives[best]

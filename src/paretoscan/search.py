@@ -4,9 +4,9 @@ A run repeats relax -> inner descent -> discretize/select for one weight
 ray, logging one ``TrajectoryPoint`` per outer iteration.  A scan runs one
 ray per weight vector from a deterministic per-ray seed, all rays through
 one outer round at a time with the same per-round step, keeps each ray's
-RunResult, inserts every ray's trajectory points (the start point and the
-candidate selected in each outer round) into one Pareto archive that keeps
-the surviving points themselves, and summarizes front quality.
+RunResult, builds one Pareto archive of every ray's trajectory points (the
+start point and the candidate selected in each outer round) that keeps the
+surviving points themselves, and summarizes front quality.
 Diagnostics check the run's loss path against the descent theory: each
 step should stay inside the previous admissible box (componentwise
 l_j <= r_check / lambda_j), the weighted relative max should fall
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qp
-from .core import EmptyInputError, ParetoArchive, TrajectoryPoint, as_weights
+from .core import EmptyInputError, ParetoArchive, TrajectoryPoint, as_weights, build_archive
 from .metrics import (
     UnsupportedDimensionError,
     front_coverage,
@@ -515,8 +515,8 @@ def front_scan(
 
     Returns:
       ScanResult; ``rays`` holds each ray's RunResult in grid order, and
-      ``archive`` the non-dominated trajectory points themselves, every
-      ray's points offered in ray order.
+      ``archive`` the trajectory points themselves that ``core.build_archive``
+      keeps, offered in ray order and in each ray in round order.
       ``metrics`` holds hv against the unit corner, coverage within
       distance 0.05 of the reference front (None without one), nu_per_ray,
       nu_topk (mean of the 5 best rays' non-uniformity) and
@@ -562,10 +562,7 @@ def front_scan(
             runs.append(RunResult(cfg, w, [], None, error=str(exc)))
     _lockstep([run for run in runs if isinstance(run, _Ray)], config.T)
     rays = [run if isinstance(run, RunResult) else run.result() for run in runs]
-    archive = ParetoArchive()
-    for result in rays:
-        for p in result.trajectory:
-            archive.insert(p)
+    archive = build_archive(result.trajectory for result in rays)
 
     finals = np.array(
         [r.final_objectives for r in rays if r.final_objectives is not None]

@@ -191,15 +191,21 @@ ALPHABET = "CVA"
 _UNIGRAM_TARGETS = ("C", "V", "A")
 _BIGRAM_TARGETS = ("CV", "VA", "AC")
 _CHAR_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
+#: The letters' byte codes, and the one-hot row of each byte (zero for a non-letter).
+_CODES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
+_ONE_HOT = np.zeros((256, 3))
+_ONE_HOT[_CODES, np.arange(3)] = 1.0
 
 
 def _one_hot(sequence: str, l_max: int) -> np.ndarray:
-    """The (l_max, 3) one-hot matrix of a string of length l_max over the alphabet."""
-    if len(sequence) != l_max or any(ch not in _CHAR_INDEX for ch in sequence):
+    """The (l_max, 3) one-hot matrix of a length-l_max string or letter sequence."""
+    if len(sequence) == l_max and not isinstance(sequence, str):
+        sequence = "".join(ch if ch in _CHAR_INDEX else "?" for ch in sequence)
+    # a non-ASCII letter encodes as bytes of 0x80 and up, whose rows are zero
+    codes = sequence.encode("utf-8", "surrogatepass") if isinstance(sequence, str) else b""
+    P = _ONE_HOT[np.frombuffer(codes, np.uint8)]
+    if len(sequence) != l_max or P.sum() != l_max:
         raise ValueError(f"sequence must have length {l_max} over {ALPHABET!r}")
-    P = np.zeros((l_max, 3))
-    for t, ch in enumerate(sequence):
-        P[t, _CHAR_INDEX[ch]] = 1.0
     return P
 
 
@@ -279,7 +285,6 @@ class NGramTask(TaskContract):
         # the projected rows are non-negative; renormalise away their rounding
         rows = x.reshape(self.l_max, 3)
         rows = rows / rows.sum(axis=1, keepdims=True)
-        out = ["".join(ALPHABET[int(i)] for i in np.argmax(rows, axis=1))]
         # rng.choice(3, p=row) draws one rng.random() and returns the count of
         # the row's normalised cumulative sums at or below it; drawing all the
         # uniforms at once gives the same letters and leaves rng in the same state.
@@ -287,8 +292,8 @@ class NGramTask(TaskContract):
         cdf /= cdf[:, -1:]
         u = rng.random((count - 1, self.l_max))
         draws = (cdf[None] <= u[..., None]).sum(axis=-1)
-        out += ["".join(ALPHABET[i] for i in row) for row in draws.tolist()]
-        return out
+        text = _CODES[np.vstack([np.argmax(rows, axis=1), draws])].tobytes().decode()
+        return [text[i : i + self.l_max] for i in range(0, len(text), self.l_max)]
 
     def candidate_id(self, candidate) -> str:
         return str(candidate)

@@ -2,10 +2,12 @@
 
 Each helper here is deliberately naive: a dense simplex grid, a grid search
 with pattern-search refinement for the QP, a Monte Carlo hypervolume, the
-slicing hypervolume that filters every 2-D slice, and a sorted sweep for the
-exact front of a large discrete set.  The tests check the solver and the
-exact hypervolume against them, and score scans against the exact front;
-nothing in the package uses them.
+slicing hypervolume that filters every 2-D slice, a sorted sweep for the
+exact front of a large discrete set, the archive that takes its points one
+insert at a time, and the candidate pick by one tuple key per candidate.
+The tests check the solver, the exact hypervolume, the one-pass archive
+build and the candidate selection against them, and score scans against
+the exact front; nothing in the package uses them.
 """
 
 import numpy as np
@@ -232,3 +234,45 @@ def exact_discrete_front(losses) -> list[int]:
             front[len(kept)] = p
             kept.append(int(i))
     return sorted(kept)
+
+
+class SequentialArchive:
+    """The archive as its points arrive one at a time, for ``build_archive``.
+
+    Inserting a point evicts every incumbent it strictly dominates, and a
+    point is rejected when an incumbent weakly dominates it, which keeps
+    the earliest copy of equal points.  The entries are the inserted
+    points themselves; nothing is validated.
+    """
+
+    def __init__(self) -> None:
+        self.entries = []
+
+    def insert(self, entry) -> bool:
+        """Insert ``entry`` unless an incumbent weakly dominates it; returns
+        whether it was inserted."""
+        if self.entries:
+            incumbents = np.stack([inc.objectives for inc in self.entries])
+            if np.any(np.all(incumbents <= entry.objectives, axis=1)):
+                return False
+            # No incumbent equals the entry here, so <= everywhere is strict.
+            evicted = np.all(entry.objectives <= incumbents, axis=1)
+            self.entries = [inc for inc, out in zip(self.entries, evicted) if not out]
+        self.entries.append(entry)
+        return True
+
+
+def select_by_tuple_key(objectives, weights) -> int:
+    """Index of the candidate ``discretize_select`` keeps, one key at a time.
+
+    Each candidate's key is (weighted max, weighted sum, draw index) and the
+    least key wins, so ties break by the sum and then by draw order.
+    """
+    best_key = None
+    best = None
+    for idx, vec in enumerate(objectives):
+        weighted = vec * weights
+        key = (float(max(weighted)), float(weighted.sum()), idx)
+        if best_key is None or key < best_key:
+            best_key, best = key, idx
+    return best

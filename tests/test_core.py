@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import SequentialArchive
 from paretoscan.core import (
     DimensionMismatchError,
     Dominance,
@@ -13,6 +14,7 @@ from paretoscan.core import (
     TrajectoryPoint,
     as_objectives,
     as_weights,
+    build_archive,
     dominates,
     pareto_filter,
 )
@@ -134,60 +136,73 @@ def _point(candidate_id, objectives, weights=None, oracle_calls=0):
     return TrajectoryPoint(0, candidate_id, objectives, 0.0, 0.0, oracle_calls, weights)
 
 
-def test_archive_insert_validates_the_point():
-    archive = ParetoArchive()
+def test_archive_build_validates_the_points():
+    good = _point("ok", [0.5, 0.5])
     for objectives in ([-1.0, 0.0], [np.nan, 0.5], [0.5, np.inf]):
         with pytest.raises(ValueError):
-            archive.insert(_point("a", objectives))
-    for weights in ([0.0, 1.0], [-0.5, 1.0]):
+            build_archive([[good], [_point("a", objectives)]])
+    for weights in ([0.0, 1.0], [-0.5, 1.0], [np.inf, 1.0]):
         with pytest.raises(ValueError):
-            archive.insert(_point("a", [1.0, 0.0], weights))
-    assert len(archive) == 0
+            build_archive([[good, _point("a", [1.0, 0.0], weights)]])
+    with pytest.raises(ValueError):
+        build_archive([[_point("a", [[0.5, 0.5]], [[1.0, 1.0]])]])
+    with pytest.raises(EmptyInputError):
+        build_archive([[_point("a", [])]])
+    assert len(build_archive([])) == 0
+    assert len(build_archive([[], []])) == 0
 
 
 def test_archive_insert_evict_reject():
-    archive = ParetoArchive()
-    assert archive.m is None
-    assert archive.insert(_point("a", [3.0, 3.0]))
-    assert archive.insert(_point("b", [2.0, 4.0]))
-    assert not archive.insert(_point("c", [4.0, 4.0]))  # dominated
-    assert not archive.insert(_point("d", [3.0, 3.0]))  # duplicate
-    assert len(archive) == 2
-    assert archive.insert(_point("e", [2.0, 2.0]))  # evicts both
+    # the one-insert-at-a-time reference the one-pass build must equal
+    points = [
+        _point("a", [3.0, 3.0]),
+        _point("b", [2.0, 4.0]),
+        _point("c", [4.0, 4.0]),  # dominated
+        _point("d", [3.0, 3.0]),  # duplicate
+        _point("e", [2.0, 2.0]),  # evicts both
+    ]
+    reference = SequentialArchive()
+    assert [reference.insert(p) for p in points[:4]] == [True, True, False, False]
+    assert [e.candidate_id for e in reference.entries] == ["a", "b"]
+    assert reference.insert(points[4])
+    assert [e.candidate_id for e in reference.entries] == ["e"]
+    assert ParetoArchive().m is None
+    archive = build_archive([points[:2], points[2:]])
     assert [e.candidate_id for e in archive] == ["e"]
     assert archive.m == 2
+    assert [e.candidate_id for e in build_archive([points[:4]])] == ["a", "b"]
 
 
 def test_archive_keeps_earliest_duplicate():
-    archive = ParetoArchive()
     first = _point("first", [1.0, 1.0], oracle_calls=2)
-    archive.insert(first)
-    archive.insert(_point("second", [1.0, 1.0], oracle_calls=9))
-    assert len(archive) == 1
-    assert archive.entries[0] is first  # the point itself, not a copy
+    second = _point("second", [1.0, 1.0], oracle_calls=9)
+    for groups in ([[first, second]], [[first], [second]], [[], [first], [], [second]]):
+        archive = build_archive(groups)
+        assert len(archive) == 1
+        assert archive.entries[0] is first  # the point itself, not a copy
 
 
 def test_archive_dimension_mismatch():
-    archive = ParetoArchive()
-    archive.insert(_point("a", [1.0, 2.0]))
-    with pytest.raises(DimensionMismatchError):
-        archive.insert(_point("b", [1.0, 2.0, 3.0]))
+    a, b = _point("a", [1.0, 2.0]), _point("b", [1.0, 2.0, 3.0])
+    for groups in ([[a], [b]], [[a, b]]):
+        with pytest.raises(DimensionMismatchError):
+            build_archive(groups)
 
 
 def test_archive_rejects_weights_of_another_length():
     # to_csv would write this row with one column more than its header
-    archive = ParetoArchive()
     with pytest.raises(DimensionMismatchError):
-        archive.insert(_point("x", [0.5, 0.5], [0.5, 0.5, 0.5], oracle_calls=1))
-    assert len(archive) == 0
+        build_archive([[_point("x", [0.5, 0.5], [0.5, 0.5, 0.5], oracle_calls=1)]])
+    with pytest.raises(DimensionMismatchError):
+        build_archive([[_point("y", [0.5, 0.5])], [_point("x", [0.5, 0.5], [0.5])]])
 
 
 def test_archive_empty_accessors_raise():
-    archive = ParetoArchive()
-    with pytest.raises(EmptyInputError):
-        archive.objectives_array()
-    with pytest.raises(EmptyInputError):
-        archive.to_csv()
+    for archive in (ParetoArchive(), build_archive([[]])):
+        with pytest.raises(EmptyInputError):
+            archive.objectives_array()
+        with pytest.raises(EmptyInputError):
+            archive.to_csv()
 
 
 def _reference_front(points):
@@ -213,9 +228,7 @@ def _reference_front(points):
 )
 def test_archive_invariants(rows):
     points = [np.array(r) / 2.0 for r in rows]
-    archive = ParetoArchive()
-    for i, vec in enumerate(points):
-        archive.insert(_point(str(i), vec))
+    archive = build_archive([[_point(str(i), vec) for i, vec in enumerate(points)]])
     assert [e.candidate_id for e in archive] == _reference_front(points)
     # entries are mutually incomparable
     for i, e in enumerate(archive.entries):
@@ -229,10 +242,43 @@ def test_archive_invariants(rows):
         )
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=6
+            ),
+            st.lists(st.lists(st.integers(0, 5), max_size=12), min_size=1, max_size=5),
+        )
+    ),
+)
+def test_archive_build_equals_sequential_inserts(case):
+    # each "ray" draws its rows from a small pool of quantised vectors, so
+    # ties and exact duplicates within a ray and across rays are common
+    pool, rays = case
+    groups = [
+        [_point(f"{k}:{t}", np.array(pool[i % len(pool)]) / 2.0) for t, i in enumerate(ray)]
+        for k, ray in enumerate(rays)
+    ]
+    reference = SequentialArchive()
+    for group in groups:
+        for p in group:
+            reference.insert(p)
+    archive = build_archive(iter(groups))
+    assert len(archive) == len(reference.entries)
+    assert all(a is b for a, b in zip(archive, reference.entries))
+    offered = [p for group in groups for p in group]
+    assert all(any(e is p for p in offered) for e in archive)
+
+
 def test_archive_csv_round_trip():
-    archive = ParetoArchive()
-    archive.insert(_point("x:1,2", [0.123456789012345, 0.5], [0.6, 0.8], 14))
-    archive.insert(_point("x:3,4", [0.5, 0.1], [0.8, 0.6], 20))
+    archive = build_archive(
+        [
+            [_point("x:1,2", [0.123456789012345, 0.5], [0.6, 0.8], 14)],
+            [_point("x:3,4", [0.5, 0.1], [0.8, 0.6], 20)],
+        ]
+    )
     text = archive.to_csv()
     assert text.endswith("\n")
     assert text.splitlines() == [

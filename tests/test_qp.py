@@ -1,6 +1,7 @@
 """Anchor construction, simplex projection and the active-set QP solver."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -392,14 +393,49 @@ def test_stacked_m2_solve_equals_the_scalar_solve(rows):
         want, flag = qp._solve_m2(Mi, ai, np.flatnonzero(mask))
         assert beta[i].tobytes() == want.tobytes(), (Mi, ai, mask)
         assert bool(infeasible[i]) is flag
-    # through the stacked dispatch: an all-zero Gram is degenerate, as alone
-    stacked, degenerate, hints = qp._solve_rows(M, A, act, [None] * len(rows))
-    assert hints == [None] * len(rows)
-    for i, (Mi, ai, mask) in enumerate(rows):
-        alone, hint = qp._solve(Mi, ai, np.flatnonzero(mask))
-        assert bool(degenerate[i]) is alone.degenerate and hint is None
-        if not alone.degenerate:
-            assert stacked[i].tobytes() == alone.beta.tobytes()
+    # through the stacked dispatch, as one stack and row by row: an
+    # all-zero Gram is degenerate, as alone
+    for stack_from in (1, len(rows) + 1):
+        with mock.patch.object(qp, "_M2_STACK", stack_from):
+            stacked, degenerate, hints = qp._solve_rows(M, A, act, [None] * len(rows))
+        assert hints == [None] * len(rows)
+        for i, (Mi, ai, mask) in enumerate(rows):
+            alone, hint = qp._solve(Mi, ai, np.flatnonzero(mask))
+            assert bool(degenerate[i]) is alone.degenerate and hint is None
+            if not alone.degenerate:
+                assert stacked[i].tobytes() == alone.beta.tobytes()
+
+
+def test_a_small_m2_stack_solves_row_by_row(monkeypatch):
+    # _M2_STACK counts the live rows: a degenerate row does not make a
+    # stack of _M2_STACK - 1 solvable rows big enough to stack
+    stacks, rows_alone = [], []
+    solve_m2, solve_m2_rows = qp._solve_m2, qp._solve_m2_rows
+
+    def counting(M, a, act):
+        rows_alone.append(len(act))
+        return solve_m2(M, a, act)
+
+    def counting_rows(M, A, act):
+        stacks.append(len(M))
+        return solve_m2_rows(M, A, act)
+
+    monkeypatch.setattr(qp, "_solve_m2", counting)
+    monkeypatch.setattr(qp, "_solve_m2_rows", counting_rows)
+    rng = np.random.default_rng(3)
+    for live in (qp._M2_STACK - 1, qp._M2_STACK):
+        G = rng.normal(size=(live + 1, 5, 2))
+        M = np.einsum("rni,rnj->rij", G, G)
+        M[0] = 0.0  # degenerate
+        A = rng.random((live + 1, 2))
+        act = rng.random((live + 1, 2)) < 0.6
+        beta, degenerate, _ = qp._solve_rows(M, A, act, [None] * (live + 1))
+        assert degenerate.tolist() == [True] + [False] * live
+        for i in range(1, live + 1):
+            want = solve_m2(M[i], A[i], np.flatnonzero(act[i]))[0]
+            assert beta[i].tobytes() == want.tobytes()
+    assert len(rows_alone) == qp._M2_STACK - 1
+    assert stacks == [qp._M2_STACK]
 
 
 def test_stacked_m2_solve_meets_each_edge_case():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import select_by_tuple_key
 from paretoscan import qp, relax
 from paretoscan.relax import (
     Box,
@@ -556,32 +557,35 @@ def test_a_failing_row_stops_alone_with_its_one_row_error(bad, mode):
 
 
 def test_a_row_whose_qp_raises_stops_alone(monkeypatch):
-    # the stacked m = 2 solve refuses a stack that holds the row, so its
-    # rows step alone, and the one-row solve refuses the row itself
-    solve, solve_rows = qp._solve, qp._solve_m2_rows
+    # a stack that holds the row is refused, by the stacked m = 2 solve or,
+    # below qp._M2_STACK rows, by the row's own solve, so its rows step
+    # alone, and the one-row solve refuses the row itself
+    solve_m2, solve_rows = qp._solve_m2, qp._solve_m2_rows
 
-    def refusing(M, a, act, hint=None):
+    def refusing(M, a, act):
         if M[0, 0] > 100.0:  # only the row started at (8, 8) has gradients this large
             raise RuntimeError("no pattern")
-        return solve(M, a, act, hint)
+        return solve_m2(M, a, act)
 
     def refusing_rows(M, A, act):
         if (M[:, 0, 0] > 100.0).any():
             raise RuntimeError("no stacked pattern")
         return solve_rows(M, A, act)
 
-    monkeypatch.setattr(qp, "_solve", refusing)
+    monkeypatch.setattr(qp, "_solve_m2", refusing)
     monkeypatch.setattr(qp, "_solve_m2_rows", refusing_rows)
     starts = [np.array([0.4, 0.7]), np.array([8.0, 8.0]), np.array([0.1, 0.9])]
     weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
-    tasks = [_StubTask(), _StubTask(), _StubTask()]
-    out = relax._descend_rows(tasks, starts, weights, [0.1] * 3, rounds=5, mode="epo")
-    assert isinstance(out[1], RuntimeError) and str(out[1]) == "no pattern"
-    with pytest.raises(RuntimeError, match="no pattern"):
-        inner_descent(_StubTask(), starts[1], weights[1], eta=0.1, rounds=5)
-    for j in (0, 2):
-        clean = inner_descent(_StubTask(), starts[j], weights[j], eta=0.1, rounds=5)
-        assert _trace_bytes(out[j]) == _trace_bytes(clean)
+    for stack_from in (qp._M2_STACK, 3):  # the three rows row by row, then as one stack
+        monkeypatch.setattr(qp, "_M2_STACK", stack_from)
+        tasks = [_StubTask(), _StubTask(), _StubTask()]
+        out = relax._descend_rows(tasks, starts, weights, [0.1] * 3, rounds=5, mode="epo")
+        assert isinstance(out[1], RuntimeError) and str(out[1]) == "no pattern"
+        with pytest.raises(RuntimeError, match="no pattern"):
+            inner_descent(_StubTask(), starts[1], weights[1], eta=0.1, rounds=5)
+        for j in (0, 2):
+            clean = inner_descent(_StubTask(), starts[j], weights[j], eta=0.1, rounds=5)
+            assert _trace_bytes(out[j]) == _trace_bytes(clean)
 
 
 def test_a_stack_clamps_in_one_call_unless_a_task_overrides_clamp(monkeypatch):
@@ -787,6 +791,68 @@ def test_discretize_select_tie_break_weighted_sum_then_order():
         task, np.zeros(1), [1.0, 1.0], 3, np.random.default_rng(0)
     )
     assert candidate == "b"
+
+
+class _TableTask(TaskContract):
+    """Candidates 0..C-1 whose oracle losses are the rows of a (C, m) table."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+        self.m = table.shape[1]
+
+    def _discrete_losses(self, candidate):
+        return self.table[candidate]
+
+    def relax(self, candidate):
+        raise NotImplementedError
+
+    def losses_and_gradients(self, x):
+        raise NotImplementedError
+
+    def neighborhood_discretize(self, x, count, rng):
+        return list(range(count))
+
+    def candidate_id(self, candidate):
+        return str(candidate)
+
+    def random_candidate(self, rng):
+        return 0
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(1, 4), min_size=m, max_size=m),
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=12
+            ),
+        )
+    )
+)
+def test_discretize_select_equals_the_tuple_key_pick(case):
+    # quantised losses and weights tie often, in the max and in the sum
+    weights, rows = case
+    table = np.array(rows) / 4.0
+    wv = np.array(weights) / 4.0
+    task = _TableTask(table)
+    candidate, objectives = discretize_select(
+        task, np.zeros(1), wv, len(rows), np.random.default_rng(0)
+    )
+    want = select_by_tuple_key(list(table), wv)
+    assert candidate == want
+    assert objectives.tobytes() == table[want].tobytes()
+    assert task.oracle_calls == len(rows) * table.shape[1]
+
+
+def test_discretize_select_picks_the_first_of_equal_candidates():
+    for m, count in ((2, 1), (3, 7), (4, 12)):
+        task = _TableTask(np.full((count, m), 0.25))
+        candidate, _ = discretize_select(
+            task, np.zeros(1), np.ones(m), count, np.random.default_rng(0)
+        )
+        assert candidate == 0
 
 
 def test_discretize_select_counts_oracle_calls():

@@ -31,8 +31,12 @@ _TINY = ["-T", "2", "-K", "2", "-C", "2"]
         ),
         ("hv_scaling.py", ["--case", "3", "5", "--case", "4", "5"], ["hv_scaling.csv"]),
         ("stack_timing.py", ["--rays", "1", "3", "--repeats", "1", *_TINY], ["stack_timing.csv"]),
+        ("layer_timing.py", ["--repeats", "1", *_TINY], ["layer_timing.csv"]),
     ],
-    ids=["synthetic_scan", "ngram_fronts", "weight_rays", "hv_scaling", "stack_timing"],
+    ids=[
+        "synthetic_scan", "ngram_fronts", "weight_rays", "hv_scaling", "stack_timing",
+        "layer_timing",
+    ],
 )
 def test_experiment_script_runs(tmp_path, script, args, files):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -268,6 +268,59 @@ def test_ngram_input_validation():
         NGramTask(l_max=1)
 
 
+_LETTER_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
+
+
+def _one_hot_by_letters(sequence, l_max):
+    """The one-hot matrix built letter by letter: the reference for the
+    task's byte-table lookup, refusals included."""
+    if len(sequence) != l_max or any(ch not in _LETTER_INDEX for ch in sequence):
+        raise ValueError(f"sequence must have length {l_max} over {ALPHABET!r}")
+    P = np.zeros((l_max, 3))
+    for t, ch in enumerate(sequence):
+        P[t, _LETTER_INDEX[ch]] = 1.0
+    return P
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    ["CVAC", "AAAA", list("CVAV"), ("C", "A", "V", "A"), np.array(list("VVCA"))],
+)
+def test_ngram_one_hot_equals_the_letter_loop(sequence):
+    P = tasks._one_hot(sequence, 4)
+    assert P.dtype == np.float64 and P.flags.writeable and P.flags.c_contiguous
+    assert P.tobytes() == _one_hot_by_letters(sequence, 4).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "CVA",  # too short
+        "CVACA",  # too long
+        "CVACX",  # too long, with exactly four letters
+        "",
+        "CVXA",  # a foreign letter
+        "cvac",  # lower case
+        "CV\x00A",  # a NUL byte
+        "CVÁA",  # a non-ASCII letter: two UTF-8 bytes
+        "CVA\u00c0",  # a non-ASCII letter at the end
+        "CV\ud800A",  # a lone surrogate
+        "CV" + chr(0x1F600) + "A",  # four UTF-8 bytes
+        ["C", "V", "A", "CV"],  # a two-letter element
+        ["C", "V", "A"],  # a list too short
+        [67, 86, 65, 67],  # letter codes, not letters
+        b"CVAC",  # bytes iterate as codes
+    ],
+)
+def test_ngram_one_hot_refuses_what_the_letter_loop_refuses(bad):
+    with pytest.raises(ValueError) as ours:
+        tasks._one_hot(bad, 4)
+    with pytest.raises(ValueError) as loop:
+        _one_hot_by_letters(bad, 4)
+    assert type(ours.value) is type(loop.value) is ValueError
+    assert str(ours.value) == str(loop.value) == "sequence must have length 4 over 'CVA'"
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10**9), st.sampled_from(["unigram", "bigram"]))
 def test_ngram_gradients_match_finite_differences(seed, mode):
