@@ -1,4 +1,5 @@
-"""Scan time per ray-round at several ray counts, on three tasks.
+"""Scan time per ray-round, and the route each row-round took, at several
+ray counts on three tasks.
 
 Each case runs ``front_scan`` over ``weight_grid(m, rays)`` on one task at
 its benchmark workload's settings: ``synthetic`` (n = 20, m = 2, eta
@@ -8,10 +9,14 @@ up (the surrogate trains its net there) and then ``--repeats`` times, and
 writes one CSV row per task and ray count: the median wall seconds of a
 scan, the ray-rounds it ran (each ray's completed outer rounds, its
 trajectory less the start) and the median time per ray-round in
-microseconds.  A lone ray descends row by row; from three rays on, the
-rays that moved in a round step as one stack: one QP pass and one clamp
-per inner round, and for synthetic one call for the relaxed losses, so
-the per-ray-round time shows what stacking saves.
+microseconds.  In an inner round, three or more computed rows whose
+tasks share a stacked form and its key take one call of the form and
+step as one stack: one QP pass and one clamp; every other row calls its
+own task and steps alone.  The warm-up scan counts the computed
+row-rounds (one ray's inner round; a reused descent computes none) that
+stepped in a stack and those that stepped alone, by wrapping
+``relax._step_stack`` and ``relax._step_row`` in this script; a stack
+that a row's check refuses steps its rows alone, and counts there.
 
 Usage:
     python scripts/stack_timing.py --out results/stack_timing
@@ -24,7 +29,7 @@ import statistics
 import time
 from pathlib import Path
 
-from paretoscan import RunConfig, front_scan, make_task, weight_grid
+from paretoscan import RunConfig, front_scan, make_task, relax, weight_grid
 
 #: (task, its parameters, m, eta): the benchmark workloads' settings.
 _TASKS = (
@@ -46,6 +51,30 @@ def parse_args():
     return p.parse_args()
 
 
+def count_routes(run):
+    """``run()``'s result with the row-rounds that stepped in a stack and
+    those that stepped alone while it ran."""
+    counts = {"stacked": 0, "alone": 0}
+    step_stack, step_row = relax._step_stack, relax._step_row
+
+    def stack(ids, *args):
+        stepped = step_stack(ids, *args)
+        if stepped is not None:
+            counts["stacked"] += len(ids)
+        return stepped
+
+    def row(*args):
+        counts["alone"] += 1
+        return step_row(*args)
+
+    relax._step_stack, relax._step_row = stack, row
+    try:
+        result = run()
+    finally:
+        relax._step_stack, relax._step_row = step_stack, step_row
+    return result, counts["stacked"], counts["alone"]
+
+
 def main():
     args = parse_args()
     if args.repeats < 1 or min(args.rays) < 1:
@@ -64,7 +93,7 @@ def main():
             def scan():
                 return front_scan(lambda: make_task(task, **params), grid, config)
 
-            first = scan()
+            first, stacked, alone = count_routes(scan)
             ray_rounds = sum(max(len(ray.trajectory) - 1, 0) for ray in first.rays)
             seconds = []
             for _ in range(args.repeats):
@@ -78,11 +107,12 @@ def main():
                     "task": task, "rays": rays, "T": args.T, "K": args.K, "C": args.C,
                     "seed": args.seed, "repeats": args.repeats, "ray_rounds": ray_rounds,
                     "scan_s": f"{median:.4f}", "us_per_ray_round": f"{per:.1f}",
+                    "stacked_row_rounds": stacked, "alone_row_rounds": alone,
                 }
             )
             print(
                 f"{task} rays={rays}: scan {median:.4f} s over {ray_rounds} ray-rounds, "
-                f"{per:.1f} us each"
+                f"{per:.1f} us each; row-rounds {stacked} stacked, {alone} alone"
             )
     with open(out / "stack_timing.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")

@@ -205,17 +205,24 @@ class DualPathNet:
         self.frozen = True
 
     def losses_and_gradients(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Per-head cross-entropies (target 1) and their input gradients.
+        """Per-head cross-entropies (target 1) and their (n_inputs, n_heads)
+        input gradients at ``x``: row 0 of :meth:`stacked_losses_and_gradients`."""
+        L, G = self.stacked_losses_and_gradients(np.asarray(x, dtype=np.float64).ravel()[None])
+        return L[0], G[0]
+
+    def stacked_losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The losses of each row of an (r, n_inputs) stack and their
+        gradients, as (r, n_heads) and (r, n_inputs, n_heads).
 
         One forward pass gives both: the losses softplus(-z) = -log
-        sigmoid(z) of the head logits z, and the (n_inputs, n_heads) matrix
-        whose column i is d BCE(yhat_i, 1) / dx, so every head is pushed up.
-        Pure: never mutates parameters.
+        sigmoid(z) of the head logits z, and the matrices whose column i is
+        d BCE(yhat_i, 1) / dx, so every head is pushed up; each is
+        Fortran-ordered.  The layers multiply vector slices, so a row's
+        numbers do not depend on its stack (one gemm would sum in another
+        order).  Pure: never mutates parameters.
         """
-        x = np.asarray(x, dtype=np.float64).ravel()
-        h = np.tanh(self.w1 @ x + self.b1)
-        z = self.w2 @ h + self.b2
-        yhat = _sigmoid(z)
+        H = np.tanh(np.matmul(self.w1, X[:, :, None])[:, :, 0] + self.b1)
+        Z = np.matmul(self.w2, H[:, :, None])[:, :, 0] + self.b2
         # d bce_i / dz_i = yhat_i - 1;  dz_i/dx = W1^T (w2[i] * (1 - h^2))
-        back = (self.w2 * (1.0 - h * h)) @ self.w1  # (heads, n_inputs)
-        return np.logaddexp(0.0, -z), ((yhat - 1.0)[:, None] * back).T
+        back = np.matmul(self.w2 * (1.0 - H * H)[:, None, :], self.w1)  # (r, heads, n_inputs)
+        return np.logaddexp(0.0, -Z), ((_sigmoid(Z) - 1.0)[:, :, None] * back).transpose(0, 2, 1)

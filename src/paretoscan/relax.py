@@ -15,14 +15,15 @@ The engine hands a task only vectors that its own ``clamp`` made: its
 losses and gradients once per inner round, and one
 ``neighborhood_discretize`` call at the point the descent returned.  The
 task may therefore trust the vector's shape and feasibility and skip
-re-validating it; the loop checks what comes back.  A row's losses come
-from its task's ``losses_and_gradients``, or, when at least
-``_MIN_STACK`` rows of a round share a task class's pure stacked form
-(``TaskContract.stacked_losses_and_gradients``), from one call of that
-form for all of them.  A stack of rows steps in array passes: the
-profile, the QP (``qp._solve_rows``) and the step, and one ``clamp`` call
-on the (r, n) stack when every row's task clamps with the plain
-``TaskContract.clamp`` on one region.
+re-validating it; the loop checks what comes back.  A round's rows take
+their losses by one route: when at least ``_MIN_STACK`` of them share a
+task class's stacked form (``TaskContract.stacked_losses_and_gradients``)
+and its key (``TaskContract.stack_key``), one call of that form serves
+them all, and the stack steps in array passes: the profile, the QP
+(``qp._solve_rows``) and the step, and one ``clamp`` call on the (r, n)
+stack when every row's task clamps with the plain ``TaskContract.clamp``
+on one region.  Every other row calls its task's ``losses_and_gradients``
+and steps alone.
 
 Oracle accounting: one discrete evaluation costs m calls (one per objective).
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import abc
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,17 +103,20 @@ class TaskContract(abc.ABC):
     receive only vectors that :meth:`clamp` made.  A subclass that sets no ``default_eta`` runs only with
     an explicit ``RunConfig.eta``.
 
-    A class may also define ``stacked_losses_and_gradients``, a static
-    function that maps an (r, n) stack of clamped points to their (r, m)
-    losses and (r, n, m) gradients.  It must equal r calls of the class's
+    A class may also define ``stacked_losses_and_gradients``, a method
+    that maps an (r, n) stack of clamped points to their (r, m) losses and
+    (r, n, m) gradients.  It must equal r calls of the class's
     ``losses_and_gradients`` bit for bit, the gradients' memory order
-    included, and may read only the points and the class's constants,
-    never instance state.  A descent calls it once per inner round for
-    each group of at least ``_MIN_STACK`` rows that share it.  It serves
-    only tasks whose ``losses_and_gradients`` is the one defined in the
-    same class: a subclass or an instance that overrides the method keeps
-    its own calls.  When the form raises or returns a wrong shape, its
-    rows call their own ``losses_and_gradients`` that round.
+    included.  It may read instance state under the key rule: tasks of the
+    class with equal (hashable) ``stack_key`` values give equal numbers at
+    equal points, so a call made on any one of them serves them all.  A
+    descent calls the form once per inner round for each group of at
+    least ``_MIN_STACK`` rows whose tasks share the class and key and
+    whose points share a size.  It serves only tasks whose
+    ``losses_and_gradients`` is the one defined in the same class: a
+    subclass or an instance that overrides the method keeps its own
+    calls.  When the form raises or returns a wrong shape, its rows call
+    their own ``losses_and_gradients`` that round.
     """
 
     #: Number of objectives; set by subclasses.
@@ -121,8 +125,11 @@ class TaskContract(abc.ABC):
     region: Box | SimplexRows
     #: Descent step a run takes when ``RunConfig.eta`` is None; set by subclasses.
     default_eta: float
-    #: Optional pure stacked form of ``losses_and_gradients`` (see above).
-    stacked_losses_and_gradients: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    #: Optional stacked form of ``losses_and_gradients``, a method (see above).
+    stacked_losses_and_gradients: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
+    #: Tasks with equal keys may share a stacked call (see above); by
+    #: default every instance of a class may.
+    stack_key: Hashable = None
 
     def __init__(self) -> None:
         self._oracle_calls = 0
@@ -423,24 +430,25 @@ def _step_stack(
     return steps, moved
 
 
-#: Fewest rows of one shape and memory order that step as a stack.  Below
+#: Fewest rows of one stacked form, key and shape that step as a stack.  Below
 #: it the stack's fixed cost per inner round outweighs what it saves: two
 #: rows stacked took 1.04-1.24x the time of their two lone descents on the
 #: three tasks, three about 1.0x, four 0.96x and ten 0.67x.
 _MIN_STACK = 3
 
 
-def _stacked_form(task: TaskContract) -> Callable | None:
-    """The stacked form that serves ``task``'s losses, or None: the
-    ``stacked_losses_and_gradients`` of the class that defines the
-    ``losses_and_gradients`` the task calls, when it defines one."""
+def _stacked_form(task: TaskContract) -> tuple[type, Hashable] | None:
+    """The stacked form that serves ``task``'s losses, as (the class whose
+    ``stacked_losses_and_gradients`` it is, ``task.stack_key``), or None:
+    the form of the class that defines the ``losses_and_gradients`` the
+    task calls, when that class defines one."""
     method = getattr(task.losses_and_gradients, "__func__", None)
     for cls in type(task).__mro__:
         if "losses_and_gradients" in vars(cls):
             if vars(cls)["losses_and_gradients"] is method and (
                 "stacked_losses_and_gradients" in vars(cls)
             ):
-                return cls.stacked_losses_and_gradients
+                return cls, task.stack_key
             return None
     return None
 
@@ -455,12 +463,6 @@ def _stack_region(task: TaskContract) -> Box | SimplexRows | None:
     return None
 
 
-def _own_losses(task: TaskContract, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``task.losses_and_gradients(x)``, as float64 arrays."""
-    losses, grads = task.losses_and_gradients(x)
-    return np.asarray(losses, dtype=np.float64), np.asarray(grads, dtype=np.float64)
-
-
 #: One row of a round: its index, its losses and its (n, m) gradients.
 _Row = tuple[int, np.ndarray, np.ndarray]
 
@@ -472,17 +474,15 @@ def _gather(
     weights: list[np.ndarray],
     live: list[int],
     outcome: list,
-    k: int,
 ) -> tuple[list[tuple[list[_Row], np.ndarray, np.ndarray]], list[_Row]]:
-    """The losses and gradients of inner round ``k`` at the ``live`` rows,
-    as stacks of (rows, L, G) and the rows that step alone.
+    """The losses and gradients of an inner round at the ``live`` rows, as
+    stacks of (rows, L, G) and the rows that step alone.
 
-    The rows that share a stacked form and a shape, at least
-    ``_MIN_STACK`` of them, take one call of it.  Every other row calls
-    its own task, as do the rows of a form that raises or returns a wrong
-    shape; of these, the rows whose gradient matrices share a shape and a
-    memory order stack when there are at least ``_MIN_STACK`` of them.  A
-    row whose task raises or returns a wrong shape gets its outcome here.
+    The rows that share a stacked form, its key and a shape, at least
+    ``_MIN_STACK`` of them, take one call of the form, made on the first
+    row's task.  Every other row calls its own task, as do the rows of a
+    form that raises or returns a wrong shape, and steps alone.  A row
+    whose task raises gets its outcome here.
     """
     stacks: list = []
     own: list[int] = []
@@ -492,9 +492,10 @@ def _gather(
             own.append(i)
         else:
             shared.setdefault((forms[i], points[i].size, weights[i].size), []).append(i)
-    for (form, n, m), ids in shared.items():
+    for ((cls, _), n, m), ids in shared.items():
         if len(ids) >= _MIN_STACK:
             try:
+                form = vars(cls)["stacked_losses_and_gradients"].__get__(tasks[ids[0]])
                 L, G = form(np.array([points[i] for i in ids]))
                 L = np.array(L, dtype=np.float64)
                 G = np.asarray(G, dtype=np.float64)
@@ -504,30 +505,13 @@ def _gather(
                 stacks.append(([(i, L[j], G[j]) for j, i in enumerate(ids)], L, G))
                 continue
         own += ids
-    groups: dict = {}
+    alone: list[_Row] = []
     for i in sorted(own):
         try:
-            losses, grads = _own_losses(tasks[i], points[i])
+            losses, grads = tasks[i].losses_and_gradients(points[i])
+            alone.append((i, np.asarray(losses, np.float64), np.asarray(grads, np.float64)))
         except Exception as exc:  # the task's own failure stops its row only
             outcome[i] = exc
-            continue
-        n = points[i].size
-        if losses.shape != weights[i].shape or grads.shape != (n, losses.size):
-            outcome[i] = _row_error(losses, grads, weights[i], n, k)
-            continue
-        fortran = grads.flags.f_contiguous and not grads.flags.c_contiguous
-        groups.setdefault((grads.shape, fortran), []).append((i, losses, grads))
-    alone: list[_Row] = []
-    for (_, fortran), rows in groups.items():
-        if len(rows) < _MIN_STACK:
-            alone += rows
-            continue
-        L = np.array([row[1] for row in rows])
-        if fortran:  # each slice keeps its matrix's order, so BLAS sums alike
-            G = np.array([row[2].T for row in rows]).transpose(0, 2, 1)
-        else:
-            G = np.array([row[2] for row in rows])
-        stacks.append((rows, L, G))
     return stacks, alone
 
 
@@ -546,16 +530,15 @@ def _descend_rows(
 
     Row i descends ``tasks[i]`` from ``starts[i]`` along the validated
     weights ``weights[i]`` with step ``etas[i]``, and equals the descent
-    it makes as the only row bit for bit.  A round with fewer than
-    ``_MIN_STACK`` live rows asks each task for its losses and gradients
-    and steps each row alone (:func:`_step_row`).  A larger round gathers
-    its rows (:func:`_gather`): rows that share a stacked form take their
-    losses from one call of it, and the stacks step at once
+    it makes as the only row bit for bit.  Each round gathers its rows
+    (:func:`_gather`): rows that share a stacked form and its key take
+    their losses from one call of it, and each such stack steps at once
     (:func:`_step_stack`); the other rows, and every row of a stack that
-    one of its rows fails, step alone.  A row that steps alone makes its
-    own clamp.  A stack is clamped in one call when its rows' tasks share
-    the plain clamp and a region (:func:`_stack_region`); otherwise, or
-    when that call raises, each row makes its own clamp.
+    one of its rows fails, step alone (:func:`_step_row`).  A row that
+    steps alone makes its own clamp.  A stack is clamped in one call when
+    its rows' tasks share the plain clamp and a region
+    (:func:`_stack_region`); otherwise, or when that call raises, each row
+    makes its own clamp.
 
     Returns, per row, its InnerResult or the exception that stopped it: a
     row whose task raises, whose values fail a check or whose step raises
@@ -597,41 +580,29 @@ def _descend_rows(
                 outcome[i] = exc
 
     for k in range(rounds):
-        if len(live) < _MIN_STACK:
-            for i in live:
-                try:
-                    losses, grads = _own_losses(tasks[i], points[i])
-                    step, moved = _step_row(
-                        losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
-                    )
-                    advance(i, k, step)
-                    points[i] = tasks[i].clamp(moved)
-                except Exception as exc:  # the row's task, step or clamp raised
-                    outcome[i] = exc
-        else:
-            stacks, alone = _gather(tasks, forms, points, weights, live, outcome, k)
-            for rows, L, G in stacks:
-                ids = [row[0] for row in rows]
-                try:
-                    stepped = _step_stack(ids, L, G, weights, etas, points, hints, mode)
-                except Exception:  # the rows step alone, so only a raising row stops
-                    stepped = None
-                if stepped is None:
-                    alone += rows
-                    continue
-                steps, moved = stepped
-                for i, step in zip(ids, steps):
-                    advance(i, k, step)
-                clamp(ids, moved)
-            for i, losses, grads in alone:
-                try:
-                    step, moved = _step_row(
-                        losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
-                    )
-                    advance(i, k, step)
-                    points[i] = tasks[i].clamp(moved)
-                except Exception as exc:  # the row's step or clamp raised
-                    outcome[i] = exc
+        stacks, alone = _gather(tasks, forms, points, weights, live, outcome)
+        for rows, L, G in stacks:
+            ids = [row[0] for row in rows]
+            try:
+                stepped = _step_stack(ids, L, G, weights, etas, points, hints, mode)
+            except Exception:  # the rows step alone, so only a raising row stops
+                stepped = None
+            if stepped is None:
+                alone += rows
+                continue
+            steps, moved = stepped
+            for i, step in zip(ids, steps):
+                advance(i, k, step)
+            clamp(ids, moved)
+        for i, losses, grads in alone:
+            try:
+                step, moved = _step_row(
+                    losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
+                )
+                advance(i, k, step)
+                points[i] = tasks[i].clamp(moved)
+            except Exception as exc:  # the row's step or clamp raised
+                outcome[i] = exc
         live = [i for i in live if outcome[i] is None]
     for i in live:
         outcome[i] = InnerResult(

@@ -496,10 +496,10 @@ def front_scan(
     start is clamped once, a ray whose clamped start did not move reuses
     its last descent, and every other ray descends in one
     ``relax._descend_rows`` call, each on its own task.  In each inner
-    round, three or more rays whose tasks share a stacked form take their
-    losses from one call of it, and three or more rays of one gradient
-    shape and memory order step as a stack: one QP pass for all of them,
-    and one clamp when their tasks share the plain clamp and a region.
+    round, three or more rays whose tasks share a stacked form and its key
+    take their losses from one call of it and step as a stack: one QP
+    pass for all of them, and one clamp when their tasks share the plain
+    clamp and a region; every other ray steps alone.
     Ray i equals the solo run of its settings bit for bit.
 
     Args:

@@ -20,8 +20,9 @@ Three task families exercise the relax-descend-discretize loop:
 Each task computes its losses only through its own methods: the oracle
 losses of a candidate through ``eval_discrete``, the relaxed losses and
 gradients through ``losses_and_gradients`` at a vector ``clamp`` made.
-``SyntheticTask`` also has a stacked form of the relaxed losses, which
-maps many such vectors at once through the same helper, bit for bit.
+Each task also has a stacked form of the relaxed losses, which maps an
+(r, n) stack of such vectors at once through the same helpers, bit for
+bit, and a ``stack_key`` that says which tasks may share one call of it.
 
 Every task parameter is an integer with a floor, which the task's own
 constructor checks; the grid, the start box and the seeds are constants.
@@ -191,6 +192,9 @@ ALPHABET = "CVA"
 _UNIGRAM_TARGETS = ("C", "V", "A")
 _BIGRAM_TARGETS = ("CV", "VA", "AC")
 _CHAR_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
+#: The letter indices of each bigram target's first and second letter.
+_BIGRAM_FIRST = [_CHAR_INDEX[a] for a, _ in _BIGRAM_TARGETS]
+_BIGRAM_SECOND = [_CHAR_INDEX[b] for _, b in _BIGRAM_TARGETS]
 #: The letters' byte codes, and the one-hot row of each byte (zero for a non-letter).
 _CODES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
 _ONE_HOT = np.zeros((256, 3))
@@ -210,25 +214,21 @@ def _one_hot(sequence: str, l_max: int) -> np.ndarray:
 
 
 def _ngram_losses(P: np.ndarray, mode: str, l_max: int) -> np.ndarray:
-    """Losses 1 - normalized target counts of a row-stochastic matrix.
+    """Losses 1 - normalized target counts of a row-stochastic (l_max, 3)
+    matrix, as (3,), or of each matrix of an (r, l_max, 3) stack, as (r, 3).
 
     Unigram mode counts each alphabet symbol (normalized by the length);
     bigram mode counts CV, VA, AC over adjacent pairs (normalized by the
     pair count).  The counts are expectations, exact for a one-hot string,
-    with bigram expectations factorized across adjacent rows.
+    with bigram expectations factorized across adjacent rows.  Each bigram
+    count sums a contiguous run of l_max - 1 products, so a matrix's counts
+    do not depend on the rest of its stack.
     """
     if mode == "unigram":
-        counts = P.sum(axis=0)
-        return 1.0 - counts / l_max
-    first = P[:-1]
-    second = P[1:]
-    counts = np.array(
-        [
-            float(np.sum(first[:, _CHAR_INDEX[a]] * second[:, _CHAR_INDEX[b]]))
-            for a, b in _BIGRAM_TARGETS
-        ]
-    )
-    return 1.0 - counts / (l_max - 1)
+        return 1.0 - P.sum(axis=-2) / l_max
+    Q = np.swapaxes(P, -1, -2)  # symbol, position
+    products = Q[..., _BIGRAM_FIRST, :-1] * Q[..., _BIGRAM_SECOND, 1:]
+    return 1.0 - products.sum(axis=-1) / (l_max - 1)
 
 
 def _unigram_gradients(l_max: int) -> np.ndarray:
@@ -240,17 +240,23 @@ def _unigram_gradients(l_max: int) -> np.ndarray:
 
 
 def _bigram_gradients(P: np.ndarray, l_max: int) -> np.ndarray:
-    """The bigram gradient matrix at a matrix already known to be valid."""
-    grads = np.zeros((l_max, 3, 3))  # position, symbol, objective
-    for k, (a, b) in enumerate(_BIGRAM_TARGETS):
-        ia, ib = _CHAR_INDEX[a], _CHAR_INDEX[b]
-        grads[:-1, ia, k] -= P[1:, ib] / (l_max - 1)
-        grads[1:, ib, k] -= P[:-1, ia] / (l_max - 1)
-    return grads.reshape(3 * l_max, 3)
+    """The (3 l_max, 3) bigram gradient matrix at an (l_max, 3) matrix
+    already known to be valid, or the (r, 3 l_max, 3) stack of them at an
+    (r, l_max, 3) stack."""
+    lead = P.shape[:-2]
+    grads = np.zeros((*lead, l_max, 3, 3))  # position, symbol, objective
+    for k, (ia, ib) in enumerate(zip(_BIGRAM_FIRST, _BIGRAM_SECOND)):
+        grads[..., :-1, ia, k] -= P[..., 1:, ib] / (l_max - 1)
+        grads[..., 1:, ib, k] -= P[..., :-1, ia] / (l_max - 1)
+    return grads.reshape(*lead, 3 * l_max, 3)
 
 
 class NGramTask(TaskContract):
-    """Fixed-length strings over {C, V, A} scored by n-gram counts."""
+    """Fixed-length strings over {C, V, A} scored by n-gram counts.
+
+    Its stacked form reads the mode, which is its ``stack_key``, and the
+    length, which the point size fixes.
+    """
 
     m = 3
     default_eta = 0.2
@@ -262,6 +268,7 @@ class NGramTask(TaskContract):
         _check_params("ngram-uni", l_max=l_max)
         self.mode = mode
         self.l_max = l_max
+        self.stack_key = mode
         self.region = SimplexRows(l_max, 3)
         # the unigram gradient is the same at every point: build it once
         self._unigram_grads = _unigram_gradients(l_max) if mode == "unigram" else None
@@ -279,6 +286,13 @@ class NGramTask(TaskContract):
         losses = _ngram_losses(P, self.mode, self.l_max)
         if self._unigram_grads is not None:
             return losses, self._unigram_grads
+        return losses, _bigram_gradients(P, self.l_max)
+
+    def stacked_losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        P = X.reshape(len(X), self.l_max, 3)
+        losses = _ngram_losses(P, self.mode, self.l_max)
+        if self._unigram_grads is not None:  # a writeable copy per row
+            return losses, np.repeat(self._unigram_grads[None], len(X), axis=0)
         return losses, _bigram_gradients(P, self.l_max)
 
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
@@ -361,8 +375,10 @@ class SurrogateTask(TaskContract):
     Discrete evaluations query the ground-truth oracle and count against the
     oracle budget.  The relaxation is the unit cube; its losses and
     gradients are the per-head cross-entropies (target 1) of the pretrained
-    net, so the descent path never touches the oracle.  The net's 1024
-    oracle-labeled training rows are not counted as oracle calls.
+    net, so the descent path never touches the oracle.  Its stacked form
+    reads only the net, which is its ``stack_key`` and which tasks of equal
+    settings share.  The net's 1024 oracle-labeled training rows are not
+    counted as oracle calls.
     ``epochs`` caps the net's training steps: training stops earlier once
     the loss fell by at most 1e-4 of its value over 100 steps (at n_b = 16,
     the m = 2 net after 581 steps and the m = 4 net after 593).
@@ -377,6 +393,7 @@ class SurrogateTask(TaskContract):
         self.m = m
         self.n_b = n_b
         self.oracle, self.net = _trained_net(n_b, m, epochs)
+        self.stack_key = self.net
 
     def _discrete_losses(self, candidate) -> np.ndarray:
         return self.oracle.losses(np.asarray(candidate, dtype=np.float64))
@@ -387,11 +404,14 @@ class SurrogateTask(TaskContract):
     def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.net.losses_and_gradients(x)
 
+    def stacked_losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.net.stacked_losses_and_gradients(X)
+
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
-        out = [(x >= 0.5).astype(np.int64)]
-        for _ in range(count - 1):
-            out.append((rng.random(self.n_b) < x).astype(np.int64))
-        return out
+        # one (count - 1, n_b) draw fills its rows in the order that count - 1
+        # draws of n_b would, and leaves rng in the same state
+        draws = (rng.random((count - 1, self.n_b)) < x).astype(np.int64)
+        return [(x >= 0.5).astype(np.int64), *draws]
 
     def candidate_id(self, candidate) -> str:
         return "b:" + "".join(str(int(b)) for b in candidate)

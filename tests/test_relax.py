@@ -20,7 +20,7 @@ from paretoscan.relax import (
     discretize_select,
     inner_descent,
 )
-from paretoscan.tasks import SyntheticTask, make_task
+from paretoscan.tasks import NGramTask, SurrogateTask, SyntheticTask, make_task
 from paretoscan.weights import lift_positive, weight_grid
 
 #: The stub tasks' feasible region: the whole space.
@@ -97,11 +97,24 @@ def test_a_stack_projects_row_by_row_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 
+def _bowl(X):
+    """The stub's bowl losses ||x||^2, ||x - 1||^2 and their gradients at
+    each row of X."""
+    L = np.stack([(X * X).sum(axis=1), ((X - 1.0) * (X - 1.0)).sum(axis=1)], axis=1)
+    G = np.stack([2.0 * X, 2.0 * (X - 1.0)], axis=2)
+    return L, G
+
+
 class _StubTask(TaskContract):
-    """Quadratic bowl with hooks to inject failures and scripted candidates."""
+    """Quadratic bowl with hooks to inject failures and scripted candidates.
+
+    Its stacked form is the bowl itself, so rows of stub tasks stack; the
+    failure hooks act on the one-row calls only.
+    """
 
     m = 2
     region = _FREE
+    stacked_losses_and_gradients = staticmethod(_bowl)
 
     def __init__(self, fail_grad_round=None, fail_loss_round=None, candidates=None):
         super().__init__()
@@ -120,8 +133,8 @@ class _StubTask(TaskContract):
     def losses_and_gradients(self, x):
         k = self.calls
         self.calls += 1
-        losses = np.array([float(x @ x), float((x - 1.0) @ (x - 1.0))])
-        grads = np.stack([2.0 * x, 2.0 * (x - 1.0)], axis=1)
+        L, G = _bowl(x[None])
+        losses, grads = L[0], G[0]
         if k == self.fail_loss_round:
             losses = np.array([np.nan, 1.0])
         if k == self.fail_grad_round:
@@ -439,23 +452,33 @@ def test_stacked_profiles_equal_the_profile_of_each_row(data):
         assert np.array_equal(np.flatnonzero(active), want[2])
 
 
+def _fortran_bowl(X):
+    """The bowl with Fortran-ordered gradient slices, as the surrogate's are."""
+    L, G = _bowl(X)
+    return L, np.ascontiguousarray(G.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
 class _FortranStub(_StubTask):
-    """Stub whose gradient matrix is Fortran-ordered, as the surrogate's is."""
+    """Stub whose gradient matrices are Fortran-ordered, one row or stacked."""
 
     def losses_and_gradients(self, x):
-        losses, grads = super().losses_and_gradients(x)
-        return losses, np.asfortranarray(grads)
+        L, G = _fortran_bowl(x[None])
+        return L[0], G[0]
+
+    stacked_losses_and_gradients = staticmethod(_fortran_bowl)
 
 
 def _spy_on_stacks(monkeypatch) -> list:
     """Patch ``relax._step_stack`` to record (rows, Fortran order, stepped)
-    per call, where stepped says it returned steps rather than None."""
+    per call, where stepped says it returned steps rather than None or
+    raising."""
     stacked, step_stack = [], relax._step_stack
 
     def spy(ids, L, G, *args):
-        steps = step_stack(ids, L, G, *args)
         fortran = G[0].flags.f_contiguous and not G[0].flags.c_contiguous
-        stacked.append((len(ids), fortran, steps is not None))
+        stacked.append((len(ids), fortran, False))
+        steps = step_stack(ids, L, G, *args)
+        stacked[-1] = (len(ids), fortran, steps is not None)
         return steps
 
     monkeypatch.setattr(relax, "_step_stack", spy)
@@ -463,10 +486,11 @@ def _spy_on_stacks(monkeypatch) -> list:
 
 
 def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypatch):
-    # three rows of each gradient shape and memory order, at different
-    # etas, descend in one call; every group steps as a stack in every
-    # round, the synthetic rows take their losses from one stacked call,
-    # and each row equals the descent it makes alone
+    # three rows of each task kind, at different etas, descend in one
+    # call; each kind's rows take their losses from one call of its
+    # stacked form and step as a stack in every round, the gradient
+    # slices keep their memory order, and each row equals the descent it
+    # makes alone
     kinds = [
         (lambda: SyntheticTask(n=4), (0.05, 0.11, 0.02)),
         (lambda: make_task("ngram-uni", l_max=3), (0.2, 0.1, 0.3)),
@@ -509,9 +533,44 @@ def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypat
             assert _trace_bytes(got) == _trace_bytes(alone), (type(task).__name__, mode)
 
 
+def test_rows_share_a_stacked_call_only_when_their_tasks_keys_are_equal(monkeypatch):
+    # unigram and bigram tasks of one length, and surrogate tasks trained
+    # for different epochs, hold different keys and never share a call;
+    # three surrogate tasks of equal settings share one net and one call
+    calls = []
+    for cls in (NGramTask, SurrogateTask):
+
+        def spy(self, X, form=cls.stacked_losses_and_gradients):
+            calls.append((self.stack_key, len(X)))
+            return form(self, X)
+
+        monkeypatch.setattr(cls, "stacked_losses_and_gradients", spy)
+
+    def build():
+        return (
+            [make_task(name, l_max=4) for name in ("ngram-uni", "ngram-bi") for _ in range(3)]
+            + [make_task("surrogate", n_b=6, epochs=50) for _ in range(3)]
+            + [make_task("surrogate", n_b=6, epochs=e) for e in (60, 70, 80)]
+        )
+
+    tasks = build()
+    rng = np.random.default_rng(8)
+    starts = [task.clamp(task.relax(task.random_candidate(rng))) for task in tasks]
+    weights = [lift_positive(rng.uniform(0.2, 1.0, task.m)) for task in tasks]
+    etas = [task.default_eta for task in tasks]
+    out = relax._descend_rows(tasks, starts, weights, etas, rounds=4, mode="epo")
+    assert calls == [("unigram", 3), ("bigram", 3), (tasks[6].net, 3)] * 4
+    assert len({task.net for task in tasks[6:]}) == 4
+    calls.clear()
+    for task, start, w, eta, got in zip(build(), starts, weights, etas, out):
+        alone = inner_descent(task, start, w, eta=eta, rounds=4)
+        assert _trace_bytes(got) == _trace_bytes(alone)
+    assert calls == []  # a lone row calls its own task
+
+
 @pytest.mark.parametrize("mode", ["epo", "ls"])
 def test_a_group_of_three_rows_stacks_and_a_group_of_two_steps_row_by_row(monkeypatch, mode):
-    # two C-ordered and three Fortran-ordered stub rows in one call: only
+    # two rows of one stacked form and three of another in one call: only
     # the three stack, and every row equals the descent it makes alone
     def build():
         return [_StubTask(), _FortranStub(), _StubTask(), _FortranStub(), _FortranStub()]
@@ -539,19 +598,23 @@ def test_a_group_of_three_rows_stacks_and_a_group_of_two_steps_row_by_row(monkey
         {"losses": [0.5, 0.5, 0.5]},
     ],
 )
-def test_a_failing_row_stops_alone_with_its_one_row_error(bad, mode):
-    starts = [np.array([0.4, 0.7]), np.array([0.1, 0.9]), np.array([-0.3, 0.2])]
-    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
-    etas = [0.1, 0.05, 0.2]
-    tasks = [_StubTask(), _GuardStub(2, **bad), _StubTask()]
+def test_a_failing_row_stops_alone_with_its_one_row_error(monkeypatch, bad, mode):
+    # the guard row overrides the losses, so it steps alone beside a stack
+    # of three stub rows, which its failure leaves untouched
+    starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [-0.3, 0.2], [1.5, -0.5])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1], [0.2, 1.0])]
+    etas = [0.1, 0.05, 0.2, 0.15]
+    tasks = [_StubTask(), _GuardStub(2, **bad), _StubTask(), _StubTask()]
+    stacked = _spy_on_stacks(monkeypatch)
     out = relax._descend_rows(tasks, starts, weights, etas, rounds=5, mode=mode)
+    assert stacked == [(3, False, True)] * 5
     assert isinstance(out[1], Exception)
     with pytest.raises(Exception) as alone:
         inner_descent(_GuardStub(2, **bad), starts[1], weights[1], eta=etas[1], rounds=5, mode=mode)
     assert type(out[1]) is type(alone.value)
     assert str(out[1]) == str(alone.value)
     assert getattr(out[1], "round_index", None) == getattr(alone.value, "round_index", None)
-    for j in (0, 2):
+    for j in (0, 2, 3):
         clean = inner_descent(_StubTask(), starts[j], weights[j], eta=etas[j], rounds=5, mode=mode)
         assert _trace_bytes(out[j]) == _trace_bytes(clean)
 
@@ -574,12 +637,15 @@ def test_a_row_whose_qp_raises_stops_alone(monkeypatch):
 
     monkeypatch.setattr(qp, "_solve_m2", refusing)
     monkeypatch.setattr(qp, "_solve_m2_rows", refusing_rows)
+    stacked = _spy_on_stacks(monkeypatch)
     starts = [np.array([0.4, 0.7]), np.array([8.0, 8.0]), np.array([0.1, 0.9])]
     weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
     for stack_from in (qp._M2_STACK, 3):  # the three rows row by row, then as one stack
         monkeypatch.setattr(qp, "_M2_STACK", stack_from)
+        stacked.clear()
         tasks = [_StubTask(), _StubTask(), _StubTask()]
         out = relax._descend_rows(tasks, starts, weights, [0.1] * 3, rounds=5, mode="epo")
+        assert stacked == [(3, False, False)]  # then two rows are left, which step alone
         assert isinstance(out[1], RuntimeError) and str(out[1]) == "no pattern"
         with pytest.raises(RuntimeError, match="no pattern"):
             inner_descent(_StubTask(), starts[1], weights[1], eta=0.1, rounds=5)
@@ -608,6 +674,7 @@ def test_a_stack_clamps_in_one_call_unless_a_task_overrides_clamp(monkeypatch):
 
     patched = _StubTask()
     patched.clamp = lambda x: own.append(x.shape) or _FREE.project(x)
+    steps = _spy_on_stacks(monkeypatch)
     starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [-0.3, 0.2])]
     weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
     etas = [0.1, 0.05, 0.2]
@@ -618,7 +685,9 @@ def test_a_stack_clamps_in_one_call_unless_a_task_overrides_clamp(monkeypatch):
     ):
         shapes.clear()
         own.clear()
+        steps.clear()
         out = relax._descend_rows(build(), starts, weights, etas, rounds=4, mode="epo")
+        assert steps == [(3, False, True)] * 4  # the rows step as a stack either way
         if stacked:
             assert shapes == [(3, 2)] * 4 and own == []
         else:
@@ -644,13 +713,15 @@ class _PickyStub(_StubTask):
 
 
 @pytest.mark.parametrize("mode", ["epo", "ls"])
-def test_a_stacked_clamp_that_raises_stops_only_the_raising_row(mode):
+def test_a_stacked_clamp_that_raises_stops_only_the_raising_row(monkeypatch, mode):
     starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [8.0, 8.0], [-0.3, 0.2])]
     weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.5, 0.5], [0.9, 0.1])]
     etas = [0.1, 0.05, 0.1, 0.2]
+    stacked = _spy_on_stacks(monkeypatch)
     out = relax._descend_rows(
         [_PickyStub() for _ in starts], starts, weights, etas, rounds=5, mode=mode
     )
+    assert stacked == [(4, False, True)] + [(3, False, True)] * 4
     alone = [
         relax._descend_rows([_PickyStub()], [x], [w], [eta], rounds=5, mode=mode)[0]
         for x, w, eta in zip(starts, weights, etas)
@@ -661,20 +732,31 @@ def test_a_stacked_clamp_that_raises_stops_only_the_raising_row(mode):
 
 
 def test_a_row_whose_task_raises_stops_alone():
+    # the task raises, or returns gradients that make no array
     class _Refusing(_StubTask):
         def losses_and_gradients(self, x):
             if self.calls == 3:
                 raise RuntimeError("refused")
             return super().losses_and_gradients(x)
 
+    class _Ragged(_StubTask):
+        def losses_and_gradients(self, x):
+            if self.calls == 3:
+                return np.ones(2), [[1.0], [1.0, 2.0]]
+            return super().losses_and_gradients(x)
+
     starts = [np.array([0.4, 0.7]), np.array([0.1, 0.9])]
     weights = [lift_positive([1.0, 1.0])] * 2
-    out = relax._descend_rows(
-        [_Refusing(), _StubTask()], starts, weights, [0.1, 0.1], rounds=5, mode="epo"
-    )
-    assert isinstance(out[0], RuntimeError) and str(out[0]) == "refused"
     clean = inner_descent(_StubTask(), starts[1], weights[1], eta=0.1, rounds=5)
-    assert _trace_bytes(out[1]) == _trace_bytes(clean)
+    for failing, error, message in (
+        (_Refusing, RuntimeError, "refused"),
+        (_Ragged, ValueError, None),
+    ):
+        out = relax._descend_rows(
+            [failing(), _StubTask()], starts, weights, [0.1, 0.1], rounds=5, mode="epo"
+        )
+        assert type(out[0]) is error and message in (None, str(out[0]))
+        assert _trace_bytes(out[1]) == _trace_bytes(clean)
 
 
 def test_a_stacked_form_serves_only_the_losses_of_the_class_that_defines_it():
@@ -684,32 +766,41 @@ def test_a_stacked_form_serves_only_the_losses_of_the_class_that_defines_it():
 
     patched = SyntheticTask(n=2)
     patched.losses_and_gradients = lambda x: SyntheticTask.losses_and_gradients(patched, x)
-    assert relax._stacked_form(SyntheticTask(n=2)) is SyntheticTask.stacked_losses_and_gradients
+    surrogate = make_task("surrogate", n_b=4, m=2, epochs=0)
+    assert relax._stacked_form(SyntheticTask(n=2)) == (SyntheticTask, None)
+    assert relax._stacked_form(make_task("ngram-bi")) == (NGramTask, "bigram")
+    assert relax._stacked_form(surrogate) == (SurrogateTask, surrogate.net)
     assert relax._stacked_form(_Overrides(n=2)) is None
     assert relax._stacked_form(patched) is None
-    assert relax._stacked_form(_StubTask()) is None
+    assert relax._stacked_form(_StubTask()) == (_StubTask, None)
+    assert relax._stacked_form(_ZeroGradTask()) is None
+
+    class _OnlyStacked(_StubTask):
+        stacked_losses_and_gradients = staticmethod(_fortran_bowl)
+
+    # the form that serves is the one of the class that defines the losses
+    assert relax._stacked_form(_OnlyStacked()) == (_StubTask, None)
 
 
-def _bowl(X):
-    """The stub's bowl losses and gradients at each row of X, with NaN
-    gradients at a row whose first coordinate exceeds 5."""
-    L = np.stack([(X * X).sum(axis=1), ((X - 1.0) * (X - 1.0)).sum(axis=1)], axis=1)
-    G = np.stack([2.0 * X, 2.0 * (X - 1.0)], axis=2)
+def _trapped_bowl(X):
+    """The bowl, with NaN gradients at a row whose first coordinate exceeds 5."""
+    L, G = _bowl(X)
     G[X[:, 0] > 5.0] = np.nan
     return L, G
 
 
 @pytest.mark.parametrize("mode", ["epo", "ls"])
-@pytest.mark.parametrize("broken", ["raises", "shape"])
+@pytest.mark.parametrize("broken", ["raises", "shape", "values"])
 def test_a_stacked_form_that_fails_falls_back_to_each_rows_own_losses(broken, mode):
     # the form refuses a stack holding the faulty row: it raises or returns
-    # a wrong shape, the rows call their own losses, and only the faulty
-    # row stops, with its one-row error; the rest take the form again
+    # a wrong shape, and the rows call their own losses, or it returns the
+    # row's NaN gradients, and the stack steps row by row; only the faulty
+    # row stops, with its one-row error, and the rest take the form again
     formed = []
 
     class _PureBowl(_StubTask):
         def losses_and_gradients(self, x):
-            losses, grads = _bowl(x[None])
+            losses, grads = _trapped_bowl(x[None])
             return losses[0], grads[0]
 
         @staticmethod
@@ -718,8 +809,9 @@ def test_a_stacked_form_that_fails_falls_back_to_each_rows_own_losses(broken, mo
             if (X[:, 0] > 5.0).any():
                 if broken == "raises":
                     raise RuntimeError("stack refused")
-                return np.zeros((len(X), 3)), np.zeros((len(X), X.shape[1], 3))
-            return _bowl(X)
+                if broken == "shape":
+                    return np.zeros((len(X), 3)), np.zeros((len(X), X.shape[1], 3))
+            return _trapped_bowl(X)
 
     starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [8.0, 8.0], [-0.3, 0.2])]
     weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.5, 0.5], [0.9, 0.1])]

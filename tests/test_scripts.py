@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on a tiny configuration."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -50,3 +51,32 @@ def test_experiment_script_runs(tmp_path, script, args, files):
     assert proc.returncode == 0, proc.stderr
     for name in files:
         assert (tmp_path / name).is_file(), name
+
+
+def test_stack_timing_counts_each_computed_row_round_on_one_route(tmp_path):
+    # each computed descent runs K inner rounds, and each of its row-rounds
+    # steps either in a stack or alone; a lone ray never stacks, and three
+    # synthetic rays stack in every round of the first outer round
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["--rays", "1", "3", "--repeats", "1", *_TINY]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stack_timing.py"), "--out", str(tmp_path), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "stack_timing.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["task"], row["rays"]) for row in rows] == [
+        (task, rays) for task in ("synthetic", "ngram-uni", "surrogate") for rays in ("1", "3")
+    ]
+    for row in rows:
+        stacked, alone = int(row["stacked_row_rounds"]), int(row["alone_row_rounds"])
+        computed = stacked + alone
+        assert computed % 2 == 0 and 0 < computed <= int(row["ray_rounds"]) * 2, row
+        if row["rays"] == "1":
+            assert stacked == 0, row
+    synthetic = rows[1]
+    assert int(synthetic["stacked_row_rounds"]) >= 3 * 2, synthetic

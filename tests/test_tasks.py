@@ -126,6 +126,33 @@ def test_the_stacked_synthetic_losses_equal_one_row_calls_bit_for_bit(r):
     assert (L == 1.0).all() and not G.any()
 
 
+@pytest.mark.parametrize("r", [1, 3, 4, 12])
+@pytest.mark.parametrize("name", ["ngram-uni", "ngram-bi", "surrogate"])
+def test_the_stacked_ngram_and_surrogate_losses_equal_one_row_calls_bit_for_bit(name, r):
+    # clamped interior points, 0/1 rows (one-hot strings, bit vectors) and
+    # stacks that mix them; every gradient slice keeps the memory order of
+    # the one-row call
+    rng = np.random.default_rng(r)
+    if name == "surrogate":
+        built = [make_task(name, m=m, epochs=200) for m in (1, 2, 4)]
+    else:
+        built = [make_task(name, l_max=l_max) for l_max in (2, 3, 8, 9, 16, 33)]
+    for task in built:
+        n = task.relax(task.random_candidate(rng)).size
+        inside = task.clamp(rng.normal(0.5, 0.5, (r, n)))
+        corners = np.array([task.relax(task.random_candidate(rng)) for _ in range(r)])
+        mixed = np.where(rng.random((r, 1)) < 0.5, inside, corners)
+        for X in (inside, corners, mixed):
+            L, G = task.stacked_losses_and_gradients(X)
+            assert L.shape == (r, task.m) and G.shape == (r, n, task.m) and G.flags.writeable
+            for x, losses, grads in zip(X, L, G):
+                one_losses, one_grads = task.losses_and_gradients(x)
+                assert losses.tobytes() == one_losses.tobytes()
+                assert grads.tobytes() == one_grads.tobytes()
+                assert grads.flags.c_contiguous == one_grads.flags.c_contiguous
+                assert grads.flags.f_contiguous == one_grads.flags.f_contiguous
+
+
 def test_synthetic_true_front_endpoints():
     front = SyntheticTask().true_front(201)
     edge = 1.0 - math.exp(-4.0)
@@ -470,6 +497,24 @@ def test_surrogate_neighborhood_threshold_first(small_surrogate):
     assert batch[0].tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
     assert all(set(b.tolist()) <= {0, 1} for b in batch)
     assert task.candidate_id(batch[0]) == "b:10101010"
+
+
+def test_surrogate_neighborhood_draws_equal_one_draw_per_candidate(small_surrogate):
+    # one (count - 1, n_b) uniform draw must give the candidates of count - 1
+    # draws of n_b and leave the generator where that loop leaves it
+    task = small_surrogate
+    gen = np.random.default_rng(2026)
+    for case in range(200):
+        x = task.clamp(gen.normal(0.5, 0.6, task.n_b))
+        count = int(gen.integers(1, 12))
+        stacked, looped = np.random.default_rng(case), np.random.default_rng(case)
+        got = task.neighborhood_discretize(x, count, stacked)
+        want = [(x >= 0.5).astype(np.int64)] + [
+            (looped.random(task.n_b) < x).astype(np.int64) for _ in range(count - 1)
+        ]
+        assert [c.tolist() for c in got] == [c.tolist() for c in want], case
+        assert all(c.dtype == np.int64 and c.shape == (task.n_b,) for c in got), case
+        assert stacked.bit_generator.state == looped.bit_generator.state, case
 
 
 def test_surrogate_net_cache_reuses_training():
