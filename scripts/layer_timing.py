@@ -7,10 +7,12 @@ eta 0.05), ``ngram-uni`` (12 rays of ``weight_grid(3, 12)``, eta 0.2) and
 0.1), each with T = 50, K = 20, C = 10, seed 1 and the task's reference
 front where it has one.  A workload scans once to warm up (the surrogate
 trains its net there), then ``--repeats`` times with ``time.perf_counter``
-wrappers on four layers:
+wrappers on five layers, each timed without the wrapped layers it calls:
 
 * ``descend``: ``relax._descend_rows``, the inner descent of the rays that
   moved, stacked or row by row;
+* ``starts``: ``search._descents`` outside ``descend``: each ray's relaxed
+  candidate, the clamps of the rays' starts and the reuse check;
 * ``select``: ``search.discretize_select``, the neighbourhood draw, the
   oracle calls and the pick of one candidate per ray and round;
 * ``archive``: ``search.build_archive``, the scan's Pareto archive;
@@ -18,7 +20,8 @@ wrappers on four layers:
 
 It writes one CSV row per workload: the median wall seconds of a scan,
 each layer's median seconds per scan and calls per scan, and ``rest_s``,
-the scan time the four layers leave (clamps, reuse checks, metrics).
+the scan time the five layers leave (the rays' set-up, the outer loop,
+metrics).
 
 Usage:
     python scripts/layer_timing.py --out results/layer_timing
@@ -43,6 +46,7 @@ _WORKLOADS = {
 #: layer: (module attribute, the modules that bind it by that name).
 _LAYERS = {
     "descend": ("_descend_rows", (relax, search)),
+    "starts": ("_descents", (search,)),
     "select": ("discretize_select", (search,)),
     "archive": ("build_archive", (search,)),
     "record": ("_record", (search,)),
@@ -64,17 +68,24 @@ def parse_args():
 
 
 def _install(spent: dict, calls: dict) -> list:
-    """Wrap every layer at each of its bindings; returns what to restore."""
+    """Wrap every layer at each of its bindings; returns what to restore.
+
+    A layer's time leaves out the time of the wrapped layers it calls.
+    """
     restore = []
+    nested = [0.0]  # time of the wrapped calls inside the current one
     for layer, (attr, modules) in _LAYERS.items():
         original = getattr(modules[0], attr)
 
         def timed(*args, _fn=original, _layer=layer, **kwargs):
+            outer, nested[0] = nested[0], 0.0
             start = time.perf_counter()
             try:
                 return _fn(*args, **kwargs)
             finally:
-                spent[_layer] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                spent[_layer] += elapsed - nested[0]
+                nested[0] = outer + elapsed
                 calls[_layer] += 1
 
         for module in modules:

@@ -57,10 +57,10 @@ def count_routes(run):
     counts = {"stacked": 0, "alone": 0}
     step_stack, step_row = relax._step_stack, relax._step_row
 
-    def stack(ids, *args):
-        stepped = step_stack(ids, *args)
+    def stack(L, *args):
+        stepped = step_stack(L, *args)
         if stepped is not None:
-            counts["stacked"] += len(ids)
+            counts["stacked"] += len(L)
         return stepped
 
     def row(*args):

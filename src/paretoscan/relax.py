@@ -15,11 +15,12 @@ The engine hands a task only vectors that its own ``clamp`` made: its
 losses and gradients once per inner round, and one
 ``neighborhood_discretize`` call at the point the descent returned.  The
 task may therefore trust the vector's shape and feasibility and skip
-re-validating it; the loop checks what comes back.  A round's rows take
+re-validating it; the loop checks what comes back.  A descent's rows take
 their losses by one route: when at least ``_MIN_STACK`` of them share a
 task class's stacked form (``TaskContract.stacked_losses_and_gradients``)
-and its key (``TaskContract.stack_key``), one call of that form serves
-them all, and the stack steps in array passes: the profile, the QP
+and its key (``TaskContract.stack_key``), they make a stack that lives
+across the inner rounds, one call of that form serves them all each
+round, and the stack steps in array passes: the profile, the QP
 (``qp._solve_rows``) and the step, and one ``clamp`` call on the (r, n)
 stack when every row's task clamps with the plain ``TaskContract.clamp``
 on one region.  Every other row calls its task's ``losses_and_gradients``
@@ -110,7 +111,7 @@ class TaskContract(abc.ABC):
     included.  It may read instance state under the key rule: tasks of the
     class with equal (hashable) ``stack_key`` values give equal numbers at
     equal points, so a call made on any one of them serves them all.  A
-    descent calls the form once per inner round for each group of at
+    descent calls the form once per inner round for each stack of at
     least ``_MIN_STACK`` rows whose tasks share the class and key and
     whose points share a size.  It serves only tasks whose
     ``losses_and_gradients`` is the one defined in the same class: a
@@ -376,30 +377,30 @@ def _step_row(
 
 
 def _step_stack(
-    ids: list[int],
     L: np.ndarray,
     G: np.ndarray,
-    weights: list[np.ndarray],
-    etas: list[float],
-    points: list[np.ndarray],
+    W: np.ndarray,
+    eta: np.ndarray,
+    X: np.ndarray,
     hints: list,
     mode: str,
-) -> tuple[list[_Step], np.ndarray] | None:
-    """:func:`_step_row` of each row ``ids[j]`` from its losses ``L[j]`` and
-    gradients ``G[j]``, bit for bit: the rows' steps and their (r, n) next
-    points before the clamp, or None when a row fails a check.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray] | None:
+    """:func:`_step_row` of each row j at ``X[j]`` from its losses ``L[j]``,
+    gradients ``G[j]``, weights ``W[j]``, step ``eta[j]`` and QP hint
+    ``hints[j]``, bit for bit: the rows' (r,) non-uniformities, weighted
+    relative maxima and direction norms, their next hints and their (r, n)
+    next points before the clamp, or None when a row fails a check.
 
     Every stage runs on the whole stack: the checks, the profile, M = G^T G,
     the QP (:func:`qp._solve_rows`), the direction G beta, its norm and the
-    step.
+    step.  ``hints`` is left as it is.
     """
     if not (np.isfinite(G).all() and 0.0 <= L.min() and L.max() < np.inf):
         return None
-    W = np.array([weights[i] for i in ids])
     weighted = L * W
     mu, anchor, active = _profiles(weighted, W)
-    hints = [hints[i] for i in ids]
-    still = np.zeros(len(ids), dtype=bool)  # rows that hold position this round
+    hints = list(hints)
+    still = np.zeros(len(L), dtype=bool)  # rows that hold position this round
     if mode == "ls":
         beta = W
     else:
@@ -418,22 +419,18 @@ def _step_stack(
         direction[still] = 0.0
     with np.errstate(over="ignore"):
         sq = np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0]
-    norms = np.sqrt(sq).tolist()
-    if not all(map(math.isfinite, norms)):
+    norms = np.sqrt(sq)
+    if not np.isfinite(norms).all():
         return None
-    eta = np.array([etas[i] for i in ids])[:, None]
-    moved = np.array([points[i] for i in ids]) - eta * direction
-    steps = [
-        ((L[j], value, r_check), norms[j], hints[j])
-        for j, (value, r_check) in enumerate(zip(mu.tolist(), weighted.max(axis=1).tolist()))
-    ]
-    return steps, moved
+    return mu, weighted.max(axis=1), norms, hints, X - eta * direction
 
 
 #: Fewest rows of one stacked form, key and shape that step as a stack.  Below
-#: it the stack's fixed cost per inner round outweighs what it saves: two
-#: rows stacked took 1.04-1.24x the time of their two lone descents on the
-#: three tasks, three about 1.0x, four 0.96x and ten 0.67x.
+#: it the stack's fixed cost per inner round outweighs what it saves: a
+#: scan of two rays that stack took 1.24x (synthetic), 1.00x (unigram) and
+#: 1.07x (surrogate) the time of the same scan stepping them alone, three
+#: rays 0.93x, 0.83x and 1.00x, four 0.75x, 0.84x and 0.97x (T = 50, K =
+#: 20, seed 1, medians of 15 alternating pairs).
 _MIN_STACK = 3
 
 
@@ -463,56 +460,121 @@ def _stack_region(task: TaskContract) -> Box | SimplexRows | None:
     return None
 
 
-#: One row of a round: its index, its losses and its (n, m) gradients.
-_Row = tuple[int, np.ndarray, np.ndarray]
+class _Stack:
+    """Rows of a descent that step as one stack, held as arrays across its
+    inner rounds until they step alone again or the descent ends.
+
+    ``form`` is the rows' stacked form bound to the first row's task;
+    ``X`` (r, n), ``W`` (r, m) and ``eta`` (r, 1) are the rows' points,
+    weights and steps; ``hints`` and ``peaks`` their QP hints and largest
+    direction norms; ``rounds`` holds (k, L, mu, r_check) per stepped
+    round, from which :meth:`release` builds the rows' traces.  ``region``
+    is the region of the one clamp call, or None when the rows clamp one
+    by one; those rows keep their points in the descent's list, and
+    ``X`` is re-stacked from it.
+    """
+
+    def __init__(self, ids, form, region, X, W, eta, hints, peaks) -> None:
+        self.ids, self.form, self.region = ids, form, region
+        self.X, self.W, self.eta, self.hints, self.peaks = X, W, eta, hints, peaks
+        self.rounds: list = []
+
+    def clamp(self, tasks: list, moved: np.ndarray, points: list, outcome: list) -> bool:
+        """Clamp the rows' next points ``moved``, in one call when the
+        stack has a region, and say whether the stack stays whole.
+
+        It does not when a row's clamp raises, which stops that row, when
+        a row's clamp changes its size, or when the one call raises or
+        returns another shape; the rows then clamp one by one into
+        ``points``, so only a raising row stops.
+        """
+        whole = True
+        if self.region is not None:
+            try:
+                clamped = tasks[self.ids[0]].clamp(moved)
+            except Exception:
+                clamped = None
+            if isinstance(clamped, np.ndarray) and clamped.shape == moved.shape:
+                self.X = np.ascontiguousarray(clamped)
+                return True
+            self.region = None  # the rows' points are in ``points`` from here
+            whole = False
+        for i, row in zip(self.ids, moved):
+            try:
+                points[i] = tasks[i].clamp(row)
+            except Exception as exc:  # the row's clamp raised
+                outcome[i] = exc
+                whole = False
+        if whole and all(np.shape(points[i]) == moved.shape[1:] for i in self.ids):
+            self.X = np.array([points[i] for i in self.ids])
+            return True
+        return False
+
+    def release(self, points: list, traces: list, hints: list, peaks: list, mode: str) -> None:
+        """Hand the rows' state back to the descent's per-row lists: their
+        traces, hints, peaks and, when the one clamp made them, points."""
+        if self.region is not None and self.rounds:
+            for i, x in zip(self.ids, self.X):
+                points[i] = x
+        for k, L, mu, r_check in self.rounds:
+            for i, losses, value, top in zip(self.ids, L, mu.tolist(), r_check.tolist()):
+                traces[i].append(RoundTrace(k, losses, value, top, mode))
+        for i, hint, peak in zip(self.ids, self.hints, self.peaks.tolist()):
+            hints[i], peaks[i] = hint, peak
 
 
-def _gather(
+def _group(
     tasks: list[TaskContract],
     forms: list,
+    regions: list,
     points: list[np.ndarray],
     weights: list[np.ndarray],
+    etas: list[float],
+    hints: list,
+    peaks: list[float],
     live: list[int],
-    outcome: list,
-) -> tuple[list[tuple[list[_Row], np.ndarray, np.ndarray]], list[_Row]]:
-    """The losses and gradients of an inner round at the ``live`` rows, as
-    stacks of (rows, L, G) and the rows that step alone.
+) -> tuple[list[_Stack], list[int]]:
+    """The ``live`` rows' stacks, and the rows that step alone in order.
 
-    The rows that share a stacked form, its key and a shape, at least
-    ``_MIN_STACK`` of them, take one call of the form, made on the first
-    row's task.  Every other row calls its own task, as do the rows of a
-    form that raises or returns a wrong shape, and steps alone.  A row
-    whose task raises gets its outcome here.
+    The rows that share a stacked form, its key, a point size and a weight
+    size, at least ``_MIN_STACK`` of them, make a stack whose form call is
+    made on the first row's task.  It clamps in one call when its rows'
+    tasks share the plain clamp and a region (:func:`_stack_region`).
     """
-    stacks: list = []
-    own: list[int] = []
+    alone: list[int] = []
     shared: dict = {}
     for i in live:
         if forms[i] is None:
-            own.append(i)
+            alone.append(i)
         else:
             shared.setdefault((forms[i], points[i].size, weights[i].size), []).append(i)
-    for ((cls, _), n, m), ids in shared.items():
-        if len(ids) >= _MIN_STACK:
-            try:
-                form = vars(cls)["stacked_losses_and_gradients"].__get__(tasks[ids[0]])
-                L, G = form(np.array([points[i] for i in ids]))
-                L = np.array(L, dtype=np.float64)
-                G = np.asarray(G, dtype=np.float64)
-            except Exception:  # the rows call their own tasks instead
-                L = G = None
-            if L is not None and L.shape == (len(ids), m) and G.shape == (len(ids), n, m):
-                stacks.append(([(i, L[j], G[j]) for j, i in enumerate(ids)], L, G))
-                continue
-        own += ids
-    alone: list[_Row] = []
-    for i in sorted(own):
+    stacks = []
+    for ((cls, _), _, _), ids in shared.items():
         try:
-            losses, grads = tasks[i].losses_and_gradients(points[i])
-            alone.append((i, np.asarray(losses, np.float64), np.asarray(grads, np.float64)))
-        except Exception as exc:  # the task's own failure stops its row only
-            outcome[i] = exc
-    return stacks, alone
+            form = vars(cls)["stacked_losses_and_gradients"].__get__(tasks[ids[0]])
+        except Exception:  # a form that does not bind serves no row
+            form = None
+        if form is None or len(ids) < _MIN_STACK:
+            alone += ids
+            continue
+        region = regions[ids[0]]
+        if region is not None and not all(
+            regions[i] is region or regions[i] == region for i in ids
+        ):
+            region = None
+        stacks.append(
+            _Stack(
+                ids,
+                form,
+                region,
+                np.array([points[i] for i in ids]),
+                np.array([weights[i] for i in ids]),
+                np.array([etas[i] for i in ids])[:, None],
+                [hints[i] for i in ids],
+                np.array([peaks[i] for i in ids]),
+            )
+        )
+    return stacks, sorted(alone)
 
 
 def _descend_rows(
@@ -530,15 +592,20 @@ def _descend_rows(
 
     Row i descends ``tasks[i]`` from ``starts[i]`` along the validated
     weights ``weights[i]`` with step ``etas[i]``, and equals the descent
-    it makes as the only row bit for bit.  Each round gathers its rows
-    (:func:`_gather`): rows that share a stacked form and its key take
-    their losses from one call of it, and each such stack steps at once
-    (:func:`_step_stack`); the other rows, and every row of a stack that
-    one of its rows fails, step alone (:func:`_step_row`).  A row that
-    steps alone makes its own clamp.  A stack is clamped in one call when
-    its rows' tasks share the plain clamp and a region
-    (:func:`_stack_region`); otherwise, or when that call raises, each row
-    makes its own clamp.
+    it makes as the only row bit for bit.  The rows are grouped once
+    (:func:`_group`): rows that share a stacked form and its key make a
+    stack, which keeps its points, weights, steps, hints and peaks as
+    arrays across the rounds.  Each round a stack takes its losses from
+    one call of its form on its points and steps at once
+    (:func:`_step_stack`); its next points are the array its one clamp
+    returns when its rows' tasks share the plain clamp and a region
+    (:func:`_stack_region`), and otherwise each row makes its own clamp.
+    The other rows call their own tasks and step alone
+    (:func:`_step_row`), and so does every row of a stack in a round where
+    its form raises or returns a wrong shape, or one of its rows fails a
+    check.  The rows are grouped again, from the live rows, only after a
+    round in which a row stopped or a stack stepped alone or fell back to
+    per-row clamps.
 
     Returns, per row, its InnerResult or the exception that stopped it: a
     row whose task raises, whose values fail a check or whose step raises
@@ -553,62 +620,78 @@ def _descend_rows(
     forms = [_stacked_form(task) for task in tasks]
     regions = [_stack_region(task) for task in tasks]
     live = list(range(len(tasks)))
-
-    def advance(i: int, k: int, step: _Step) -> None:
-        (losses, mu, r_check), norm, hints[i] = step
-        traces[i].append(RoundTrace(k, losses, mu, r_check, mode))
-        peaks[i] = max(peaks[i], norm)
-
-    def clamp(ids: list[int], moved: np.ndarray) -> None:
-        # one call for a stack whose tasks share the plain clamp and a
-        # region; per row otherwise, or when it raises, so only a raising
-        # row stops
-        region = regions[ids[0]]
-        if region is not None and all(regions[i] is region or regions[i] == region for i in ids):
-            try:
-                clamped = tasks[ids[0]].clamp(moved)
-            except Exception:
-                pass
-            else:
-                for i, point in zip(ids, clamped):
-                    points[i] = point
-                return
-        for i, row in zip(ids, moved):
-            try:
-                points[i] = tasks[i].clamp(row)
-            except Exception as exc:  # the row's clamp raised
-                outcome[i] = exc
-
+    state = (points, traces, hints, peaks, mode)
+    stacks, own = _group(tasks, forms, regions, points, weights, etas, hints, peaks, live)
+    regroup = False  # a row stopped or a stack broke up in the last round
     for k in range(rounds):
-        stacks, alone = _gather(tasks, forms, points, weights, live, outcome)
-        for rows, L, G in stacks:
-            ids = [row[0] for row in rows]
+        if regroup:
+            for stack in stacks:
+                stack.release(*state)
+            live = [i for i in live if outcome[i] is None]
+            stacks, own = _group(tasks, forms, regions, points, weights, etas, hints, peaks, live)
+            regroup = False
+        formed, calling, kept = [], list(own), []
+        for stack in stacks:
             try:
-                stepped = _step_stack(ids, L, G, weights, etas, points, hints, mode)
+                L, G = stack.form(stack.X)
+                L = np.array(L, dtype=np.float64)
+                G = np.asarray(G, dtype=np.float64)
+            except Exception:  # the rows call their own tasks instead
+                L = G = None
+            if L is not None and L.shape == stack.W.shape and G.shape == (
+                stack.X.shape + stack.W.shape[1:]
+            ):
+                formed.append((stack, L, G))
+            else:
+                stack.release(*state)
+                calling += stack.ids
+                regroup = True
+        alone = []
+        for i in sorted(calling):
+            try:
+                losses, grads = tasks[i].losses_and_gradients(points[i])
+                alone.append((i, np.asarray(losses, np.float64), np.asarray(grads, np.float64)))
+            except Exception as exc:  # the task's own failure stops its row only
+                outcome[i] = exc
+                regroup = True
+        for stack, L, G in formed:
+            try:
+                stepped = _step_stack(L, G, stack.W, stack.eta, stack.X, stack.hints, mode)
             except Exception:  # the rows step alone, so only a raising row stops
                 stepped = None
             if stepped is None:
-                alone += rows
+                stack.release(*state)
+                alone += [(i, L[j], G[j]) for j, i in enumerate(stack.ids)]
+                regroup = True
                 continue
-            steps, moved = stepped
-            for i, step in zip(ids, steps):
-                advance(i, k, step)
-            clamp(ids, moved)
+            mu, r_check, norms, stack.hints, moved = stepped
+            stack.rounds.append((k, L, mu, r_check))
+            stack.peaks = np.maximum(stack.peaks, norms)
+            if stack.clamp(tasks, moved, points, outcome):
+                kept.append(stack)
+            else:
+                stack.release(*state)
+                regroup = True
+        stacks = kept
         for i, losses, grads in alone:
             try:
-                step, moved = _step_row(
+                (trace, norm, hints[i]), moved = _step_row(
                     losses, grads, weights[i], etas[i], points[i], hints[i], mode, k
                 )
-                advance(i, k, step)
+                traces[i].append(RoundTrace(k, *trace, mode))
+                peaks[i] = max(peaks[i], norm)
                 points[i] = tasks[i].clamp(moved)
             except Exception as exc:  # the row's step or clamp raised
                 outcome[i] = exc
-        live = [i for i in live if outcome[i] is None]
-    for i in live:
-        outcome[i] = InnerResult(
-            starts[i], points[i], traces[i], converged=peaks[i] < CONVERGENCE_NORM
-        )
-    return outcome
+                regroup = True
+    for stack in stacks:
+        stack.release(*state)
+    return [
+        InnerResult(starts[i], points[i], traces[i], converged=peaks[i] < CONVERGENCE_NORM)
+        if outcome[i] is None
+        else outcome[i]
+        for i in range(len(tasks))
+    ]
 
 
 def discretize_select(

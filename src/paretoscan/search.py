@@ -35,6 +35,7 @@ from .relax import (
     NumericalFailureError,
     TaskContract,
     _descend_rows,
+    _stack_region,
     discretize_select,
     inner_descent,
 )
@@ -101,8 +102,9 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.T < 1 or self.K < 1 or self.C < 1:
-            raise ValueError("T, K and C must all be at least 1")
+        for name in ("T", "K", "C"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.eta is not None and not _finite_non_negative(self.eta):
             raise ValueError(f"eta must be a finite, non-negative number, got {self.eta!r}")
         if self.weights is not None:
@@ -318,23 +320,70 @@ def _advance(ray: _Ray, t: int, descent) -> None:
     ray.converged = inner.converged
 
 
+def _clamp_starts(rays: list[_Ray], relaxed: dict) -> dict:
+    """Each ray's clamped start from its relaxed candidate ``relaxed[j]``,
+    or the exception its clamp raised, by ray index.
+
+    The candidates of two or more rays whose tasks clamp with the plain
+    clamp on one region (:func:`relax._stack_region`) and that share a
+    shape and dtype are clamped in one call on their stack, which the
+    region projects row by row, bit for bit.  Every other ray clamps its
+    own, and so does every ray of a stack whose call raises or returns
+    another shape, so only a raising ray fails, with its own error.
+    """
+    out: dict = {}
+    groups: list[tuple] = []  # (region, shape, dtype, ray indices)
+    for j, x in relaxed.items():
+        region = _stack_region(rays[j].task)
+        if region is None or not isinstance(x, np.ndarray) or x.ndim != 1:
+            groups.append((None, None, None, [j]))
+            continue
+        for other, shape, dtype, ids in groups:
+            if (other is region or other == region) and shape == x.shape and dtype == x.dtype:
+                ids.append(j)
+                break
+        else:
+            groups.append((region, x.shape, x.dtype, [j]))
+    for region, _, _, ids in groups:
+        if len(ids) > 1:
+            X = np.array([relaxed[j] for j in ids])
+            try:
+                clamped = rays[ids[0]].task.clamp(X)
+            except Exception:
+                clamped = None
+            if isinstance(clamped, np.ndarray) and clamped.shape == X.shape:
+                out.update(zip(ids, clamped))
+                continue
+        for j in ids:
+            try:
+                out[j] = rays[j].task.clamp(relaxed[j])
+            except Exception as exc:
+                out[j] = exc
+    return out
+
+
 def _descents(rays: list[_Ray]) -> list:
     """Each ray's descent this round, or the exception that stopped it.
 
-    Each ray's relaxed candidate is clamped once.  A descent depends only
-    on its clamped start, so a ray whose start equals its last descent's
-    reuses that descent; the other rays descend in one
+    Each ray's candidate is relaxed and clamped once, the rays that share
+    a plain clamp and a region in one call (:func:`_clamp_starts`).  A
+    descent depends only on its clamped start, so a ray whose start equals
+    its last descent's reuses that descent; the other rays descend in one
     :func:`_descend_rows` call, each on its own task.
     """
     out: list = [None] * len(rays)
-    moved, starts = [], []
+    relaxed = {}
     for j, ray in enumerate(rays):
         try:
-            start = ray.task.clamp(ray.task.relax(ray.candidate))
+            relaxed[j] = ray.task.relax(ray.candidate)
         except Exception as exc:
             out[j] = exc
-            continue
-        if ray.inner is not None and np.array_equal(ray.inner.start, start):
+    moved, starts = [], []
+    for j, start in sorted(_clamp_starts(rays, relaxed).items()):
+        ray = rays[j]
+        if isinstance(start, Exception):
+            out[j] = start
+        elif ray.inner is not None and np.array_equal(ray.inner.start, start):
             out[j] = ray.inner
         else:
             moved.append(j)
@@ -493,13 +542,15 @@ def front_scan(
     per ray, in ray order, and each ray starts as :func:`run_inversion`
     starts a run, with the same validation.  Every outer round then takes
     each live ray through the per-round step a run takes: each ray's
-    start is clamped once, a ray whose clamped start did not move reuses
-    its last descent, and every other ray descends in one
-    ``relax._descend_rows`` call, each on its own task.  In each inner
-    round, three or more rays whose tasks share a stacked form and its key
-    take their losses from one call of it and step as a stack: one QP
-    pass for all of them, and one clamp when their tasks share the plain
-    clamp and a region; every other ray steps alone.
+    start is clamped once, in one call for the rays whose tasks share the
+    plain clamp and a region, a ray whose clamped start did not move
+    reuses its last descent, and every other ray descends in one
+    ``relax._descend_rows`` call, each on its own task.  That call groups
+    its rays once: three or more rays whose tasks share a stacked form and
+    its key make a stack that keeps its arrays across the inner rounds,
+    takes its losses from one call of the form per round and steps at
+    once: one QP pass for all of them, and one clamp when their tasks
+    share the plain clamp and a region; every other ray steps alone.
     Ray i equals the solo run of its settings bit for bit.
 
     Args:

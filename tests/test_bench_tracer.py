@@ -72,7 +72,9 @@ def test_tracing_a_scan_keeps_its_fingerprint_and_counts_its_rounds():
     layers = worker._layer_metrics(spans, paretoscan.RunConfig().epsilon)
     assert layers["relax.inner_descent.calls"] == 4  # 2 rays x T
     assert layers["relax.inner_rounds"] == 8  # 2 rays x T x K
-    assert spans.totals()[0]["tasks.clamp"] == 12  # K + 1 per descent
+    # per round one call clamps both rays' starts, and each of the two
+    # rays, too few to stack, clamps its own K steps
+    assert spans.totals()[0]["tasks.clamp"] == 2 * (1 + 2 * 2)
     for owner, names in before.values():
         now = vars(owner)
         assert all(now.get(key) is value for key, value in names.items()), owner
@@ -101,9 +103,9 @@ def test_the_benchmarks_trace_agreement_holds_when_descents_are_reused():
     assert run._trace_agreement(report, STALLING) == []
     assert report["per_layer"]["relax.inner_descent.calls"] == 8  # 2 rays x T
     assert report["per_layer"]["relax.inner_rounds"] == 16  # reused rounds count too
-    # 2 computed descents clamp K + 1 times, the 6 reused ones only their
-    # start, all of them in the scan's own step
-    assert _clamp_parents(spans) == {"search.front_scan": 2 * 3 + 6}
+    # each of the T rounds clamps both rays' starts in one call, and the 2
+    # computed descents clamp K times each, all in the scan's own step
+    assert _clamp_parents(spans) == {"search.front_scan": 4 + 2 * 2}
 
 
 def test_the_benchmarks_trace_agreement_holds_when_rays_descend_as_one_stack():
@@ -119,7 +121,7 @@ def test_the_benchmarks_trace_agreement_holds_when_rays_descend_as_one_stack():
     assert run._trace_agreement(report, STACKED) == []
     calls = report["per_layer"]["relax.inner_descent.calls"]
     assert calls == STACKED.rays * STACKED.T
-    # every ray moved in every round: each of the T rounds clamps each
-    # ray's start once and then the five rays' stack once per inner round,
-    # rays + K calls, and the traced call, handed its row, clamps nothing
-    assert _clamp_parents(spans) == {"search.front_scan": STACKED.T * (STACKED.rays + STACKED.K)}
+    # every ray moved in every round: each of the T rounds clamps the five
+    # rays' starts in one call and then their stack once per inner round,
+    # 1 + K calls, and the traced call, handed its row, clamps nothing
+    assert _clamp_parents(spans) == {"search.front_scan": STACKED.T * (1 + STACKED.K)}

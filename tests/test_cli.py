@@ -194,6 +194,20 @@ def test_non_finite_or_negative_numbers_are_config_errors(command, key, bad, goo
     assert f"config error: {key}" in err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["run", "scan"])
+@pytest.mark.parametrize("key", ["T", "K", "C"])
+def test_a_count_below_one_names_its_key(tmp_path, capsys, command, key):
+    counts = {"T": "2", "K": "2", "C": "2", key: "0"}
+    argv = [command, "--task", "synthetic"]
+    for flag, value in counts.items():
+        argv += [f"-{flag}", value]
+    assert main(argv + ["-o", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be at least 1, got 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_task_is_rejected_by_the_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--task", "quantum", "-o", str(tmp_path / "x")])

@@ -474,15 +474,27 @@ def _spy_on_stacks(monkeypatch) -> list:
     raising."""
     stacked, step_stack = [], relax._step_stack
 
-    def spy(ids, L, G, *args):
+    def spy(L, G, *args):
         fortran = G[0].flags.f_contiguous and not G[0].flags.c_contiguous
-        stacked.append((len(ids), fortran, False))
-        steps = step_stack(ids, L, G, *args)
-        stacked[-1] = (len(ids), fortran, steps is not None)
+        stacked.append((len(L), fortran, False))
+        steps = step_stack(L, G, *args)
+        stacked[-1] = (len(L), fortran, steps is not None)
         return steps
 
     monkeypatch.setattr(relax, "_step_stack", spy)
     return stacked
+
+
+def _spy_on_groups(monkeypatch) -> list:
+    """Patch ``relax._group`` to record the live row count of each call."""
+    grouped, group = [], relax._group
+
+    def spy(*args):
+        grouped.append(len(args[-1]))
+        return group(*args)
+
+    monkeypatch.setattr(relax, "_group", spy)
+    return grouped
 
 
 def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypatch):
@@ -571,16 +583,18 @@ def test_rows_share_a_stacked_call_only_when_their_tasks_keys_are_equal(monkeypa
 @pytest.mark.parametrize("mode", ["epo", "ls"])
 def test_a_group_of_three_rows_stacks_and_a_group_of_two_steps_row_by_row(monkeypatch, mode):
     # two rows of one stacked form and three of another in one call: only
-    # the three stack, and every row equals the descent it makes alone
+    # the three stack, the rows are grouped once for all five rounds, and
+    # every row equals the descent it makes alone
     def build():
         return [_StubTask(), _FortranStub(), _StubTask(), _FortranStub(), _FortranStub()]
 
-    stacked = _spy_on_stacks(monkeypatch)
+    stacked, grouped = _spy_on_stacks(monkeypatch), _spy_on_groups(monkeypatch)
     starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [-0.3, 0.2], [1.5, -0.5], [0.8, 0.8])]
     weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1], [0.2, 1.0], [0.5, 0.5])]
     etas = [0.1, 0.05, 0.2, 0.15, 0.1]
     out = relax._descend_rows(build(), starts, weights, etas, rounds=5, mode=mode)
     assert stacked == [(3, True, True)] * 5
+    assert grouped == [5]
     for task, start, w, eta, got in zip(build(), starts, weights, etas, out):
         alone = inner_descent(task, start, w, eta=eta, rounds=5, mode=mode)
         assert _trace_bytes(got) == _trace_bytes(alone), type(task).__name__
@@ -729,6 +743,123 @@ def test_a_stacked_clamp_that_raises_stops_only_the_raising_row(monkeypatch, mod
     assert type(out[2]) is ValueError and str(out[2]) == str(alone[2]) == "outside the region"
     for j in (0, 1, 3):
         assert _trace_bytes(out[j]) == _trace_bytes(alone[j])
+
+
+def _poisoned_bowl(X):
+    """The bowl, with a NaN first loss at a row whose norm lies in (5, 9)."""
+    L, G = _bowl(X)
+    norm = np.sqrt(L[:, 0])
+    L[(norm > 5.0) & (norm < 9.0), 0] = np.nan
+    return L, G
+
+
+class _PoisonStub(_StubTask):
+    """Stub whose losses turn NaN on the way in from a far start, one row
+    or stacked, so a row started at (8, 8) fails at an inner round k >= 1."""
+
+    def losses_and_gradients(self, x):
+        L, G = _poisoned_bowl(x[None])
+        return L[0], G[0]
+
+    stacked_losses_and_gradients = staticmethod(_poisoned_bowl)
+
+
+def _lone_descents(build, starts, weights, etas, rounds, mode):
+    """Each row's descent as the only row, or the exception that stopped it."""
+    return [
+        relax._descend_rows([build()], [x], [w], [eta], rounds=rounds, mode=mode)[0]
+        for x, w, eta in zip(starts, weights, etas)
+    ]
+
+
+def _assert_rows_equal(out, lone):
+    for got, want in zip(out, lone):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            assert got.round_index == want.round_index
+        else:
+            assert _trace_bytes(got) == _trace_bytes(want)
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+def test_a_stack_steps_on_without_the_row_that_failed_in_it(monkeypatch, mode):
+    # the far row's losses turn NaN at round k >= 1, so the stack of four
+    # steps alone in round k and the row stops; the rows are grouped once
+    # more, and the other three step as one stack from round k + 1
+    starts = [np.array(x) for x in ([0.4, 0.7], [8.0, 8.0], [0.1, 0.9], [-0.3, 0.2])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.5, 0.5], [0.6, 0.8], [0.9, 0.1])]
+    etas = [0.1, 0.1, 0.05, 0.2]
+    stacked, grouped = _spy_on_stacks(monkeypatch), _spy_on_groups(monkeypatch)
+    out = relax._descend_rows(
+        [_PoisonStub() for _ in starts], starts, weights, etas, rounds=6, mode=mode
+    )
+    assert grouped == [4, 3]
+    lone = _lone_descents(_PoisonStub, starts, weights, etas, 6, mode)
+    assert [isinstance(row, Exception) for row in lone] == [False, True, False, False]
+    k = lone[1].round_index
+    assert 1 <= k < 5
+    assert stacked[: k + 1] == [(4, False, True)] * k + [(4, False, False)]
+    assert stacked[k + 1 :] == [(3, False, True)] * (5 - k)
+    _assert_rows_equal(out, lone)
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+@pytest.mark.parametrize("broken", ["form", "step"])
+def test_a_stack_refused_in_one_round_stacks_again_in_the_next(monkeypatch, broken, mode):
+    # in round 2 the stacked form raises, or the stacked step does, though
+    # no row fails: the rows step alone in that round, are grouped once
+    # more and step as one stack again from round 3
+    formed, step_stack = [], relax._step_stack
+
+    class _Flaky(_StubTask):
+        losses_and_gradients = _StubTask.losses_and_gradients
+
+        @staticmethod
+        def stacked_losses_and_gradients(X):
+            formed.append(len(X))
+            if broken == "form" and len(formed) == 3:
+                raise RuntimeError("not this round")
+            return _bowl(X)
+
+    def flaky_step(*args):
+        if len(formed) == 3:
+            raise RuntimeError("not this round")
+        return step_stack(*args)
+
+    if broken == "step":
+        monkeypatch.setattr(relax, "_step_stack", flaky_step)
+    starts = [np.array(x) for x in ([0.4, 0.7], [1.5, -0.5], [0.1, 0.9], [-0.3, 0.2])]
+    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.2, 1.0], [0.6, 0.8], [0.9, 0.1])]
+    etas = [0.1, 0.15, 0.05, 0.2]
+    stacked, grouped = _spy_on_stacks(monkeypatch), _spy_on_groups(monkeypatch)
+    out = relax._descend_rows([_Flaky() for _ in starts], starts, weights, etas, rounds=6, mode=mode)
+    assert formed == [4] * 6
+    if broken == "form":
+        assert stacked == [(4, False, True)] * 5  # round 2 takes no stacked step
+    else:
+        assert stacked == [(4, False, True)] * 2 + [(4, False, False)] + [(4, False, True)] * 3
+    assert grouped == [4, 4]
+    _assert_rows_equal(out, _lone_descents(_StubTask, starts, weights, etas, 6, mode))
+
+
+@pytest.mark.parametrize("mode", ["epo", "ls"])
+def test_rows_left_below_the_stack_size_by_failures_step_alone(monkeypatch, mode):
+    # two far rows of a stack of four fail in one round; the two left over
+    # are too few to stack and step alone from then on
+    starts = [np.array(x) for x in ([8.0, 8.0], [0.4, 0.7], [7.5, 8.0], [0.1, 0.9])]
+    weights = [lift_positive(w) for w in ([0.5, 0.5], [1.0, 1.0], [0.9, 0.1], [0.6, 0.8])]
+    etas = [0.1, 0.1, 0.1, 0.05]
+    stacked, grouped = _spy_on_stacks(monkeypatch), _spy_on_groups(monkeypatch)
+    out = relax._descend_rows(
+        [_PoisonStub() for _ in starts], starts, weights, etas, rounds=6, mode=mode
+    )
+    assert grouped == [4, 2]
+    lone = _lone_descents(_PoisonStub, starts, weights, etas, 6, mode)
+    assert [isinstance(row, Exception) for row in lone] == [True, False, True, False]
+    k = lone[0].round_index
+    assert 1 <= k == lone[2].round_index < 5
+    assert stacked == [(4, False, True)] * k + [(4, False, False)]
+    _assert_rows_equal(out, lone)
 
 
 def test_a_row_whose_task_raises_stops_alone():

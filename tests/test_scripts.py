@@ -80,3 +80,29 @@ def test_stack_timing_counts_each_computed_row_round_on_one_route(tmp_path):
             assert stacked == 0, row
     synthetic = rows[1]
     assert int(synthetic["stacked_row_rounds"]) >= 3 * 2, synthetic
+
+
+def test_layer_timing_times_the_start_clamps_apart_from_the_descents(tmp_path):
+    # each outer round of a scan makes one _descents call, which makes one
+    # _descend_rows call; the starts layer is the first without the second
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["--repeats", "1", "--workloads", "synthetic-epo", "ngram-uni", *_TINY]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_timing.py"), "--out", str(tmp_path), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "layer_timing.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["workload"] for row in rows] == ["synthetic-epo", "ngram-uni"]
+    layers = ("descend", "starts", "select", "archive", "record")
+    for row in rows:
+        assert int(row["starts_calls"]) == int(row["descend_calls"]) == 2, row
+        assert int(row["archive_calls"]) == 1, row
+        seconds = [float(row[f"{layer}_s"]) for layer in layers]
+        assert all(value > 0.0 for value in seconds), row
+        total = sum(seconds) + float(row["rest_s"])
+        assert abs(total - float(row["scan_s"])) < 1e-3, row

@@ -3,7 +3,7 @@
 import hashlib
 import math
 import struct
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ import pytest
 from paretoscan import qp, search
 from paretoscan.core import EmptyInputError, TrajectoryPoint
 from paretoscan.metrics import hypervolume
-from paretoscan.relax import discretize_select, inner_descent
+from paretoscan.relax import Box, discretize_select, inner_descent
 from paretoscan.search import (
     RunConfig,
     RunResult,
@@ -791,6 +791,156 @@ def test_a_ray_that_fails_numerically_partway_leaves_the_lockstep_rays_unchanged
     assert len(failed.trajectory) == 4
     assert not any(ray.failed for i, ray in enumerate(scan.rays) if i != 2)
     _assert_rays_equal_solo_runs(scan, build, rays, config)
+
+
+class _OwnClampTask(SyntheticTask):
+    """Synthetic task that clamps with its own method, which raises at the
+    start of outer round ``fail_round``: the first clamp after that
+    round's relax."""
+
+    def __init__(self, fail_round: int | None = None, **kwargs):
+        super().__init__(**kwargs)
+        self.fail_round = fail_round
+        self.relaxed = 0
+        self.starting = False
+
+    def relax(self, candidate):
+        self.relaxed += 1
+        self.starting = True
+        return super().relax(candidate)
+
+    def clamp(self, x):
+        if self.starting and self.relaxed == self.fail_round:
+            raise RuntimeError(f"start refused in round {self.relaxed}")
+        self.starting = False
+        return self.region.project(x)
+
+
+class _RelaxFailTask(SyntheticTask):
+    """Synthetic task whose ``relax`` raises in outer round ``fail_round``."""
+
+    def __init__(self, fail_round: int, **kwargs):
+        super().__init__(**kwargs)
+        self.fail_round = fail_round
+        self.relaxed = 0
+
+    def relax(self, candidate):
+        self.relaxed += 1
+        if self.relaxed == self.fail_round:
+            raise RuntimeError(f"no relaxation in round {self.relaxed}")
+        return super().relax(candidate)
+
+
+def _watch_start_clamps(monkeypatch) -> list:
+    """Patch ``TaskContract.clamp`` to record the shape of each call made
+    outside ``search._descend_rows``: the scan's start clamps."""
+    starts, descending, plain = [], [False], search.TaskContract.clamp
+    descend_rows = search._descend_rows
+
+    def watch_clamp(self, x):
+        if not descending[0]:
+            starts.append(np.shape(x))
+        return plain(self, x)
+
+    def watch_rows(*args, **kwargs):
+        descending[0] = True
+        try:
+            return descend_rows(*args, **kwargs)
+        finally:
+            descending[0] = False
+
+    monkeypatch.setattr(search.TaskContract, "clamp", watch_clamp)
+    monkeypatch.setattr(search, "_descend_rows", watch_rows)
+    return starts
+
+
+def test_the_plain_clamp_rays_clamp_their_starts_in_one_call(monkeypatch):
+    # rays 0, 2, 4 and 5 clamp with TaskContract.clamp on one region, so
+    # their starts take one call a round; ray 1 clamps with its own method,
+    # ray 3's own clamp raises at the start of round 3 and ray 4's relax
+    # raises in round 2, and each failing ray carries its solo run's error
+    def build(i):
+        return {
+            1: lambda: _OwnClampTask(n=6),
+            3: lambda: _OwnClampTask(fail_round=3, n=6),
+            4: lambda: _RelaxFailTask(fail_round=2, n=6),
+        }.get(i, lambda: SyntheticTask(n=6))()
+
+    built = []
+
+    def factory():
+        built.append(build(len(built)))
+        return built[-1]
+
+    starts = _watch_start_clamps(monkeypatch)
+    rays = weight_grid(2, 6)
+    config = _small_cfg(T=6)
+    scan = front_scan(factory, rays, config)
+    assert starts == [(4, 6)] + [(3, 6)] * (config.T - 1)  # ray 4 is gone from round 2
+    errors = [ray.error for ray in scan.rays]
+    assert errors == [None, None, None, "start refused in round 3", "no relaxation in round 2", None]
+    for i, message in ((3, "start refused in round 3"), (4, "no relaxation in round 2")):
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            run_inversion(replace(config, weights=rays[i], seed=config.seed + i), task=build(i))
+    for i in (0, 1, 2, 5):
+        cfg = replace(config, weights=rays[i], seed=config.seed + i)
+        assert _run_rows(scan.rays[i]) == _run_rows(run_inversion(cfg, task=build(i))), i
+
+
+@dataclass(frozen=True)
+class _RefusingBox(Box):
+    """A box whose projection refuses any vector with a first coordinate
+    above 2.5, stacked or not."""
+
+    def project(self, x):
+        if (x[..., 0] > 2.5).any():
+            raise ValueError("outside the region")
+        return super().project(x)
+
+
+class _RefusedTask(SyntheticTask):
+    """Synthetic task on the refusing box whose relaxed candidate leaves
+    it in outer round ``far_round``."""
+
+    region = _RefusingBox(-2.0, 2.0)
+
+    def __init__(self, far_round: int | None = None, **kwargs):
+        super().__init__(**kwargs)
+        self.far_round = far_round
+        self.relaxed = 0
+
+    def relax(self, candidate):
+        self.relaxed += 1
+        x = super().relax(candidate)
+        if self.relaxed == self.far_round:
+            x[0] = 3.0
+        return x
+
+
+def test_a_start_clamp_call_that_raises_falls_back_to_each_rays_own(monkeypatch):
+    # ray 1's start leaves the region in round 2, so that round's one call
+    # raises; the four rays clamp one by one, and only ray 1 fails, with
+    # the error of its solo run
+    def build(i):
+        return _RefusedTask(far_round=2 if i == 1 else None, n=6)
+
+    built = []
+
+    def factory():
+        built.append(build(len(built)))
+        return built[-1]
+
+    starts = _watch_start_clamps(monkeypatch)
+    rays = weight_grid(2, 4)
+    config = _small_cfg(T=4)
+    scan = front_scan(factory, rays, config)
+    assert starts == [(4, 6), (4, 6), (6,), (6,), (6,), (6,), (3, 6), (3, 6)]
+    assert [ray.error for ray in scan.rays] == [None, "outside the region", None, None]
+    with pytest.raises(ValueError, match="^outside the region$"):
+        run_inversion(replace(config, weights=rays[1], seed=config.seed + 1), task=build(1))
+    for i in (0, 2, 3):
+        cfg = replace(config, weights=rays[i], seed=config.seed + i)
+        assert _run_rows(scan.rays[i]) == _run_rows(run_inversion(cfg, task=build(i))), i
 
 
 def test_front_scan_takes_an_array_of_rays():
