@@ -10,9 +10,9 @@ writes one CSV row per task and ray count: the median wall seconds of a
 scan, the ray-rounds it ran (each ray's completed outer rounds, its
 trajectory less the start) and the median time per ray-round in
 microseconds.  In an inner round, three or more computed rows whose
-tasks share a stacked form and its key take one call of the form and
-step as one stack: one QP pass and one clamp; every other row calls its
-own task and steps alone.  The warm-up scan counts the computed
+tasks share a class and a ``stack_key`` take one losses call and step
+as one stack: one QP pass and one clamp; every other row calls its own
+task on a one-row stack and steps alone.  The warm-up scan counts the computed
 row-rounds (one ray's inner round; a reused descent computes none) that
 stepped in a stack and those that stepped alone, by wrapping
 ``relax._step_stack`` and ``relax._step_row`` in this script; a stack

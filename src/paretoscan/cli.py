@@ -126,15 +126,17 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     problems: list[str] = []
 
     if args.config:
-        file_data = _load_config_file(args.config)
-        task_params = file_data.pop("task_params", None)
+        # the file's keys name their fields before any flag overrides one
+        try:
+            merged = RunConfig.field_values(_load_config_file(args.config))
+        except ValueError as exc:
+            raise _ConfigError([str(exc)])
+        task_params = merged.pop("task_params", None)
         if task_params is not None:
             if not isinstance(task_params, dict):
                 problems.append("task_params: must be an object")
             else:
                 merged["task_params"] = dict(task_params)
-        for key, value in file_data.items():
-            merged[key] = value
 
     for name in ("task", "mode", "T", "K", "eta", "C", "seed"):
         value = getattr(args, name)

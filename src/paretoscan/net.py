@@ -204,15 +204,10 @@ class DualPathNet:
             raise DivergenceError("a trained parameter is non-finite; use a smaller rate")
         self.frozen = True
 
-    def losses_and_gradients(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Per-head cross-entropies (target 1) and their (n_inputs, n_heads)
-        input gradients at ``x``: row 0 of :meth:`stacked_losses_and_gradients`."""
-        L, G = self.stacked_losses_and_gradients(np.asarray(x, dtype=np.float64).ravel()[None])
-        return L[0], G[0]
-
-    def stacked_losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The losses of each row of an (r, n_inputs) stack and their
-        gradients, as (r, n_heads) and (r, n_inputs, n_heads).
+    def losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-head cross-entropies (target 1) of each row of an
+        (r, n_inputs) float64 stack and their input gradients, as
+        (r, n_heads) and (r, n_inputs, n_heads).
 
         One forward pass gives both: the losses softplus(-z) = -log
         sigmoid(z) of the head logits z, and the matrices whose column i is

@@ -11,20 +11,21 @@ A relaxed point is a plain 1-D float64 vector.  Its feasible region is fixed
 per task, so it lives on the task (``TaskContract.region``: a ``Box`` or
 ``SimplexRows``), not on the point; ``clamp`` projects a vector onto it.
 
-The engine hands a task only vectors that its own ``clamp`` made: its
+The engine hands a task only vectors that its own ``clamp`` made: their
 losses and gradients once per inner round, and one
 ``neighborhood_discretize`` call at the point the descent returned.  The
-task may therefore trust the vector's shape and feasibility and skip
-re-validating it; the loop checks what comes back.  A descent's rows take
-their losses by one route: when at least ``_MIN_STACK`` of them share a
-task class's stacked form (``TaskContract.stacked_losses_and_gradients``)
-and its key (``TaskContract.stack_key``), they make a stack that lives
-across the inner rounds, one call of that form serves them all each
-round, and the stack steps in array passes: the profile, the QP
-(``qp._solve_rows``) and the step, and one ``clamp`` call on the (r, n)
-stack when every row's task clamps with the plain ``TaskContract.clamp``
-on one region.  Every other row calls its task's ``losses_and_gradients``
-and steps alone.
+task may therefore trust the vectors' shape and feasibility and skip
+re-validating them; the loop checks what comes back.  A task maps a
+stack of points at once: ``losses_and_gradients`` takes an (r, n) stack,
+and ``clamp`` a point or a stack, row by row.  One rule says which rows
+share a call (:func:`_share_key`): tasks of one class with equal
+``stack_key`` values give equal numbers from both methods, so one call
+on the first row's task serves them all.  When at least ``_MIN_STACK``
+of a descent's rows share a key and their sizes, they make a stack that
+lives across the inner rounds, one call serves them each round, and the
+stack steps in array passes: the profile, the QP (``qp._solve_rows``),
+the step and one ``clamp`` call.  Every other row calls its task on its
+point as a (1, n) stack and steps alone.
 
 Oracle accounting: one discrete evaluation costs m calls (one per objective).
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import abc
 import math
-from collections.abc import Callable, Hashable
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,20 +105,13 @@ class TaskContract(abc.ABC):
     receive only vectors that :meth:`clamp` made.  A subclass that sets no ``default_eta`` runs only with
     an explicit ``RunConfig.eta``.
 
-    A class may also define ``stacked_losses_and_gradients``, a method
-    that maps an (r, n) stack of clamped points to their (r, m) losses and
-    (r, n, m) gradients.  It must equal r calls of the class's
-    ``losses_and_gradients`` bit for bit, the gradients' memory order
-    included.  It may read instance state under the key rule: tasks of the
-    class with equal (hashable) ``stack_key`` values give equal numbers at
-    equal points, so a call made on any one of them serves them all.  A
-    descent calls the form once per inner round for each stack of at
-    least ``_MIN_STACK`` rows whose tasks share the class and key and
-    whose points share a size.  It serves only tasks whose
-    ``losses_and_gradients`` is the one defined in the same class: a
-    subclass or an instance that overrides the method keeps its own
-    calls.  When the form raises or returns a wrong shape, its rows call
-    their own ``losses_and_gradients`` that round.
+    ``losses_and_gradients`` and ``clamp`` map a stack of points row by
+    row: a row's numbers must not depend on the rest of its stack.  They
+    may read instance state under the key rule: tasks of one class with
+    equal (hashable) ``stack_key`` values give equal numbers from both
+    methods at equal points, so a call made on any one of them serves
+    them all.  A task whose numbers depend on its own history, such as a
+    call count, needs a key of its own.
     """
 
     #: Number of objectives; set by subclasses.
@@ -126,10 +120,8 @@ class TaskContract(abc.ABC):
     region: Box | SimplexRows
     #: Descent step a run takes when ``RunConfig.eta`` is None; set by subclasses.
     default_eta: float
-    #: Optional stacked form of ``losses_and_gradients``, a method (see above).
-    stacked_losses_and_gradients: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
-    #: Tasks with equal keys may share a stacked call (see above); by
-    #: default every instance of a class may.
+    #: Tasks of one class with equal keys share calls (see above); by
+    #: default every instance of a class does.
     stack_key: Hashable = None
 
     def __init__(self) -> None:
@@ -154,10 +146,8 @@ class TaskContract(abc.ABC):
         """Project a relaxed vector, or each row of an (r, n) stack of
         them, onto the task's feasible region.
 
-        A descent clamps a stack of rows in one call when every row's task
-        uses this method, with no override on its class or instance, and
-        the tasks hold one region; ``region.project`` maps a stack row by
-        row, bit for bit.
+        ``region.project`` maps a stack row by row, bit for bit; an
+        override must do the same.
         """
         return self.region.project(x)
 
@@ -170,10 +160,13 @@ class TaskContract(abc.ABC):
         """Embed a discrete candidate as a 1-D float64 vector in ``region``."""
 
     @abc.abstractmethod
-    def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Differentiable losses and their (n, m) gradient matrix at ``x``.
+    def losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Differentiable losses and their gradients at each row of an
+        (r, n) stack ``X``, as (r, m) and (r, n, m) arrays.
 
-        ``x`` comes from :meth:`clamp`, so it lies in the feasible region.
+        The rows come from :meth:`clamp`, so they lie in the feasible
+        region.  Row j's losses and gradients, the gradients' memory
+        order included, equal those of a call on ``X[j:j + 1]`` bit for bit.
         """
 
     @abc.abstractmethod
@@ -261,8 +254,8 @@ def inner_descent(
     Raises:
         NumericalFailureError: On non-finite losses, gradients or direction,
             carrying the offending round index.
-        ValueError: When the task returns negative losses, a loss vector
-            whose length differs from the weights', or a gradient matrix
+        ValueError: When the task returns negative losses, a row of losses
+            whose length differs from the weights', or a row of gradients
             whose shape is not (len(x), len(weights)).
     """
     if mode not in ("epo", "ls"):
@@ -425,97 +418,70 @@ def _step_stack(
     return mu, weighted.max(axis=1), norms, hints, X - eta * direction
 
 
-#: Fewest rows of one stacked form, key and shape that step as a stack.  Below
-#: it the stack's fixed cost per inner round outweighs what it saves: a
-#: scan of two rays that stack took 1.24x (synthetic), 1.00x (unigram) and
-#: 1.07x (surrogate) the time of the same scan stepping them alone, three
-#: rays 0.93x, 0.83x and 1.00x, four 0.75x, 0.84x and 0.97x (T = 50, K =
-#: 20, seed 1, medians of 15 alternating pairs).
+#: Fewest rows of one key and shape that step as a stack.  Below it the
+#: stack's fixed cost per inner round outweighs what it saves: a scan of
+#: two rays that stack took 1.24x (synthetic), 1.00x (unigram) and 1.07x
+#: (surrogate) the time of the same scan stepping them alone, three rays
+#: 0.93x, 0.83x and 1.00x, four 0.75x, 0.84x and 0.97x (T = 50, K = 20,
+#: seed 1, medians of 15 alternating pairs).
 _MIN_STACK = 3
 
 
-def _stacked_form(task: TaskContract) -> tuple[type, Hashable] | None:
-    """The stacked form that serves ``task``'s losses, as (the class whose
-    ``stacked_losses_and_gradients`` it is, ``task.stack_key``), or None:
-    the form of the class that defines the ``losses_and_gradients`` the
-    task calls, when that class defines one."""
-    method = getattr(task.losses_and_gradients, "__func__", None)
-    for cls in type(task).__mro__:
-        if "losses_and_gradients" in vars(cls):
-            if vars(cls)["losses_and_gradients"] is method and (
-                "stacked_losses_and_gradients" in vars(cls)
-            ):
-                return cls, task.stack_key
-            return None
-    return None
-
-
-def _stack_region(task: TaskContract) -> Box | SimplexRows | None:
-    """The region on which a stack of ``task``'s rows is clamped in one
-    call, or None: the task's region when its ``clamp`` is
-    ``TaskContract.clamp`` as bound now, with no override on its class or
-    on the instance."""
-    if getattr(task.clamp, "__func__", None) is TaskContract.clamp:
-        return getattr(task, "region", None)
-    return None
+def _share_key(task: TaskContract) -> tuple[type, Hashable]:
+    """The key of the rows that one call serves: the task's class and its
+    ``stack_key``.  Tasks with equal keys give equal numbers from
+    ``losses_and_gradients`` and ``clamp``, so a call on the first row's
+    task serves every row."""
+    return type(task), task.stack_key
 
 
 class _Stack:
     """Rows of a descent that step as one stack, held as arrays across its
     inner rounds until they step alone again or the descent ends.
 
-    ``form`` is the rows' stacked form bound to the first row's task;
+    ``task`` is the first row's task, which makes the stack's calls;
     ``X`` (r, n), ``W`` (r, m) and ``eta`` (r, 1) are the rows' points,
     weights and steps; ``hints`` and ``peaks`` their QP hints and largest
     direction norms; ``rounds`` holds (k, L, mu, r_check) per stepped
-    round, from which :meth:`release` builds the rows' traces.  ``region``
-    is the region of the one clamp call, or None when the rows clamp one
-    by one; those rows keep their points in the descent's list, and
-    ``X`` is re-stacked from it.
+    round, from which :meth:`release` builds the rows' traces.
     """
 
-    def __init__(self, ids, form, region, X, W, eta, hints, peaks) -> None:
-        self.ids, self.form, self.region = ids, form, region
+    def __init__(self, ids, task, X, W, eta, hints, peaks) -> None:
+        self.ids, self.task = ids, task
         self.X, self.W, self.eta, self.hints, self.peaks = X, W, eta, hints, peaks
         self.rounds: list = []
 
-    def clamp(self, tasks: list, moved: np.ndarray, points: list, outcome: list) -> bool:
-        """Clamp the rows' next points ``moved``, in one call when the
-        stack has a region, and say whether the stack stays whole.
+    def losses(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The rows' (r, m) losses and (r, n, m) gradients from one call,
+        or None when the call raises or gives other shapes."""
+        try:
+            L, G = self.task.losses_and_gradients(self.X)
+            L = np.array(L, dtype=np.float64)
+            G = np.asarray(G, dtype=np.float64)
+        except Exception:
+            return None
+        if L.shape == self.W.shape and G.shape == self.X.shape + self.W.shape[1:]:
+            return L, G
+        return None
 
-        It does not when a row's clamp raises, which stops that row, when
-        a row's clamp changes its size, or when the one call raises or
-        returns another shape; the rows then clamp one by one into
-        ``points``, so only a raising row stops.
-        """
-        whole = True
-        if self.region is not None:
-            try:
-                clamped = tasks[self.ids[0]].clamp(moved)
-            except Exception:
-                clamped = None
-            if isinstance(clamped, np.ndarray) and clamped.shape == moved.shape:
-                self.X = np.ascontiguousarray(clamped)
-                return True
-            self.region = None  # the rows' points are in ``points`` from here
-            whole = False
-        for i, row in zip(self.ids, moved):
-            try:
-                points[i] = tasks[i].clamp(row)
-            except Exception as exc:  # the row's clamp raised
-                outcome[i] = exc
-                whole = False
-        if whole and all(np.shape(points[i]) == moved.shape[1:] for i in self.ids):
-            self.X = np.array([points[i] for i in self.ids])
+    def clamp(self, moved: np.ndarray) -> bool:
+        """Clamp the rows' next points ``moved`` in one call into ``X``,
+        and say whether it did: not when the call raises or returns
+        another shape."""
+        try:
+            clamped = self.task.clamp(moved)
+        except Exception:
+            return False
+        if isinstance(clamped, np.ndarray) and clamped.shape == moved.shape:
+            self.X = np.ascontiguousarray(clamped)
             return True
         return False
 
     def release(self, points: list, traces: list, hints: list, peaks: list, mode: str) -> None:
         """Hand the rows' state back to the descent's per-row lists: their
-        traces, hints, peaks and, when the one clamp made them, points."""
-        if self.region is not None and self.rounds:
-            for i, x in zip(self.ids, self.X):
-                points[i] = x
+        points, traces, hints and peaks."""
+        for i, x in zip(self.ids, self.X):
+            points[i] = x
         for k, L, mu, r_check in self.rounds:
             for i, losses, value, top in zip(self.ids, L, mu.tolist(), r_check.tolist()):
                 traces[i].append(RoundTrace(k, losses, value, top, mode))
@@ -525,8 +491,6 @@ class _Stack:
 
 def _group(
     tasks: list[TaskContract],
-    forms: list,
-    regions: list,
     points: list[np.ndarray],
     weights: list[np.ndarray],
     etas: list[float],
@@ -536,37 +500,22 @@ def _group(
 ) -> tuple[list[_Stack], list[int]]:
     """The ``live`` rows' stacks, and the rows that step alone in order.
 
-    The rows that share a stacked form, its key, a point size and a weight
-    size, at least ``_MIN_STACK`` of them, make a stack whose form call is
-    made on the first row's task.  It clamps in one call when its rows'
-    tasks share the plain clamp and a region (:func:`_stack_region`).
+    The rows that share a key (:func:`_share_key`), a point size and a
+    weight size, at least ``_MIN_STACK`` of them, make a stack whose calls
+    are made on the first row's task.
     """
-    alone: list[int] = []
     shared: dict = {}
     for i in live:
-        if forms[i] is None:
-            alone.append(i)
-        else:
-            shared.setdefault((forms[i], points[i].size, weights[i].size), []).append(i)
-    stacks = []
-    for ((cls, _), _, _), ids in shared.items():
-        try:
-            form = vars(cls)["stacked_losses_and_gradients"].__get__(tasks[ids[0]])
-        except Exception:  # a form that does not bind serves no row
-            form = None
-        if form is None or len(ids) < _MIN_STACK:
+        shared.setdefault((_share_key(tasks[i]), points[i].size, weights[i].size), []).append(i)
+    stacks, alone = [], []
+    for ids in shared.values():
+        if len(ids) < _MIN_STACK:
             alone += ids
             continue
-        region = regions[ids[0]]
-        if region is not None and not all(
-            regions[i] is region or regions[i] == region for i in ids
-        ):
-            region = None
         stacks.append(
             _Stack(
                 ids,
-                form,
-                region,
+                tasks[ids[0]],
                 np.array([points[i] for i in ids]),
                 np.array([weights[i] for i in ids]),
                 np.array([etas[i] for i in ids])[:, None],
@@ -593,19 +542,17 @@ def _descend_rows(
     Row i descends ``tasks[i]`` from ``starts[i]`` along the validated
     weights ``weights[i]`` with step ``etas[i]``, and equals the descent
     it makes as the only row bit for bit.  The rows are grouped once
-    (:func:`_group`): rows that share a stacked form and its key make a
-    stack, which keeps its points, weights, steps, hints and peaks as
-    arrays across the rounds.  Each round a stack takes its losses from
-    one call of its form on its points and steps at once
-    (:func:`_step_stack`); its next points are the array its one clamp
-    returns when its rows' tasks share the plain clamp and a region
-    (:func:`_stack_region`), and otherwise each row makes its own clamp.
-    The other rows call their own tasks and step alone
-    (:func:`_step_row`), and so does every row of a stack in a round where
-    its form raises or returns a wrong shape, or one of its rows fails a
-    check.  The rows are grouped again, from the live rows, only after a
-    round in which a row stopped or a stack stepped alone or fell back to
-    per-row clamps.
+    (:func:`_group`): rows whose tasks share a key make a stack, which
+    keeps its points, weights, steps, hints and peaks as arrays across the
+    rounds.  Each round a stack takes its losses from one call on its
+    points, steps at once (:func:`_step_stack`) and takes the array one
+    ``clamp`` call returns as its next points.  The other rows call their
+    own tasks on their points as (1, n) stacks and step alone
+    (:func:`_step_row`).  So does every row of a stack in a round where a
+    call raises or returns a wrong shape, each retrying its own call, or
+    where one of its rows fails a check.  The rows are grouped again, from
+    the live rows, only after a round in which a row stopped or a stack
+    stepped alone.
 
     Returns, per row, its InnerResult or the exception that stopped it: a
     row whose task raises, whose values fail a check or whose step raises
@@ -617,40 +564,31 @@ def _descend_rows(
     traces: list[list[RoundTrace]] = [[] for _ in tasks]
     peaks = [0.0] * len(tasks)  # each row's largest direction norm
     hints: list = [None] * len(tasks)  # each row's last m >= 3 QP pattern
-    forms = [_stacked_form(task) for task in tasks]
-    regions = [_stack_region(task) for task in tasks]
     live = list(range(len(tasks)))
     state = (points, traces, hints, peaks, mode)
-    stacks, own = _group(tasks, forms, regions, points, weights, etas, hints, peaks, live)
+    stacks, own = _group(tasks, points, weights, etas, hints, peaks, live)
     regroup = False  # a row stopped or a stack broke up in the last round
     for k in range(rounds):
         if regroup:
             for stack in stacks:
                 stack.release(*state)
             live = [i for i in live if outcome[i] is None]
-            stacks, own = _group(tasks, forms, regions, points, weights, etas, hints, peaks, live)
+            stacks, own = _group(tasks, points, weights, etas, hints, peaks, live)
             regroup = False
         formed, calling, kept = [], list(own), []
         for stack in stacks:
-            try:
-                L, G = stack.form(stack.X)
-                L = np.array(L, dtype=np.float64)
-                G = np.asarray(G, dtype=np.float64)
-            except Exception:  # the rows call their own tasks instead
-                L = G = None
-            if L is not None and L.shape == stack.W.shape and G.shape == (
-                stack.X.shape + stack.W.shape[1:]
-            ):
-                formed.append((stack, L, G))
-            else:
+            called = stack.losses()
+            if called is None:  # the rows call their own tasks instead
                 stack.release(*state)
                 calling += stack.ids
                 regroup = True
+            else:
+                formed.append((stack, *called))
         alone = []
         for i in sorted(calling):
             try:
-                losses, grads = tasks[i].losses_and_gradients(points[i])
-                alone.append((i, np.asarray(losses, np.float64), np.asarray(grads, np.float64)))
+                L, G = tasks[i].losses_and_gradients(points[i][None])
+                alone.append((i, np.asarray(L, np.float64)[0], np.asarray(G, np.float64)[0]))
             except Exception as exc:  # the task's own failure stops its row only
                 outcome[i] = exc
                 regroup = True
@@ -667,11 +605,16 @@ def _descend_rows(
             mu, r_check, norms, stack.hints, moved = stepped
             stack.rounds.append((k, L, mu, r_check))
             stack.peaks = np.maximum(stack.peaks, norms)
-            if stack.clamp(tasks, moved, points, outcome):
+            if stack.clamp(moved):
                 kept.append(stack)
-            else:
-                stack.release(*state)
-                regroup = True
+                continue
+            stack.release(*state)  # the rows clamp alone, so only a raising row stops
+            for i, x in zip(stack.ids, moved):
+                try:
+                    points[i] = tasks[i].clamp(x)
+                except Exception as exc:
+                    outcome[i] = exc
+            regroup = True
         stacks = kept
         for i, losses, grads in alone:
             try:

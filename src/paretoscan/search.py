@@ -35,7 +35,7 @@ from .relax import (
     NumericalFailureError,
     TaskContract,
     _descend_rows,
-    _stack_region,
+    _share_key,
     discretize_select,
     inner_descent,
 )
@@ -121,16 +121,29 @@ class RunConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Build from a JSON-style dict; accepts lambda/T/K/C aliases."""
-        kwargs = {}
+    def field_values(cls, data: dict) -> dict:
+        """``data``'s values keyed by the fields their keys name, through the
+        lambda/T/K/C/budget aliases.
+
+        Raises:
+            ValueError: For a key that names no field, or for two keys that
+                name one field (``"T"`` and ``"t"``), naming both keys.
+        """
+        values, keys = {}, {}
         fields = set(cls.__dataclass_fields__)
         for key, value in data.items():
             name = cls._ALIASES.get(key if key in cls._ALIASES else key.lower(), key)
             if name not in fields or name.startswith("_"):
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[name] = value
-        cfg = cls(**kwargs)
+            if name in keys:
+                raise ValueError(f"{name}: set by both {keys[name]!r} and {key!r}")
+            keys[name], values[name] = key, value
+        return values
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        """Build from a JSON-style dict (see :meth:`field_values`)."""
+        cfg = cls(**cls.field_values(data))
         cfg.validate()
         if cfg.weights is not None:
             cfg.weights = np.asarray(cfg.weights, dtype=np.float64)
@@ -324,27 +337,21 @@ def _clamp_starts(rays: list[_Ray], relaxed: dict) -> dict:
     """Each ray's clamped start from its relaxed candidate ``relaxed[j]``,
     or the exception its clamp raised, by ray index.
 
-    The candidates of two or more rays whose tasks clamp with the plain
-    clamp on one region (:func:`relax._stack_region`) and that share a
-    shape and dtype are clamped in one call on their stack, which the
-    region projects row by row, bit for bit.  Every other ray clamps its
-    own, and so does every ray of a stack whose call raises or returns
-    another shape, so only a raising ray fails, with its own error.
+    The candidates of two or more rays whose tasks share a key
+    (:func:`relax._share_key`) and that share a shape and dtype are
+    clamped in one call on their stack, made on the first ray's task.
+    Every other ray clamps its own, and so does every ray of a stack whose
+    call raises or returns another shape, so only a raising ray fails,
+    with its own error.
     """
     out: dict = {}
-    groups: list[tuple] = []  # (region, shape, dtype, ray indices)
+    groups: dict = {}
     for j, x in relaxed.items():
-        region = _stack_region(rays[j].task)
-        if region is None or not isinstance(x, np.ndarray) or x.ndim != 1:
-            groups.append((None, None, None, [j]))
-            continue
-        for other, shape, dtype, ids in groups:
-            if (other is region or other == region) and shape == x.shape and dtype == x.dtype:
-                ids.append(j)
-                break
+        if isinstance(x, np.ndarray) and x.ndim == 1:
+            groups.setdefault((_share_key(rays[j].task), x.shape, x.dtype), []).append(j)
         else:
-            groups.append((region, x.shape, x.dtype, [j]))
-    for region, _, _, ids in groups:
+            groups[j] = [j]
+    for ids in groups.values():
         if len(ids) > 1:
             X = np.array([relaxed[j] for j in ids])
             try:
@@ -365,8 +372,8 @@ def _clamp_starts(rays: list[_Ray], relaxed: dict) -> dict:
 def _descents(rays: list[_Ray]) -> list:
     """Each ray's descent this round, or the exception that stopped it.
 
-    Each ray's candidate is relaxed and clamped once, the rays that share
-    a plain clamp and a region in one call (:func:`_clamp_starts`).  A
+    Each ray's candidate is relaxed and clamped once, the rays whose tasks
+    share a key in one call (:func:`_clamp_starts`).  A
     descent depends only on its clamped start, so a ray whose start equals
     its last descent's reuses that descent; the other rays descend in one
     :func:`_descend_rows` call, each on its own task.
@@ -542,16 +549,15 @@ def front_scan(
     per ray, in ray order, and each ray starts as :func:`run_inversion`
     starts a run, with the same validation.  Every outer round then takes
     each live ray through the per-round step a run takes: each ray's
-    start is clamped once, in one call for the rays whose tasks share the
-    plain clamp and a region, a ray whose clamped start did not move
+    start is clamped once, in one call for the rays whose tasks share a
+    class and a ``stack_key``, a ray whose clamped start did not move
     reuses its last descent, and every other ray descends in one
     ``relax._descend_rows`` call, each on its own task.  That call groups
-    its rays once: three or more rays whose tasks share a stacked form and
-    its key make a stack that keeps its arrays across the inner rounds,
-    takes its losses from one call of the form per round and steps at
-    once: one QP pass for all of them, and one clamp when their tasks
-    share the plain clamp and a region; every other ray steps alone.
-    Ray i equals the solo run of its settings bit for bit.
+    its rays once: three or more rays whose tasks share a class and a key
+    make a stack that keeps its arrays across the inner rounds, takes its
+    losses from one call per round and steps at once: one QP pass and one
+    clamp for all of them; every other ray steps alone.  Ray i equals the
+    solo run of its settings bit for bit.
 
     Args:
       task_factory: Zero-argument callable building a fresh task per ray.

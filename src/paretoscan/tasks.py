@@ -19,10 +19,9 @@ Three task families exercise the relax-descend-discretize loop:
 
 Each task computes its losses only through its own methods: the oracle
 losses of a candidate through ``eval_discrete``, the relaxed losses and
-gradients through ``losses_and_gradients`` at a vector ``clamp`` made.
-Each task also has a stacked form of the relaxed losses, which maps an
-(r, n) stack of such vectors at once through the same helpers, bit for
-bit, and a ``stack_key`` that says which tasks may share one call of it.
+gradients through ``losses_and_gradients`` at an (r, n) stack of vectors
+``clamp`` made, each row's numbers independent of the rest of its stack.
+A task's ``stack_key`` says which tasks of its class may share one call.
 
 Every task parameter is an integer with a floor, which the task's own
 constructor checks; the grid, the start box and the seeds are constants.
@@ -114,14 +113,6 @@ def _wells(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 1.0 - E, D, E
 
 
-def _relaxed_wells(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The losses of a point or of an (r, n) stack of points, and their
-    gradients 2 (x -+ c) exp(-||x -+ c||^2), as a C-ordered (n, 2) or
-    (r, n, 2) array."""
-    losses, D, E = _wells(X)
-    return losses, np.ascontiguousarray(np.swapaxes(2.0 * D * E[..., None], -1, -2))
-
-
 class SyntheticTask(TaskContract):
     """Gaussian-well losses on the grid (step 0.01) inside [-2, 2]^n.
 
@@ -134,7 +125,6 @@ class SyntheticTask(TaskContract):
     m = 2
     region = Box(-_SYNTHETIC_BOUND, _SYNTHETIC_BOUND)
     default_eta = 0.05
-    stacked_losses_and_gradients = staticmethod(_relaxed_wells)
 
     def __init__(self, n: int = 20) -> None:
         super().__init__()
@@ -150,8 +140,10 @@ class SyntheticTask(TaskContract):
     def relax(self, candidate) -> np.ndarray:
         return self._coords(candidate)
 
-    def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _relaxed_wells(x)
+    def losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the gradients 2 (x -+ c) exp(-||x -+ c||^2), C-ordered (r, n, 2)
+        losses, D, E = _wells(X)
+        return losses, np.ascontiguousarray(np.swapaxes(2.0 * D * E[..., None], -1, -2))
 
     def _snap(self, params: np.ndarray) -> np.ndarray:
         idx = np.rint(params / _GRID_STEP).astype(np.int64)
@@ -240,21 +232,19 @@ def _unigram_gradients(l_max: int) -> np.ndarray:
 
 
 def _bigram_gradients(P: np.ndarray, l_max: int) -> np.ndarray:
-    """The (3 l_max, 3) bigram gradient matrix at an (l_max, 3) matrix
-    already known to be valid, or the (r, 3 l_max, 3) stack of them at an
-    (r, l_max, 3) stack."""
-    lead = P.shape[:-2]
-    grads = np.zeros((*lead, l_max, 3, 3))  # position, symbol, objective
+    """The (r, 3 l_max, 3) bigram gradient matrices at an (r, l_max, 3)
+    stack of matrices already known to be valid."""
+    grads = np.zeros((len(P), l_max, 3, 3))  # position, symbol, objective
     for k, (ia, ib) in enumerate(zip(_BIGRAM_FIRST, _BIGRAM_SECOND)):
-        grads[..., :-1, ia, k] -= P[..., 1:, ib] / (l_max - 1)
-        grads[..., 1:, ib, k] -= P[..., :-1, ia] / (l_max - 1)
-    return grads.reshape(*lead, 3 * l_max, 3)
+        grads[:, :-1, ia, k] -= P[:, 1:, ib] / (l_max - 1)
+        grads[:, 1:, ib, k] -= P[:, :-1, ia] / (l_max - 1)
+    return grads.reshape(len(P), 3 * l_max, 3)
 
 
 class NGramTask(TaskContract):
     """Fixed-length strings over {C, V, A} scored by n-gram counts.
 
-    Its stacked form reads the mode, which is its ``stack_key``, and the
+    Its relaxed losses read the mode, which is its ``stack_key``, and the
     length, which the point size fixes.
     """
 
@@ -281,14 +271,7 @@ class NGramTask(TaskContract):
     def relax(self, candidate) -> np.ndarray:
         return _one_hot(candidate, self.l_max).ravel()
 
-    def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        P = x.reshape(self.l_max, 3)
-        losses = _ngram_losses(P, self.mode, self.l_max)
-        if self._unigram_grads is not None:
-            return losses, self._unigram_grads
-        return losses, _bigram_gradients(P, self.l_max)
-
-    def stacked_losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         P = X.reshape(len(X), self.l_max, 3)
         losses = _ngram_losses(P, self.mode, self.l_max)
         if self._unigram_grads is not None:  # a writeable copy per row
@@ -375,9 +358,9 @@ class SurrogateTask(TaskContract):
     Discrete evaluations query the ground-truth oracle and count against the
     oracle budget.  The relaxation is the unit cube; its losses and
     gradients are the per-head cross-entropies (target 1) of the pretrained
-    net, so the descent path never touches the oracle.  Its stacked form
-    reads only the net, which is its ``stack_key`` and which tasks of equal
-    settings share.  The net's 1024 oracle-labeled training rows are not
+    net, so the descent path never touches the oracle.  They read only the
+    net, which is its ``stack_key`` and which tasks of equal settings
+    share.  The net's 1024 oracle-labeled training rows are not
     counted as oracle calls.
     ``epochs`` caps the net's training steps: training stops earlier once
     the loss fell by at most 1e-4 of its value over 100 steps (at n_b = 16,
@@ -401,11 +384,8 @@ class SurrogateTask(TaskContract):
     def relax(self, candidate) -> np.ndarray:
         return np.asarray(candidate, dtype=np.float64)
 
-    def losses_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.net.losses_and_gradients(x)
-
-    def stacked_losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.net.stacked_losses_and_gradients(X)
+    def losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.net.losses_and_gradients(X)
 
     def neighborhood_discretize(self, x: np.ndarray, count: int, rng) -> list:
         # one (count - 1, n_b) draw fills its rows in the order that count - 1

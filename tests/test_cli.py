@@ -237,24 +237,49 @@ def test_missing_output_directory_is_a_config_error(capsys):
 
 
 def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "task": "synthetic",
-                "task_params": {"n": 6},
-                "t": 2,
-                "k": 2,
-                "c": 1,
-                "eta": 0.0,
-                "seed": 5,
-            }
+    # the file's keys name their fields first, so a flag beats its field's
+    # key by any name: -T beats "t" and "T", --lambda "weights" and "lambda"
+    for t_key, weights_key in (("t", "weights"), ("T", "lambda")):
+        cfg = tmp_path / f"{t_key}.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "task": "synthetic",
+                    "task_params": {"n": 6},
+                    t_key: 2,
+                    weights_key: [1.0, 0.0],
+                    "k": 2,
+                    "c": 1,
+                    "eta": 0.0,
+                    "seed": 5,
+                }
+            )
         )
-    )
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "-T", "4", "-o", str(out)]) == 0
-    lines = (out / "trajectory.csv").read_text().strip().split("\n")
-    assert len(lines) == 1 + 5  # header + rounds 0..4: the flag beat the file
+        out = tmp_path / t_key
+        argv = ["run", "--config", str(cfg), "-T", "4", "--lambda", "0.6,0.8", "-o", str(out)]
+        assert main(argv) == 0
+        lines = (out / "trajectory.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 5  # header + rounds 0..4: the flag beat the file
+        _, l1, l2, _, r_check, _ = map(float, lines[1].split(","))
+        assert r_check == pytest.approx(max(0.6 * l1, 0.8 * l2))  # the flag's ray
+
+
+@pytest.mark.parametrize(
+    "data, keys",
+    [
+        ({"T": 3, "t": 4, "K": 2}, ("'T'", "'t'")),
+        ({"lambda": [1, 2], "weights": [3, 4]}, ("'lambda'", "'weights'")),
+    ],
+)
+def test_two_file_keys_that_name_one_field_are_a_config_error(tmp_path, capsys, data, keys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    # a flag for the field does not hide the clash
+    for flags in ([], ["-T", "2"]):
+        assert main(["run", "--config", str(cfg), *flags, "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and all(key in err for key in keys), err
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 def test_config_file_errors(tmp_path, capsys):

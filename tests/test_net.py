@@ -24,9 +24,10 @@ def _zeroed(n, h, m):
 
 def test_zero_parameters_give_indifferent_heads():
     net = _zeroed(4, 3, 2)
-    losses, grads = net.losses_and_gradients([1.0, -1.0, 0.5, 0.0])
-    assert losses == pytest.approx([math.log(2.0)] * 2)  # zero logits
-    assert grads.shape == (4, 2)
+    X = np.array([[1.0, -1.0, 0.5, 0.0], [0.0, 0.2, 1.0, 3.0]])
+    losses, grads = net.losses_and_gradients(X)
+    assert losses.ravel() == pytest.approx([math.log(2.0)] * 4)  # zero logits
+    assert grads.shape == (2, 4, 2)
     assert np.all(grads == 0.0)
 
 
@@ -38,11 +39,11 @@ def test_single_unit_hand_computation():
     net.b2 = np.array([-0.3])
     h = math.tanh(2.0 * 0.4 + 0.5)
     z = 1.5 * h - 0.3
-    losses, grads = net.losses_and_gradients([0.4])
+    losses, grads = net.losses_and_gradients(np.array([[0.4]]))
     # default target 1: -log sigmoid(z(x)) and its derivative in x
-    assert losses[0] == pytest.approx(math.log1p(math.exp(-z)), abs=1e-15)
+    assert losses[0, 0] == pytest.approx(math.log1p(math.exp(-z)), abs=1e-15)
     want = (1.0 / (1.0 + math.exp(-z)) - 1.0) * 1.5 * (1.0 - h * h) * 2.0
-    assert grads[0, 0] == pytest.approx(want, abs=1e-14)
+    assert grads[0, 0, 0] == pytest.approx(want, abs=1e-14)
 
 
 def test_loss_kernel_matches_manual_cross_entropy():
@@ -82,15 +83,15 @@ def test_loss_kernel_gradients_match_finite_differences():
 
 def test_input_gradients_match_finite_differences():
     net = DualPathNet(5, 6, 3, seed=3)
-    x = np.random.default_rng(4).uniform(0, 1, size=5)
-    grads = net.losses_and_gradients(x)[1]  # every head targets 1: bce = softplus(-z)
+    X = np.random.default_rng(4).uniform(0, 1, size=(4, 5))
+    grads = net.losses_and_gradients(X)[1]  # every head targets 1: bce = softplus(-z)
     eps = 1e-6
     for i in range(5):
-        up, dn = x.copy(), x.copy()
-        up[i] += eps
-        dn[i] -= eps
+        up, dn = X.copy(), X.copy()
+        up[:, i] += eps
+        dn[:, i] -= eps
         fd = (net.losses_and_gradients(up)[0] - net.losses_and_gradients(dn)[0]) / (2 * eps)
-        assert grads[i] == pytest.approx(fd, abs=1e-8)
+        assert grads[:, i] == pytest.approx(fd, abs=1e-8)
 
 
 def test_train_reduces_loss_and_freezes():
@@ -164,8 +165,8 @@ def test_default_surrogate_net_scores_every_candidate_closely():
     net = task.net
     bits = ((np.arange(2**16)[:, None] >> np.arange(16)) & 1).astype(np.float64)
     predicted = _sigmoid(np.tanh(bits @ net.w1.T + net.b1) @ net.w2.T + net.b2)
-    for x, row in zip(bits[::4099], predicted[::4099]):  # the batch agrees with the net
-        assert -np.log(row) == pytest.approx(net.losses_and_gradients(x)[0], rel=1e-12)
+    losses = net.losses_and_gradients(bits[::4099])[0]  # the batch agrees with the net
+    assert -np.log(predicted[::4099]) == pytest.approx(losses, rel=1e-12)
     truth = np.stack([task.oracle.scores(x) for x in bits])
     assert np.abs(predicted - truth).mean() <= 0.0121
 

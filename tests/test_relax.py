@@ -108,13 +108,12 @@ def _bowl(X):
 class _StubTask(TaskContract):
     """Quadratic bowl with hooks to inject failures and scripted candidates.
 
-    Its stacked form is the bowl itself, so rows of stub tasks stack; the
-    failure hooks act on the one-row calls only.
+    Rows of stub tasks stack.  The failure hooks act on the stub's k-th
+    call, so a stub that has one holds a key of its own.
     """
 
     m = 2
     region = _FREE
-    stacked_losses_and_gradients = staticmethod(_bowl)
 
     def __init__(self, fail_grad_round=None, fail_loss_round=None, candidates=None):
         super().__init__()
@@ -122,6 +121,8 @@ class _StubTask(TaskContract):
         self.fail_loss_round = fail_loss_round
         self.scripted = candidates
         self.calls = 0
+        if fail_grad_round is not None or fail_loss_round is not None:
+            self.stack_key = object()
 
     def _discrete_losses(self, candidate):
         x = np.asarray(candidate, dtype=np.float64)
@@ -130,16 +131,15 @@ class _StubTask(TaskContract):
     def relax(self, candidate):
         return np.asarray(candidate, dtype=np.float64)
 
-    def losses_and_gradients(self, x):
+    def losses_and_gradients(self, X):
         k = self.calls
         self.calls += 1
-        L, G = _bowl(x[None])
-        losses, grads = L[0], G[0]
+        L, G = _bowl(X)
         if k == self.fail_loss_round:
-            losses = np.array([np.nan, 1.0])
+            L[:] = [np.nan, 1.0]
         if k == self.fail_grad_round:
-            grads = np.full((x.size, 2), np.nan)
-        return losses, grads
+            G[:] = np.nan
+        return L, G
 
     def neighborhood_discretize(self, x, count, rng):
         if self.scripted is not None:
@@ -154,9 +154,9 @@ class _StubTask(TaskContract):
 
 
 class _ZeroGradTask(_StubTask):
-    def losses_and_gradients(self, x):
-        losses, _ = super().losses_and_gradients(x)
-        return losses, np.zeros((x.size, 2))
+    def losses_and_gradients(self, X):
+        L, G = super().losses_and_gradients(X)
+        return L, np.zeros_like(G)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +234,9 @@ class _ClampWatch(_StubTask):
         self.clamped.append(out)
         return out
 
-    def losses_and_gradients(self, x):
-        self.asked.append(x)
-        return super().losses_and_gradients(x)
+    def losses_and_gradients(self, X):
+        self.asked.append(X)
+        return super().losses_and_gradients(X)
 
 
 @pytest.mark.parametrize("mode", ["epo", "ls"])
@@ -246,8 +246,9 @@ def test_inner_descent_asks_the_task_once_per_round_at_a_clamped_point(mode):
         task, np.array([0.4, 0.7]), [1.0, 1.0], eta=0.1, rounds=6, mode=mode
     )
     assert task.calls == 6
-    # round k is asked about the point the k-th clamp made, not a copy
-    assert all(a is c for a, c in zip(task.asked, task.clamped))
+    # round k is asked about the point the k-th clamp made, as a (1, n)
+    # view of it, not a copy
+    assert all(a.shape == (1, 2) and a.base is c for a, c in zip(task.asked, task.clamped))
 
 
 class _BoxedStub(_StubTask):
@@ -321,23 +322,25 @@ def test_inner_descent_failure_on_losses_at_first_round():
 
 
 class _GuardStub(_StubTask):
-    """Stub whose round ``bad_round`` returns the given losses and gradients."""
+    """Stub whose round ``bad_round`` returns the given losses and gradients
+    in every row; it holds a key of its own."""
 
     def __init__(self, bad_round, losses=None, grads=None):
         super().__init__()
         self.bad_round = bad_round
         self.bad_losses = losses
         self.bad_grads = grads
+        self.stack_key = object()
 
-    def losses_and_gradients(self, x):
+    def losses_and_gradients(self, X):
         k = self.calls
-        losses, grads = super().losses_and_gradients(x)
+        L, G = super().losses_and_gradients(X)
         if k == self.bad_round:
             if self.bad_losses is not None:
-                losses = np.array(self.bad_losses)
+                L = np.tile(self.bad_losses, (len(X), 1))
             if self.bad_grads is not None:
-                grads = np.full((x.size, 2), self.bad_grads)
-        return losses, grads
+                G = np.full(G.shape, self.bad_grads)
+        return L, G
 
 
 def test_inner_descent_accepts_a_finite_direction_whose_squared_norm_overflows():
@@ -396,7 +399,7 @@ def test_inner_descent_negative_losses_still_raise_value_error():
 )
 def test_inner_descent_rejects_malformed_task_losses(losses, message):
     task = _StubTask()
-    task.losses_and_gradients = lambda x: (np.array(losses), np.zeros((2, 2)))
+    task.losses_and_gradients = lambda X: (np.array([losses]), np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match=message):
         inner_descent(
             task,
@@ -459,13 +462,10 @@ def _fortran_bowl(X):
 
 
 class _FortranStub(_StubTask):
-    """Stub whose gradient matrices are Fortran-ordered, one row or stacked."""
+    """Stub whose gradient matrices are Fortran-ordered."""
 
-    def losses_and_gradients(self, x):
-        L, G = _fortran_bowl(x[None])
-        return L[0], G[0]
-
-    stacked_losses_and_gradients = staticmethod(_fortran_bowl)
+    def losses_and_gradients(self, X):
+        return _fortran_bowl(X)
 
 
 def _spy_on_stacks(monkeypatch) -> list:
@@ -499,10 +499,9 @@ def _spy_on_groups(monkeypatch) -> list:
 
 def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypatch):
     # three rows of each task kind, at different etas, descend in one
-    # call; each kind's rows take their losses from one call of its
-    # stacked form and step as a stack in every round, the gradient
-    # slices keep their memory order, and each row equals the descent it
-    # makes alone
+    # call; each kind's rows take their losses from one call and step as
+    # a stack in every round, the gradient slices keep their memory
+    # order, and each row equals the descent it makes alone
     kinds = [
         (lambda: SyntheticTask(n=4), (0.05, 0.11, 0.02)),
         (lambda: make_task("ngram-uni", l_max=3), (0.2, 0.1, 0.3)),
@@ -517,13 +516,13 @@ def test_rows_of_any_shape_order_and_step_equal_their_one_row_descents(monkeypat
         return [(make(), eta) for make, etas in kinds for eta in etas]
 
     stacked = _spy_on_stacks(monkeypatch)
-    formed, form = [], SyntheticTask.stacked_losses_and_gradients
+    formed, form = [], SyntheticTask.losses_and_gradients
 
-    def spy(X):
+    def spy(self, X):
         formed.append(X.shape)
-        return form(X)
+        return form(self, X)
 
-    monkeypatch.setattr(SyntheticTask, "stacked_losses_and_gradients", staticmethod(spy))
+    monkeypatch.setattr(SyntheticTask, "losses_and_gradients", spy)
     rng = np.random.default_rng(5)
     rows = build()
     starts, weights = [], []
@@ -552,11 +551,11 @@ def test_rows_share_a_stacked_call_only_when_their_tasks_keys_are_equal(monkeypa
     calls = []
     for cls in (NGramTask, SurrogateTask):
 
-        def spy(self, X, form=cls.stacked_losses_and_gradients):
+        def spy(self, X, form=cls.losses_and_gradients):
             calls.append((self.stack_key, len(X)))
             return form(self, X)
 
-        monkeypatch.setattr(cls, "stacked_losses_and_gradients", spy)
+        monkeypatch.setattr(cls, "losses_and_gradients", spy)
 
     def build():
         return (
@@ -571,18 +570,17 @@ def test_rows_share_a_stacked_call_only_when_their_tasks_keys_are_equal(monkeypa
     weights = [lift_positive(rng.uniform(0.2, 1.0, task.m)) for task in tasks]
     etas = [task.default_eta for task in tasks]
     out = relax._descend_rows(tasks, starts, weights, etas, rounds=4, mode="epo")
-    assert calls == [("unigram", 3), ("bigram", 3), (tasks[6].net, 3)] * 4
+    lone = [(task.net, 1) for task in tasks[9:]]
+    assert calls == ([("unigram", 3), ("bigram", 3), (tasks[6].net, 3)] + lone) * 4
     assert len({task.net for task in tasks[6:]}) == 4
-    calls.clear()
     for task, start, w, eta, got in zip(build(), starts, weights, etas, out):
         alone = inner_descent(task, start, w, eta=eta, rounds=4)
         assert _trace_bytes(got) == _trace_bytes(alone)
-    assert calls == []  # a lone row calls its own task
 
 
 @pytest.mark.parametrize("mode", ["epo", "ls"])
 def test_a_group_of_three_rows_stacks_and_a_group_of_two_steps_row_by_row(monkeypatch, mode):
-    # two rows of one stacked form and three of another in one call: only
+    # two rows of one task class and three of another in one call: only
     # the three stack, the rows are grouped once for all five rounds, and
     # every row equals the descent it makes alone
     def build():
@@ -613,7 +611,7 @@ def test_a_group_of_three_rows_stacks_and_a_group_of_two_steps_row_by_row(monkey
     ],
 )
 def test_a_failing_row_stops_alone_with_its_one_row_error(monkeypatch, bad, mode):
-    # the guard row overrides the losses, so it steps alone beside a stack
+    # the guard row is of another class, so it steps alone beside a stack
     # of three stub rows, which its failure leaves untouched
     starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [-0.3, 0.2], [1.5, -0.5])]
     weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1], [0.2, 1.0])]
@@ -668,49 +666,47 @@ def test_a_row_whose_qp_raises_stops_alone(monkeypatch):
             assert _trace_bytes(out[j]) == _trace_bytes(clean)
 
 
-def test_a_stack_clamps_in_one_call_unless_a_task_overrides_clamp(monkeypatch):
-    # TaskContract.clamp is looked up as the descent runs, so a wrapper on it
-    # sees the stacked calls; a task whose class or instance overrides
-    # clamp keeps its own per-row calls, and so does every row of its stack
+def test_a_subclass_that_overrides_a_method_forms_its_own_stacks(monkeypatch):
+    # stub rows, rows of a subclass that overrides clamp and rows of one
+    # that overrides the losses make three stacks of three; each stack's
+    # calls are made on its first row's task, so each method, the
+    # inherited ones included, gets the whole (3, 2) stack once a round
     shapes, plain = [], TaskContract.clamp
 
-    def counting(self, x):
-        shapes.append(x.shape)
-        return plain(self, x)
-
-    monkeypatch.setattr(TaskContract, "clamp", counting)
-    own = []
+    def counting(self, X):
+        shapes.append((type(self).__name__, "clamp", X.shape))
+        return plain(self, X)
 
     class _OwnClamp(_StubTask):
-        def clamp(self, x):
-            own.append(x.shape)
-            return _FREE.project(x)
+        def clamp(self, X):
+            shapes.append(("_OwnClamp", "own clamp", X.shape))
+            return _FREE.project(X)
 
-    patched = _StubTask()
-    patched.clamp = lambda x: own.append(x.shape) or _FREE.project(x)
+    class _OwnLosses(_StubTask):
+        def losses_and_gradients(self, X):
+            shapes.append(("_OwnLosses", "own losses", X.shape))
+            return _bowl(X)
+
+    def build():
+        return [cls() for cls in (_StubTask, _OwnClamp, _OwnLosses) for _ in range(3)]
+
+    monkeypatch.setattr(TaskContract, "clamp", counting)
     steps = _spy_on_stacks(monkeypatch)
-    starts = [np.array(x) for x in ([0.4, 0.7], [0.1, 0.9], [-0.3, 0.2])]
-    weights = [lift_positive(w) for w in ([1.0, 1.0], [0.6, 0.8], [0.9, 0.1])]
-    etas = [0.1, 0.05, 0.2]
-    for build, stacked in (
-        (lambda: [_StubTask(), _StubTask(), _StubTask()], True),
-        (lambda: [_StubTask(), _OwnClamp(), _StubTask()], False),
-        (lambda: [_StubTask(), _StubTask(), patched], False),
-    ):
-        shapes.clear()
-        own.clear()
-        steps.clear()
-        out = relax._descend_rows(build(), starts, weights, etas, rounds=4, mode="epo")
-        assert steps == [(3, False, True)] * 4  # the rows step as a stack either way
-        if stacked:
-            assert shapes == [(3, 2)] * 4 and own == []
-        else:
-            assert shapes == [(2,)] * 8 and own == [(2,)] * 4
-        for j, task in enumerate(build()):
-            alone = relax._descend_rows(
-                [task], [starts[j]], [weights[j]], [etas[j]], rounds=4, mode="epo"
-            )[0]
-            assert _trace_bytes(out[j]) == _trace_bytes(alone)
+    rng = np.random.default_rng(3)
+    starts = list(rng.normal(size=(9, 2)))
+    weights = [lift_positive(w) for w in rng.uniform(0.2, 1.0, (9, 2))]
+    etas = list(rng.uniform(0.05, 0.2, 9))
+    out = relax._descend_rows(build(), starts, weights, etas, rounds=4, mode="epo")
+    assert steps == [(3, False, True)] * 3 * 4
+    assert shapes == [
+        ("_OwnLosses", "own losses", (3, 2)),
+        ("_StubTask", "clamp", (3, 2)),
+        ("_OwnClamp", "own clamp", (3, 2)),
+        ("_OwnLosses", "clamp", (3, 2)),
+    ] * 4
+    for task, start, w, eta, got in zip(build(), starts, weights, etas, out):
+        alone = relax._descend_rows([task], [start], [w], [eta], rounds=4, mode="epo")[0]
+        assert _trace_bytes(got) == _trace_bytes(alone)
 
 
 class _Picky:
@@ -754,14 +750,11 @@ def _poisoned_bowl(X):
 
 
 class _PoisonStub(_StubTask):
-    """Stub whose losses turn NaN on the way in from a far start, one row
-    or stacked, so a row started at (8, 8) fails at an inner round k >= 1."""
+    """Stub whose losses turn NaN on the way in from a far start, so a row
+    started at (8, 8) fails at an inner round k >= 1."""
 
-    def losses_and_gradients(self, x):
-        L, G = _poisoned_bowl(x[None])
-        return L[0], G[0]
-
-    stacked_losses_and_gradients = staticmethod(_poisoned_bowl)
+    def losses_and_gradients(self, X):
+        return _poisoned_bowl(X)
 
 
 def _lone_descents(build, starts, weights, etas, rounds, mode):
@@ -806,16 +799,14 @@ def test_a_stack_steps_on_without_the_row_that_failed_in_it(monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["epo", "ls"])
 @pytest.mark.parametrize("broken", ["form", "step"])
 def test_a_stack_refused_in_one_round_stacks_again_in_the_next(monkeypatch, broken, mode):
-    # in round 2 the stacked form raises, or the stacked step does, though
-    # no row fails: the rows step alone in that round, are grouped once
-    # more and step as one stack again from round 3
+    # in round 2 the stack's losses call raises, or the stacked step does,
+    # though no row fails: the rows step alone in that round, each after
+    # its own call when the stack's call raised, are grouped once more
+    # and step as one stack again from round 3
     formed, step_stack = [], relax._step_stack
 
     class _Flaky(_StubTask):
-        losses_and_gradients = _StubTask.losses_and_gradients
-
-        @staticmethod
-        def stacked_losses_and_gradients(X):
+        def losses_and_gradients(self, X):
             formed.append(len(X))
             if broken == "form" and len(formed) == 3:
                 raise RuntimeError("not this round")
@@ -833,10 +824,11 @@ def test_a_stack_refused_in_one_round_stacks_again_in_the_next(monkeypatch, brok
     etas = [0.1, 0.15, 0.05, 0.2]
     stacked, grouped = _spy_on_stacks(monkeypatch), _spy_on_groups(monkeypatch)
     out = relax._descend_rows([_Flaky() for _ in starts], starts, weights, etas, rounds=6, mode=mode)
-    assert formed == [4] * 6
     if broken == "form":
+        assert formed == [4] * 3 + [1] * 4 + [4] * 3
         assert stacked == [(4, False, True)] * 5  # round 2 takes no stacked step
     else:
+        assert formed == [4] * 6
         assert stacked == [(4, False, True)] * 2 + [(4, False, False)] + [(4, False, True)] * 3
     assert grouped == [4, 4]
     _assert_rows_equal(out, _lone_descents(_StubTask, starts, weights, etas, 6, mode))
@@ -865,16 +857,16 @@ def test_rows_left_below_the_stack_size_by_failures_step_alone(monkeypatch, mode
 def test_a_row_whose_task_raises_stops_alone():
     # the task raises, or returns gradients that make no array
     class _Refusing(_StubTask):
-        def losses_and_gradients(self, x):
+        def losses_and_gradients(self, X):
             if self.calls == 3:
                 raise RuntimeError("refused")
-            return super().losses_and_gradients(x)
+            return super().losses_and_gradients(X)
 
     class _Ragged(_StubTask):
-        def losses_and_gradients(self, x):
+        def losses_and_gradients(self, X):
             if self.calls == 3:
-                return np.ones(2), [[1.0], [1.0, 2.0]]
-            return super().losses_and_gradients(x)
+                return np.ones((1, 2)), [[[1.0], [1.0, 2.0]]]
+            return super().losses_and_gradients(X)
 
     starts = [np.array([0.4, 0.7]), np.array([0.1, 0.9])]
     weights = [lift_positive([1.0, 1.0])] * 2
@@ -890,29 +882,6 @@ def test_a_row_whose_task_raises_stops_alone():
         assert _trace_bytes(out[1]) == _trace_bytes(clean)
 
 
-def test_a_stacked_form_serves_only_the_losses_of_the_class_that_defines_it():
-    class _Overrides(SyntheticTask):
-        def losses_and_gradients(self, x):
-            return super().losses_and_gradients(x)
-
-    patched = SyntheticTask(n=2)
-    patched.losses_and_gradients = lambda x: SyntheticTask.losses_and_gradients(patched, x)
-    surrogate = make_task("surrogate", n_b=4, m=2, epochs=0)
-    assert relax._stacked_form(SyntheticTask(n=2)) == (SyntheticTask, None)
-    assert relax._stacked_form(make_task("ngram-bi")) == (NGramTask, "bigram")
-    assert relax._stacked_form(surrogate) == (SurrogateTask, surrogate.net)
-    assert relax._stacked_form(_Overrides(n=2)) is None
-    assert relax._stacked_form(patched) is None
-    assert relax._stacked_form(_StubTask()) == (_StubTask, None)
-    assert relax._stacked_form(_ZeroGradTask()) is None
-
-    class _OnlyStacked(_StubTask):
-        stacked_losses_and_gradients = staticmethod(_fortran_bowl)
-
-    # the form that serves is the one of the class that defines the losses
-    assert relax._stacked_form(_OnlyStacked()) == (_StubTask, None)
-
-
 def _trapped_bowl(X):
     """The bowl, with NaN gradients at a row whose first coordinate exceeds 5."""
     L, G = _bowl(X)
@@ -923,21 +892,16 @@ def _trapped_bowl(X):
 @pytest.mark.parametrize("mode", ["epo", "ls"])
 @pytest.mark.parametrize("broken", ["raises", "shape", "values"])
 def test_a_stacked_form_that_fails_falls_back_to_each_rows_own_losses(broken, mode):
-    # the form refuses a stack holding the faulty row: it raises or returns
-    # a wrong shape, and the rows call their own losses, or it returns the
-    # row's NaN gradients, and the stack steps row by row; only the faulty
-    # row stops, with its one-row error, and the rest take the form again
+    # a call on a stack holding the faulty row raises or returns a wrong
+    # shape, and each row retries its own call on its (1, n) stack, or it
+    # returns the row's NaN gradients, and the stack steps row by row; only
+    # the faulty row stops, with its one-row error, and the rest stack again
     formed = []
 
     class _PureBowl(_StubTask):
-        def losses_and_gradients(self, x):
-            losses, grads = _trapped_bowl(x[None])
-            return losses[0], grads[0]
-
-        @staticmethod
-        def stacked_losses_and_gradients(X):
+        def losses_and_gradients(self, X):
             formed.append(len(X))
-            if (X[:, 0] > 5.0).any():
+            if len(X) > 1 and (X[:, 0] > 5.0).any():
                 if broken == "raises":
                     raise RuntimeError("stack refused")
                 if broken == "shape":
@@ -950,7 +914,7 @@ def test_a_stacked_form_that_fails_falls_back_to_each_rows_own_losses(broken, mo
     out = relax._descend_rows(
         [_PureBowl() for _ in starts], starts, weights, etas, rounds=5, mode=mode
     )
-    assert formed == [4, 3, 3, 3, 3]
+    assert formed == [4] + [1] * 4 * (broken != "values") + [3] * 4
     with pytest.raises(NumericalFailureError) as alone:
         inner_descent(_PureBowl(), starts[2], weights[2], eta=etas[2], rounds=5, mode=mode)
     assert type(out[2]) is NumericalFailureError and str(out[2]) == str(alone.value)

@@ -68,6 +68,16 @@ def test_config_from_dict_aliases():
     assert upper.T == 7
     with pytest.raises(ValueError, match="unknown config key"):
         RunConfig.from_dict({"steps": 3})
+    # two keys that name one field are refused, both named
+    assert RunConfig.field_values({"t": 4, "lambda": [1, 2]}) == {"T": 4, "weights": [1, 2]}
+    for data, message in (
+        ({"T": 3, "t": 4, "K": 2}, "T: set by both 'T' and 't'"),
+        ({"k": 3, "K": 4}, "K: set by both 'k' and 'K'"),
+        ({"lambda": [1, 2], "weights": [3, 4]}, "weights: set by both 'lambda' and 'weights'"),
+        ({"budget": 5, "oracle_budget": 6}, "oracle_budget: set by both 'budget' and 'oracle_budget'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig.from_dict(data)
 
 
 def test_balance_threshold_is_a_read_only_constant():
@@ -192,19 +202,21 @@ def test_single_objective_reduces_to_weighted_sum():
 
 
 class _GradFailTask(SyntheticTask):
-    """Synthetic task whose gradients go non-finite after a set number of calls."""
+    """Synthetic task whose gradients go non-finite after a set number of
+    calls; its numbers depend on its own calls, so it holds a key of its own."""
 
     def __init__(self, fail_after: int, **kwargs):
         super().__init__(**kwargs)
         self.fail_after = fail_after
         self.grad_calls = 0
+        self.stack_key = object()
 
-    def losses_and_gradients(self, point):
+    def losses_and_gradients(self, X):
         self.grad_calls += 1
-        losses, G = super().losses_and_gradients(point)
+        L, G = super().losses_and_gradients(X)
         if self.grad_calls > self.fail_after:
-            return losses, G * np.nan
-        return losses, G
+            return L, G * np.nan
+        return L, G
 
 
 def test_numerical_failure_returns_partial_result():
@@ -740,14 +752,14 @@ def test_a_ray_whose_task_raises_partway_leaves_the_lockstep_rays_unchanged():
 
 
 def test_rays_whose_task_overrides_the_losses_keep_their_own_calls(monkeypatch):
-    # _GradFailTask overrides losses_and_gradients and counts its calls, so
-    # its rays never take SyntheticTask's stacked form: each ray fails when
-    # its own count runs out, as its solo run does
+    # _GradFailTask counts its calls and holds a key of its own, so its
+    # rays never share a call: each ray fails when its own count runs out,
+    # as its solo run does
     formed = []
-    form = SyntheticTask.stacked_losses_and_gradients
+    form = SyntheticTask.losses_and_gradients
     monkeypatch.setattr(
-        SyntheticTask, "stacked_losses_and_gradients",
-        staticmethod(lambda X: formed.append(len(X)) or form(X)),
+        SyntheticTask, "losses_and_gradients",
+        lambda self, X: formed.append(len(X)) or form(self, X),
     )
 
     def build(i):
@@ -762,7 +774,7 @@ def test_rays_whose_task_overrides_the_losses_keep_their_own_calls(monkeypatch):
     rays = weight_grid(2, 5)
     config = _small_cfg(T=20)
     scan = front_scan(factory, rays, config)
-    assert formed == []
+    assert set(formed) == {1}
     assert [ray.failed for ray in scan.rays] == [True, True, True, True, False]
     assert len({len(ray.trajectory) for ray in scan.rays}) == 5
     _assert_rays_equal_solo_runs(scan, build, rays, config)
@@ -796,13 +808,15 @@ def test_a_ray_that_fails_numerically_partway_leaves_the_lockstep_rays_unchanged
 class _OwnClampTask(SyntheticTask):
     """Synthetic task that clamps with its own method, which raises at the
     start of outer round ``fail_round``: the first clamp after that
-    round's relax."""
+    round's relax.  Its clamp depends on its own calls, so it holds a key
+    of its own."""
 
     def __init__(self, fail_round: int | None = None, **kwargs):
         super().__init__(**kwargs)
         self.fail_round = fail_round
         self.relaxed = 0
         self.starting = False
+        self.stack_key = object()
 
     def relax(self, candidate):
         self.relaxed += 1
@@ -855,10 +869,12 @@ def _watch_start_clamps(monkeypatch) -> list:
 
 
 def test_the_plain_clamp_rays_clamp_their_starts_in_one_call(monkeypatch):
-    # rays 0, 2, 4 and 5 clamp with TaskContract.clamp on one region, so
-    # their starts take one call a round; ray 1 clamps with its own method,
-    # ray 3's own clamp raises at the start of round 3 and ray 4's relax
-    # raises in round 2, and each failing ray carries its solo run's error
+    # rays 0, 2 and 5 share a class and a key, so their starts take one
+    # call a round; ray 4 is of another class and clamps its own start with
+    # TaskContract.clamp, rays 1 and 3 hold keys of their own and clamp with
+    # their own method, ray 3's clamp raises at the start of round 3 and
+    # ray 4's relax raises in round 2, and each failing ray carries its
+    # solo run's error
     def build(i):
         return {
             1: lambda: _OwnClampTask(n=6),
@@ -876,7 +892,7 @@ def test_the_plain_clamp_rays_clamp_their_starts_in_one_call(monkeypatch):
     rays = weight_grid(2, 6)
     config = _small_cfg(T=6)
     scan = front_scan(factory, rays, config)
-    assert starts == [(4, 6)] + [(3, 6)] * (config.T - 1)  # ray 4 is gone from round 2
+    assert starts == [(3, 6), (6,)] + [(3, 6)] * (config.T - 1)  # ray 4 is gone from round 2
     errors = [ray.error for ray in scan.rays]
     assert errors == [None, None, None, "start refused in round 3", "no relaxation in round 2", None]
     for i, message in ((3, "start refused in round 3"), (4, "no relaxation in round 2")):

@@ -32,6 +32,13 @@ def _fd_columns(f, x, m, eps=1e-6):
     return out
 
 
+def _at_point(task, x):
+    """The losses and gradients of ``task`` at one point, from a call on
+    the (1, n) stack that holds it."""
+    L, G = task.losses_and_gradients(x[None])
+    return L[0], G[0]
+
+
 def _expected_ngram_losses(flat, mode, l_max):
     """The n-gram losses of a flattened matrix, recomputed from the counts'
     definition without any check, so off-simplex probes stay well-defined."""
@@ -50,7 +57,7 @@ def _expected_ngram_losses(flat, mode, l_max):
 
 def test_synthetic_losses_at_origin():
     # ||0 -+ c||^2 = 1 exactly, so both losses are 1 - 1/e
-    l = SyntheticTask(20).losses_and_gradients(np.zeros(20))[0]
+    l = _at_point(SyntheticTask(20), np.zeros(20))[0]
     assert l == pytest.approx([1.0 - math.exp(-1.0)] * 2, abs=1e-12)
     assert l[0] == l[1]
 
@@ -59,10 +66,10 @@ def test_synthetic_losses_at_centers():
     n = 10
     task = SyntheticTask(n)
     c = np.full(n, 1.0 / math.sqrt(n))
-    at_plus = task.losses_and_gradients(c)[0]
+    at_plus = _at_point(task, c)[0]
     assert at_plus[0] == pytest.approx(0.0, abs=1e-15)
     assert at_plus[1] == pytest.approx(1.0 - math.exp(-4.0), abs=1e-12)
-    at_minus = task.losses_and_gradients(-c)[0]
+    at_minus = _at_point(task, -c)[0]
     assert at_minus[0] == pytest.approx(1.0 - math.exp(-4.0), abs=1e-12)
     assert at_minus[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -70,7 +77,7 @@ def test_synthetic_losses_at_centers():
 def test_synthetic_gradients_closed_form_at_origin():
     n = 5
     c = np.full(n, 1.0 / math.sqrt(n))
-    G = SyntheticTask(n).losses_and_gradients(np.zeros(n))[1]
+    G = _at_point(SyntheticTask(n), np.zeros(n))[1]
     assert G.shape == (n, 2)
     assert G[:, 0] == pytest.approx(-2.0 * c * math.exp(-1.0))
     assert G[:, 1] == pytest.approx(2.0 * c * math.exp(-1.0))
@@ -82,8 +89,8 @@ def test_synthetic_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.4, 0.4, size=8)
     task = SyntheticTask(8)
-    G = task.losses_and_gradients(x)[1]
-    fd = _fd_columns(lambda v: task.losses_and_gradients(v)[0], x, 2)
+    G = _at_point(task, x)[1]
+    fd = _fd_columns(lambda v: _at_point(task, v)[0], x, 2)
     assert np.max(np.abs(G - fd)) < 1e-8
 
 
@@ -95,62 +102,49 @@ def test_synthetic_gradients_equal_the_stacked_form_bit_for_bit(n):
         offsets = (x - c, x + c)
         factors = [math.exp(-float(d @ d)) for d in offsets]
         stacked = np.stack([2.0 * d * e for d, e in zip(offsets, factors)], axis=1)
-        losses, G = SyntheticTask(n).losses_and_gradients(x)
+        losses, G = _at_point(SyntheticTask(n), x)
         assert G.flags.c_contiguous and G.tobytes() == stacked.tobytes()
         assert losses.tobytes() == np.array([1.0 - e for e in factors]).tobytes()
     # the well centres are built once per n and shared, so nothing may write them
     assert not tasks._centres(n).flags.writeable
 
 
+#: Each task kind of the stack contract, as the tasks it is checked on.
+_STACKED_TASKS = {
+    "synthetic": lambda: [SyntheticTask(n) for n in (1, 5, 20, 400)],
+    "ngram-uni": lambda: [make_task("ngram-uni", l_max=l) for l in (2, 3, 8, 9, 16, 33)],
+    "ngram-bi": lambda: [make_task("ngram-bi", l_max=l) for l in (2, 3, 8, 9, 16, 33)],
+    "surrogate-m2": lambda: [make_task("surrogate", m=2)],
+    "surrogate-m4": lambda: [make_task("surrogate", m=4)],
+}
+
+
 @pytest.mark.parametrize("r", [1, 3, 16])
-def test_the_stacked_synthetic_losses_equal_one_row_calls_bit_for_bit(r):
-    # points inside the box, on its faces (+-2) and at its corners; at
-    # n = 400 every corner is so far from both wells that exp underflows
+@pytest.mark.parametrize("kind", sorted(_STACKED_TASKS))
+def test_a_stack_equals_its_rows_called_one_by_one(kind, r):
+    # clamped interior and face points, lattice points (grid points, one-hot
+    # strings, bit vectors), far points clamped onto the region's corners
+    # and stacks that mix them: each row of a stacked call equals the call
+    # on that row as a (1, n) stack, its gradient strides included
     rng = np.random.default_rng(r)
-    for n in (1, 5, 20, 400):
-        task = SyntheticTask(n)
-        inside = rng.uniform(-2.0, 2.0, (r, n))
-        faces = inside.copy()
-        on_face = rng.random((r, n)) < 0.5
-        faces[on_face] = rng.choice([-2.0, 2.0], int(on_face.sum()))
-        corners = rng.choice([-2.0, 2.0], (r, n))
-        for X in (inside, faces, corners):
-            L, G = SyntheticTask.stacked_losses_and_gradients(X)
-            assert L.shape == (r, 2) and G.shape == (r, n, 2) and G.flags.c_contiguous
-            for x, losses, grads in zip(X, L, G):
-                one_losses, one_grads = task.losses_and_gradients(x)
-                assert one_grads.flags.c_contiguous
-                assert losses.tobytes() == one_losses.tobytes()
-                assert grads.tobytes() == one_grads.tobytes()
-    # ||x -+ c||^2 >= 400 * 1.95^2 > 746 at every corner: the losses are exactly 1
-    assert (L == 1.0).all() and not G.any()
-
-
-@pytest.mark.parametrize("r", [1, 3, 4, 12])
-@pytest.mark.parametrize("name", ["ngram-uni", "ngram-bi", "surrogate"])
-def test_the_stacked_ngram_and_surrogate_losses_equal_one_row_calls_bit_for_bit(name, r):
-    # clamped interior points, 0/1 rows (one-hot strings, bit vectors) and
-    # stacks that mix them; every gradient slice keeps the memory order of
-    # the one-row call
-    rng = np.random.default_rng(r)
-    if name == "surrogate":
-        built = [make_task(name, m=m, epochs=200) for m in (1, 2, 4)]
-    else:
-        built = [make_task(name, l_max=l_max) for l_max in (2, 3, 8, 9, 16, 33)]
-    for task in built:
+    for task in _STACKED_TASKS[kind]():
         n = task.relax(task.random_candidate(rng)).size
-        inside = task.clamp(rng.normal(0.5, 0.5, (r, n)))
-        corners = np.array([task.relax(task.random_candidate(rng)) for _ in range(r)])
-        mixed = np.where(rng.random((r, 1)) < 0.5, inside, corners)
-        for X in (inside, corners, mixed):
-            L, G = task.stacked_losses_and_gradients(X)
+        inside = task.clamp(rng.normal(0.5, 2.0, (r, n)))
+        lattice = np.array([task.relax(task.random_candidate(rng)) for _ in range(r)])
+        far = task.clamp(rng.choice([-1e3, 1e3], (r, n)))
+        mixed = np.where(rng.random((r, 1)) < 0.5, inside, lattice)
+        for X in (inside, lattice, far, mixed):
+            L, G = task.losses_and_gradients(X)
             assert L.shape == (r, task.m) and G.shape == (r, n, task.m) and G.flags.writeable
-            for x, losses, grads in zip(X, L, G):
-                one_losses, one_grads = task.losses_and_gradients(x)
-                assert losses.tobytes() == one_losses.tobytes()
-                assert grads.tobytes() == one_grads.tobytes()
-                assert grads.flags.c_contiguous == one_grads.flags.c_contiguous
-                assert grads.flags.f_contiguous == one_grads.flags.f_contiguous
+            for j, (losses, grads) in enumerate(zip(L, G)):
+                one_losses, one_grads = task.losses_and_gradients(X[j : j + 1])
+                assert losses.tobytes() == one_losses[0].tobytes()
+                assert grads.tobytes() == one_grads[0].tobytes()
+                assert grads.strides == one_grads[0].strides
+            if n == 400 and X is far:
+                # ||x -+ c||^2 >= 400 * 1.95^2 > 746 at every corner of the
+                # box: exp underflows, and the losses are exactly 1
+                assert (L == 1.0).all() and not G.any()
 
 
 def test_synthetic_true_front_endpoints():
@@ -275,7 +269,7 @@ def test_ngram_relaxation_is_lattice_exact(s, mode):
     x = task.relax(s)
     assert task.region == SimplexRows(6, 3)
     assert x.shape == (18,) and x.dtype == np.float64
-    assert task.losses_and_gradients(x)[0] == pytest.approx(
+    assert _at_point(task, x)[0] == pytest.approx(
         task.eval_discrete(s), abs=1e-15
     )
 
@@ -354,7 +348,7 @@ def test_ngram_gradients_match_finite_differences(seed, mode):
     rng = np.random.default_rng(seed)
     l_max = 5
     P = rng.dirichlet(np.ones(3), size=l_max)
-    G = NGramTask(mode, l_max).losses_and_gradients(P.ravel())[1]
+    G = _at_point(NGramTask(mode, l_max), P.ravel())[1]
     assert G.shape == (3 * l_max, 3)
     fd = _fd_columns(lambda v: _expected_ngram_losses(v, mode, l_max), P.ravel(), 3)
     assert np.max(np.abs(G - fd)) < 1e-9
@@ -366,7 +360,7 @@ def test_ngram_bigram_relaxed_losses_are_sampling_expectations():
     rng = np.random.default_rng(5)
     P = rng.dirichlet(np.ones(3), size=5)
     task = NGramTask("bigram", l_max=5)
-    rel = task.losses_and_gradients(P.ravel())[0]
+    rel = _at_point(task, P.ravel())[0]
     draws = 20000
     acc = np.zeros(3)
     for _ in range(draws):
@@ -466,7 +460,7 @@ def test_surrogate_relaxed_losses_are_head_cross_entropies(small_surrogate):
     x = task.relax(np.array([1, 0, 1, 0, 1, 0, 1, 0]))
     assert task.region == Box(0.0, 1.0)
     assert x.shape == (8,) and x.dtype == np.float64
-    rel = task.losses_and_gradients(x)[0]
+    rel = _at_point(task, x)[0]
     net = task.net
     z = net.w2 @ np.tanh(net.w1 @ x + net.b1) + net.b2
     assert rel == pytest.approx(-np.log(_sigmoid(z)), abs=1e-9)
@@ -478,15 +472,15 @@ def test_surrogate_gradients_match_finite_differences(small_surrogate):
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.uniform(0.2, 0.8, size=8)
-        G = task.losses_and_gradients(x)[1]
-        fd = _fd_columns(lambda v: task.net.losses_and_gradients(v)[0], x, 2)
+        G = _at_point(task, x)[1]
+        fd = _fd_columns(lambda v: _at_point(task.net, v)[0], x, 2)
         assert np.max(np.abs(G - fd)) < 1e-7
 
 
 def test_surrogate_descent_consumes_no_oracle_budget(small_surrogate):
     task = small_surrogate
     before = task.oracle_calls
-    task.losses_and_gradients(task.relax(np.array([1, 1, 0, 0, 1, 1, 0, 0])))
+    _at_point(task, task.relax(np.array([1, 1, 0, 0, 1, 1, 0, 0])))
     assert task.oracle_calls == before
 
 
@@ -540,7 +534,7 @@ def _clamped_points(task, rng, count=25):
 def test_closed_form_losses_and_gradients_equal_the_reference_forms(name):
     task = make_task(name)
     for x in _clamped_points(task, np.random.default_rng(31)):
-        losses, grads = task.losses_and_gradients(x)
+        losses, grads = _at_point(task, x)
         if name == "synthetic":
             c = np.full(x.size, 1.0 / math.sqrt(x.size))
             offsets = (x - c, x + c)
@@ -550,8 +544,6 @@ def test_closed_form_losses_and_gradients_equal_the_reference_forms(name):
             assert np.array_equal(grads, want)
         else:
             assert np.array_equal(losses, _expected_ngram_losses(x, task.mode, task.l_max))
-        if name == "ngram-uni":  # the constant unigram gradient is shared
-            assert not grads.flags.writeable
 
 
 @pytest.mark.parametrize("name", ["synthetic", "ngram-uni", "ngram-bi", "surrogate"])
@@ -579,7 +571,7 @@ def _two_forward_passes(net, x):
 def test_surrogate_losses_and_gradients_equal_two_forward_passes(m):
     task = make_task("surrogate", m=m)
     for x in _clamped_points(task, np.random.default_rng(32)):
-        losses, grads = task.losses_and_gradients(x)
+        losses, grads = _at_point(task, x)
         want = _two_forward_passes(task.net, x)
         assert np.array_equal(losses, want[0])
         assert np.array_equal(grads, want[1])
