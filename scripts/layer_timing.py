@@ -19,9 +19,11 @@ wrappers on five layers, each timed without the wrapped layers it calls:
 * ``record``: ``search._record``, one trajectory point per evaluation.
 
 It writes one CSV row per workload: the median wall seconds of a scan,
-each layer's median seconds per scan and calls per scan, and ``rest_s``,
-the scan time the five layers leave (the rays' set-up, the outer loop,
-metrics).
+``setup_s``, the median seconds of a cold ``make_task`` (the task's
+cache of trained surrogate nets is cleared before each, so the surrogate
+trains its net in every one), each layer's median seconds per scan and
+calls per scan, and ``rest_s``, the scan time the five layers leave (the
+rays' set-up, the outer loop, metrics).
 
 Usage:
     python scripts/layer_timing.py --out results/layer_timing
@@ -34,7 +36,7 @@ import statistics
 import time
 from pathlib import Path
 
-from paretoscan import RunConfig, front_scan, make_task, relax, search, weight_grid
+from paretoscan import RunConfig, front_scan, make_task, relax, search, tasks, weight_grid
 
 #: name: (task, its parameters, m, rays, eta), as the benchmark runs them.
 _WORKLOADS = {
@@ -94,8 +96,20 @@ def _install(spent: dict, calls: dict) -> list:
     return restore
 
 
+def _setup_seconds(task: str, params: dict, repeats: int) -> float:
+    """Median seconds of a cold ``make_task``, with no trained net cached."""
+    walls = []
+    for _ in range(repeats):
+        tasks._trained_net.cache_clear()
+        start = time.perf_counter()
+        make_task(task, **params)
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls)
+
+
 def _time_workload(name: str, args) -> dict:
     task, params, m, rays, eta = _WORKLOADS[name]
+    setup = _setup_seconds(task, params, args.repeats)
     grid = weight_grid(m, rays)
     probe = make_task(task, **params)
     truth = probe.true_front(400) if hasattr(probe, "true_front") else None
@@ -125,6 +139,7 @@ def _time_workload(name: str, args) -> dict:
     row = {
         "workload": name, "rays": rays, "T": args.T, "K": args.K, "C": args.C,
         "seed": args.seed, "repeats": args.repeats, "scan_s": f"{wall:.4f}",
+        "setup_s": f"{setup:.6f}",
     }
     layers = {layer: statistics.median(values) for layer, values in per_layer.items()}
     for layer, seconds in layers.items():
@@ -145,7 +160,7 @@ def main():
         row = _time_workload(name, args)
         rows.append(row)
         print(
-            f"{name}: scan {row['scan_s']} s; "
+            f"{name}: setup {row['setup_s']} s, scan {row['scan_s']} s; "
             + ", ".join(f"{layer} {row[layer + '_s']} s" for layer in _LAYERS)
             + f"; rest {row['rest_s']} s"
         )

@@ -1,11 +1,12 @@
 """Small multi-head MLP bridging discrete oracles and continuous descent.
 
 One hidden tanh layer, per-head sigmoid outputs.  The net is trained once on
-oracle-labeled bit vectors via full-batch gradient descent with heavy-ball
-momentum (Polyak 1964, beta = 0.9) and then frozen.  ``epochs`` caps the
-steps: training stops earlier, before step k >= 100, once the loss has
-stopped falling, that is when it fell by at least 0 and at most 1e-4 of its
-current value over the last 100 steps.  Afterwards the net serves a single
+oracle-labeled bit vectors via full-batch L-BFGS (Liu & Nocedal 1989;
+Nocedal & Wright, Numerical Optimization, ch. 7: memory 10, Armijo
+backtracking) and then frozen.  ``epochs`` caps the iterations: training
+stops earlier, before iteration k >= 10, once the loss has stopped falling,
+that is when it fell by at least 0 and at most 1e-5 of its current value
+over the last 10 iterations.  Afterwards the net serves a single
 purpose: supplying the per-head binary cross-entropies and their
 input-space gradients so the descent loop can move through the relaxed
 space without touching the oracle.
@@ -24,15 +25,19 @@ import numpy as np
 __all__ = ["DualPathNet", "DivergenceError", "FrozenNetError"]
 
 
-# The loss plateau that stops training: window in steps, relative tolerance.
-_PLATEAU_WINDOW = 100
-_PLATEAU_TOL = 1e-4
-# Heavy-ball momentum: the share of the last step that the next one keeps.
-_MOMENTUM = 0.9
+# The loss plateau that stops training: window in iterations, relative tolerance.
+_PLATEAU_WINDOW = 10
+_PLATEAU_TOL = 1e-5
+# L-BFGS: curvature pairs kept, Armijo's sufficient-decrease share of the
+# slope, and the steps tried per iteration, each half the last.
+_MEMORY = 10
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss; retry with a smaller rate."""
+    """Training produced a non-finite loss or parameter, or its rate-scaled
+    first step could not lower the loss; retry with a smaller rate."""
 
 
 class FrozenNetError(RuntimeError):
@@ -54,14 +59,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return _sigmoid_into(z, np.exp(-np.abs(z)), np.empty_like(z))
 
 
+def _views(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """Consecutive slices of ``flat`` reshaped to ``shapes``, as views."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[start : start + size].reshape(shape))
+        start += size
+    return tuple(out)
+
+
 class _Workspace:
     """Work arrays for full-batch loss-and-gradient evaluations of a net.
 
-    ``train`` allocates them once and reuses them every epoch: (B, hidden)
-    temporaries are large enough that the allocator maps and unmaps fresh
-    pages for each one, which made the training time depend on whatever
-    else the process had loaded.  ``velocity`` holds the momentum step of
-    each parameter, zero before the first step.
+    ``train`` allocates them once and reuses them every evaluation: (B,
+    hidden) temporaries are large enough that the allocator maps and unmaps
+    fresh pages for each one, which made the training time depend on
+    whatever else the process had loaded.  ``grads`` are views of the one
+    flat vector ``grad``, laid out as ``train`` lays out the parameters.
     """
 
     def __init__(self, net: DualPathNet, batch: int) -> None:
@@ -74,8 +89,9 @@ class _Workspace:
         self.L = np.empty((batch, heads))  # per-element cross-entropy
         self.T = np.empty((batch, heads))
         self.dZ = np.empty((batch, heads))
-        self.grads = tuple(np.empty_like(p) for p in (net.w1, net.b1, net.w2, net.b2))
-        self.velocity = tuple(np.zeros_like(g) for g in self.grads)
+        shapes = [p.shape for p in (net.w1, net.b1, net.w2, net.b2)]
+        self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.grads = _views(self.grad, shapes)
 
 
 class DualPathNet:
@@ -128,29 +144,48 @@ class DualPathNet:
         np.sum(dH, axis=0, out=gb1)
         return loss
 
-    def train(self, X, Y, epochs: int, rate: float = 1e-2) -> None:
-        """Full-batch heavy-ball descent up to a loss plateau; freezes the net.
+    def _checked_loss(self, X: np.ndarray, Y: np.ndarray, work: _Workspace) -> float:
+        """``_loss_and_grads`` at parameters that must be finite, giving a
+        finite loss."""
+        if not all(np.all(np.isfinite(p)) for p in (self.w1, self.b1, self.w2, self.b2)):
+            raise DivergenceError("a trained parameter is non-finite; use a smaller rate")
+        loss = self._loss_and_grads(X, Y, work)
+        if not math.isfinite(loss):
+            raise DivergenceError("training loss is non-finite; use a smaller rate")
+        return loss
 
-        Each step sets v <- 0.9 * v + rate * grad, from v = 0, and then
-        param <- param - v.  Let L[k] be the training loss before step k.
-        Training stops before step k when k >= 100 and 0 <= L[k-100] - L[k]
-        <= 1e-4 * L[k], or after ``epochs`` steps, whichever comes first.  A
-        loss that rises over the window is no plateau.  Stopping only
-        truncates: a net that stops before step k holds the parameters
-        ``epochs=k`` gives.
+    def train(self, X, Y, epochs: int, rate: float = 1e-2) -> None:
+        """Full-batch L-BFGS up to a loss plateau; freezes the net.
+
+        Each iteration moves along d = -H grad.  H is the two-loop
+        recursion's inverse-Hessian estimate from the last 10 kept pairs of
+        a step s and its gradient change y, a pair kept only when s.y > 0,
+        started from (s.y / y.y) I of the newest pair, or H = rate * I while
+        no pair is kept, as on the first iteration.  The step taken is the
+        first of d, d/2, d/4, ... (30 tries) whose loss lies at least 1e-4
+        of the slope grad.d below the current loss (Armijo), so the loss
+        never rises between iterates.  Let L[k] be the training loss before
+        iteration k.  Training stops before iteration k when k >= 10 and 0
+        <= L[k-10] - L[k] <= 1e-5 * L[k], in iteration k when no try of a
+        step from kept pairs is accepted (the loss is at its floor), or
+        after ``epochs`` iterations, whichever comes first.  Stopping only
+        truncates: a net that stops before or in iteration k holds the
+        parameters ``epochs=k`` gives.
 
         Args:
             X: (B, n_inputs) finite training inputs, B >= 1.
             Y: (B, n_heads) finite targets in [0, 1].
-            epochs: Cap on the gradient steps, a non-negative int; zero
+            epochs: Cap on the iterations, a non-negative int; zero
                 leaves parameters untouched.
-            rate: Gradient scale of each step, finite and positive.
+            rate: Gradient scale of the steps taken while no pair is
+                kept, finite and positive.
 
         Raises:
             FrozenNetError: If the net was trained already.
             ValueError: If an argument has the wrong shape, type or range,
                 or ``X`` or ``Y`` holds a non-finite value.
-            DivergenceError: If the loss or a parameter turns non-finite.
+            DivergenceError: If the loss or a parameter turns non-finite,
+                or no try of a rate-scaled step lowers the loss.
         """
         if self.frozen:
             raise FrozenNetError("net is immutable after training")
@@ -183,25 +218,65 @@ class DualPathNet:
             raise ValueError(f"rate must be finite and positive, got {rate!r}")
         work = _Workspace(self, X.shape[0])
         params = (self.w1, self.b1, self.w2, self.b2)
+        theta = np.concatenate([param.ravel() for param in params])
+        self.w1, self.b1, self.w2, self.b2 = _views(theta, [p.shape for p in params])
+        grad = work.grad
+        S = np.empty((_MEMORY, theta.size))  # kept steps s, the newest at (pairs - 1) % 10
+        G = np.empty_like(S)  # their gradient changes y
+        rho = np.empty(_MEMORY)  # 1 / (s . y)
+        pairs = 0
+        start, grad_start, direction = (np.empty_like(theta) for _ in range(3))
         history = []
         for k in range(epochs):
-            loss = self._loss_and_grads(X, Y, work)
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    "training loss is non-finite; use a smaller rate"
-                )
-            if k >= _PLATEAU_WINDOW:
+            if k == 0:
+                loss = self._checked_loss(X, Y, work)
+            elif k >= _PLATEAU_WINDOW:
                 fall = history[k - _PLATEAU_WINDOW] - loss
                 if 0.0 <= fall <= _PLATEAU_TOL * loss:
                     break
             history.append(loss)
-            for param, grad, vel in zip(params, work.grads, work.velocity):
-                vel *= _MOMENTUM
-                grad *= rate
-                vel += grad
-                param -= vel
-        if not all(np.all(np.isfinite(param)) for param in params):
-            raise DivergenceError("a trained parameter is non-finite; use a smaller rate")
+            # two-loop recursion: direction = -H grad, H from the kept pairs
+            np.negative(grad, out=direction)
+            kept = [(pairs - 1 - j) % _MEMORY for j in range(min(pairs, _MEMORY))]
+            shares = []
+            for i in kept:
+                share = rho[i] * (S[i] @ direction)
+                direction -= share * G[i]
+                shares.append(share)
+            if kept:
+                newest = G[kept[0]]
+                direction *= 1.0 / (rho[kept[0]] * (newest @ newest))
+            else:
+                direction *= rate
+            for i, share in zip(reversed(kept), reversed(shares)):
+                direction += (share - rho[i] * (G[i] @ direction)) * S[i]
+            slope = float(grad @ direction)
+            np.copyto(start, theta)
+            np.copyto(grad_start, grad)
+            step = 1.0
+            for _ in range(_BACKTRACKS):
+                np.multiply(direction, step, out=theta)
+                theta += start
+                trial = self._checked_loss(X, Y, work)
+                if trial <= loss + _ARMIJO * step * slope:
+                    break
+                step *= 0.5
+            else:
+                np.copyto(theta, start)
+                if not kept:
+                    raise DivergenceError(
+                        "training loss did not fall along the rate-scaled step; "
+                        "use a smaller rate"
+                    )
+                break  # the kept pairs' step fell short: the loss is at its floor
+            loss = trial
+            step_taken = np.subtract(theta, start, out=start)
+            grad_change = np.subtract(grad, grad_start, out=grad_start)
+            curvature = float(step_taken @ grad_change)
+            if curvature > 0.0:  # a pair that keeps H positive definite
+                i = pairs % _MEMORY
+                S[i], G[i], rho[i] = step_taken, grad_change, 1.0 / curvature
+                pairs += 1
         self.frozen = True
 
     def losses_and_gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

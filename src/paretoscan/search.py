@@ -282,7 +282,18 @@ class _Ray:
 
 def _start(config: RunConfig, task: TaskContract) -> _Ray:
     """A run of a validated ``config`` on ``task``, at its evaluated start
-    drawn from the seeded stream."""
+    drawn from the seeded stream.
+
+    Raises:
+        TypeError: If the task's ``stack_key`` is unhashable, so that no
+            later round groups the ray by it.
+    """
+    try:
+        hash(_share_key(task))
+    except TypeError as exc:
+        raise TypeError(
+            f"stack_key must be hashable, got {type(task.stack_key).__name__}"
+        ) from exc
     weights = _resolve_weights(config, task.m)
     eta = task.default_eta if config.eta is None else config.eta
     rng = np.random.default_rng(config.seed)

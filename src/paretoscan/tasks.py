@@ -327,26 +327,29 @@ class _SigmoidOracle:
         self.b = -0.5 * self.w.sum(axis=1)
 
     def scores(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        z = self.w @ x + self.b
+        """The m scores of a bit vector, or the (B, m) scores of a (B, n_b)
+        stack of them from one product."""
+        z = np.asarray(x, dtype=np.float64) @ self.w.T + self.b
         return 1.0 / (1.0 + np.exp(-z))
 
     def losses(self, x) -> np.ndarray:
         return 1.0 - self.scores(x)
 
 
-#: The surrogate net: hidden units, oracle-labeled training rows, step size.
+#: The surrogate net: hidden units, oracle-labeled training rows, the gradient
+#: scale of its first training step.
 _NET_HIDDEN = 32
 _TRAIN_SIZE = 1024
 _TRAIN_RATE = 5e-2
 
 @functools.lru_cache(maxsize=None)
 def _trained_net(n_b: int, m: int, epochs: int) -> tuple[_SigmoidOracle, DualPathNet]:
-    """The oracle and the net trained on rows it labelled, built once per setting."""
+    """The oracle and the net trained on rows it labels in one call, built
+    once per setting."""
     oracle = _SigmoidOracle(n_b=n_b, m=m)
     rng = np.random.default_rng(_TRAIN_SEED)
     X = rng.integers(0, 2, size=(_TRAIN_SIZE, n_b)).astype(np.float64)
-    Y = np.stack([oracle.scores(x) for x in X])
+    Y = oracle.scores(X)
     net = DualPathNet(n_b, _NET_HIDDEN, m, seed=_TRAIN_SEED)
     net.train(X, Y, epochs=epochs, rate=_TRAIN_RATE)
     return oracle, net
@@ -362,9 +365,10 @@ class SurrogateTask(TaskContract):
     net, which is its ``stack_key`` and which tasks of equal settings
     share.  The net's 1024 oracle-labeled training rows are not
     counted as oracle calls.
-    ``epochs`` caps the net's training steps: training stops earlier once
-    the loss fell by at most 1e-4 of its value over 100 steps (at n_b = 16,
-    the m = 2 net after 581 steps and the m = 4 net after 593).
+    ``epochs`` caps the net's L-BFGS iterations: training stops earlier
+    once the loss fell by at most 1e-5 of its value over 10 iterations (at
+    n_b = 16, the m = 2 net after 133 iterations and the m = 4 net after
+    150).
     """
 
     region = Box(0.0, 1.0)
@@ -410,9 +414,9 @@ def make_task(name: str, **params) -> TaskContract:
 
     Recognized params, all integers: n >= 1 (synthetic); l_max >= 2
     (n-gram); n_b >= 2, m >= 1, epochs >= 0 (surrogate).  The surrogate's
-    ``epochs`` is a cap: its net stops training earlier at a loss plateau
-    (see ``DualPathNet.train``), at n_b = 16 after 581 steps for m = 2 and
-    593 for m = 4.
+    ``epochs`` is a cap on L-BFGS iterations: its net stops training
+    earlier at a loss plateau (see ``DualPathNet.train``), at n_b = 16
+    after 133 iterations for m = 2 and 150 for m = 4.
 
     Raises:
         ValueError: For an unknown task name, or a parameter the task does

@@ -592,7 +592,8 @@ def test_artifacts_match_golden_bytes(tmp_path, command, names):
     commit 994d378, before the m >= 3 QP was warm-started, and the
     two ``run-ngram-bi`` runs by commit f843aa2, before the tasks' losses and
     gradients became one call per round; all with numpy 2.4.6 on Python 3.11
-    (x86-64).  ``metrics.json`` is kept without its
+    (x86-64).  The ``scan-surrogate-m4`` files were written again when the
+    surrogate net's training became L-BFGS.  ``metrics.json`` is kept without its
     ``wallclock_ms``.  Another numpy or BLAS build may change the last digits.
     """
     out = tmp_path / command

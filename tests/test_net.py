@@ -22,6 +22,18 @@ def _zeroed(n, h, m):
     return net
 
 
+def _toy_data():
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 2, size=(32, 4)).astype(float)
+    return X, np.stack([X[:, 0], 1.0 - X[:, 1]], axis=1)
+
+
+def _toy_net(epochs, rate):
+    net = DualPathNet(4, 8, 2, seed=5)
+    net.train(*_toy_data(), epochs=epochs, rate=rate)
+    return net
+
+
 def test_zero_parameters_give_indifferent_heads():
     net = _zeroed(4, 3, 2)
     X = np.array([[1.0, -1.0, 0.5, 0.0], [0.0, 0.2, 1.0, 3.0]])
@@ -95,9 +107,7 @@ def test_input_gradients_match_finite_differences():
 
 
 def test_train_reduces_loss_and_freezes():
-    rng = np.random.default_rng(12)
-    X = rng.integers(0, 2, size=(32, 4)).astype(float)
-    Y = np.stack([X[:, 0], 1.0 - X[:, 1]], axis=1)
+    X, Y = _toy_data()
     net = DualPathNet(4, 8, 2, seed=5)
     before = _loss(net, X, Y)
     assert net.train(X, Y, epochs=200, rate=0.5) is None
@@ -116,59 +126,53 @@ def _parameter_digest(net):
 
 def test_trained_parameters_are_pinned():
     # sha256 of the bytes of (w1, b1, w2, b2) on OpenBLAS 0.3.31 (Haswell
-    # kernels), one or two BLAS threads.  Training in work arrays reproduced
-    # the toy digest of the per-epoch allocating trainer bit for bit.  The
-    # m = 4 digest moved when training began to stop at its loss plateau.
-    # Both moved when training gained momentum (toy d5f94c75... before): the
-    # m = 4 one is now that of the net's first 593 steps.
+    # kernels), one or two BLAS threads.  Both moved when training became
+    # L-BFGS (heavy-ball before: m = 4 367933d2..., toy 6faca0c8...) and
+    # its labels came from one oracle call: the m = 4 digest is that of the
+    # net's first 150 iterations, the toy's of its first 108.
     surrogate = make_task("surrogate", m=4).net
     assert _parameter_digest(surrogate) == (
-        "367933d2a0967caf932b500f22748bff6700cfa1a8dfe5d1c97f24ea0e7d9a6a"
+        "38f04829da5a998f4f9b4abd6189a01028c0ff5925b701568e7457e31e6f48c0"
     )
-    rng = np.random.default_rng(12)
-    X = rng.integers(0, 2, size=(32, 4)).astype(float)
-    Y = np.stack([X[:, 0], 1.0 - X[:, 1]], axis=1)
-    net = DualPathNet(4, 8, 2, seed=5)
-    net.train(X, Y, epochs=200, rate=0.5)
-    assert _parameter_digest(net) == (
-        "6faca0c86ea1d3b9c8550d6baf377f8fbb3f6558adbdd61b3a1b3b7bfc4711c3"
+    assert _parameter_digest(_toy_net(200, 0.5)) == (
+        "d7450587f1bb0c6436c8f2c7dde6735d968a19636c48ee46cee0f37ad35443d2"
     )
 
 
-def test_default_surrogate_net_stops_at_its_plateau():
-    # stopping only truncates: the capped run stops before step 593 (1550
-    # before training gained momentum)
+def test_a_net_that_stops_holds_the_parameters_of_its_capped_run():
+    # stopping only truncates.  The m = 4 net stops at its loss plateau
+    # before iteration 150; the toy's binary targets drive its loss to
+    # about 3e-34 at rate 0.5, where no step of iteration 108 is accepted
     stopped = _parameter_digest(make_task("surrogate", m=4).net)
-    assert stopped == _parameter_digest(make_task("surrogate", m=4, epochs=593).net)
-    assert stopped != _parameter_digest(make_task("surrogate", m=4, epochs=592).net)
+    assert stopped == _parameter_digest(make_task("surrogate", m=4, epochs=150).net)
+    assert stopped != _parameter_digest(make_task("surrogate", m=4, epochs=149).net)
+    stopped = _parameter_digest(_toy_net(1000, 0.5))
+    assert stopped == _parameter_digest(_toy_net(108, 0.5))
+    assert stopped != _parameter_digest(_toy_net(107, 0.5))
 
 
-def test_a_rising_loss_is_no_plateau():
-    # at rate 20 the toy loss rises over the first 100 steps, so a cap of
-    # 101 takes every step
-    rng = np.random.default_rng(12)
-    X = rng.integers(0, 2, size=(32, 4)).astype(float)
-    Y = np.stack([X[:, 0], 1.0 - X[:, 1]], axis=1)
-    nets = {}
-    for cap in (100, 101):
-        nets[cap] = DualPathNet(4, 8, 2, seed=5)
-        nets[cap].train(X, Y, epochs=cap, rate=20.0)
-    assert _loss(nets[100], X, Y) > _loss(DualPathNet(4, 8, 2, seed=5), X, Y)
-    assert _parameter_digest(nets[101]) != _parameter_digest(nets[100])
+@pytest.mark.parametrize("rate", [0.5, 20.0])
+def test_the_loss_never_rises_between_iterates(rate):
+    # the net capped at k iterations holds iterate k; at rate 20 the first
+    # step's tries halve until one lowers the loss enough
+    X, Y = _toy_data()
+    losses = [_loss(_toy_net(cap, rate), X, Y) for cap in range(0, 80)]
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+    assert losses[-1] < 1e-12 * losses[0]
 
 
 def test_default_surrogate_net_scores_every_candidate_closely():
     # mean absolute score error of the m = 4 net over all 2**16 bit vectors:
-    # 0.0121 with plain gradient steps, 0.0101 since training gained
-    # momentum; a faster trainer must not buy its speed with a worse net
+    # 0.0121 with plain gradient steps, 0.0101 with heavy-ball momentum and
+    # 0.00329 with L-BFGS; a faster trainer must not buy its speed with a
+    # worse net
     task = make_task("surrogate", m=4)
     net = task.net
     bits = ((np.arange(2**16)[:, None] >> np.arange(16)) & 1).astype(np.float64)
     predicted = _sigmoid(np.tanh(bits @ net.w1.T + net.b1) @ net.w2.T + net.b2)
     losses = net.losses_and_gradients(bits[::4099])[0]  # the batch agrees with the net
     assert -np.log(predicted[::4099]) == pytest.approx(losses, rel=1e-12)
-    truth = np.stack([task.oracle.scores(x) for x in bits])
-    assert np.abs(predicted - truth).mean() <= 0.0121
+    assert np.abs(predicted - task.oracle.scores(bits)).mean() <= 0.0033
 
 
 def _masked_sigmoid(z):
@@ -250,12 +254,22 @@ def test_train_zero_epochs_freezes_without_stepping():
 
 
 def test_train_raises_on_non_finite_loss():
-    # finite data, but a step so large that the third epoch's loss overflows
+    # finite data, but a first step so large that none of its halvings
+    # lowers the loss
     net = DualPathNet(2, 2, 1, seed=0)
     X = np.eye(2)
     Y = np.array([[0.0], [1.0]])
     with pytest.raises(DivergenceError, match="loss"), np.errstate(all="ignore"):
         net.train(X, Y, epochs=3, rate=1e308)
+    assert not net.frozen
+
+
+def test_train_raises_on_a_loss_that_overflows_at_finite_parameters():
+    # each of the four rows' losses is about 1e308, so their sum is not finite
+    net = DualPathNet(2, 2, 1, seed=0)
+    net.b2[:] = 1e308
+    with pytest.raises(DivergenceError, match="loss is non-finite"), np.errstate(all="ignore"):
+        net.train(np.ones((4, 2)), np.zeros((4, 1)), epochs=1)
     assert not net.frozen
 
 

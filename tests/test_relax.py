@@ -1090,20 +1090,21 @@ _INNER_PATH_DIGESTS = {
         "edd2e7bb15a6a291aea7bf0c3324f5b7"
         "b5582514c0af864ed5e068d108fb1a64"
     ),
-    # The surrogate digests moved when the net's training gained momentum:
-    # its 200 steps now give other parameters.
+    # The surrogate digests moved when the net's training gained momentum,
+    # and again when it became L-BFGS: its 200-iteration cap now gives
+    # the net that stops at its plateau after 150.
     ("surrogate", "epo"): (
-        "6723bb648d967bb4d4574af663882d87"
-        "e07fceb217be5364dad318e473bb527c"
+        "76531760e7d1bb5d282c6daf8a984dfe"
+        "775a94081232ae4277e53c204d21eaea"
     ),
     ("surrogate", "ls"): (
-        "f6537928b421036c553269d8b96fb74b"
-        "74e0c4334e5de4b80173fceb7bfb8afe"
+        "608452ab3d11233b3248c2fc3525a703"
+        "c01c7d006911e1ecd66ec4d2dbd60f6c"
     ),
 }
 
 #: Task parameters of the pinned descents: the surrogate runs at m = 4 with
-#: a briefly trained net.
+#: its net capped at 200 training iterations.
 _INNER_PATH_PARAMS = {"surrogate": {"m": 4, "epochs": 200}}
 
 

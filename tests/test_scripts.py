@@ -84,9 +84,11 @@ def test_stack_timing_counts_each_computed_row_round_on_one_route(tmp_path):
 
 def test_layer_timing_times_the_start_clamps_apart_from_the_descents(tmp_path):
     # each outer round of a scan makes one _descents call, which makes one
-    # _descend_rows call; the starts layer is the first without the second
+    # _descend_rows call; the starts layer is the first without the second.
+    # Set-up is timed cold, so only the surrogate's includes training its net.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    args = ["--repeats", "1", "--workloads", "synthetic-epo", "ngram-uni", *_TINY]
+    workloads = ["synthetic-epo", "ngram-uni", "surrogate-m4"]
+    args = ["--repeats", "1", "--workloads", *workloads, *_TINY]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "layer_timing.py"), "--out", str(tmp_path), *args],
         env=env,
@@ -97,7 +99,9 @@ def test_layer_timing_times_the_start_clamps_apart_from_the_descents(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "layer_timing.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [row["workload"] for row in rows] == ["synthetic-epo", "ngram-uni"]
+    assert [row["workload"] for row in rows] == workloads
+    setup = [float(row["setup_s"]) for row in rows]
+    assert 0.0 < max(setup[:2]) and 10 * max(setup[:2]) < setup[2], setup
     layers = ("descend", "starts", "select", "archive", "record")
     for row in rows:
         assert int(row["starts_calls"]) == int(row["descend_calls"]) == 2, row

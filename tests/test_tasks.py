@@ -441,6 +441,16 @@ def test_sigmoid_oracle_geometry():
     assert oracle.scores(np.full(8, 0.5)) == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
+def test_sigmoid_oracle_scores_a_stack_in_one_call_as_row_by_row():
+    # the training labels come from one product on the stack, which sums in
+    # another order than a row's own product
+    oracle = SurrogateTask(n_b=16, m=4, epochs=0).oracle
+    bits = np.random.default_rng(3).integers(0, 2, size=(64, 16)).astype(np.float64)
+    stacked = oracle.scores(bits)
+    assert stacked.shape == (64, 4)
+    assert np.abs(stacked - np.stack([oracle.scores(x) for x in bits])).max() <= 1e-15
+
+
 @pytest.fixture(scope="module")
 def small_surrogate():
     return SurrogateTask(n_b=8, m=2, epochs=400)
