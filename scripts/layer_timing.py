@@ -7,14 +7,17 @@ eta 0.05), ``ngram-uni`` (12 rays of ``weight_grid(3, 12)``, eta 0.2) and
 0.1), each with T = 50, K = 20, C = 10, seed 1 and the task's reference
 front where it has one.  A workload scans once to warm up (the surrogate
 trains its net there), then ``--repeats`` times with ``time.perf_counter``
-wrappers on five layers, each timed without the wrapped layers it calls:
+wrappers on six layers, each timed without the wrapped layers it calls:
 
 * ``descend``: ``relax._descend_rows``, the inner descent of the rays that
   moved, stacked or row by row;
 * ``starts``: ``search._descents`` outside ``descend``: each ray's relaxed
   candidate, the clamps of the rays' starts and the reuse check;
-* ``select``: ``search.discretize_select``, the neighbourhood draw, the
-  oracle calls and the pick of one candidate per ray and round;
+* ``select``: ``search.discretize_select`` outside ``oracle``: the
+  neighbourhood draw and the pick of one candidate per ray and round;
+* ``oracle``: ``eval_discrete``, wrapped on ``relax.TaskContract`` and on
+  each subclass that defines it: one candidate's oracle losses and the
+  check of their vector, the rays' start points included;
 * ``archive``: ``search.build_archive``, the scan's Pareto archive;
 * ``record``: ``search._record``, one trajectory point per evaluation.
 
@@ -22,8 +25,9 @@ It writes one CSV row per workload: the median wall seconds of a scan,
 ``setup_s``, the median seconds of a cold ``make_task`` (the task's
 cache of trained surrogate nets is cleared before each, so the surrogate
 trains its net in every one), each layer's median seconds per scan and
-calls per scan, and ``rest_s``, the scan time the five layers leave (the
-rays' set-up, the outer loop, metrics).
+calls per scan, ``rest_s``, the scan time the six layers leave (the
+rays' set-up, the outer loop, metrics), and ``oracle_calls_total``, the
+scan's own count of oracle calls (m per ``eval_discrete`` call).
 
 Usage:
     python scripts/layer_timing.py --out results/layer_timing
@@ -45,11 +49,13 @@ _WORKLOADS = {
     "surrogate-m4": ("surrogate", {"m": 4}, 4, 4, 0.1),
 }
 
-#: layer: (module attribute, the modules that bind it by that name).
+#: layer: (attribute, the modules that bind it by that name, or the class
+#: on which, and on whose subclasses that define it, the method is wrapped).
 _LAYERS = {
     "descend": ("_descend_rows", (relax, search)),
     "starts": ("_descents", (search,)),
     "select": ("discretize_select", (search,)),
+    "oracle": ("eval_discrete", relax.TaskContract),
     "archive": ("build_archive", (search,)),
     "record": ("_record", (search,)),
 }
@@ -69,6 +75,19 @@ def parse_args():
     return p.parse_args()
 
 
+def _owners(attr: str, where) -> list:
+    """The modules, or the class and its subclasses, that define ``attr``."""
+    if not isinstance(where, type):
+        return list(where)
+    owners, todo = [], [where]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if attr in vars(cls):
+            owners.append(cls)
+    return owners
+
+
 def _install(spent: dict, calls: dict) -> list:
     """Wrap every layer at each of its bindings; returns what to restore.
 
@@ -76,23 +95,23 @@ def _install(spent: dict, calls: dict) -> list:
     """
     restore = []
     nested = [0.0]  # time of the wrapped calls inside the current one
-    for layer, (attr, modules) in _LAYERS.items():
-        original = getattr(modules[0], attr)
+    for layer, (attr, where) in _LAYERS.items():
+        for owner in _owners(attr, where):
+            original = vars(owner)[attr]
 
-        def timed(*args, _fn=original, _layer=layer, **kwargs):
-            outer, nested[0] = nested[0], 0.0
-            start = time.perf_counter()
-            try:
-                return _fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                spent[_layer] += elapsed - nested[0]
-                nested[0] = outer + elapsed
-                calls[_layer] += 1
+            def timed(*args, _fn=original, _layer=layer, **kwargs):
+                outer, nested[0] = nested[0], 0.0
+                start = time.perf_counter()
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    elapsed = time.perf_counter() - start
+                    spent[_layer] += elapsed - nested[0]
+                    nested[0] = outer + elapsed
+                    calls[_layer] += 1
 
-        for module in modules:
-            restore.append((module, attr, getattr(module, attr)))
-            setattr(module, attr, timed)
+            restore.append((owner, attr, original))
+            setattr(owner, attr, timed)
     return restore
 
 
@@ -128,7 +147,7 @@ def _time_workload(name: str, args) -> dict:
         restore = _install(spent, calls)
         try:
             start = time.perf_counter()
-            scan()
+            result = scan()
             walls.append(time.perf_counter() - start)
         finally:
             for module, attr, original in reversed(restore):
@@ -146,6 +165,7 @@ def _time_workload(name: str, args) -> dict:
         row[f"{layer}_s"] = f"{seconds:.4f}"
         row[f"{layer}_calls"] = calls[layer]
     row["rest_s"] = f"{wall - sum(layers.values()):.4f}"
+    row["oracle_calls_total"] = result.metrics["oracle_calls_total"]
     return row
 
 

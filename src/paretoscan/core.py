@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,21 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+def _well_formed(arr: np.ndarray, *, positive: bool) -> bool:
+    """Whether ``arr`` is a non-empty 1-D array of finite entries, each at
+    least 0, or above 0 with ``positive``, from one list and two built-in
+    passes.
+
+    A finite sum proves every entry finite; a sum that overflows from
+    finite entries reads False, so the caller's full checks decide.
+    """
+    if arr.ndim != 1 or arr.size == 0:
+        return False
+    values = arr.tolist()
+    low = min(values)
+    return math.isfinite(sum(values)) and (low > 0.0 if positive else low >= 0.0)
+
+
 def as_objectives(values) -> np.ndarray:
     """Validate and convert per-objective losses to a 1-D float64 array.
 
@@ -59,7 +75,9 @@ def as_objectives(values) -> np.ndarray:
         EmptyInputError: If ``values`` has no entries.
         ValueError: If any entry is negative or non-finite.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)
+    if _well_formed(arr, positive=False):
+        return arr
     if arr.ndim != 1:
         raise ValueError(f"objective vector must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
@@ -68,7 +86,7 @@ def as_objectives(values) -> np.ndarray:
         raise ValueError("objective vector contains non-finite entries")
     if (arr < 0.0).any():
         raise ValueError("objective vector contains negative entries")
-    return arr.copy()
+    return arr
 
 
 def as_weights(values) -> np.ndarray:
@@ -80,7 +98,9 @@ def as_weights(values) -> np.ndarray:
     Returns:
         A float64 copy of ``values``.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)
+    if _well_formed(arr, positive=True):
+        return arr
     if arr.ndim != 1:
         raise ValueError(f"weight vector must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
@@ -89,7 +109,7 @@ def as_weights(values) -> np.ndarray:
         raise ValueError("weight vector contains non-finite entries")
     if (arr <= 0.0).any():
         raise ValueError("weight vector entries must be strictly positive")
-    return arr.copy()
+    return arr
 
 
 def dominates(a, b) -> Dominance:

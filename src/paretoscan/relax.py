@@ -136,11 +136,22 @@ class TaskContract(abc.ABC):
         """Evaluate a discrete candidate with the oracle (counted).
 
         The m calls are charged once the oracle has returned, so a candidate
-        the task refuses costs nothing.
+        the task refuses costs nothing.  The returned vector is then checked:
+        1-D, of m entries, finite and non-negative.
+
+        Raises:
+            DimensionMismatchError: If the oracle returns other than m losses.
+            ValueError: If a loss is negative or non-finite, or the losses
+                are not a 1-D vector.
         """
         losses = self._discrete_losses(candidate)
         self._oracle_calls += self.m
-        return as_objectives(losses)
+        objectives = as_objectives(losses)
+        if objectives.size != self.m:
+            raise DimensionMismatchError(
+                f"oracle vector has length {objectives.size} but the task has {self.m} objectives"
+            )
+        return objectives
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Project a relaxed vector, or each row of an (r, n) stack of
@@ -431,8 +442,19 @@ def _share_key(task: TaskContract) -> tuple[type, Hashable]:
     """The key of the rows that one call serves: the task's class and its
     ``stack_key``.  Tasks with equal keys give equal numbers from
     ``losses_and_gradients`` and ``clamp``, so a call on the first row's
-    task serves every row."""
-    return type(task), task.stack_key
+    task serves every row.
+
+    Raises:
+        TypeError: If the task's ``stack_key`` is unhashable, naming its type.
+    """
+    key = type(task), task.stack_key
+    try:
+        hash(key)
+    except TypeError as exc:
+        raise TypeError(
+            f"stack_key must be hashable, got {type(task.stack_key).__name__}"
+        ) from exc
+    return key
 
 
 class _Stack:

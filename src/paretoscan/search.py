@@ -285,15 +285,11 @@ def _start(config: RunConfig, task: TaskContract) -> _Ray:
     drawn from the seeded stream.
 
     Raises:
-        TypeError: If the task's ``stack_key`` is unhashable, so that no
-            later round groups the ray by it.
+        TypeError: If the task's ``stack_key`` is unhashable
+            (:func:`relax._share_key`), so that no later round groups the
+            ray by it.
     """
-    try:
-        hash(_share_key(task))
-    except TypeError as exc:
-        raise TypeError(
-            f"stack_key must be hashable, got {type(task.stack_key).__name__}"
-        ) from exc
+    _share_key(task)
     weights = _resolve_weights(config, task.m)
     eta = task.default_eta if config.eta is None else config.eta
     rng = np.random.default_rng(config.seed)

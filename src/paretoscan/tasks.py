@@ -135,7 +135,11 @@ class SyntheticTask(TaskContract):
         return np.asarray(candidate, dtype=np.float64) * _GRID_STEP
 
     def _discrete_losses(self, candidate) -> np.ndarray:
-        return _wells(self._coords(candidate))[0]
+        # _wells(x)[0], bit for bit, with no offsets or exponentials kept
+        x = self._coords(candidate)
+        D = x[..., None, :] + _centres(x.shape[-1])
+        sq = np.matmul(D[..., None, :], D[..., None]).ravel().tolist()
+        return np.array([1.0 - math.exp(-s) for s in sq]).reshape(D.shape[:-1])
 
     def relax(self, candidate) -> np.ndarray:
         return self._coords(candidate)
@@ -187,22 +191,31 @@ _CHAR_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
 #: The letter indices of each bigram target's first and second letter.
 _BIGRAM_FIRST = [_CHAR_INDEX[a] for a, _ in _BIGRAM_TARGETS]
 _BIGRAM_SECOND = [_CHAR_INDEX[b] for _, b in _BIGRAM_TARGETS]
-#: The letters' byte codes, and the one-hot row of each byte (zero for a non-letter).
-_CODES = np.frombuffer(ALPHABET.encode("ascii"), np.uint8)
+#: The one-hot row of each byte (zero for a non-letter), and the letter of
+#: each letter index as a byte translation.
 _ONE_HOT = np.zeros((256, 3))
-_ONE_HOT[_CODES, np.arange(3)] = 1.0
+_ONE_HOT[np.frombuffer(ALPHABET.encode("ascii"), np.uint8), np.arange(3)] = 1.0
+_LETTER_OF_INDEX = bytes.maketrans(bytes(range(3)), ALPHABET.encode("ascii"))
 
 
-def _one_hot(sequence: str, l_max: int) -> np.ndarray:
-    """The (l_max, 3) one-hot matrix of a length-l_max string or letter sequence."""
+def _letters(sequence, l_max: int) -> str:
+    """A length-l_max string or letter sequence as a string over the alphabet.
+
+    Raises:
+        ValueError: If it has another length or holds a non-letter.
+    """
     if len(sequence) == l_max and not isinstance(sequence, str):
         sequence = "".join(ch if ch in _CHAR_INDEX else "?" for ch in sequence)
-    # a non-ASCII letter encodes as bytes of 0x80 and up, whose rows are zero
-    codes = sequence.encode("utf-8", "surrogatepass") if isinstance(sequence, str) else b""
-    P = _ONE_HOT[np.frombuffer(codes, np.uint8)]
-    if len(sequence) != l_max or P.sum() != l_max:
+    # a string strips to nothing only when every character is a letter
+    if not isinstance(sequence, str) or len(sequence) != l_max or sequence.strip(ALPHABET):
         raise ValueError(f"sequence must have length {l_max} over {ALPHABET!r}")
-    return P
+    return sequence
+
+
+def _one_hot(sequence, l_max: int) -> np.ndarray:
+    """The (l_max, 3) one-hot matrix of a length-l_max string or letter sequence."""
+    codes = _letters(sequence, l_max).encode("ascii")
+    return _ONE_HOT[np.frombuffer(codes, np.uint8)]
 
 
 def _ngram_losses(P: np.ndarray, mode: str, l_max: int) -> np.ndarray:
@@ -259,6 +272,11 @@ class NGramTask(TaskContract):
         self.mode = mode
         self.l_max = l_max
         self.stack_key = mode
+        # the oracle's targets and the number of slots that hold one
+        if mode == "unigram":
+            self._targets, self._slots = _UNIGRAM_TARGETS, l_max
+        else:
+            self._targets, self._slots = _BIGRAM_TARGETS, l_max - 1
         self.region = SimplexRows(l_max, 3)
         # the unigram gradient is the same at every point: build it once
         self._unigram_grads = _unigram_gradients(l_max) if mode == "unigram" else None
@@ -266,7 +284,10 @@ class NGramTask(TaskContract):
             self._unigram_grads.flags.writeable = False
 
     def _discrete_losses(self, candidate) -> np.ndarray:
-        return _ngram_losses(_one_hot(candidate, self.l_max), self.mode, self.l_max)
+        # str.count gives the one-hot matrix's exact counts, since no target
+        # overlaps itself, so these equal _ngram_losses' bit for bit
+        text = _letters(candidate, self.l_max)
+        return np.array([1.0 - text.count(t) / self._slots for t in self._targets])
 
     def relax(self, candidate) -> np.ndarray:
         return _one_hot(candidate, self.l_max).ravel()
@@ -284,12 +305,15 @@ class NGramTask(TaskContract):
         rows = rows / rows.sum(axis=1, keepdims=True)
         # rng.choice(3, p=row) draws one rng.random() and returns the count of
         # the row's normalised cumulative sums at or below it; drawing all the
-        # uniforms at once gives the same letters and leaves rng in the same state.
-        cdf = np.cumsum(rows, axis=1)
-        cdf /= cdf[:, -1:]
+        # uniforms at once gives the same letters and leaves rng in the same
+        # state.  The last sum normalises to 1 (or NaN), never at or below a draw.
+        cdf = rows.cumsum(axis=1)
+        cdf = cdf[:, :2] / cdf[:, 2:]
         u = rng.random((count - 1, self.l_max))
-        draws = (cdf[None] <= u[..., None]).sum(axis=-1)
-        text = _CODES[np.vstack([np.argmax(rows, axis=1), draws])].tobytes().decode()
+        index = np.empty((count, self.l_max), np.uint8)
+        index[0] = rows.argmax(axis=1)
+        np.add(cdf[:, 0] <= u, cdf[:, 1] <= u, out=index[1:], dtype=np.uint8)
+        text = index.tobytes().translate(_LETTER_OF_INDEX).decode()
         return [text[i : i + self.l_max] for i in range(0, len(text), self.l_max)]
 
     def candidate_id(self, candidate) -> str:

@@ -4,15 +4,16 @@ Each helper here is deliberately naive: a dense simplex grid, a grid search
 with pattern-search refinement for the QP, a Monte Carlo hypervolume, the
 slicing hypervolume that filters every 2-D slice, a sorted sweep for the
 exact front of a large discrete set, the archive that takes its points one
-insert at a time, and the candidate pick by one tuple key per candidate.
-The tests check the solver, the exact hypervolume, the one-pass archive
-build and the candidate selection against them, and score scans against
-the exact front; nothing in the package uses them.
+insert at a time, the candidate pick by one tuple key per candidate, and
+the vector checks made one array pass each.  The tests check the solver,
+the exact hypervolume, the one-pass archive build, the candidate selection
+and the vector checks against them, and score scans against the exact
+front; nothing in the package uses them.
 """
 
 import numpy as np
 
-from paretoscan.core import as_objectives, pareto_filter
+from paretoscan.core import EmptyInputError, as_objectives, pareto_filter
 
 
 def simplex_grid(m: int, resolution: int) -> np.ndarray:
@@ -276,3 +277,20 @@ def select_by_tuple_key(objectives, weights) -> int:
         if best_key is None or key < best_key:
             best_key, best = key, idx
     return best
+
+
+def checked_vector(values, kind: str) -> np.ndarray:
+    """The "objective" or "weight" vector check made one array pass at a
+    time, in order: shape, size, finiteness, sign; a float64 copy."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{kind} vector must be 1-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise EmptyInputError(f"{kind} vector must have at least one entry")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{kind} vector contains non-finite entries")
+    if kind == "objective" and (arr < 0.0).any():
+        raise ValueError("objective vector contains negative entries")
+    if kind == "weight" and (arr <= 0.0).any():
+        raise ValueError("weight vector entries must be strictly positive")
+    return arr.copy()

@@ -1,11 +1,13 @@
 """Dominance relation, Pareto filtering and archive semantics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SequentialArchive
+from oracles import SequentialArchive, checked_vector
 from paretoscan.core import (
     DimensionMismatchError,
     Dominance,
@@ -53,6 +55,92 @@ def test_as_weights_requires_strict_positivity():
         as_weights([0.5, -0.5])
     with pytest.raises(EmptyInputError):
         as_weights([])
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "values, objective_error, weight_error",
+    [
+        ([-0.0, 1.0], None, "weight vector entries must be strictly positive"),
+        ([0.0, 2.0], None, "weight vector entries must be strictly positive"),
+        ([_NAN, 0.5], "objective vector contains non-finite entries",
+         "weight vector contains non-finite entries"),
+        # NaN after a number: a min or max alone would step over it
+        ([0.5, _NAN], "objective vector contains non-finite entries",
+         "weight vector contains non-finite entries"),
+        ([0.5, _INF], "objective vector contains non-finite entries",
+         "weight vector contains non-finite entries"),
+        ([0.5, -_INF], "objective vector contains non-finite entries",
+         "weight vector contains non-finite entries"),
+        ([_INF, -_INF], "objective vector contains non-finite entries",
+         "weight vector contains non-finite entries"),
+        ([1.0, -0.1], "objective vector contains negative entries",
+         "weight vector entries must be strictly positive"),
+        ([], "objective vector must have at least one entry",
+         "weight vector must have at least one entry"),
+        ([[1.0, 2.0]], "objective vector must be 1-D, got shape (1, 2)",
+         "weight vector must be 1-D, got shape (1, 2)"),
+        # a 2-D array holding NaN gets the 1-D message, which comes first
+        (np.array([[_NAN, 1.0], [2.0, 3.0]]), "objective vector must be 1-D, got shape (2, 2)",
+         "weight vector must be 1-D, got shape (2, 2)"),
+        (1.0, "objective vector must be 1-D, got shape ()",
+         "weight vector must be 1-D, got shape ()"),
+        # finite entries whose sum overflows are still accepted
+        ([1e308, 1e308], None, None),
+        ([5e-324, 1.0], None, None),
+    ],
+)
+def test_vector_checks_keep_their_messages(values, objective_error, weight_error):
+    for check, kind, error in (
+        (as_objectives, "objective", objective_error),
+        (as_weights, "weight", weight_error),
+    ):
+        if error is None:
+            out = check(values)
+            assert out.tobytes() == checked_vector(values, kind).tobytes()
+            continue
+        with pytest.raises(ValueError) as ours:
+            check(values)
+        with pytest.raises(ValueError) as reference:
+            checked_vector(values, kind)
+        assert type(ours.value) is type(reference.value)
+        assert str(ours.value) == str(reference.value) == error
+        assert isinstance(ours.value, EmptyInputError) == (np.size(values) == 0)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, np.float64, ">f8"])
+def test_vector_checks_return_a_float64_copy_not_a_view(dtype):
+    raw = np.array([1, 2, 3], dtype=dtype)
+    for check in (as_objectives, as_weights):
+        out = check(raw)
+        assert out.dtype == np.float64 and out.dtype.isnative
+        assert out.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(out, raw) and out.flags.writeable
+        out[0] = 99.0
+        assert raw[0] == 1
+
+
+def test_an_accepted_negative_zero_objective_keeps_its_sign():
+    out = as_objectives([-0.0, 1.0])
+    assert np.signbit(out[0]) and out.tolist() == [0.0, 1.0]
+
+
+_SPECIALS = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e308, -1.0, _NAN, _INF, -_INF])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(_SPECIALS, st.floats(allow_nan=True)), max_size=6))
+def test_vector_checks_equal_the_one_pass_at_a_time_reference(values):
+    for check, kind in ((as_objectives, "objective"), (as_weights, "weight")):
+        try:
+            want = checked_vector(values, kind).tobytes()
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                check(values)
+        else:
+            assert check(values).tobytes() == want
 
 
 # ---------------------------------------------------------------------------

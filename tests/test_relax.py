@@ -281,6 +281,18 @@ def test_inner_descent_recomputes_from_a_different_start():
     assert [r.losses.tobytes() for r in other.trace] == [r.losses.tobytes() for r in fresh.trace]
 
 
+def test_inner_descent_names_an_unhashable_stack_key():
+    # the one rule for sharing calls hashes the task's key, and says which
+    # attribute it could not hash
+    task = SyntheticTask(n=4)
+    task.stack_key = []
+    with pytest.raises(TypeError, match="^stack_key must be hashable, got list$") as info:
+        inner_descent(task, np.zeros(4), [0.5, 0.5], eta=0.05, rounds=3)
+    assert isinstance(info.value.__cause__, TypeError)
+    with pytest.raises(TypeError, match="^stack_key must be hashable, got dict$"):
+        relax._share_key(type("_DictKeyTask", (SyntheticTask,), {"stack_key": {}})(n=4))
+
+
 def test_inner_descent_rejects_unknown_mode():
     task = _StubTask()
     with pytest.raises(ValueError):

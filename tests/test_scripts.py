@@ -85,6 +85,7 @@ def test_stack_timing_counts_each_computed_row_round_on_one_route(tmp_path):
 def test_layer_timing_times_the_start_clamps_apart_from_the_descents(tmp_path):
     # each outer round of a scan makes one _descents call, which makes one
     # _descend_rows call; the starts layer is the first without the second.
+    # The oracle layer counts one eval_discrete call per m oracle calls.
     # Set-up is timed cold, so only the surrogate's includes training its net.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     workloads = ["synthetic-epo", "ngram-uni", "surrogate-m4"]
@@ -102,9 +103,10 @@ def test_layer_timing_times_the_start_clamps_apart_from_the_descents(tmp_path):
     assert [row["workload"] for row in rows] == workloads
     setup = [float(row["setup_s"]) for row in rows]
     assert 0.0 < max(setup[:2]) and 10 * max(setup[:2]) < setup[2], setup
-    layers = ("descend", "starts", "select", "archive", "record")
-    for row in rows:
+    layers = ("descend", "starts", "select", "oracle", "archive", "record")
+    for row, m in zip(rows, (2, 3, 4)):
         assert int(row["starts_calls"]) == int(row["descend_calls"]) == 2, row
+        assert int(row["oracle_calls"]) * m == int(row["oracle_calls_total"]) > 0, row
         assert int(row["archive_calls"]) == 1, row
         seconds = [float(row[f"{layer}_s"]) for layer in layers]
         assert all(value > 0.0 for value in seconds), row

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from paretoscan import qp, search
-from paretoscan.core import EmptyInputError, TrajectoryPoint
+from paretoscan.core import DimensionMismatchError, EmptyInputError, TrajectoryPoint
 from paretoscan.metrics import hypervolume
 from paretoscan.relax import Box, discretize_select, inner_descent
 from paretoscan.search import (
@@ -992,6 +992,60 @@ def test_a_ray_whose_stack_key_is_unhashable_fails_alone():
     for i in (0, 2, 4, 5):
         cfg = replace(config, weights=rays[i], seed=config.seed + i)
         assert _run_rows(scan.rays[i]) == _run_rows(run_inversion(cfg, task=build(i))), i
+
+
+class _ShortOracleTask(SyntheticTask):
+    """Synthetic task whose oracle returns one loss, not two, from its
+    ``after + 1``-th evaluation on."""
+
+    def __init__(self, after=0, **kwargs):
+        super().__init__(**kwargs)
+        self.after, self.evaluations = after, 0
+
+    def _discrete_losses(self, candidate):
+        self.evaluations += 1
+        losses = super()._discrete_losses(candidate)
+        return losses[:1] if self.evaluations > self.after else losses
+
+
+_SHORT_ORACLE = "oracle vector has length 1 but the task has 2 objectives"
+
+
+@pytest.mark.parametrize("after, calls", [(0, 2), (5, 12)])
+def test_a_run_whose_oracle_returns_a_wrong_length_vector_raises(after, calls):
+    # the vector is checked once the oracle has returned, so it is charged
+    task = _ShortOracleTask(after, n=6)
+    with pytest.raises(DimensionMismatchError, match=f"^{_SHORT_ORACLE}$"):
+        run_inversion(_small_cfg(weights=DIAG), task=task)
+    assert task.oracle_calls == calls
+
+
+def test_a_ray_whose_oracle_returns_a_wrong_length_vector_fails_alone():
+    # ray 1's oracle is short from its start, ray 3's from its second round;
+    # each fails with the error its solo run raises, and the other rays,
+    # the archive and the metrics hold only what the full-length rays made
+    def build(i):
+        return _ShortOracleTask({1: 0, 3: 4}[i], n=6) if i in (1, 3) else SyntheticTask(n=6)
+
+    built = []
+
+    def factory():
+        built.append(build(len(built)))
+        return built[-1]
+
+    rays = weight_grid(2, 5)
+    config = _small_cfg(T=6)
+    scan = front_scan(factory, rays, config)
+    assert [ray.error for ray in scan.rays] == [None, _SHORT_ORACLE, None, _SHORT_ORACLE, None]
+    assert not scan.rays[1].trajectory and not scan.rays[3].trajectory
+    assert all(p.objectives.size == 2 for p in scan.archive)
+    for i in (0, 2, 4):
+        cfg = replace(config, weights=rays[i], seed=config.seed + i)
+        assert _run_rows(scan.rays[i]) == _run_rows(run_inversion(cfg, task=build(i))), i
+    for i in (1, 3):
+        cfg = replace(config, weights=rays[i], seed=config.seed + i)
+        with pytest.raises(DimensionMismatchError, match=f"^{_SHORT_ORACLE}$"):
+            run_inversion(cfg, task=build(i))
 
 
 def test_front_scan_takes_an_array_of_rays():

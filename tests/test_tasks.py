@@ -1,5 +1,6 @@
 """Built-in task families: frozen values, lattice exactness, gradients."""
 
+import itertools
 import math
 import re
 
@@ -228,6 +229,27 @@ def test_synthetic_task_oracle_accounting_and_ids():
     assert task.candidate_id(np.array([1, -2, 0])) == "x:1,-2,0"
 
 
+def test_synthetic_oracle_equals_the_stacked_wells_bit_for_bit():
+    # the one-point oracle must give _wells' losses of the candidate's
+    # coordinates at every grid point, corners and near-centre points included
+    gen = np.random.default_rng(37)
+    for case in range(200):
+        n = (1, 2, 20, 33)[case % 4]
+        k = gen.integers(-tasks._MAX_INDEX, tasks._MAX_INDEX + 1, n)
+        if case % 10 == 0:
+            k = np.full(n, (-1) ** case * tasks._MAX_INDEX)
+        task = SyntheticTask(n=n)
+        got = task.eval_discrete(k)
+        want = tasks._wells(k * 0.01)[0]
+        assert got.tobytes() == want.tobytes(), case
+        assert task.oracle_calls == 2
+    # a stack of one candidate is charged and then refused, as before
+    task = SyntheticTask(n=3)
+    with pytest.raises(ValueError, match=r"^objective vector must be 1-D, got shape \(1, 2\)$"):
+        task.eval_discrete(np.zeros((1, 3), np.int64))
+    assert task.oracle_calls == 2
+
+
 def test_synthetic_task_validation():
     with pytest.raises(ValueError):
         SyntheticTask(n=0)
@@ -290,6 +312,31 @@ def test_ngram_input_validation():
 
 
 _LETTER_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
+
+
+@pytest.mark.parametrize("mode", ["unigram", "bigram"])
+def test_ngram_oracle_equals_the_one_hot_losses_on_every_string(mode):
+    # the string counts must equal the one-hot matrix's sums on all 3^8 strings
+    task = NGramTask(mode, l_max=8)
+    strings = ["".join(letters) for letters in itertools.product(ALPHABET, repeat=8)]
+    for s in strings:
+        want = tasks._ngram_losses(tasks._one_hot(s, 8), mode, 8)
+        assert task.eval_discrete(s).tobytes() == want.tobytes(), s
+    assert task.oracle_calls == 3 * 3**8
+
+
+@pytest.mark.parametrize("mode", ["unigram", "bigram"])
+def test_ngram_oracle_scores_a_letter_sequence_and_refuses_the_rest_for_free(mode):
+    task = NGramTask(mode, l_max=4)
+    want = task.eval_discrete("CVAC").tobytes()
+    for sequence in (list("CVAC"), tuple("CVAC"), np.array(list("CVAC"))):
+        assert task.eval_discrete(sequence).tobytes() == want
+    assert task.oracle_calls == 4 * 3
+    for bad in ("CVA", "CVACA", "CVXA", "cvac", "CV\x00A", "CVA\u00c0", ["C", "V", "A", "CV"],
+                [67, 86, 65, 67], b"CVAC"):
+        with pytest.raises(ValueError, match="^sequence must have length 4 over 'CVA'$"):
+            task.eval_discrete(bad)
+    assert task.oracle_calls == 4 * 3  # a refused candidate costs no oracle calls
 
 
 def _one_hot_by_letters(sequence, l_max):
